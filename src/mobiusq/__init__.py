@@ -42,9 +42,11 @@ from .sim import (
     basis_index,
     compile_state_prep,
     new_state,
+    prepare_low_qubits,
     project,
     register_distribution,
     register_equals,
+    sector,
     state_from_json_obj,
     state_to_json_obj,
 )

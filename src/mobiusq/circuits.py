@@ -40,7 +40,9 @@ from .sim import (
     StateVector,
     apply_circuit,
     compile_state_prep,
-    new_state,
+    gate_qubits,
+    prepare_low_qubits,
+    sector,
 )
 from .subset import BitString, SubsetTable
 
@@ -87,6 +89,8 @@ class TransformQuery:
         arr = np.array(self.psi_minus, dtype=np.complex128)
         if arr.shape != (1 << self.n,):
             raise ValueError(f"psi_minus needs {1 << self.n} amplitudes, got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("psi_minus has non-finite amplitudes")
         norm = np.linalg.norm(arr)
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"psi_minus norm is {norm}, expected 1 within 1e-9")
@@ -234,7 +238,22 @@ def build_start_circuit(query: TransformQuery) -> Circuit:
 
 
 def build_start_state(query: TransformQuery) -> StateVector:
-    state = apply_circuit(new_state(query.layout), build_start_circuit(query))
+    """Simulate build_start_circuit(query) from the all-zeros state.
+
+    alpha_minus is the lowest register and the circuit's leading ops touch it
+    alone, so those ops run on its 2**n amplitudes only; the result fills the
+    low end of an otherwise zero state and the remaining ops run on the whole.
+    The amplitudes equal those of apply_circuit on the full circuit.
+    """
+    layout = query.layout
+    ops = build_start_circuit(query).ops
+    register = frozenset(layout.register("alpha_minus"))
+    k = 0
+    while k < len(ops) and gate_qubits(ops[k]) <= register:
+        k += 1
+    amps = np.zeros(1 << layout.total_qubits, dtype=np.complex128)
+    amps[: 1 << layout.n] = prepare_low_qubits(ops[:k], layout.n)
+    state = apply_circuit(StateVector(layout, amps), Circuit(layout, ops[k:]))
     if abs(state.norm - 1.0) > 1e-12:
         raise DecompositionError(f"start state norm is {state.norm}")
     return state
@@ -273,26 +292,17 @@ def decompose_signal(query: TransformQuery, state: StateVector) -> SignalDecompo
     if (layout.mode, layout.n, layout.n0) != (query.mode, query.n, query.n0):
         raise ValueError("state layout does not match the query")
     n, n0 = layout.n, layout.n0
-    amps = state.amplitudes
-    idx = np.arange(amps.shape[0], dtype=np.int64)
-    am = idx & ((1 << n) - 1)
-    al = (idx >> n) & ((1 << n0) - 1)
-    be = (idx >> (n + n0)) & ((1 << n0) - 1)
-    ga = (idx >> (n + 2 * n0)) & 1
-    m0 = (idx >> (n + 2 * n0 + 1)) & 1
-    om = (idx >> (n + 2 * n0 + 2)) & 1
+    om, ga = layout.omega_qubit, layout.gamma_qubit
+    beta_clear = {q: 0 for q in layout.register("beta")}
 
+    # with omega, gamma and beta fixed, the axes left are mu0, alpha,
+    # alpha_minus: the ravel is indexed exactly like the mu grouping
     mu_size = 1 << (n + n0 + 1)
-    mu_index = am | (al << n) | (m0 << (n + n0))
-
-    sel1 = (be == 0) & (ga == 1) & (om == 0)
-    v1 = np.zeros(mu_size, dtype=np.complex128)
-    v1[mu_index[sel1]] = amps[sel1]
-    sel0 = (be == 0) & (ga == 0) & (om == 0)
-    v0 = np.zeros(mu_size, dtype=np.complex128)
-    v0[mu_index[sel0]] = amps[sel0]
-    chi_norm = float(np.linalg.norm(amps[om == 1]))
-    stray = float(np.linalg.norm(amps[(om == 0) & ~sel0 & ~sel1]))
+    v1 = sector(state, {om: 0, ga: 1, **beta_clear}).ravel()
+    v0 = sector(state, {om: 0, ga: 0, **beta_clear}).ravel()
+    chi_norm = float(np.linalg.norm(sector(state, {om: 1}).ravel()))
+    by_beta = sector(state, {om: 0}).reshape(2, 2, 1 << n0, -1)  # mu0, gamma, beta, rest
+    stray = float(np.linalg.norm(by_beta[:, :, 1:].ravel()))
 
     # predicted sector contents
     xv = query.x.to_int()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import TransformQuery, build_start_state
-from .sim import QubitIs, StateVector, project
+from .sim import QubitIs, StateVector, project, sector
 from .subset import BitString
 
 __all__ = [
@@ -62,12 +62,13 @@ def grover_step(state: StateVector, start: StateVector) -> StateVector:
     """One amplification step: reflect about omega=0, then about the start state."""
     if state.layout != start.layout:
         raise ValueError("state and start layouts differ")
-    amps = state.amplitudes
-    idx = np.arange(amps.shape[0], dtype=np.int64)
-    omega = (idx >> state.layout.omega_qubit) & 1
-    reflected = np.where(omega == 1, -amps, amps)
-    overlap = np.vdot(start.amplitudes, reflected)
-    return StateVector(state.layout, 2.0 * overlap * start.amplitudes - reflected)
+    reflected = state.copy()
+    top = sector(reflected, {state.layout.omega_qubit: 1})
+    np.negative(top, out=top)
+    overlap = np.vdot(start.amplitudes, reflected.amplitudes)
+    out = 2.0 * overlap * start.amplitudes
+    out -= reflected.amplitudes
+    return StateVector(state.layout, out)
 
 
 def amplify(start: StateVector, plan: GroverPlan) -> StateVector:
@@ -78,15 +79,20 @@ def amplify(start: StateVector, plan: GroverPlan) -> StateVector:
     return state
 
 
+def _cell_mass(state: StateVector, omega: int, gamma: int) -> float:
+    """Probability mass of one (omega, gamma) cell.
+
+    Summed over the cell's C-order ravel, i.e. in ascending basis-index
+    order, so the rounding is that of a boolean-mask gather of the cell.
+    """
+    layout = state.layout
+    cell = sector(state, {layout.omega_qubit: omega, layout.gamma_qubit: gamma})
+    return float((np.abs(cell.ravel()) ** 2).sum())
+
+
 def _sector_masses(state: StateVector) -> tuple[float, float]:
     """(omega=0 & gamma=0, omega=0 & gamma=1) probability masses."""
-    idx = np.arange(state.amplitudes.shape[0], dtype=np.int64)
-    omega = (idx >> state.layout.omega_qubit) & 1
-    gamma = (idx >> state.layout.gamma_qubit) & 1
-    probs = np.abs(state.amplitudes) ** 2
-    p00 = float(probs[(omega == 0) & (gamma == 0)].sum())
-    p01 = float(probs[(omega == 0) & (gamma == 1)].sum())
-    return p00, p01
+    return _cell_mass(state, 0, 0), _cell_mass(state, 0, 1)
 
 
 def _amplified(query: TransformQuery) -> tuple[StateVector, GroverPlan]:
@@ -138,18 +144,7 @@ def estimate_sampled(query: TransformQuery, shots: int, seed: int) -> EstimateRe
         raise RuntimeError("gamma=0 reference mass vanished; cannot form the ratio")
     exact = p01 / p00
 
-    idx = np.arange(final.amplitudes.shape[0], dtype=np.int64)
-    omega = (idx >> final.layout.omega_qubit) & 1
-    gamma = (idx >> final.layout.gamma_qubit) & 1
-    probs = np.abs(final.amplitudes) ** 2
-    cells = np.array(
-        [
-            probs[(omega == 0) & (gamma == 0)].sum(),
-            probs[(omega == 0) & (gamma == 1)].sum(),
-            probs[(omega == 1) & (gamma == 0)].sum(),
-            probs[(omega == 1) & (gamma == 1)].sum(),
-        ]
-    )
+    cells = np.array([p00, p01, _cell_mass(final, 1, 0), _cell_mass(final, 1, 1)])
     cells = np.clip(cells, 0.0, None)
     cells /= cells.sum()
     rng = np.random.default_rng(seed)

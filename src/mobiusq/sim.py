@@ -5,9 +5,16 @@ alpha_minus (n qubits), alpha (n0), beta (n0), gamma, mu0, omega (one each).
 Qubit q is the 2**q bit of the amplitude index, matching the bit convention
 in :mod:`mobiusq.subset`.
 
+Gates act in place on the ``(2,)*N`` view of the amplitude array, in which
+qubit q is axis N-1-q.  A one-qubit gate on q replaces the two halves a0, a1
+of that axis by m00*a0 + m01*a1 and m10*a0 + m11*a1, elementwise, so a
+result never depends on the shape of the array it sits in.
+
 Controlled gates carry an explicit basis-state predicate (conjunction,
-disjunction, per-qubit value, qubit equality / inequality).  The simulator
-evaluates the predicate per basis state and applies
+disjunction, per-qubit value, qubit equality / inequality).  A predicate
+lists its truth set as disjoint partial assignments {qubit: value}; the
+simulator fixes each assignment's qubits with width-1 slices and applies the
+inner ops to that sub-view only, which realizes
 
     U**pi = (1 - pi) + U * pi
 
@@ -128,6 +135,9 @@ class RegisterLayout:
 # basis-state predicates
 
 
+Assignment = dict[int, int]  # partial basis assignment {qubit: value}
+
+
 class Predicate(ABC):
     """Boolean function of computational-basis qubit values."""
 
@@ -138,6 +148,14 @@ class Predicate(ABC):
     @abstractmethod
     def mask(self, indices: np.ndarray) -> np.ndarray:
         """Vectorized truth value over an array of basis-state indices."""
+
+    @abstractmethod
+    def assignments(self) -> list[Assignment]:
+        """Disjoint partial assignments whose union is the predicate's truth set.
+
+        A basis state satisfies the predicate iff it agrees with exactly one
+        of the returned {qubit: value} maps; an empty map matches every state.
+        """
 
 
 @dataclass(frozen=True)
@@ -155,6 +173,9 @@ class QubitIs(Predicate):
     def mask(self, indices: np.ndarray) -> np.ndarray:
         return ((indices >> self.qubit) & 1) == self.value
 
+    def assignments(self) -> list[Assignment]:
+        return [{self.qubit: self.value}]
+
 
 @dataclass(frozen=True)
 class QubitsEqual(Predicate):
@@ -167,6 +188,9 @@ class QubitsEqual(Predicate):
     def mask(self, indices: np.ndarray) -> np.ndarray:
         return ((indices >> self.a) & 1) == ((indices >> self.b) & 1)
 
+    def assignments(self) -> list[Assignment]:
+        return [{self.a: v, self.b: v} for v in (0, 1)]
+
 
 @dataclass(frozen=True)
 class QubitsDiffer(Predicate):
@@ -178,6 +202,11 @@ class QubitsDiffer(Predicate):
 
     def mask(self, indices: np.ndarray) -> np.ndarray:
         return ((indices >> self.a) & 1) != ((indices >> self.b) & 1)
+
+    def assignments(self) -> list[Assignment]:
+        if self.a == self.b:
+            return []
+        return [{self.a: v, self.b: 1 - v} for v in (0, 1)]
 
 
 @dataclass(frozen=True)
@@ -193,6 +222,17 @@ class AllOf(Predicate):
             out &= t.mask(indices)
         return out
 
+    def assignments(self) -> list[Assignment]:
+        out: list[Assignment] = [{}]
+        for t in self.terms:
+            out = [
+                {**a, **b}
+                for a in out
+                for b in t.assignments()
+                if all(a.get(q, v) == v for q, v in b.items())
+            ]
+        return out
+
 
 @dataclass(frozen=True)
 class AnyOf(Predicate):
@@ -206,6 +246,13 @@ class AnyOf(Predicate):
         for t in self.terms:
             out |= t.mask(indices)
         return out
+
+    def assignments(self) -> list[Assignment]:
+        # full assignments of the predicate's own few qubits, read off its truth table
+        qubits = sorted(self.qubits())
+        rows = [{q: (r >> j) & 1 for j, q in enumerate(qubits)} for r in range(1 << len(qubits))]
+        indices = np.array([sum(v << q for q, v in row.items()) for row in rows], dtype=np.int64)
+        return [row for row, hit in zip(rows, self.mask(indices)) if hit]
 
 
 def register_equals(layout: RegisterLayout, name: str, value: int) -> Predicate:
@@ -253,6 +300,9 @@ class Controlled:
 
     Predicate qubits must be disjoint from the inner ops' target qubits, so
     the controlled action is unitary and realizes (1 - pi) + U pi exactly.
+    The simulator applies the inner ops, in order, to the sub-view of each of
+    the predicate's disjoint assignments in turn; amplitudes outside every
+    assignment are not touched.
     """
 
     predicate: Predicate
@@ -349,14 +399,11 @@ def basis_index(layout: RegisterLayout, values: Mapping[str, int]) -> int:
 
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
 
 def _gate_matrix(op: GateOp) -> np.ndarray:
     if isinstance(op, Hadamard):
         return _H
-    if isinstance(op, PauliX):
-        return _X
     if isinstance(op, Ry):
         c, s = math.cos(op.theta / 2.0), math.sin(op.theta / 2.0)
         return np.array([[c, -s], [s, c]], dtype=np.complex128)
@@ -367,21 +414,52 @@ def _gate_matrix(op: GateOp) -> np.ndarray:
     raise TypeError(f"no matrix for {op!r}")
 
 
-def _apply_1q(amps: np.ndarray, mat: np.ndarray, qubit: int) -> np.ndarray:
-    view = amps.reshape(-1, 2, 1 << qubit)
-    return np.einsum("ab,xby->xay", mat, view).reshape(amps.shape)
+def _qubit_view(amps: np.ndarray) -> np.ndarray:
+    """The ``(2,)*N`` view of a flat amplitude array; qubit q is axis N-1-q."""
+    return amps.reshape((2,) * (amps.size.bit_length() - 1))
 
 
-def _apply_op(amps: np.ndarray, op: GateOp) -> np.ndarray:
+def _fix(view: np.ndarray, assignment: Assignment) -> np.ndarray:
+    """Sub-view with each assigned qubit cut to a width-1 slice (axes kept)."""
+    index = [slice(None)] * view.ndim
+    for q, v in assignment.items():
+        index[view.ndim - 1 - q] = slice(v, v + 1)
+    return view[tuple(index)]
+
+
+def _apply_op(view: np.ndarray, op: GateOp, fixed: Assignment) -> None:
+    """Apply op in place to a qubit view whose ``fixed`` qubits are already cut."""
     if isinstance(op, Controlled):
-        indices = np.arange(amps.shape[0], dtype=np.int64)
-        inside = op.predicate.mask(indices)
-        comp = np.where(inside, amps, 0.0)
-        rest = amps - comp
-        for inner in op.ops:
-            comp = _apply_op(comp, inner)
-        return rest + comp
-    return _apply_1q(amps, _gate_matrix(op), op.qubit)
+        for assignment in op.predicate.assignments():
+            if any(fixed.get(q, v) != v for q, v in assignment.items()):
+                continue  # contradicts an enclosing control: this part is empty
+            new = {q: v for q, v in assignment.items() if q not in fixed}
+            sub = _fix(view, new)
+            for inner in op.ops:
+                _apply_op(sub, inner, {**fixed, **new})
+        return
+    axis = view.ndim - 1 - op.qubit
+    # the trailing Ellipsis keeps a one-axis view a 0-d view, not a scalar copy
+    a0 = view[(slice(None),) * axis + (0, Ellipsis)]
+    a1 = view[(slice(None),) * axis + (1, Ellipsis)]
+    if isinstance(op, PauliX):
+        saved = a0.copy()
+        a0[...] = a1
+        a1[...] = saved
+        return
+    (m00, m01), (m10, m11) = _gate_matrix(op)
+    t01 = m01 * a1
+    t10 = m10 * a0
+    a0 *= m00
+    a0 += t01
+    a1 *= m11
+    a1 += t10
+
+
+def _run(amps: np.ndarray, ops) -> None:
+    view = _qubit_view(amps)
+    for op in ops:
+        _apply_op(view, op, {})
 
 
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
@@ -389,36 +467,67 @@ def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     bad = [q for q in gate_qubits(op) if not 0 <= q < total]
     if bad:
         raise ValueError(f"op {op} uses qubits {bad} outside the {total}-qubit layout")
-    return StateVector(state.layout, _apply_op(state.amplitudes, op))
+    amps = state.amplitudes.copy()
+    _run(amps, (op,))
+    return StateVector(state.layout, amps)
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     if circuit.layout != state.layout:
         raise ValueError("circuit and state layouts differ")
-    amps = state.amplitudes
+    amps = state.amplitudes.copy()
     before = np.linalg.norm(amps)
-    for op in circuit.ops:
-        amps = _apply_op(amps, op)
+    _run(amps, circuit.ops)
     after = np.linalg.norm(amps)
     if before > 0 and abs(after - before) > 1e-9 * max(1.0, before):
         raise RuntimeError(f"norm drifted from {before} to {after} over {len(circuit)} ops")
     return StateVector(state.layout, amps)
 
 
+def prepare_low_qubits(ops, k: int) -> np.ndarray:
+    """Amplitudes of qubits 0..k-1 after ops act on their |0...0> state.
+
+    The ops must touch only those qubits.  Since qubit q is the 2**q bit, the
+    result is also the first 2**k amplitudes of a full state whose other
+    qubits start and stay at 0, computed without the rest of the state.
+    """
+    bad = sorted({q for op in ops for q in gate_qubits(op) if not 0 <= q < k})
+    if bad:
+        raise ValueError(f"ops touch qubits {bad} outside the low {k}")
+    amps = np.zeros(1 << k, dtype=np.complex128)
+    amps[0] = 1.0
+    _run(amps, ops)
+    return amps
+
+
+def sector(state: StateVector, fixed: Mapping[int, int]) -> np.ndarray:
+    """View of the amplitudes with the given qubits fixed to the given values.
+
+    The fixed axes are dropped; the remaining axes are the other qubits,
+    highest first, so the C-order ``ravel()`` of the view lists its
+    amplitudes in ascending basis-index order.  Writing to the view writes to
+    the state.
+    """
+    view = _qubit_view(state.amplitudes)
+    index = [slice(None)] * view.ndim
+    for q, v in fixed.items():
+        index[view.ndim - 1 - q] = v
+    return view[(*index, Ellipsis)]
+
+
 def project(state: StateVector, predicate: Predicate) -> tuple[StateVector, float]:
     """Unnormalized component where the predicate holds, plus its norm."""
-    indices = np.arange(state.amplitudes.shape[0], dtype=np.int64)
-    comp = np.where(predicate.mask(indices), state.amplitudes, 0.0)
-    return StateVector(state.layout, comp), float(np.linalg.norm(comp))
+    comp = StateVector(state.layout, np.zeros_like(state.amplitudes))
+    for assignment in predicate.assignments():
+        sector(comp, assignment)[...] = sector(state, assignment)
+    return comp, float(np.linalg.norm(comp.amplitudes))
 
 
 def register_distribution(state: StateVector, name: str) -> np.ndarray:
     """Born-rule marginal over one register of a normalized state."""
     reg = state.layout.register(name)
-    indices = np.arange(state.amplitudes.shape[0], dtype=np.int64)
-    values = (indices >> reg.start) & ((1 << len(reg)) - 1)
     probs = np.abs(state.amplitudes) ** 2
-    return np.bincount(values, weights=probs, minlength=1 << len(reg))
+    return probs.reshape(-1, 1 << len(reg), 1 << reg.start).sum(axis=(0, 2))
 
 
 # ---------------------------------------------------------------------------

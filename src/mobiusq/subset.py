@@ -106,6 +106,8 @@ class SubsetTable:
             raise ValueError(
                 f"expected {1 << self.n} values for n={self.n}, got shape {arr.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise ValueError("table has non-finite values")
         self.values = arr
 
     def copy(self) -> SubsetTable:

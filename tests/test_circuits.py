@@ -26,6 +26,7 @@ from mobiusq.sim import (
     StateVector,
     apply_circuit,
     basis_index,
+    new_state,
 )
 from mobiusq.subset import BitString, SubsetTable, zeta_fast
 
@@ -97,6 +98,9 @@ def test_query_validation():
         TransformQuery(Mode.MOBIUS, 1, good, "1")
     with pytest.raises(ValueError):
         TransformQuery(Mode.MARGINAL, 2, np.array([0.6, 0.8, 0, 0]), BitString.from_str("1"))
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+        with pytest.raises(ValueError, match="non-finite"):
+            TransformQuery(Mode.MOBIUS, 1, np.array([0.6, bad]), BitString.from_str("1"))
 
 
 def test_query_from_probability_table():
@@ -228,6 +232,23 @@ def test_start_state_matches_direct_assembly_marginal():
         got = build_start_state(q).amplitudes
         want = _expected_start_amplitudes(q)
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "mode,n,n0",
+    [(Mode.MOBIUS, n, None) for n in range(1, 5)]
+    + [(Mode.MARGINAL, 3, 1), (Mode.MARGINAL, 4, 2), (Mode.MARGINAL, 5, 3)],
+)
+def test_register_local_prep_equals_full_circuit_run(mode, n, n0):
+    rng = np.random.default_rng(100 * n + (n0 or 0))
+    x = format(int(rng.integers(1 << (n0 or n))), f"0{n0 or n}b")
+    probs = rng.random(1 << n)
+    probs[1:][rng.random((1 << n) - 1) < 0.25] = 0.0  # zero entries, as real tables have
+    table = SubsetTable(n, probs / probs.sum())
+    real = TransformQuery.from_probability_table(mode, table, BitString.from_str(x), n0)
+    for q in (real, _random_query(mode, n, x, n0=n0, seed=n)):
+        full = apply_circuit(new_state(q.layout), build_start_circuit(q)).amplitudes
+        assert np.array_equal(build_start_state(q).amplitudes, full)
 
 
 def test_start_circuit_ends_with_target_marking():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -22,6 +23,8 @@ from mobiusq.sim import (
 )
 from mobiusq.subset import BitString, SubsetTable, zeta_fast
 from mobiusq.verify import run_verify
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -98,6 +101,33 @@ def test_mobius_rejects_non_probability_table(tmp_path, capsys):
     path.write_text(json.dumps({"n": 2, "values": [0.5, 0.6, 0.1, 0.1]}))
     assert main(["mobius", "--input", str(path), "--x", "11"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_inputs_fail_fast(tmp_path, capsys, bad):
+    table = tmp_path / "table.json"
+    table.write_text('{"n": 2, "values": [%s, 0.5, 0.25, 0.25]}' % bad)
+    query = tmp_path / "query.json"
+    query.write_text(
+        '{"mode": "mobius", "n": 1, "n0": 1, "psi_minus": [[%s, 0], [0.6, 0]], "x": "1"}' % bad
+    )
+    for argv in (
+        ["mobius", "--input", str(table), "--x", "11"],
+        ["marginal", "--input", str(table), "--n0", "1", "--sweep"],
+        ["mobius", "--input", str(query), "--x", "1"],
+        ["minfind", "--input", str(table)],
+    ):
+        assert main(argv) == 1
+        assert "non-finite" in capsys.readouterr().err
+
+
+def test_golden_sampled_sweep_still_checks(capsys):
+    """An n=3 sweep with 5000 shots, recorded by an earlier build, re-checks."""
+    golden = DATA / "mobius3_sweep_shots5000.json"
+    assert all(row["estimate"] is not None for row in json.loads(golden.read_text())["rows"])
+    argv = ["mobius", "--input", str(DATA / "mobius3_table.json"), "--check", str(golden)]
+    assert main(argv) == 0
+    assert "check: PASS (8 rows" in capsys.readouterr().out
 
 
 def test_marginal_needs_n0_for_table_inputs(joint4, capsys):

@@ -86,6 +86,15 @@ def test_step_order_regression():
     assert np.max(np.abs(out - swapped)) > 0.5
 
 
+def test_step_leaves_inputs_unchanged():
+    start = build_start_state(_uniform_query(2, "10"))
+    state = grover_step(start, start)
+    before_state, before_start = state.amplitudes.copy(), start.amplitudes.copy()
+    grover_step(state, start)
+    assert np.array_equal(state.amplitudes, before_state)
+    assert np.array_equal(start.amplitudes, before_start)
+
+
 def test_step_checks_layouts():
     with pytest.raises(ValueError):
         grover_step(_two_level_state(0.5), build_start_state(_uniform_query(2, "10")))

@@ -28,9 +28,11 @@ from mobiusq.sim import (
     gate_qubits,
     gate_target_qubits,
     new_state,
+    prepare_low_qubits,
     project,
     register_distribution,
     register_equals,
+    sector,
     state_from_json_obj,
     state_to_json_obj,
 )
@@ -227,6 +229,111 @@ def test_controlled_gates_match_projector_formula():
         got = apply_gate(state, op).amplitudes
         want = _full_matrix(op, total) @ state.amplitudes
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def _matches(idx: np.ndarray, fixed: dict) -> np.ndarray:
+    """Indices agreeing with a partial assignment {qubit: value}."""
+    out = np.ones(idx.shape, dtype=bool)
+    for q, v in fixed.items():
+        out &= ((idx >> q) & 1) == v
+    return out
+
+
+# one predicate of every class on the 6-qubit layout, none reading qubits 2-3
+PREDICATE_CASES = [
+    QubitIs(4, 1),
+    QubitsEqual(0, 5),
+    QubitsDiffer(5, 1),
+    AllOf((QubitIs(0, 1), QubitsDiffer(1, 5))),
+    AnyOf((QubitIs(0, 1), QubitsEqual(1, 5))),
+    AllOf((QubitIs(4, 0), AnyOf((QubitIs(1, 0), QubitsDiffer(0, 5))))),
+    AllOf(()),
+    AnyOf(()),
+    AllOf((QubitIs(0, 1), QubitIs(0, 0))),
+    QubitsEqual(4, 4),
+    QubitsDiffer(1, 1),
+]
+
+
+@pytest.mark.parametrize("pred", PREDICATE_CASES, ids=repr)
+def test_assignments_partition_the_mask(pred):
+    idx = np.arange(64)
+    hits = np.zeros(64, dtype=int)
+    for assignment in pred.assignments():
+        hits += _matches(idx, assignment)
+    assert np.array_equal(hits, pred.mask(idx).astype(int))
+
+
+@pytest.mark.parametrize("pred", PREDICATE_CASES, ids=repr)
+def test_controlled_over_each_predicate_matches_dense_oracle(pred):
+    layout = RegisterLayout(Mode.MOBIUS, 1)
+    total = layout.total_qubits
+    rng = np.random.default_rng(11)
+    for inner in (Hadamard(2), PauliX(3), Ry(2, 0.9), PhasePair(3, 0.4, -1.3)):
+        op = Controlled(pred, (inner,))
+        state = _random_state(layout, rng)
+        got = apply_gate(state, op).amplitudes
+        want = _full_matrix(op, total) @ state.amplitudes
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_controlled_with_several_and_nested_ops_matches_dense_oracle():
+    layout = RegisterLayout(Mode.MOBIUS, 1)
+    total = layout.total_qubits
+    rng = np.random.default_rng(12)
+    several = Controlled(
+        QubitsDiffer(0, 1), (Hadamard(2), Ry(3, 1.1), PhasePair(4, 0.3, -0.7), PauliX(2))
+    )
+    nested = Controlled(
+        QubitIs(5, 1),
+        (
+            Hadamard(2),
+            Controlled(AllOf((QubitsDiffer(0, 1), QubitIs(4, 0))), (Ry(3, 0.4), PauliX(2))),
+            Controlled(AnyOf((QubitIs(5, 1), QubitIs(0, 1))), (Hadamard(3),)),  # rereads 5
+            Controlled(QubitIs(5, 0), (Hadamard(3),)),  # contradicts the outer control
+            PhasePair(4, 0.2, 0.9),
+        ),
+    )
+    for op in (several, nested):
+        state = _random_state(layout, rng)
+        got = apply_gate(state, op).amplitudes
+        want = _full_matrix(op, total) @ state.amplitudes
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_gate_application_leaves_inputs_unchanged():
+    layout = RegisterLayout(Mode.MOBIUS, 1)
+    state = _random_state(layout, np.random.default_rng(13))
+    before = state.amplitudes.copy()
+    op = Controlled(QubitIs(5, 1), (Hadamard(2), PauliX(3)))
+    apply_gate(state, op)
+    apply_gate(state, PauliX(0))
+    apply_circuit(state, Circuit(layout, (op, Ry(1, 0.3))))
+    project(state, AnyOf((QubitIs(0, 1), QubitIs(4, 0))))
+    assert np.array_equal(state.amplitudes, before)
+
+
+def test_sector_ravel_matches_mask_gather_and_writes_through():
+    layout = RegisterLayout(Mode.MOBIUS, 1)
+    state = _random_state(layout, np.random.default_rng(14))
+    idx = np.arange(1 << layout.total_qubits)
+    for fixed in ({}, {5: 1}, {0: 1, 3: 0}, {4: 0, 2: 1, 1: 1}, {q: q & 1 for q in range(6)}):
+        want = state.amplitudes[_matches(idx, fixed)]
+        assert np.array_equal(sector(state, fixed).ravel(), want)
+    sector(state, {5: 1, 0: 0})[...] = 0.0
+    assert np.all(state.amplitudes[_matches(idx, {5: 1, 0: 0})] == 0.0)
+
+
+def test_prepare_low_qubits_matches_full_state_run():
+    layout = RegisterLayout(Mode.MOBIUS, 3)
+    rng = np.random.default_rng(15)
+    target = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    circ = compile_state_prep(layout, target / np.linalg.norm(target), "alpha_minus")
+    full = apply_circuit(new_state(layout), circ).amplitudes
+    low = prepare_low_qubits(circ.ops, 3)
+    assert np.array_equal(low, full[:8])
+    with pytest.raises(ValueError, match="outside the low 2"):
+        prepare_low_qubits(circ.ops, 2)
 
 
 def test_controlled_matrix_is_unitary():
