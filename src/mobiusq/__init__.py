@@ -39,6 +39,7 @@ from .sim import (
     StateVector,
     apply_circuit,
     apply_gate,
+    apply_in_place,
     basis_index,
     compile_state_prep,
     new_state,
@@ -57,21 +58,26 @@ from .circuits import (
     build_comparator,
     build_start_circuit,
     build_start_state,
+    build_unmarked_state,
     classical_value,
     comparator_coefficient,
     decompose_signal,
     marginal_value_exact,
+    mark_op,
+    marked,
     mobius_value_exact,
     target_predicate,
 )
 from .grover import (
     EstimateReport,
     GroverPlan,
+    Readout,
     amplify,
     estimate_exact,
     estimate_sampled,
     grover_step,
     plan_grover,
+    read_out,
 )
 from .minfind import (
     MinSearchError,

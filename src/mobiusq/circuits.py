@@ -16,12 +16,21 @@ where base = 2**-((n0+1)/2) and value is the subset sum f(x) (mobius) or
 the marginal probability P(x) (marginal).  The conditional gamma odds on
 omega=0 therefore equal the transform value, and they are preserved by the
 amplitude amplification in :mod:`mobiusq.grover`.
+
+x enters only that final mark; every earlier op depends on (mode, n, n0,
+psi_minus) alone.  build_unmarked_state simulates those ops once, and
+``marked`` turns the result into the start state at any x by applying the
+mark in place and, on exit, applying it again.  The mark is an X, an exact
+swap of amplitudes, so this restores the unmarked state bit for bit, and a
+table's points are all read from one unmarked state.
 """
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -38,7 +47,7 @@ from .sim import (
     QubitsDiffer,
     RegisterLayout,
     StateVector,
-    apply_circuit,
+    apply_in_place,
     compile_state_prep,
     gate_qubits,
     prepare_low_qubits,
@@ -54,7 +63,10 @@ __all__ = [
     "build_comparator",
     "comparator_coefficient",
     "target_predicate",
+    "mark_op",
     "build_start_circuit",
+    "build_unmarked_state",
+    "marked",
     "build_start_state",
     "decompose_signal",
     "mobius_value_exact",
@@ -204,15 +216,21 @@ def comparator_coefficient(source_bit: int, sample_bit: int, mode: Mode) -> floa
     return computed
 
 
-def target_predicate(query: TransformQuery) -> Predicate:
-    """Holds where alpha equals x and beta is all zero."""
-    layout = query.layout
+def mark_op(layout: RegisterLayout, x: BitString) -> Controlled:
+    """The target-marking X on omega, controlled on alpha == x and beta == 0."""
+    if len(x) != layout.n0:
+        raise ValueError(f"x has {len(x)} bits, expected n0 = {layout.n0}")
     al = layout.register("alpha")
     be = layout.register("beta")
-    terms = tuple(QubitIs(al[j], query.x[j]) for j in range(layout.n0)) + tuple(
+    terms = tuple(QubitIs(al[j], x[j]) for j in range(layout.n0)) + tuple(
         QubitIs(be[j], 0) for j in range(layout.n0)
     )
-    return AllOf(terms)
+    return Controlled(AllOf(terms), (PauliX(layout.omega_qubit),))
+
+
+def target_predicate(query: TransformQuery) -> Predicate:
+    """Holds where alpha equals x and beta is all zero."""
+    return mark_op(query.layout, query.x).predicate
 
 
 def _controlled_on(pred: Predicate, op: GateOp) -> GateOp:
@@ -221,8 +239,8 @@ def _controlled_on(pred: Predicate, op: GateOp) -> GateOp:
     return Controlled(pred, (op,))
 
 
-def build_start_circuit(query: TransformQuery) -> Circuit:
-    """Full start-state circuit; see the module docstring for the shape."""
+def _unmarked_ops(query: TransformQuery) -> list[GateOp]:
+    """Every op of the start circuit but the final mark; query.x is not read."""
     layout = query.layout
     al = layout.register("alpha")
     mu0 = layout.mu0_qubit
@@ -233,29 +251,62 @@ def build_start_circuit(query: TransformQuery) -> Circuit:
     for op in build_comparator(query).ops:
         ops.append(_controlled_on(QubitIs(mu0, 1), op))
     ops.append(Controlled(QubitIs(mu0, 0), tuple(Hadamard(q) for q in al)))
-    ops.append(Controlled(target_predicate(query), (PauliX(layout.omega_qubit),)))
-    return Circuit(layout, tuple(ops))
+    return ops
+
+
+def build_start_circuit(query: TransformQuery) -> Circuit:
+    """Full start-state circuit; see the module docstring for the shape."""
+    ops = _unmarked_ops(query) + [mark_op(query.layout, query.x)]
+    return Circuit(query.layout, tuple(ops))
+
+
+def build_unmarked_state(query: TransformQuery) -> StateVector:
+    """Simulate build_start_circuit(query) without its final mark.
+
+    The result serves every point x of the table; query.x is not read.
+    alpha_minus is the lowest register and the circuit's leading ops touch it
+    alone, so those ops run on its 2**n amplitudes only; the result fills the
+    low end of an otherwise zero state and the remaining ops run on the whole,
+    in place.  The amplitudes equal those of apply_circuit on the same ops.
+    """
+    layout = query.layout
+    ops = _unmarked_ops(query)
+    register = frozenset(layout.register("alpha_minus"))
+    k = 0
+    while k < len(ops) and gate_qubits(ops[k]) <= register:
+        k += 1
+    state = StateVector(layout, np.zeros(1 << layout.total_qubits, dtype=np.complex128))
+    state.amplitudes[: 1 << layout.n] = prepare_low_qubits(ops[:k], layout.n)
+    apply_in_place(state, Circuit(layout, ops[k:]))
+    if abs(state.norm - 1.0) > 1e-12:
+        raise DecompositionError(f"start state norm is {state.norm}")
+    return state
+
+
+@contextmanager
+def marked(unmarked: StateVector, x: BitString) -> Iterator[StateVector]:
+    """The start state at point x, made by marking ``unmarked`` in place.
+
+    Yields ``unmarked`` itself with the mark applied.  On exit, also when the
+    body raises, the mark is applied again, which restores every amplitude
+    bit for bit because the mark only swaps amplitudes.
+    """
+    mark = Circuit(unmarked.layout, (mark_op(unmarked.layout, x),))
+    apply_in_place(unmarked, mark)
+    try:
+        yield unmarked
+    finally:
+        apply_in_place(unmarked, mark)
 
 
 def build_start_state(query: TransformQuery) -> StateVector:
     """Simulate build_start_circuit(query) from the all-zeros state.
 
-    alpha_minus is the lowest register and the circuit's leading ops touch it
-    alone, so those ops run on its 2**n amplitudes only; the result fills the
-    low end of an otherwise zero state and the remaining ops run on the whole.
-    The amplitudes equal those of apply_circuit on the full circuit.
+    This is build_unmarked_state(query) with the mark applied, and its
+    amplitudes equal those of apply_circuit on the full circuit.
     """
-    layout = query.layout
-    ops = build_start_circuit(query).ops
-    register = frozenset(layout.register("alpha_minus"))
-    k = 0
-    while k < len(ops) and gate_qubits(ops[k]) <= register:
-        k += 1
-    amps = np.zeros(1 << layout.total_qubits, dtype=np.complex128)
-    amps[: 1 << layout.n] = prepare_low_qubits(ops[:k], layout.n)
-    state = apply_circuit(StateVector(layout, amps), Circuit(layout, ops[k:]))
-    if abs(state.norm - 1.0) > 1e-12:
-        raise DecompositionError(f"start state norm is {state.norm}")
+    state = build_unmarked_state(query)
+    apply_in_place(state, Circuit(state.layout, (mark_op(query.layout, query.x),)))
     return state
 
 

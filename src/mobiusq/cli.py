@@ -17,16 +17,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 
-from .circuits import TransformQuery, build_start_state, classical_value
-from .grover import estimate_exact, estimate_sampled
+from .circuits import TransformQuery, build_unmarked_state, classical_value, marked
+# estimate_exact and estimate_sampled are not called here; perfbench/tracer.py
+# wraps them as attributes of this module
+from .grover import estimate_exact, estimate_sampled, read_out  # noqa: F401
 from .minfind import (
     ObjectiveTable,
     choose_beta,
@@ -36,7 +36,7 @@ from .minfind import (
     quantum_evaluator,
     softmin_table,
 )
-from .sim import Mode, state_to_json_obj
+from .sim import Mode, StateVector, state_to_json_obj
 from .subset import BitString, SubsetTable
 from .verify import run_verify
 
@@ -185,15 +185,16 @@ def _parse_transform_input(obj: dict, mode: Mode, n0_flag: int | None):
     raise ValueError("input JSON needs either 'psi_minus' (query) or 'values' (table)")
 
 
-def _transform_row(mode: Mode, n: int, n0: int, psi, xv: int, shots: int | None, seed: int) -> dict:
-    query = TransformQuery(mode, n, psi, BitString.from_int(xv, n0), n0)
+def _transform_row(unmarked: StateVector, query: TransformQuery, shots: int | None, seed: int) -> dict:
+    with marked(unmarked, query.x) as start:
+        readout = read_out(start)
     row = {
         "x": str(query.x),
         "classical": classical_value(query),
-        "exact": estimate_exact(query),
+        "exact": readout.exact,
     }
     if shots is not None:
-        report = estimate_sampled(query, shots, seed + xv)
+        report = readout.sample(query.x, shots, seed + query.x.to_int())
         row["estimate"] = report.estimate
         row["halfwidth"] = report.halfwidth
         if report.message:
@@ -245,15 +246,14 @@ def _cmd_transform(args, mode: Mode) -> int:
             raise _UsageError("need exactly one of --x or --sweep")
         shots, seed = args.shots, args.seed
         points = list(range(1 << n0)) if args.sweep else [_parse_point(args.x, n0)]
+    if shots is not None and shots < 1:
+        raise _UsageError(f"shots must be >= 1, got {shots}")
+    if args.dump_state and len(points) != 1:
+        raise _UsageError("--dump-state needs a single --x point")
 
-    def worker(xv: int) -> dict:
-        return _transform_row(mode, n, n0, psi, xv, shots, seed)
-
-    if len(points) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as ex:
-            rows = list(ex.map(worker, points))
-    else:
-        rows = [worker(points[0])]
+    queries = [TransformQuery(mode, n, psi, BitString.from_int(xv, n0), n0) for xv in points]
+    unmarked = build_unmarked_state(queries[0])
+    rows = [_transform_row(unmarked, query, shots, seed) for query in queries]
 
     drift = max(abs(r["classical"] - r["exact"]) for r in rows)
     if drift > 1e-9:
@@ -282,10 +282,8 @@ def _cmd_transform(args, mode: Mode) -> int:
         _write_json(args.out, result)
 
     if args.dump_state:
-        if len(points) != 1:
-            raise _UsageError("--dump-state needs a single --x point")
-        query = TransformQuery(mode, n, psi, BitString.from_int(points[0], n0), n0)
-        _write_json(args.dump_state, state_to_json_obj(build_start_state(query)))
+        with marked(unmarked, queries[0].x) as start:
+            _write_json(args.dump_state, state_to_json_obj(start))
 
     if check_obj is not None:
         return _report_check(check_obj["rows"], rows, ["x", "classical", "exact", "estimate", "halfwidth"])

@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circuits import TransformQuery
-from .grover import estimate_exact
+from .circuits import TransformQuery, build_unmarked_state, marked
+from .grover import read_out
 from .sim import Mode
 from .subset import BitString, SubsetTable, zeta_fast
 
@@ -148,12 +148,19 @@ def classical_evaluator(d_minus: SubsetTable) -> Callable[[BitString], float]:
 
 
 def quantum_evaluator(d_minus: SubsetTable) -> Callable[[BitString], float]:
-    """D-query backend running the exact amplified-circuit estimator per probe."""
+    """D-query backend reading the exact value off an amplified circuit per probe.
+
+    The x-independent start state is built once, here; each probe marks it
+    at the probe point, amplifies and reads the exact value.
+    """
     d_minus.require_probability()
-    amplitudes = np.sqrt(d_minus.values)
+    any_point = BitString.from_int(0, d_minus.n)  # the unmarked state does not read x
+    query = TransformQuery(Mode.MOBIUS, d_minus.n, np.sqrt(d_minus.values), any_point)
+    unmarked = build_unmarked_state(query)
 
     def evaluate(point: BitString) -> float:
-        return estimate_exact(TransformQuery(Mode.MOBIUS, d_minus.n, amplitudes, point))
+        with marked(unmarked, point) as start:
+            return read_out(start).exact
 
     return evaluate
 

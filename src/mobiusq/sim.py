@@ -472,16 +472,21 @@ def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     return StateVector(state.layout, amps)
 
 
-def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
+def apply_in_place(state: StateVector, circuit: Circuit) -> None:
+    """Apply the circuit to the state's own amplitudes, with no copy and no norm check."""
     if circuit.layout != state.layout:
         raise ValueError("circuit and state layouts differ")
-    amps = state.amplitudes.copy()
-    before = np.linalg.norm(amps)
-    _run(amps, circuit.ops)
-    after = np.linalg.norm(amps)
+    _run(state.amplitudes, circuit.ops)
+
+
+def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
+    out = state.copy()
+    before = out.norm
+    apply_in_place(out, circuit)
+    after = out.norm
     if before > 0 and abs(after - before) > 1e-9 * max(1.0, before):
         raise RuntimeError(f"norm drifted from {before} to {after} over {len(circuit)} ops")
-    return StateVector(state.layout, amps)
+    return out
 
 
 def prepare_low_qubits(ops, k: int) -> np.ndarray:

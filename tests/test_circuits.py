@@ -11,14 +11,18 @@ from mobiusq.circuits import (
     build_comparator,
     build_start_circuit,
     build_start_state,
+    build_unmarked_state,
     classical_value,
     comparator_coefficient,
     decompose_signal,
     marginal_value_exact,
+    mark_op,
+    marked,
     mobius_value_exact,
     target_predicate,
 )
 from mobiusq.sim import (
+    Circuit,
     Controlled,
     Hadamard,
     Mode,
@@ -247,8 +251,31 @@ def test_register_local_prep_equals_full_circuit_run(mode, n, n0):
     table = SubsetTable(n, probs / probs.sum())
     real = TransformQuery.from_probability_table(mode, table, BitString.from_str(x), n0)
     for q in (real, _random_query(mode, n, x, n0=n0, seed=n)):
-        full = apply_circuit(new_state(q.layout), build_start_circuit(q)).amplitudes
+        ops = build_start_circuit(q).ops
+        full = apply_circuit(new_state(q.layout), Circuit(q.layout, ops)).amplitudes
         assert np.array_equal(build_start_state(q).amplitudes, full)
+        unmarked = apply_circuit(new_state(q.layout), Circuit(q.layout, ops[:-1])).amplitudes
+        assert np.array_equal(build_unmarked_state(q).amplitudes, unmarked)
+
+
+@pytest.mark.parametrize("mode,n,n0", [(Mode.MOBIUS, 3, None), (Mode.MARGINAL, 4, 2)])
+def test_marked_gives_each_start_state_and_restores_the_unmarked_one(mode, n, n0):
+    unmarked = build_unmarked_state(_random_query(mode, n, "1" * (n0 or n), n0=n0, seed=21))
+    before = unmarked.amplitudes.tobytes()
+    for xv in range(1 << (n0 or n)):
+        q = _random_query(mode, n, format(xv, f"0{n0 or n}b"), n0=n0, seed=21)
+        with marked(unmarked, q.x) as start:
+            assert start is unmarked
+            assert start.amplitudes.tobytes() == build_start_state(q).amplitudes.tobytes()
+        assert unmarked.amplitudes.tobytes() == before
+    with pytest.raises(RuntimeError, match="readout failed"):
+        with marked(unmarked, BitString.from_int(1, n0 or n)):
+            raise RuntimeError("readout failed")
+    assert unmarked.amplitudes.tobytes() == before
+    with pytest.raises(ValueError, match="bits"):
+        with marked(unmarked, BitString.from_int(1, (n0 or n) + 1)):
+            pass
+    assert unmarked.amplitudes.tobytes() == before
 
 
 def test_start_circuit_ends_with_target_marking():
@@ -258,6 +285,8 @@ def test_start_circuit_ends_with_target_marking():
     assert isinstance(last, Controlled)
     assert isinstance(last.ops[0], PauliX)
     assert last.ops[0].qubit == q.layout.omega_qubit
+    assert last == mark_op(q.layout, q.x)
+    assert last.predicate == target_predicate(q)
 
 
 # ---------------------------------------------------------------------------

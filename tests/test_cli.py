@@ -9,8 +9,16 @@ import jsonschema
 import numpy as np
 import pytest
 
-from mobiusq.circuits import TransformQuery, build_comparator
+import mobiusq.cli as cli_mod
+import mobiusq.grover as grover_mod
+from mobiusq.circuits import (
+    TransformQuery,
+    build_comparator,
+    build_start_state,
+    build_unmarked_state,
+)
 from mobiusq.cli import MINFIND_SCHEMA, TRANSFORM_SCHEMA, main
+from mobiusq.grover import estimate_exact, estimate_sampled
 from mobiusq.sim import (
     AllOf,
     Circuit,
@@ -195,8 +203,119 @@ def test_dump_state_writes_loadable_start_state(uniform3, tmp_path, capsys):
     assert state.layout.mode is Mode.MOBIUS
     assert (state.layout.n, state.layout.n0) == (3, 3)
     assert abs(state.norm - 1.0) <= 1e-12
-    assert main(["mobius", "--input", uniform3, "--sweep", "--dump-state", str(dump)]) == 1
+    q = TransformQuery(Mode.MOBIUS, 3, np.full(8, 0.125**0.5), BitString.from_str("101"))
+    assert np.array_equal(state.amplitudes, build_start_state(q).amplitudes)
+    out = tmp_path / "out.json"
+    argv = ["mobius", "--input", uniform3, "--sweep", "--dump-state", str(dump), "--out", str(out)]
+    assert main(argv) == 1
+    assert "--dump-state needs a single --x point" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _count_unmarked_builds(monkeypatch) -> list:
+    """Route cli.build_unmarked_state through a recorder; returns the built states."""
+    built = []
+    build = cli_mod.build_unmarked_state
+
+    def recording(query):
+        built.append(build(query))
+        return built[-1]
+
+    monkeypatch.setattr(cli_mod, "build_unmarked_state", recording)
+    return built
+
+
+def test_bad_flags_fail_before_any_circuit_work(uniform3, tmp_path, monkeypatch, capsys):
+    built = _count_unmarked_builds(monkeypatch)
+    out, dump = tmp_path / "out.json", tmp_path / "state.json"
+    golden = str(DATA / "mobius3_sweep_shots5000.json")
+    table = str(DATA / "mobius3_table.json")
+    for argv, message in (
+        (["mobius", "--input", uniform3, "--sweep", "--shots", "0"], "shots must be >= 1"),
+        (["mobius", "--input", uniform3, "--x", "101", "--shots", "-3"], "shots must be >= 1"),
+        (["mobius", "--input", table, "--check", golden, "--dump-state", str(dump)], "--dump-state"),
+    ):
+        assert main(argv + ["--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists() and not dump.exists()
+    assert built == []
+
+
+def _query_input(tmp_path, mode: Mode, n: int, n0: int | None, complex_amps: bool) -> tuple[str, np.ndarray]:
+    rng = np.random.default_rng(10 * n + (n0 or 0) + complex_amps)
+    if complex_amps:
+        amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    else:
+        amps = rng.random(1 << n)
+    amps /= np.linalg.norm(amps)
+    path = tmp_path / "query.json"
+    TransformQuery(mode, n, amps, BitString.from_int(0, n0 or n), n0).save(path)
+    return str(path), TransformQuery.load(path).psi_minus
+
+
+@pytest.mark.parametrize("complex_amps", [False, True])
+@pytest.mark.parametrize(
+    "mode,n,n0",
+    [(Mode.MOBIUS, n, None) for n in range(1, 5)]
+    + [(Mode.MARGINAL, 3, 1), (Mode.MARGINAL, 4, 2), (Mode.MARGINAL, 5, 3)],
+)
+def test_sweep_rows_equal_per_point_estimators(tmp_path, capsys, mode, n, n0, complex_amps):
+    """Rows read off the one shared state equal the per-point estimators exactly."""
+    path, amps = _query_input(tmp_path, mode, n, n0, complex_amps)
+    out = tmp_path / "out.json"
+    argv = [mode.value, "--input", path, "--sweep", "--shots", "400", "--seed", "9", "--out", str(out)]
+    assert main(argv) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 1 << (n0 or n)
+    for row in rows:
+        x = BitString.from_str(row["x"])
+        q = TransformQuery(mode, n, amps, x, n0)
+        report = estimate_sampled(q, 400, 9 + x.to_int())
+        assert row["exact"] == estimate_exact(q) == report.exact
+        assert (row["estimate"], row["halfwidth"]) == (report.estimate, report.halfwidth)
     capsys.readouterr()
+
+
+def test_sweep_builds_one_unmarked_state_and_restores_it_after_each_point(
+    uniform3, monkeypatch, capsys
+):
+    built = _count_unmarked_builds(monkeypatch)
+    starts = []
+    read_out = cli_mod.read_out
+
+    def recording(start):
+        starts.append((start is built[0], start.amplitudes.tobytes()))
+        return read_out(start)
+
+    monkeypatch.setattr(cli_mod, "read_out", recording)
+    assert main(["mobius", "--input", uniform3, "--sweep", "--shots", "100"]) == 0
+    capsys.readouterr()
+    assert len(built) == 1
+    amps = np.full(8, 0.125**0.5)
+    for xv, (shared, seen) in enumerate(starts):
+        # each point's start state is the shared one, marked at that point only
+        assert shared
+        q = TransformQuery(Mode.MOBIUS, 3, amps, BitString.from_int(xv, 3))
+        assert seen == build_start_state(q).amplitudes.tobytes()
+    assert len(starts) == 8
+    fresh = build_unmarked_state(q)
+    assert built[0].amplitudes.tobytes() == fresh.amplitudes.tobytes()
+
+
+def test_failed_readout_leaves_shared_state_unmarked(uniform3, tmp_path, monkeypatch, capsys):
+    built = _count_unmarked_builds(monkeypatch)
+
+    def boom(state):
+        raise ValueError("planner failed")
+
+    monkeypatch.setattr(grover_mod, "plan_grover", boom)
+    out = tmp_path / "out.json"
+    assert main(["mobius", "--input", uniform3, "--sweep", "--out", str(out)]) == 1
+    assert "planner failed" in capsys.readouterr().err
+    assert not out.exists()
+    q = TransformQuery(Mode.MOBIUS, 3, np.full(8, 0.125**0.5), BitString.from_str("000"))
+    fresh = build_unmarked_state(q)
+    assert built[0].amplitudes.tobytes() == fresh.amplitudes.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from mobiusq.circuits import (
     TransformQuery,
     build_start_state,
+    build_unmarked_state,
     classical_value,
     decompose_signal,
     mobius_value_exact,
@@ -19,6 +21,7 @@ from mobiusq.grover import (
     estimate_sampled,
     grover_step,
     plan_grover,
+    read_out,
 )
 from mobiusq.sim import Mode, QubitIs, RegisterLayout, StateVector, project
 from mobiusq.subset import BitString, SubsetTable
@@ -53,6 +56,17 @@ def test_plan_frozen_quarter_overlap():
     assert plan.iterations == 3
     assert abs(plan.overlap - 0.25) <= 1e-15
     assert abs(plan.predicted_success - 0.9613189697265625) <= 1e-12
+
+
+def test_plan_overlap_is_the_projected_norm():
+    rng = np.random.default_rng(33)
+    for n in (2, 3, 4, 5):
+        amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        q = TransformQuery(Mode.MOBIUS, n, amps / np.linalg.norm(amps), BitString.from_int(n, n))
+        start = build_start_state(q)
+        _, a = project(start, QubitIs(start.layout.omega_qubit, 0))
+        plan = plan_grover(start)
+        assert abs(plan.overlap - a) <= 1e-15
 
 
 def test_plan_rejects_unreachable_target():
@@ -93,6 +107,52 @@ def test_step_leaves_inputs_unchanged():
     grover_step(state, start)
     assert np.array_equal(state.amplitudes, before_state)
     assert np.array_equal(start.amplitudes, before_start)
+
+
+def _textbook_step(state: StateVector, start: StateVector) -> np.ndarray:
+    """2 <s|r> s - r with r the omega-reflected state, formed on full copies."""
+    reflected = state.amplitudes.copy()
+    top = (np.arange(reflected.size) >> state.layout.omega_qubit) & 1 == 1
+    reflected[top] = -reflected[top]
+    out = 2.0 * np.vdot(start.amplitudes, reflected) * start.amplitudes
+    out -= reflected
+    return out
+
+
+def test_step_and_amplify_match_the_textbook_step_bit_for_bit():
+    rng = np.random.default_rng(34)
+    for mode, n, n0 in ((Mode.MOBIUS, 3, None), (Mode.MOBIUS, 5, None), (Mode.MARGINAL, 4, 2)):
+        amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        x = BitString.from_int(1, n0 or n)
+        start = build_start_state(TransformQuery(mode, n, amps / np.linalg.norm(amps), x, n0))
+        state = start
+        for _ in range(4):
+            want = _textbook_step(state, start)
+            state = grover_step(state, start)
+            assert state.amplitudes.tobytes() == want.tobytes()
+        plan = GroverPlan(overlap=0.0, iterations=4, predicted_success=0.0)
+        assert amplify(start, plan).amplitudes.tobytes() == state.amplitudes.tobytes()
+
+
+def test_readout_memory_stays_within_two_and_a_half_states():
+    """At 18 qubits: the build peaks at 2x the state, a readout at 1.5x on top of its input."""
+    rng = np.random.default_rng(35)
+    probs = rng.random(32)
+    q = TransformQuery(Mode.MOBIUS, 5, np.sqrt(probs / probs.sum()), BitString.from_int(31, 5))
+    state_bytes = 16 << q.layout.total_qubits
+    tracemalloc.start()
+    try:
+        start = build_start_state(q)
+        _, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        readout = read_out(start)
+        _, readout_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert readout.plan.iterations > 0
+    assert build_peak <= 2.05 * state_bytes
+    assert readout_peak - base <= 1.55 * state_bytes
 
 
 def test_step_checks_layouts():
@@ -228,3 +288,18 @@ def test_single_shot_reports_insufficient_instead_of_crashing():
 def test_sampling_rejects_bad_shot_counts():
     with pytest.raises(ValueError):
         estimate_sampled(_uniform_query(2, "11"), shots=0, seed=0)
+    with pytest.raises(ValueError):
+        read_out(build_start_state(_uniform_query(2, "11"))).sample(BitString.from_str("11"), 0, 0)
+
+
+def test_one_readout_serves_both_estimators():
+    q = _uniform_query(3, "101")
+    readout = read_out(build_start_state(q))
+    assert readout.plan == plan_grover(build_start_state(q))
+    assert readout.exact == estimate_exact(q)
+    got, want = readout.sample(q.x, 3000, 4), estimate_sampled(q, 3000, 4)
+    assert (got.exact, got.estimate, got.halfwidth) == (want.exact, want.estimate, want.halfwidth)
+    assert abs(sum(readout.cells) - 1.0) <= 1e-12
+    # the unmarked state has no omega=0 weight; the mark is what makes the target reachable
+    with pytest.raises(ValueError, match="unreachable"):
+        read_out(build_unmarked_state(q))

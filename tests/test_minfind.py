@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import mobiusq.minfind as minfind_mod
+from mobiusq.circuits import TransformQuery
+from mobiusq.grover import estimate_exact
 from mobiusq.minfind import (
     MinSearchError,
     ObjectiveTable,
@@ -18,6 +21,7 @@ from mobiusq.minfind import (
     quantum_evaluator,
     softmin_table,
 )
+from mobiusq.sim import Mode
 from mobiusq.subset import BitString, SubsetTable, zeta_fast
 
 
@@ -187,6 +191,21 @@ def test_classical_evaluator_is_one_butterfly_pass():
     truth = zeta_fast(table)
     for x in range(8):
         assert abs(evaluate(BitString.from_int(x, 3)) - truth.values[x]) <= 1e-15
+
+
+def test_quantum_evaluator_builds_one_unmarked_state_for_all_probes(monkeypatch):
+    built = []
+    build = minfind_mod.build_unmarked_state
+    monkeypatch.setattr(minfind_mod, "build_unmarked_state", lambda q: built.append(q) or build(q))
+    obj = quadratic_objective(4, 6)
+    beta = choose_beta(obj)
+    d_minus = softmin_table(obj, beta)
+    trace = find_min(obj, beta, evaluator=quantum_evaluator(d_minus))
+    assert trace.result.to_int() == 6
+    assert len(built) == 1 and len(trace.probes) == 4
+    amps = np.sqrt(d_minus.values)
+    for probe in trace.probes:
+        assert probe.value == estimate_exact(TransformQuery(Mode.MOBIUS, 4, amps, probe.point))
 
 
 def test_quantum_evaluator_requires_probability_table():
