@@ -23,7 +23,6 @@ from .subset import (
 from .sim import (
     MAX_QUBITS,
     AllOf,
-    AnyOf,
     Circuit,
     Controlled,
     Hadamard,
@@ -33,7 +32,6 @@ from .sim import (
     Predicate,
     QubitIs,
     QubitsDiffer,
-    QubitsEqual,
     RegisterLayout,
     Ry,
     StateVector,
@@ -45,8 +43,6 @@ from .sim import (
     new_state,
     prepare_low_qubits,
     project,
-    register_distribution,
-    register_equals,
     sector,
     state_from_json_obj,
     state_to_json_obj,
@@ -62,11 +58,8 @@ from .circuits import (
     classical_value,
     comparator_coefficient,
     decompose_signal,
-    marginal_value_exact,
     mark_op,
     marked,
-    mobius_value_exact,
-    target_predicate,
 )
 from .grover import (
     EstimateReport,

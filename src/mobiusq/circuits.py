@@ -62,15 +62,12 @@ __all__ = [
     "classical_value",
     "build_comparator",
     "comparator_coefficient",
-    "target_predicate",
     "mark_op",
     "build_start_circuit",
     "build_unmarked_state",
     "marked",
     "build_start_state",
     "decompose_signal",
-    "mobius_value_exact",
-    "marginal_value_exact",
 ]
 
 _CHECK_TOL = 1e-9
@@ -150,16 +147,22 @@ class TransformQuery:
         return cls.from_json_obj(json.loads(Path(path).read_text()))
 
 
-def classical_value(query: TransformQuery) -> float:
-    """Ground-truth transform value by direct summation over psi_minus."""
-    probs = np.abs(query.psi_minus) ** 2
+def _keep(query: TransformQuery) -> np.ndarray:
+    """Rows of the table that add up to the value at x, as a mask over dec(y).
+
+    Mobius: every y <= x bitwise.  Marginal: every y whose low n0 bits equal x.
+    """
     idx = np.arange(1 << query.n)
     xv = query.x.to_int()
     if query.mode is Mode.MOBIUS:
-        mask = (idx & xv) == idx  # all y <= x
-    else:
-        mask = (idx & ((1 << query.n0) - 1)) == xv  # low n0 bits equal x
-    return float(probs[mask].sum())
+        return (idx & xv) == idx
+    return (idx & ((1 << query.n0) - 1)) == xv
+
+
+def classical_value(query: TransformQuery) -> float:
+    """Ground-truth transform value by direct summation over psi_minus."""
+    probs = np.abs(query.psi_minus) ** 2
+    return float(probs[_keep(query)].sum())
 
 
 def build_comparator(query: TransformQuery) -> Circuit:
@@ -191,9 +194,8 @@ def comparator_coefficient(source_bit: int, sample_bit: int, mode: Mode) -> floa
     Computed from first principles on the two-qubit (source, sample) space:
     apply H to the sample qubit of |source_bit, 0>, then the beta=0 survivor
     bracket (1 - P1 P0 for mobius, P1 P1 + P0 P0 for marginal), and read the
-    (source_bit, sample_bit) matrix element.  The result is asserted against
-    the closed forms theta(sample >= source) / sqrt(2) (mobius) and
-    theta(sample == source) / sqrt(2) (marginal).
+    (source_bit, sample_bit) matrix element.  ``mobiusq.verify.comparator_table``
+    checks the result against the closed form.
     """
     mode = Mode(mode)
     if source_bit not in (0, 1) or sample_bit not in (0, 1):
@@ -207,13 +209,7 @@ def comparator_coefficient(source_bit: int, sample_bit: int, mode: Mode) -> floa
         bracket = np.eye(4) - np.kron(p1, p0)
     else:
         bracket = np.kron(p1, p1) + np.kron(p0, p0)
-    computed = float((bracket @ vec)[2 * source_bit + sample_bit])
-    if mode is Mode.MOBIUS:
-        closed = (1.0 if sample_bit >= source_bit else 0.0) / np.sqrt(2.0)
-    else:
-        closed = (1.0 if sample_bit == source_bit else 0.0) / np.sqrt(2.0)
-    assert computed == closed, f"coefficient mismatch: {computed} vs {closed}"
-    return computed
+    return float((bracket @ vec)[2 * source_bit + sample_bit])
 
 
 def mark_op(layout: RegisterLayout, x: BitString) -> Controlled:
@@ -226,11 +222,6 @@ def mark_op(layout: RegisterLayout, x: BitString) -> Controlled:
         QubitIs(be[j], 0) for j in range(layout.n0)
     )
     return Controlled(AllOf(terms), (PauliX(layout.omega_qubit),))
-
-
-def target_predicate(query: TransformQuery) -> Predicate:
-    """Holds where alpha equals x and beta is all zero."""
-    return mark_op(query.layout, query.x).predicate
 
 
 def _controlled_on(pred: Predicate, op: GateOp) -> GateOp:
@@ -358,10 +349,7 @@ def decompose_signal(query: TransformQuery, state: StateVector) -> SignalDecompo
     # predicted sector contents
     xv = query.x.to_int()
     am_all = np.arange(1 << n)
-    if query.mode is Mode.MOBIUS:
-        keep = (am_all & xv) == am_all
-    else:
-        keep = (am_all & ((1 << n0) - 1)) == xv
+    keep = _keep(query)
     value = float((np.abs(query.psi_minus) ** 2 * keep).sum())
     base = 2.0 ** (-(n0 + 1) / 2.0)
 
@@ -401,16 +389,3 @@ def decompose_signal(query: TransformQuery, state: StateVector) -> SignalDecompo
     psi0 = v0 / z0
     return SignalDecomposition(z1=z1, z0=z0, chi_norm=chi_norm, psi1=psi1, psi0=psi0)
 
-
-def mobius_value_exact(query: TransformQuery) -> float:
-    """Subset sum f(x) read off the start state's sector amplitudes."""
-    if query.mode is not Mode.MOBIUS:
-        raise ValueError("query mode must be mobius")
-    return decompose_signal(query, build_start_state(query)).ratio
-
-
-def marginal_value_exact(query: TransformQuery) -> float:
-    """Marginal probability P(x) read off the start state's sector amplitudes."""
-    if query.mode is not Mode.MARGINAL:
-        raise ValueError("query mode must be marginal")
-    return decompose_signal(query, build_start_state(query)).ratio

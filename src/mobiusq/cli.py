@@ -140,7 +140,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--beta", type=float, help="softmin sharpness (default: auto)")
     p.add_argument("--threshold", type=float, default=0.5, help="bit decision threshold")
     p.add_argument("--backend", choices=["classical", "quantum"], default="classical")
-    p.add_argument("--seed", type=int, default=0, help="accepted for interface symmetry")
     p.add_argument("--out", help="write trace JSON here")
     p.add_argument("--check", help="previous --out file to recompute and confirm")
     p.set_defaults(func=_cmd_minfind)
@@ -278,15 +277,16 @@ def _cmd_transform(args, mode: Mode) -> int:
         "rows": rows,
     }
     jsonschema.validate(result, TRANSFORM_SCHEMA)
+    if check_obj is not None:
+        keys = ["x", "classical", "exact", "estimate", "halfwidth"]
+        if _report_check(_compare_rows(check_obj["rows"], rows, keys), len(rows)):
+            return 1  # a failed check writes no file
     if args.out:
         _write_json(args.out, result)
 
     if args.dump_state:
         with marked(unmarked, queries[0].x) as start:
             _write_json(args.dump_state, state_to_json_obj(start))
-
-    if check_obj is not None:
-        return _report_check(check_obj["rows"], rows, ["x", "classical", "exact", "estimate", "halfwidth"])
     return 0
 
 
@@ -297,21 +297,26 @@ def _parse_point(text: str, n0: int) -> int:
     return point.to_int()
 
 
-def _report_check(old_rows: list[dict], new_rows: list[dict], keys: list[str]) -> int:
+def _compare_rows(old_rows: list[dict], new_rows: list[dict], keys: list[str]) -> list[str]:
+    """One line per recorded value the recomputation does not confirm."""
     if len(old_rows) != len(new_rows):
-        print(f"check: FAIL (row count {len(old_rows)} vs {len(new_rows)})")
-        return 1
-    bad = []
-    for old, new in zip(old_rows, new_rows):
-        for key in keys:
-            if not _values_match(old.get(key), new.get(key)):
-                bad.append(f"x={old.get('x')}: {key} {old.get(key)} vs {new.get(key)}")
-    if bad:
+        return [f"row count {len(old_rows)} vs {len(new_rows)}"]
+    return [
+        f"x={old.get('x')}: {key} {old.get(key)} vs {new.get(key)}"
+        for old, new in zip(old_rows, new_rows)
+        for key in keys
+        if not _values_match(old.get(key), new.get(key))
+    ]
+
+
+def _report_check(problems: list[str], rows: int) -> int:
+    """Print the --check verdict; returns the exit code it implies."""
+    if problems:
         print("check: FAIL")
-        for line in bad:
+        for line in problems:
             print("  " + line)
         return 1
-    print(f"check: PASS ({len(new_rows)} rows confirmed within 1e-9)")
+    print(f"check: PASS ({rows} rows confirmed within 1e-9)")
     return 0
 
 
@@ -367,14 +372,14 @@ def _cmd_minfind(args) -> int:
         "result": str(trace.result),
     }
     jsonschema.validate(result, MINFIND_SCHEMA)
+    if check_obj is not None:
+        problems = _compare_rows(check_obj["probes"], probe_rows, ["x", "value", "bit"])
+        if check_obj["result"] != result["result"]:
+            problems.insert(0, f"result {check_obj['result']} vs {result['result']}")
+        if _report_check(problems, len(probe_rows)):
+            return 1  # a failed check writes no file
     if args.out:
         _write_json(args.out, result)
-
-    if check_obj is not None:
-        if check_obj["result"] != result["result"]:
-            print(f"check: FAIL (result {check_obj['result']} vs {result['result']})")
-            return 1
-        return _report_check(check_obj["probes"], probe_rows, ["x", "value", "bit"])
     return 0
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "plan_grover",
     "grover_step",
     "amplify",
+    "cell_mass",
     "read_out",
     "estimate_exact",
     "estimate_sampled",
@@ -107,7 +108,7 @@ def amplify(start: StateVector, plan: GroverPlan) -> StateVector:
     return state
 
 
-def _cell_mass(state: StateVector, omega: int, gamma: int) -> float:
+def cell_mass(state: StateVector, omega: int, gamma: int) -> float:
     """Probability mass of one (omega, gamma) cell.
 
     Summed over the cell's C-order ravel, i.e. in ascending basis-index
@@ -201,7 +202,7 @@ def read_out(start: StateVector) -> Readout:
     """Plan, amplify and measure the cell masses of one start state, once."""
     plan = plan_grover(start)
     final = amplify(start, plan)
-    cells = tuple(_cell_mass(final, omega, gamma) for omega in (0, 1) for gamma in (0, 1))
+    cells = tuple(cell_mass(final, omega, gamma) for omega in (0, 1) for gamma in (0, 1))
     return Readout(plan, cells)
 
 

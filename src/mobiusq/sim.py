@@ -10,8 +10,8 @@ qubit q is axis N-1-q.  A one-qubit gate on q replaces the two halves a0, a1
 of that axis by m00*a0 + m01*a1 and m10*a0 + m11*a1, elementwise, so a
 result never depends on the shape of the array it sits in.
 
-Controlled gates carry an explicit basis-state predicate (conjunction,
-disjunction, per-qubit value, qubit equality / inequality).  A predicate
+Controlled gates carry an explicit basis-state predicate (per-qubit value,
+qubit inequality, conjunction).  A predicate
 lists its truth set as disjoint partial assignments {qubit: value}; the
 simulator fixes each assignment's qubits with width-1 slices and applies the
 inner ops to that sub-view only, which realizes
@@ -147,7 +147,11 @@ class Predicate(ABC):
 
     @abstractmethod
     def mask(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorized truth value over an array of basis-state indices."""
+        """Vectorized truth value over an array of basis-state indices.
+
+        The simulator never calls this; the tests use it as the independent
+        dense oracle for assignments() and controlled gates.
+        """
 
     @abstractmethod
     def assignments(self) -> list[Assignment]:
@@ -175,21 +179,6 @@ class QubitIs(Predicate):
 
     def assignments(self) -> list[Assignment]:
         return [{self.qubit: self.value}]
-
-
-@dataclass(frozen=True)
-class QubitsEqual(Predicate):
-    a: int
-    b: int
-
-    def qubits(self) -> frozenset[int]:
-        return frozenset((self.a, self.b))
-
-    def mask(self, indices: np.ndarray) -> np.ndarray:
-        return ((indices >> self.a) & 1) == ((indices >> self.b) & 1)
-
-    def assignments(self) -> list[Assignment]:
-        return [{self.a: v, self.b: v} for v in (0, 1)]
 
 
 @dataclass(frozen=True)
@@ -232,35 +221,6 @@ class AllOf(Predicate):
                 if all(a.get(q, v) == v for q, v in b.items())
             ]
         return out
-
-
-@dataclass(frozen=True)
-class AnyOf(Predicate):
-    terms: tuple[Predicate, ...]
-
-    def qubits(self) -> frozenset[int]:
-        return frozenset().union(*(t.qubits() for t in self.terms)) if self.terms else frozenset()
-
-    def mask(self, indices: np.ndarray) -> np.ndarray:
-        out = np.zeros(indices.shape, dtype=bool)
-        for t in self.terms:
-            out |= t.mask(indices)
-        return out
-
-    def assignments(self) -> list[Assignment]:
-        # full assignments of the predicate's own few qubits, read off its truth table
-        qubits = sorted(self.qubits())
-        rows = [{q: (r >> j) & 1 for j, q in enumerate(qubits)} for r in range(1 << len(qubits))]
-        indices = np.array([sum(v << q for q, v in row.items()) for row in rows], dtype=np.int64)
-        return [row for row, hit in zip(rows, self.mask(indices)) if hit]
-
-
-def register_equals(layout: RegisterLayout, name: str, value: int) -> Predicate:
-    """Predicate fixing a whole register to a basis value."""
-    qubits = layout.register(name)
-    if not 0 <= value < (1 << len(qubits)):
-        raise ValueError(f"value {value} out of range for register {name!r}")
-    return AllOf(tuple(QubitIs(q, (value >> j) & 1) for j, q in enumerate(qubits)))
 
 
 # ---------------------------------------------------------------------------
@@ -528,13 +488,6 @@ def project(state: StateVector, predicate: Predicate) -> tuple[StateVector, floa
     return comp, float(np.linalg.norm(comp.amplitudes))
 
 
-def register_distribution(state: StateVector, name: str) -> np.ndarray:
-    """Born-rule marginal over one register of a normalized state."""
-    reg = state.layout.register(name)
-    probs = np.abs(state.amplitudes) ** 2
-    return probs.reshape(-1, 1 << len(reg), 1 << reg.start).sum(axis=(0, 2))
-
-
 # ---------------------------------------------------------------------------
 # state preparation
 
@@ -623,6 +576,11 @@ def state_to_json_obj(state: StateVector) -> dict:
 
 
 def state_from_json_obj(obj: dict) -> StateVector:
+    """Read a state written by state_to_json_obj, e.g. a ``--dump-state`` file.
+
+    The CLI only writes such files; this is the reader that loads them back,
+    and the tests use it to check what ``--dump-state`` wrote.
+    """
     layout = RegisterLayout.from_json_obj(obj["layout"])
     amps = np.array([complex(re, im) for re, im in obj["amplitudes"]], dtype=np.complex128)
     return StateVector(layout, amps)

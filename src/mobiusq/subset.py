@@ -65,9 +65,6 @@ class BitString:
     def n(self) -> int:
         return len(self.bits)
 
-    def popcount(self) -> int:
-        return sum(self.bits)
-
     def __len__(self) -> int:
         return len(self.bits)
 
@@ -174,11 +171,12 @@ def zeta_naive(table: SubsetTable) -> SubsetTable:
     return SubsetTable(table.n, out)
 
 
-def zeta_fast_inplace(values) -> None:
-    """Subset-sum butterfly over a caller-provided buffer.
+def _butterfly(values, sign: int) -> None:
+    """Signed subset-sum butterfly, in place: values[x] += sign * values[x - bit].
 
-    Runs n * 2**n / 2 scalar additions in place; the buffer length must be a
-    power of two.  Works for any mutable sequence of numbers.
+    sign = 1 is the zeta transform and sign = -1 its Mobius inverse.  The
+    choice between += and -= is made once per row, not per element, so both
+    directions run the same scalar loop.
     """
     size = len(values)
     if size & (size - 1):
@@ -187,9 +185,22 @@ def zeta_fast_inplace(values) -> None:
     while bit < size:
         step = bit << 1
         for base in range(bit, size, step):
-            for x in range(base, base + bit):
-                values[x] += values[x - bit]
+            if sign > 0:
+                for x in range(base, base + bit):
+                    values[x] += values[x - bit]
+            else:
+                for x in range(base, base + bit):
+                    values[x] -= values[x - bit]
         bit = step
+
+
+def zeta_fast_inplace(values) -> None:
+    """Subset-sum butterfly over a caller-provided buffer.
+
+    Runs n * 2**n / 2 scalar additions in place; the buffer length must be a
+    power of two.  Works for any mutable sequence of numbers.
+    """
+    _butterfly(values, 1)
 
 
 def zeta_fast(table: SubsetTable) -> SubsetTable:
@@ -200,17 +211,8 @@ def zeta_fast(table: SubsetTable) -> SubsetTable:
 
 
 def mobius_inverse_inplace(values) -> None:
-    """Signed butterfly undoing zeta_fast_inplace on the same buffer."""
-    size = len(values)
-    if size & (size - 1):
-        raise ValueError(f"buffer length {size} is not a power of two")
-    bit = 1
-    while bit < size:
-        step = bit << 1
-        for base in range(bit, size, step):
-            for x in range(base, base + bit):
-                values[x] -= values[x - bit]
-        bit = step
+    """Butterfly undoing zeta_fast_inplace on the same buffer."""
+    _butterfly(values, -1)
 
 
 def mobius_inverse(table: SubsetTable) -> SubsetTable:

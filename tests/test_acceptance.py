@@ -2,6 +2,8 @@
 
 Each criterion prints a single PASS/FAIL line (visible with ``pytest -s``
 or by running this file directly) and asserts at its stated tolerance.
+Criteria 2 to 6 run the named checks of :mod:`mobiusq.verify`, the same
+functions ``mobiusq verify`` runs, on their own inputs and tolerances.
 Run standalone with ``python3 tests/test_acceptance.py`` for the
 plain-text report.
 """
@@ -12,19 +14,9 @@ import time
 
 import numpy as np
 
-from mobiusq.circuits import (
-    TransformQuery,
-    build_start_state,
-    classical_value,
-    comparator_coefficient,
-    decompose_signal,
-)
-from mobiusq.grover import (
-    amplify,
-    estimate_sampled,
-    grover_step,
-    plan_grover,
-)
+from mobiusq import verify
+from mobiusq.circuits import TransformQuery, comparator_coefficient
+from mobiusq.grover import amplify, estimate_sampled, plan_grover
 from mobiusq.minfind import (
     ObjectiveTable,
     choose_beta,
@@ -52,12 +44,16 @@ def _random_psi(rng: np.random.Generator, n: int) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
-def _gamma_odds(state: StateVector) -> float:
-    idx = np.arange(state.amplitudes.shape[0])
-    om = (idx >> state.layout.omega_qubit) & 1
-    ga = (idx >> state.layout.gamma_qubit) & 1
-    probs = np.abs(state.amplitudes) ** 2
-    return float(probs[(om == 0) & (ga == 1)].sum() / probs[(om == 0) & (ga == 0)].sum())
+def _random_queries(
+    rng: np.random.Generator, mode: Mode, n: int, n0: int | None, count: int
+) -> list[TransformQuery]:
+    """count queries at random points x with random amplitudes, drawn in that order."""
+    width = n0 or n
+    queries = []
+    for _ in range(count):
+        x = BitString.from_int(int(rng.integers(1 << width)), width)
+        queries.append(TransformQuery(mode, n, _random_psi(rng, n), x, n0))
+    return queries
 
 
 def test_criterion_1_classical_transform_agreement_and_scaling():
@@ -96,67 +92,34 @@ def test_criterion_1_classical_transform_agreement_and_scaling():
 
 def test_criterion_2_subset_sum_sector_readout():
     rng = np.random.default_rng(1002)
-    worst_z0_n3 = worst_z0_n4 = worst_ratio = 0.0
-    for n, runs in ((3, 50), (4, 20)):
-        base = 2.0 ** (-(n + 1) / 2.0)
-        for _ in range(runs):
-            x = BitString.from_int(int(rng.integers(1 << n)), n)
-            q = TransformQuery(Mode.MOBIUS, n, _random_psi(rng, n), x)
-            dec = decompose_signal(q, build_start_state(q))
-            z0_err = abs(dec.z0 - base)
-            if n == 3:
-                worst_z0_n3 = max(worst_z0_n3, z0_err)
-            else:
-                worst_z0_n4 = max(worst_z0_n4, z0_err)
-            worst_ratio = max(worst_ratio, abs(dec.ratio - classical_value(q)))
-    ok = worst_z0_n3 <= 1e-10 and worst_z0_n4 <= 1e-10 and worst_ratio <= 1e-10
+    n3 = verify.sector_readout(_random_queries(rng, Mode.MOBIUS, 3, None, 50), 1e-10)
+    n4 = verify.sector_readout(_random_queries(rng, Mode.MOBIUS, 4, None, 20), 1e-10)
     _report(
         "criterion 2 (subset-sum readout: z0 anchor and value ratio)",
-        ok,
-        f"50 specs n=3: |z0 - 0.25| <= {worst_z0_n3:.2e}; "
-        f"20 specs n=4: |z0 - 2^-5/2| <= {worst_z0_n4:.2e} "
-        f"(normalization fixes z0 = 2^-(n0+1)/2, the 0.25 anchor is the n0=3 case); "
-        f"|ratio - f(x)| <= {worst_ratio:.2e} (tol 1e-10)",
+        n3.ok and n4.ok,
+        f"50 specs n=3 (z0 anchor 0.25): {n3.detail}; "
+        f"20 specs n=4 (z0 anchor 2^-5/2): {n4.detail} "
+        f"(normalization fixes z0 = 2^-(n0+1)/2, the 0.25 anchor is the n0=3 case)",
     )
 
 
 def test_criterion_3_marginal_sector_readout():
     rng = np.random.default_rng(1003)
-    worst_z0 = worst_ratio = 0.0
-    for n in (4, 5, 6):
-        for _ in range(10):
-            x = BitString.from_int(int(rng.integers(8)), 3)
-            q = TransformQuery(Mode.MARGINAL, n, _random_psi(rng, n), x, n0=3)
-            dec = decompose_signal(q, build_start_state(q))
-            worst_z0 = max(worst_z0, abs(dec.z0 - 0.25))
-            worst_ratio = max(worst_ratio, abs(dec.ratio - classical_value(q)))
-    ok = worst_z0 <= 1e-10 and worst_ratio <= 1e-10
+    queries = [q for n in (4, 5, 6) for q in _random_queries(rng, Mode.MARGINAL, n, 3, 10)]
+    verdict = verify.sector_readout(queries, 1e-10)
     _report(
         "criterion 3 (marginal readout at n0=3, n in 4..6)",
-        ok,
-        f"30 specs: |z0 - 0.25| <= {worst_z0:.2e}, |ratio - P(x)| <= {worst_ratio:.2e} (tol 1e-10)",
+        verdict.ok,
+        f"30 specs (z0 anchor 0.25): {verdict.detail}",
     )
 
 
 def test_criterion_4_comparator_coefficient_table():
-    inv = 1.0 / math.sqrt(2.0)
-    bad = []
-    for mode in (Mode.MOBIUS, Mode.MARGINAL):
-        for src in (0, 1):
-            for smp in (0, 1):
-                got = comparator_coefficient(src, smp, mode)
-                if mode is Mode.MOBIUS:
-                    want = inv if smp >= src else 0.0
-                else:
-                    want = inv if smp == src else 0.0
-                if got != want:
-                    bad.append((mode.value, src, smp, got, want))
+    verdict = verify.comparator_table(comparator_coefficient, 0.0)
     _report(
         "criterion 4 (all 8 comparator coefficients exact)",
-        not bad,
-        "matrix algebra equals the closed form on every (mode, source, sample) case"
-        if not bad
-        else f"mismatches: {bad}",
+        verdict.ok,
+        f"matrix algebra: {verdict.detail}",
     )
 
 
@@ -167,18 +130,11 @@ def test_criterion_5_ratio_preserved_across_iterations():
         TransformQuery(Mode.MOBIUS, 3, _random_psi(rng, 3), BitString.from_str("111")),
         TransformQuery(Mode.MARGINAL, 4, _random_psi(rng, 4), BitString.from_str("01"), n0=2),
     ]
-    worst = 0.0
-    for q in specs:
-        want = classical_value(q)
-        start = build_start_state(q)
-        state = start
-        for _ in range(11):  # k = 0 .. 10
-            worst = max(worst, abs(_gamma_odds(state) - want))
-            state = grover_step(state, start)
+    verdict = verify.odds_preserved(specs, 10, 1e-9)
     _report(
         "criterion 5 (gamma odds preserved for k = 0..10)",
-        worst <= 1e-9,
-        f"max |odds - f(x)| = {worst:.2e} over 3 specs x 11 iteration counts (tol 1e-9)",
+        verdict.ok,
+        f"3 specs: {verdict.detail}",
     )
 
 
@@ -187,15 +143,7 @@ def test_criterion_6_amplification_calibration():
     q = TransformQuery(
         Mode.MOBIUS, 3, np.full(8, 2.0 ** -1.5), BitString.from_str("111")
     )
-    start = build_start_state(q)
-    theta = math.asin(plan_grover(start).overlap)
-    worst = 0.0
-    state = start
-    for k in range(11):
-        _, a = project(state, QubitIs(start.layout.omega_qubit, 0))
-        worst = max(worst, abs(a**2 - math.sin((2 * k + 1) * theta) ** 2))
-        state = grover_step(state, start)
-    ok_law = worst <= 1e-9
+    law = verify.rotation_law(q, 10, 1e-9)
 
     # planner anchor at overlap 0.25
     layout = RegisterLayout(Mode.MOBIUS, 1)
@@ -212,8 +160,8 @@ def test_criterion_6_amplification_calibration():
     )
     _report(
         "criterion 6 (amplification calibration)",
-        ok_law and ok_plan,
-        f"max |mass - sin^2((2k+1)theta)| = {worst:.2e} for k=0..10 (tol 1e-9); "
+        law.ok and ok_plan,
+        f"{law.detail}; "
         f"at a=0.25 planner picks k={plan.iterations} with predicted {plan.predicted_success:.6f}",
     )
 
@@ -290,18 +238,32 @@ def test_criterion_9_speedup_claim_excluded():
     )
 
 
-def main() -> int:
-    checks = [
-        test_criterion_1_classical_transform_agreement_and_scaling,
+def test_gate_and_verify_share_the_check_registry(monkeypatch):
+    """The gate's criteria 2 to 6 and ``run_verify`` reach the same named checks."""
+    names = ("sector_readout", "odds_preserved", "rotation_law", "comparator_table")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+
+        def counted(*args, _name=name):
+            calls[_name] += 1
+            return verify.Verdict(True, 0.0, "counted")
+
+        monkeypatch.setattr(verify, name, counted)
+    assert verify.run_verify(0)[0]
+    assert calls == dict.fromkeys(names, 1)
+    for criterion in (
         test_criterion_2_subset_sum_sector_readout,
         test_criterion_3_marginal_sector_readout,
         test_criterion_4_comparator_coefficient_table,
         test_criterion_5_ratio_preserved_across_iterations,
         test_criterion_6_amplification_calibration,
-        test_criterion_7_sampled_estimation_accuracy,
-        test_criterion_8_minimum_finding,
-        test_criterion_9_speedup_claim_excluded,
-    ]
+    ):
+        criterion()
+    assert calls == {"sector_readout": 4, "odds_preserved": 2, "rotation_law": 2, "comparator_table": 2}
+
+
+def main() -> int:
+    checks = [f for name, f in globals().items() if name.startswith("test_criterion_")]
     failures = 0
     for check in checks:
         try:

@@ -15,11 +15,8 @@ from mobiusq.circuits import (
     classical_value,
     comparator_coefficient,
     decompose_signal,
-    marginal_value_exact,
     mark_op,
     marked,
-    mobius_value_exact,
-    target_predicate,
 )
 from mobiusq.sim import (
     Circuit,
@@ -33,6 +30,11 @@ from mobiusq.sim import (
     new_state,
 )
 from mobiusq.subset import BitString, SubsetTable, zeta_fast
+
+
+def _exact_ratio(q: TransformQuery) -> float:
+    """Transform value read off the start state's sector amplitudes."""
+    return decompose_signal(q, build_start_state(q)).ratio
 
 
 def _uniform_query(n: int, x: str) -> TransformQuery:
@@ -139,7 +141,7 @@ def test_query_json_missing_keys():
 def test_classical_value_uniform_counts_subsets():
     for x in range(8):
         q = _uniform_query(3, format(x, "03b"))
-        want = (1 << BitString.from_int(x, 3).popcount()) / 8.0
+        want = (1 << bin(x).count("1")) / 8.0
         assert abs(classical_value(q) - want) <= 1e-15
 
 
@@ -218,7 +220,7 @@ def test_target_predicate_mask_size():
     q = _random_query(Mode.MARGINAL, 4, "10", n0=2, seed=2)
     layout = q.layout
     idx = np.arange(1 << layout.total_qubits)
-    hits = int(target_predicate(q).mask(idx).sum())
+    hits = int(mark_op(layout, q.x).predicate.mask(idx).sum())
     assert hits == 1 << (layout.total_qubits - 2 * layout.n0)
 
 
@@ -286,7 +288,6 @@ def test_start_circuit_ends_with_target_marking():
     assert isinstance(last.ops[0], PauliX)
     assert last.ops[0].qubit == q.layout.omega_qubit
     assert last == mark_op(q.layout, q.x)
-    assert last.predicate == target_predicate(q)
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +372,6 @@ def test_decomposition_rejects_layout_mismatch():
         decompose_signal(q, other)
 
 
-def test_exact_value_mode_guards():
-    with pytest.raises(ValueError):
-        marginal_value_exact(_uniform_query(2, "11"))
-    with pytest.raises(ValueError):
-        mobius_value_exact(_random_query(Mode.MARGINAL, 3, "1", n0=1, seed=13))
-
-
 # ---------------------------------------------------------------------------
 # exact readout against independent classical transforms
 
@@ -390,7 +384,7 @@ def test_mobius_readout_matches_butterfly_all_points():
         truth = zeta_fast(SubsetTable(n, np.abs(amps) ** 2)).values
         for x in range(1 << n):
             q = TransformQuery(Mode.MOBIUS, n, amps, BitString.from_int(x, n))
-            assert abs(mobius_value_exact(q) - truth[x]) <= 1e-10
+            assert abs(_exact_ratio(q) - truth[x]) <= 1e-10
 
 
 def test_mobius_readout_matches_butterfly_spot_checks_n5():
@@ -400,7 +394,7 @@ def test_mobius_readout_matches_butterfly_spot_checks_n5():
     truth = zeta_fast(SubsetTable(5, np.abs(amps) ** 2)).values
     for x in (0, 31, 5, 12, 26):
         q = TransformQuery(Mode.MOBIUS, 5, amps, BitString.from_int(x, 5))
-        assert abs(mobius_value_exact(q) - truth[x]) <= 1e-10
+        assert abs(_exact_ratio(q) - truth[x]) <= 1e-10
 
 
 def test_marginal_readout_matches_explicit_sums():
@@ -418,7 +412,7 @@ def test_marginal_readout_matches_explicit_sums():
             q = TransformQuery.from_probability_table(
                 Mode.MARGINAL, table, BitString.from_int(x, n0), n0=n0
             )
-            assert abs(marginal_value_exact(q) - want) <= 1e-10
+            assert abs(_exact_ratio(q) - want) <= 1e-10
             assert abs(classical_value(q) - want) <= 1e-12
 
 
@@ -432,5 +426,5 @@ def test_marginal_readout_sums_to_one_over_sweep():
         q = TransformQuery.from_probability_table(
             Mode.MARGINAL, table, BitString.from_int(x, 3), n0=3
         )
-        total += marginal_value_exact(q)
+        total += _exact_ratio(q)
     assert abs(total - 1.0) <= 1e-9

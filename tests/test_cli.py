@@ -375,6 +375,43 @@ def test_minfind_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_minfind_takes_no_seed(capsys):
+    # the search is deterministic, so minfind has no --seed to accept
+    assert main(["minfind", "--center", "5", "--n", "3", "--seed", "0"]) == 1
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_failed_check_writes_no_files(uniform3, tmp_path, capsys):
+    """A --check that fails exits 1 before writing --out or --dump-state."""
+    out, dump = tmp_path / "out.json", tmp_path / "state.json"
+    recorded = tmp_path / "point.json"
+    assert main(["mobius", "--input", uniform3, "--x", "101", "--out", str(recorded)]) == 0
+    obj = json.loads(recorded.read_text())
+    obj["rows"][0]["exact"] += 1e-3
+    recorded.write_text(json.dumps(obj))
+    argv = ["mobius", "--input", uniform3, "--check", str(recorded)]
+    assert main(argv + ["--out", str(out), "--dump-state", str(dump)]) == 1
+    assert "check: FAIL" in capsys.readouterr().out
+    assert not out.exists() and not dump.exists()
+
+    trace = tmp_path / "trace.json"
+    minfind = ["minfind", "--center", "9", "--n", "4"]
+    assert main(minfind + ["--out", str(trace)]) == 0
+    good = trace.read_text()
+    obj = json.loads(good)
+    obj["probes"][1]["value"] += 0.5
+    trace.write_text(json.dumps(obj))
+    assert main(minfind + ["--check", str(trace), "--out", str(out)]) == 1
+    assert "check: FAIL" in capsys.readouterr().out
+    assert not out.exists()
+
+    # a passing check still writes --out
+    trace.write_text(good)
+    assert main(minfind + ["--check", str(trace), "--out", str(out)]) == 0
+    assert out.read_text() == good
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # verify command and fault injection
 

@@ -8,7 +8,6 @@ import pytest
 from mobiusq.sim import (
     MAX_QUBITS,
     AllOf,
-    AnyOf,
     Circuit,
     Controlled,
     Hadamard,
@@ -17,7 +16,6 @@ from mobiusq.sim import (
     PhasePair,
     QubitIs,
     QubitsDiffer,
-    QubitsEqual,
     RegisterLayout,
     Ry,
     StateVector,
@@ -30,8 +28,6 @@ from mobiusq.sim import (
     new_state,
     prepare_low_qubits,
     project,
-    register_distribution,
-    register_equals,
     sector,
     state_from_json_obj,
     state_to_json_obj,
@@ -157,29 +153,20 @@ def test_qubit_is_mask():
 
 def test_equal_and_differ_masks():
     idx = np.arange(4)
-    assert list(QubitsEqual(0, 1).mask(idx)) == [True, False, False, True]
     assert list(QubitsDiffer(0, 1).mask(idx)) == [False, True, True, False]
+    assert list(QubitsDiffer(0, 0).mask(idx)) == [False] * 4  # a qubit equals itself
 
 
 def test_conjunction_disjunction():
     idx = np.arange(4)
     both = AllOf((QubitIs(0, 1), QubitIs(1, 1)))
-    either = AnyOf((QubitIs(0, 1), QubitIs(1, 1)))
     assert list(both.mask(idx)) == [False, False, False, True]
-    assert list(either.mask(idx)) == [False, True, True, True]
     assert list(AllOf(()).mask(idx)) == [True] * 4
-    assert list(AnyOf(()).mask(idx)) == [False] * 4
     assert both.qubits() == frozenset((0, 1))
-
-
-def test_register_equals():
-    layout = RegisterLayout(Mode.MOBIUS, 2)
-    pred = register_equals(layout, "alpha", 2)
-    idx = np.arange(1 << layout.total_qubits)
-    want = ((idx >> 2) & 3) == 2
-    assert np.array_equal(pred.mask(idx), want)
-    with pytest.raises(ValueError):
-        register_equals(layout, "alpha", 4)
+    # a disjunction is listed as disjoint assignments, and a conjunction
+    # keeps the consistent combinations of its terms' assignments
+    assert QubitsDiffer(0, 1).assignments() == [{0: 0, 1: 1}, {0: 1, 1: 0}]
+    assert AllOf((QubitsDiffer(0, 1), QubitIs(1, 1))).assignments() == [{0: 0, 1: 1}]
 
 
 # ---------------------------------------------------------------------------
@@ -242,15 +229,15 @@ def _matches(idx: np.ndarray, fixed: dict) -> np.ndarray:
 # one predicate of every class on the 6-qubit layout, none reading qubits 2-3
 PREDICATE_CASES = [
     QubitIs(4, 1),
-    QubitsEqual(0, 5),
     QubitsDiffer(5, 1),
     AllOf((QubitIs(0, 1), QubitsDiffer(1, 5))),
-    AnyOf((QubitIs(0, 1), QubitsEqual(1, 5))),
-    AllOf((QubitIs(4, 0), AnyOf((QubitIs(1, 0), QubitsDiffer(0, 5))))),
+    AllOf((QubitsDiffer(0, 5), QubitsDiffer(1, 5))),  # two-assignment terms sharing qubit 5
+    AllOf((QubitsDiffer(0, 1), QubitsDiffer(4, 5))),  # four assignments
+    AllOf((QubitIs(4, 0), AllOf((QubitIs(1, 0), QubitsDiffer(0, 5))))),
     AllOf(()),
-    AnyOf(()),
     AllOf((QubitIs(0, 1), QubitIs(0, 0))),
-    QubitsEqual(4, 4),
+    AllOf((QubitsDiffer(0, 1), QubitsDiffer(1, 5), QubitsDiffer(5, 0))),  # odd cycle: empty
+    AllOf((QubitsDiffer(4, 1), QubitsDiffer(1, 4))),  # one condition stated twice
     QubitsDiffer(1, 1),
 ]
 
@@ -289,7 +276,7 @@ def test_controlled_with_several_and_nested_ops_matches_dense_oracle():
         (
             Hadamard(2),
             Controlled(AllOf((QubitsDiffer(0, 1), QubitIs(4, 0))), (Ry(3, 0.4), PauliX(2))),
-            Controlled(AnyOf((QubitIs(5, 1), QubitIs(0, 1))), (Hadamard(3),)),  # rereads 5
+            Controlled(AllOf((QubitIs(5, 1), QubitsDiffer(0, 1))), (Hadamard(3),)),  # rereads 5
             Controlled(QubitIs(5, 0), (Hadamard(3),)),  # contradicts the outer control
             PhasePair(4, 0.2, 0.9),
         ),
@@ -309,7 +296,7 @@ def test_gate_application_leaves_inputs_unchanged():
     apply_gate(state, op)
     apply_gate(state, PauliX(0))
     apply_circuit(state, Circuit(layout, (op, Ry(1, 0.3))))
-    project(state, AnyOf((QubitIs(0, 1), QubitIs(4, 0))))
+    project(state, QubitsDiffer(0, 4))
     assert np.array_equal(state.amplitudes, before)
 
 
@@ -448,14 +435,6 @@ def test_project_splits_norm():
     assert np.max(np.abs(inside.amplitudes + outside.amplitudes - state.amplitudes)) == 0.0
 
 
-def test_register_distribution_on_hadamard():
-    layout = RegisterLayout(Mode.MOBIUS, 2)
-    state = apply_gate(new_state(layout), Hadamard(layout.gamma_qubit))
-    dist = register_distribution(state, "gamma")
-    assert np.allclose(dist, [0.5, 0.5])
-    assert np.allclose(register_distribution(state, "alpha"), [1.0, 0, 0, 0])
-
-
 def test_apply_circuit_checks_layout():
     s = new_state(RegisterLayout(Mode.MOBIUS, 2))
     circ = Circuit(RegisterLayout(Mode.MOBIUS, 3), (Hadamard(0),))
@@ -482,7 +461,8 @@ def test_uniform_register_prep_uses_two_plain_rotations():
     assert len(circ) == 2
     assert all(isinstance(op, Ry) for op in circ)
     out = apply_circuit(new_state(layout), circ)
-    dist = register_distribution(out, "alpha")
+    start = layout.register("alpha").start
+    dist = np.abs(out.amplitudes[[v << start for v in range(4)]]) ** 2
     assert np.allclose(dist, 0.25)
 
 

@@ -37,7 +37,6 @@ def test_bitstring_bit_j_is_2_to_j():
     b = _bs("100")  # dec 4
     assert (b[0], b[1], b[2]) == (0, 0, 1)
     assert b.to_int() == 4
-    assert b.popcount() == 1
 
 
 def test_bitstring_roundtrip():
