@@ -11,13 +11,10 @@ finds the argmin of a positive objective in n probes.
 from .subset import (
     BitString,
     SubsetTable,
-    bitwise_geq,
     mobius_inverse,
-    mobius_inverse_inplace,
     zeta_fast,
     zeta_fast_inplace,
     zeta_matrix,
-    zeta_matrix_entry,
     zeta_naive,
 )
 from .sim import (
@@ -36,7 +33,6 @@ from .sim import (
     Ry,
     StateVector,
     apply_circuit,
-    apply_gate,
     apply_in_place,
     basis_index,
     compile_state_prep,
@@ -56,7 +52,6 @@ from .circuits import (
     build_start_state,
     build_unmarked_state,
     classical_value,
-    comparator_coefficient,
     decompose_signal,
     mark_op,
     marked,

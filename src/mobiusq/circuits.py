@@ -49,7 +49,6 @@ from .sim import (
     StateVector,
     apply_in_place,
     compile_state_prep,
-    gate_qubits,
     prepare_low_qubits,
     sector,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "DecompositionError",
     "classical_value",
     "build_comparator",
-    "comparator_coefficient",
     "mark_op",
     "build_start_circuit",
     "build_unmarked_state",
@@ -188,30 +186,6 @@ def build_comparator(query: TransformQuery) -> Circuit:
     return Circuit(layout, tuple(ops))
 
 
-def comparator_coefficient(source_bit: int, sample_bit: int, mode: Mode) -> float:
-    """Per-bit amplitude for surviving the comparator with beta clear.
-
-    Computed from first principles on the two-qubit (source, sample) space:
-    apply H to the sample qubit of |source_bit, 0>, then the beta=0 survivor
-    bracket (1 - P1 P0 for mobius, P1 P1 + P0 P0 for marginal), and read the
-    (source_bit, sample_bit) matrix element.  ``mobiusq.verify.comparator_table``
-    checks the result against the closed form.
-    """
-    mode = Mode(mode)
-    if source_bit not in (0, 1) or sample_bit not in (0, 1):
-        raise ValueError("bits must be 0 or 1")
-    e = np.eye(2)
-    h_col = np.array([1.0, 1.0]) / np.sqrt(2.0)  # H |0>
-    p0 = np.diag([1.0, 0.0])
-    p1 = np.diag([0.0, 1.0])
-    vec = np.kron(e[source_bit], h_col)
-    if mode is Mode.MOBIUS:
-        bracket = np.eye(4) - np.kron(p1, p0)
-    else:
-        bracket = np.kron(p1, p1) + np.kron(p0, p0)
-    return float((bracket @ vec)[2 * source_bit + sample_bit])
-
-
 def mark_op(layout: RegisterLayout, x: BitString) -> Controlled:
     """The target-marking X on omega, controlled on alpha == x and beta == 0."""
     if len(x) != layout.n0:
@@ -230,15 +204,16 @@ def _controlled_on(pred: Predicate, op: GateOp) -> GateOp:
     return Controlled(pred, (op,))
 
 
-def _unmarked_ops(query: TransformQuery) -> list[GateOp]:
-    """Every op of the start circuit but the final mark; query.x is not read."""
+def _branch_ops(query: TransformQuery) -> list[GateOp]:
+    """The ops between the state prep and the final mark; query.x is not read."""
     layout = query.layout
     al = layout.register("alpha")
     mu0 = layout.mu0_qubit
-    ops: list[GateOp] = list(compile_state_prep(layout, query.psi_minus, "alpha_minus").ops)
-    ops.append(PauliX(layout.omega_qubit))
-    ops.append(Hadamard(mu0))
-    ops.append(Controlled(QubitIs(mu0, 1), (PauliX(layout.gamma_qubit),)))
+    ops: list[GateOp] = [
+        PauliX(layout.omega_qubit),
+        Hadamard(mu0),
+        Controlled(QubitIs(mu0, 1), (PauliX(layout.gamma_qubit),)),
+    ]
     for op in build_comparator(query).ops:
         ops.append(_controlled_on(QubitIs(mu0, 1), op))
     ops.append(Controlled(QubitIs(mu0, 0), tuple(Hadamard(q) for q in al)))
@@ -246,29 +221,30 @@ def _unmarked_ops(query: TransformQuery) -> list[GateOp]:
 
 
 def build_start_circuit(query: TransformQuery) -> Circuit:
-    """Full start-state circuit; see the module docstring for the shape."""
-    ops = _unmarked_ops(query) + [mark_op(query.layout, query.x)]
-    return Circuit(query.layout, tuple(ops))
+    """Full start-state circuit: the alpha_minus prep, the branch ops, the mark.
+
+    See the module docstring for the state it builds.
+    """
+    prep = compile_state_prep(query.psi_minus)
+    ops = (*prep, *_branch_ops(query), mark_op(query.layout, query.x))
+    return Circuit(query.layout, ops)
 
 
 def build_unmarked_state(query: TransformQuery) -> StateVector:
     """Simulate build_start_circuit(query) without its final mark.
 
     The result serves every point x of the table; query.x is not read.
-    alpha_minus is the lowest register and the circuit's leading ops touch it
-    alone, so those ops run on its 2**n amplitudes only; the result fills the
-    low end of an otherwise zero state and the remaining ops run on the whole,
-    in place.  The amplitudes equal those of apply_circuit on the same ops.
+    alpha_minus is the lowest register and the prep touches it alone, so the
+    prep runs on its 2**n amplitudes only; the result fills the low end of an
+    otherwise zero state and the branch ops run on the whole, in place.  The
+    amplitudes equal those of apply_circuit on the same ops.
     """
     layout = query.layout
-    ops = _unmarked_ops(query)
-    register = frozenset(layout.register("alpha_minus"))
-    k = 0
-    while k < len(ops) and gate_qubits(ops[k]) <= register:
-        k += 1
     state = StateVector(layout, np.zeros(1 << layout.total_qubits, dtype=np.complex128))
-    state.amplitudes[: 1 << layout.n] = prepare_low_qubits(ops[:k], layout.n)
-    apply_in_place(state, Circuit(layout, ops[k:]))
+    state.amplitudes[: 1 << layout.n] = prepare_low_qubits(
+        compile_state_prep(query.psi_minus), layout.n
+    )
+    apply_in_place(state, Circuit(layout, _branch_ops(query)))
     if abs(state.norm - 1.0) > 1e-12:
         raise DecompositionError(f"start state norm is {state.norm}")
     return state

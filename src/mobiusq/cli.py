@@ -396,9 +396,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, TypeError, KeyError, jsonschema.ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

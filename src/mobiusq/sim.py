@@ -11,10 +11,11 @@ of that axis by m00*a0 + m01*a1 and m10*a0 + m11*a1, elementwise, so a
 result never depends on the shape of the array it sits in.
 
 Controlled gates carry an explicit basis-state predicate (per-qubit value,
-qubit inequality, conjunction).  A predicate
-lists its truth set as disjoint partial assignments {qubit: value}; the
-simulator fixes each assignment's qubits with width-1 slices and applies the
-inner ops to that sub-view only, which realizes
+qubit inequality, conjunction) and are one level deep: their inner ops are
+one-qubit gates, never another Controlled.  A predicate lists its truth set
+as disjoint partial assignments {qubit: value}; the simulator fixes each
+assignment's qubits with width-1 slices and applies the inner ops to that
+sub-view only, which realizes
 
     U**pi = (1 - pi) + U * pi
 
@@ -105,18 +106,6 @@ class RegisterLayout:
     @property
     def omega_qubit(self) -> int:
         return self.register("omega")[0]
-
-    @property
-    def mu_qubits(self) -> tuple[int, ...]:
-        """Qubits of the (alpha_minus, alpha, mu0) grouping, low to high."""
-        return tuple(self.register("alpha_minus")) + tuple(self.register("alpha")) + (
-            self.mu0_qubit,
-        )
-
-    @property
-    def nu_qubits(self) -> tuple[int, ...]:
-        """Qubits of the (beta, gamma) grouping, low to high."""
-        return tuple(self.register("beta")) + (self.gamma_qubit,)
 
     def to_json_obj(self) -> dict:
         return {
@@ -256,41 +245,44 @@ class PhasePair:
 
 @dataclass(frozen=True)
 class Controlled:
-    """Apply the inner ops only where the predicate holds.
+    """Apply the inner one-qubit gates only where the predicate holds.
 
-    Predicate qubits must be disjoint from the inner ops' target qubits, so
-    the controlled action is unitary and realizes (1 - pi) + U pi exactly.
-    The simulator applies the inner ops, in order, to the sub-view of each of
-    the predicate's disjoint assignments in turn; amplitudes outside every
+    Controls are one level deep: an inner op may not itself be a Controlled,
+    so a conjunction of controls is stated as one predicate.  Predicate
+    qubits must be disjoint from the inner ops' target qubits, so the
+    controlled action is unitary and realizes (1 - pi) + U pi exactly.  The
+    simulator applies the inner ops, in order, to the sub-view of each of the
+    predicate's disjoint assignments in turn; amplitudes outside every
     assignment are not touched.
     """
 
     predicate: Predicate
-    ops: tuple["GateOp", ...]
+    ops: tuple["OneQubitGate", ...]
 
     def __post_init__(self) -> None:
         if not self.ops:
             raise ValueError("controlled gate needs at least one inner op")
+        if any(isinstance(op, Controlled) for op in self.ops):
+            raise ValueError("controlled gates do not nest; merge the predicates with AllOf")
         overlap = self.predicate.qubits() & gate_target_qubits(self)
         if overlap:
             raise ValueError(f"predicate and target qubits overlap: {sorted(overlap)}")
 
 
-GateOp = Union[Hadamard, PauliX, Ry, PhasePair, Controlled]
+OneQubitGate = Union[Hadamard, PauliX, Ry, PhasePair]
+GateOp = Union[OneQubitGate, Controlled]
 
 
 def gate_target_qubits(op: GateOp) -> frozenset[int]:
     """Qubits an op can modify (predicate reads excluded)."""
-    if isinstance(op, Controlled):
-        return frozenset().union(*(gate_target_qubits(o) for o in op.ops))
-    return frozenset((op.qubit,))
+    ops = op.ops if isinstance(op, Controlled) else (op,)
+    return frozenset(o.qubit for o in ops)
 
 
 def gate_qubits(op: GateOp) -> frozenset[int]:
     """All qubits an op touches, reads included."""
-    if isinstance(op, Controlled):
-        return op.predicate.qubits() | frozenset().union(*(gate_qubits(o) for o in op.ops))
-    return frozenset((op.qubit,))
+    reads = op.predicate.qubits() if isinstance(op, Controlled) else frozenset()
+    return reads | gate_target_qubits(op)
 
 
 @dataclass(eq=False)
@@ -387,16 +379,13 @@ def _fix(view: np.ndarray, assignment: Assignment) -> np.ndarray:
     return view[tuple(index)]
 
 
-def _apply_op(view: np.ndarray, op: GateOp, fixed: Assignment) -> None:
-    """Apply op in place to a qubit view whose ``fixed`` qubits are already cut."""
+def _apply_op(view: np.ndarray, op: GateOp) -> None:
+    """Apply op in place to a qubit view."""
     if isinstance(op, Controlled):
         for assignment in op.predicate.assignments():
-            if any(fixed.get(q, v) != v for q, v in assignment.items()):
-                continue  # contradicts an enclosing control: this part is empty
-            new = {q: v for q, v in assignment.items() if q not in fixed}
-            sub = _fix(view, new)
+            sub = _fix(view, assignment)
             for inner in op.ops:
-                _apply_op(sub, inner, {**fixed, **new})
+                _apply_op(sub, inner)
         return
     axis = view.ndim - 1 - op.qubit
     # the trailing Ellipsis keeps a one-axis view a 0-d view, not a scalar copy
@@ -419,17 +408,7 @@ def _apply_op(view: np.ndarray, op: GateOp, fixed: Assignment) -> None:
 def _run(amps: np.ndarray, ops) -> None:
     view = _qubit_view(amps)
     for op in ops:
-        _apply_op(view, op, {})
-
-
-def apply_gate(state: StateVector, op: GateOp) -> StateVector:
-    total = state.layout.total_qubits
-    bad = [q for q in gate_qubits(op) if not 0 <= q < total]
-    if bad:
-        raise ValueError(f"op {op} uses qubits {bad} outside the {total}-qubit layout")
-    amps = state.amplitudes.copy()
-    _run(amps, (op,))
-    return StateVector(state.layout, amps)
+        _apply_op(view, op)
 
 
 def apply_in_place(state: StateVector, circuit: Circuit) -> None:
@@ -481,7 +460,12 @@ def sector(state: StateVector, fixed: Mapping[int, int]) -> np.ndarray:
 
 
 def project(state: StateVector, predicate: Predicate) -> tuple[StateVector, float]:
-    """Unnormalized component where the predicate holds, plus its norm."""
+    """Unnormalized component where the predicate holds, plus its norm.
+
+    The pipeline reads sector masses through ``sector`` instead; this stays
+    because acceptance criterion 6 and the benchmark's tracer read the
+    omega=0 success mass through it, independently of that view.
+    """
     comp = StateVector(state.layout, np.zeros_like(state.amplitudes))
     for assignment in predicate.assignments():
         sector(comp, assignment)[...] = sector(state, assignment)
@@ -492,31 +476,29 @@ def project(state: StateVector, predicate: Predicate) -> tuple[StateVector, floa
 # state preparation
 
 
-def compile_state_prep(layout: RegisterLayout, target, register: str) -> Circuit:
-    """Compile gates mapping |0...0> of one register to the target amplitudes.
+def compile_state_prep(target) -> tuple[GateOp, ...]:
+    """Compile gates mapping |0...0> of qubits 0..k-1 to the target amplitudes.
 
-    Classic rotation-tree construction: level m applies Ry rotations on the
-    register's (k-1-m)-th qubit, controlled on the basis values of the m
-    qubits above it; a final pass of predicate-controlled diagonal phase
-    gates fixes the complex phases.  Gate count is O(2**k) for a k-qubit
-    register.  The compiled circuit reproduces the target with no residual
-    global phase.  Levels whose rotation angles agree across all prefixes
-    collapse to a single uncontrolled gate, so product states compile to
-    single-qubit rotations.
+    Those qubits are the alpha_minus register of every layout, and k is
+    log2 of the target's length.  Classic rotation-tree construction
+    (Mottonen et al., quant-ph/0407010): level m applies Ry rotations on
+    qubit k-1-m, controlled on the basis values of the m qubits above it; a
+    final pass of predicate-controlled diagonal phase gates fixes the complex
+    phases.  Gate count is O(2**k).  The compiled gates reproduce the target
+    with no residual global phase.  Levels whose rotation angles agree across
+    all prefixes collapse to a single uncontrolled gate, so product states
+    compile to single-qubit rotations.
 
     Args:
-        layout: register layout the circuit will run on.
-        target: complex array of 2**k amplitudes, normalized within 1e-9.
-        register: name of the register to prepare.
+        target: complex array of 2**k amplitudes, k >= 1, normalized within 1e-9.
 
     Returns:
-        Circuit acting only on the register's qubits.
+        Gates acting only on qubits 0..k-1.
     """
-    qubits = layout.register(register)
-    k = len(qubits)
     target = np.asarray(target, dtype=np.complex128)
-    if target.shape != (1 << k,):
-        raise ValueError(f"target needs {1 << k} amplitudes for register {register!r}")
+    k = target.size.bit_length() - 1
+    if k < 1 or target.shape != (1 << k,):
+        raise ValueError(f"target needs 2**k amplitudes with k >= 1, got shape {target.shape}")
     norm = np.linalg.norm(target)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"target norm is {norm}, expected 1 within 1e-9")
@@ -525,7 +507,7 @@ def compile_state_prep(layout: RegisterLayout, target, register: str) -> Circuit
     weights = np.abs(target) ** 2
 
     for m in range(k):
-        qubit = qubits[k - 1 - m]
+        qubit = k - 1 - m
         block = 1 << (k - m)
         angles = []
         for p in range(1 << m):
@@ -540,28 +522,22 @@ def compile_state_prep(layout: RegisterLayout, target, register: str) -> Circuit
         for p, angle in enumerate(angles):
             if abs(angle) <= 1e-12:
                 continue
-            controls = tuple(
-                QubitIs(qubits[k - 1 - t], (p >> (m - 1 - t)) & 1) for t in range(m)
-            )
+            controls = tuple(QubitIs(k - 1 - t, (p >> (m - 1 - t)) & 1) for t in range(m))
             ops.append(Controlled(AllOf(controls), (Ry(qubit, angle),)))
 
     phases = np.where(np.abs(target) > 0, np.angle(target), 0.0)
     if np.max(np.abs(phases)) > 1e-12:
         pairs = [(float(phases[2 * h]), float(phases[2 * h + 1])) for h in range(1 << (k - 1))]
-        if all(p == pairs[0] for p in pairs):
-            ops.append(PhasePair(qubits[0], *pairs[0]))
+        if all(p == pairs[0] for p in pairs):  # always so for k == 1
+            ops.append(PhasePair(0, *pairs[0]))
         else:
             for h, (phi0, phi1) in enumerate(pairs):
                 if abs(phi0) <= 1e-12 and abs(phi1) <= 1e-12:
                     continue
-                gate = PhasePair(qubits[0], phi0, phi1)
-                if k == 1:
-                    ops.append(gate)
-                else:
-                    controls = tuple(QubitIs(qubits[1 + t], (h >> t) & 1) for t in range(k - 1))
-                    ops.append(Controlled(AllOf(controls), (gate,)))
+                controls = tuple(QubitIs(1 + t, (h >> t) & 1) for t in range(k - 1))
+                ops.append(Controlled(AllOf(controls), (PhasePair(0, phi0, phi1),)))
 
-    return Circuit(layout, tuple(ops))
+    return tuple(ops)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ property is stated once:
     rotation_law      omega=0 mass sin((2k+1) theta)**2 after k steps
     comparator_table  the 8 comparator coefficients against the closed form
 
-The comparator check of ``run_verify`` reads the coefficients off the
-compiled circuit, so a corrupted comparator builder (the fault-injection hook
-used by the tests) is caught there.
+Both the comparator check of ``run_verify`` and the acceptance gate read the
+coefficients off the compiled circuit (``circuit_coefficient``), so a
+corrupted comparator builder (the fault-injection hook used by the tests) is
+caught there.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ from .circuits import (
 )
 from .grover import cell_mass, grover_step, plan_grover
 from .sim import (
+    Circuit,
     Mode,
     RegisterLayout,
     StateVector,
@@ -50,6 +52,7 @@ __all__ = [
     "odds_preserved",
     "rotation_law",
     "comparator_table",
+    "circuit_coefficient",
     "run_verify",
 ]
 
@@ -168,7 +171,7 @@ def comparator_table(coefficient: Coefficient, tol: float) -> Verdict:
     )
 
 
-def _circuit_coefficient(builder: Callable[[TransformQuery], object]) -> Coefficient:
+def circuit_coefficient(builder: Callable[[TransformQuery], object]) -> Coefficient:
     """Coefficient source reading beta=0 amplitudes off the circuit ``builder`` compiles."""
 
     def coefficient(source_bit: int, sample_bit: int, mode: Mode) -> complex:
@@ -210,7 +213,7 @@ def _oracle_equivalence(mobius_probs: np.ndarray, marginal_probs: np.ndarray) ->
 
 def _state_prep_round_trip(target: np.ndarray) -> Verdict:
     layout = RegisterLayout(Mode.MOBIUS, 5)
-    state = apply_circuit(new_state(layout), compile_state_prep(layout, target, "alpha_minus"))
+    state = apply_circuit(new_state(layout), Circuit(layout, compile_state_prep(target)))
     err = float(np.max(np.abs(state.amplitudes[:32] - target)))
     rest = float(np.linalg.norm(state.amplitudes[32:]))
     if err > 1e-10 or rest > 1e-12:
@@ -255,7 +258,7 @@ def run_verify(
     uniform = TransformQuery(Mode.MOBIUS, 3, np.full(8, 2.0 ** -1.5), BitString.from_str("111"))
 
     checks: tuple[tuple[str, Callable[[], Verdict]], ...] = (
-        ("comparator-coefficients", lambda: comparator_table(_circuit_coefficient(builder), 1e-12)),
+        ("comparator-coefficients", lambda: comparator_table(circuit_coefficient(builder), 1e-12)),
         ("sector-decomposition", lambda: sector_readout(sector_queries, 1e-10)),
         ("ratio-preservation", lambda: odds_preserved([odds_query], 8, 1e-9)),
         ("oracle-equivalence", lambda: _oracle_equivalence(mobius_probs, marginal_probs)),

@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from mobiusq import verify
-from mobiusq.circuits import TransformQuery, comparator_coefficient
+from mobiusq.circuits import TransformQuery, build_comparator
 from mobiusq.grover import amplify, estimate_sampled, plan_grover
 from mobiusq.minfind import (
     ObjectiveTable,
@@ -115,11 +115,11 @@ def test_criterion_3_marginal_sector_readout():
 
 
 def test_criterion_4_comparator_coefficient_table():
-    verdict = verify.comparator_table(comparator_coefficient, 0.0)
+    verdict = verify.comparator_table(verify.circuit_coefficient(build_comparator), 0.0)
     _report(
         "criterion 4 (all 8 comparator coefficients exact)",
         verdict.ok,
-        f"matrix algebra: {verdict.detail}",
+        f"compiled circuit: {verdict.detail}",
     )
 
 

@@ -13,7 +13,6 @@ from mobiusq.circuits import (
     build_start_state,
     build_unmarked_state,
     classical_value,
-    comparator_coefficient,
     decompose_signal,
     mark_op,
     marked,
@@ -27,9 +26,11 @@ from mobiusq.sim import (
     StateVector,
     apply_circuit,
     basis_index,
+    compile_state_prep,
     new_state,
 )
 from mobiusq.subset import BitString, SubsetTable, zeta_fast
+from mobiusq.verify import circuit_coefficient
 
 
 def _exact_ratio(q: TransformQuery) -> float:
@@ -195,6 +196,7 @@ def test_comparator_on_basis_source_marginal():
 
 
 def test_comparator_coefficients_all_eight():
+    coefficient = circuit_coefficient(build_comparator)
     r = 1.0 / math.sqrt(2.0)
     want = {
         (Mode.MOBIUS, 0, 0): r,
@@ -207,9 +209,9 @@ def test_comparator_coefficients_all_eight():
         (Mode.MARGINAL, 1, 1): r,
     }
     for (mode, src, smp), value in want.items():
-        assert comparator_coefficient(src, smp, mode) == value
+        assert coefficient(src, smp, mode) == value
     with pytest.raises(ValueError):
-        comparator_coefficient(2, 0, Mode.MOBIUS)
+        coefficient(2, 0, Mode.MOBIUS)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +280,18 @@ def test_marked_gives_each_start_state_and_restores_the_unmarked_one(mode, n, n0
         with marked(unmarked, BitString.from_int(1, (n0 or n) + 1)):
             pass
     assert unmarked.amplitudes.tobytes() == before
+
+
+@pytest.mark.parametrize(
+    "mode,n,x,n0",
+    [(Mode.MOBIUS, 1, "1", None), (Mode.MOBIUS, 3, "101", None), (Mode.MARGINAL, 4, "10", 2)],
+)
+def test_start_circuit_begins_with_exactly_the_prep(mode, n, x, n0):
+    q = _random_query(mode, n, x, n0=n0, seed=n)
+    prep = compile_state_prep(q.psi_minus)
+    ops = build_start_circuit(q).ops
+    assert prep and ops[: len(prep)] == prep
+    assert ops[len(prep)] == PauliX(q.layout.omega_qubit)  # the first branch op
 
 
 def test_start_circuit_ends_with_target_marking():

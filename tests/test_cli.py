@@ -109,6 +109,10 @@ def test_mobius_rejects_non_probability_table(tmp_path, capsys):
     path.write_text(json.dumps({"n": 2, "values": [0.5, 0.6, 0.1, 0.1]}))
     assert main(["mobius", "--input", str(path), "--x", "11"]) == 1
     assert "error" in capsys.readouterr().err
+    # an imaginary part is never rounded away, however small
+    path.write_text(json.dumps({"n": 1, "values": [[0.5, 5e-9], [0.5, 0.0]]}))
+    assert main(["mobius", "--input", str(path), "--x", "1"]) == 1
+    assert "must be real" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])

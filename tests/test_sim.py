@@ -20,7 +20,6 @@ from mobiusq.sim import (
     Ry,
     StateVector,
     apply_circuit,
-    apply_gate,
     basis_index,
     compile_state_prep,
     gate_qubits,
@@ -41,6 +40,10 @@ def _random_state(layout: RegisterLayout, rng=RNG) -> StateVector:
         1 << layout.total_qubits
     )
     return StateVector(layout, amps / np.linalg.norm(amps))
+
+
+def _apply(state: StateVector, op) -> StateVector:
+    return apply_circuit(state, Circuit(state.layout, (op,)))
 
 
 def _full_matrix(op, total: int) -> np.ndarray:
@@ -92,12 +95,6 @@ def test_marginal_layout_geometry():
     assert 1 << layout.total_qubits == 16384
     assert layout.register("alpha") == range(5, 8)
     assert layout.register("beta") == range(8, 11)
-
-
-def test_layout_groupings():
-    layout = RegisterLayout(Mode.MARGINAL, 4, 2)
-    assert layout.mu_qubits == (0, 1, 2, 3, 4, 5, 9)
-    assert layout.nu_qubits == (6, 7, 8)
 
 
 def test_layout_accepts_mode_strings():
@@ -192,7 +189,7 @@ def test_bare_gates_match_kron_matrices():
     for _ in range(40):
         op = _random_1q_gate(total, rng)
         state = _random_state(layout, rng)
-        got = apply_gate(state, op).amplitudes
+        got = _apply(state, op).amplitudes
         want = _full_matrix(op, total) @ state.amplitudes
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -213,7 +210,7 @@ def test_controlled_gates_match_projector_formula():
         )
         op = Controlled(pred, (inner,))
         state = _random_state(layout, rng)
-        got = apply_gate(state, op).amplitudes
+        got = _apply(state, op).amplitudes
         want = _full_matrix(op, total) @ state.amplitudes
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -259,33 +256,22 @@ def test_controlled_over_each_predicate_matches_dense_oracle(pred):
     for inner in (Hadamard(2), PauliX(3), Ry(2, 0.9), PhasePair(3, 0.4, -1.3)):
         op = Controlled(pred, (inner,))
         state = _random_state(layout, rng)
-        got = apply_gate(state, op).amplitudes
+        got = _apply(state, op).amplitudes
         want = _full_matrix(op, total) @ state.amplitudes
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def test_controlled_with_several_and_nested_ops_matches_dense_oracle():
+def test_controlled_with_several_ops_matches_dense_oracle():
     layout = RegisterLayout(Mode.MOBIUS, 1)
     total = layout.total_qubits
     rng = np.random.default_rng(12)
-    several = Controlled(
+    op = Controlled(
         QubitsDiffer(0, 1), (Hadamard(2), Ry(3, 1.1), PhasePair(4, 0.3, -0.7), PauliX(2))
     )
-    nested = Controlled(
-        QubitIs(5, 1),
-        (
-            Hadamard(2),
-            Controlled(AllOf((QubitsDiffer(0, 1), QubitIs(4, 0))), (Ry(3, 0.4), PauliX(2))),
-            Controlled(AllOf((QubitIs(5, 1), QubitsDiffer(0, 1))), (Hadamard(3),)),  # rereads 5
-            Controlled(QubitIs(5, 0), (Hadamard(3),)),  # contradicts the outer control
-            PhasePair(4, 0.2, 0.9),
-        ),
-    )
-    for op in (several, nested):
-        state = _random_state(layout, rng)
-        got = apply_gate(state, op).amplitudes
-        want = _full_matrix(op, total) @ state.amplitudes
-        assert np.max(np.abs(got - want)) <= 1e-12
+    state = _random_state(layout, rng)
+    got = _apply(state, op).amplitudes
+    want = _full_matrix(op, total) @ state.amplitudes
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_gate_application_leaves_inputs_unchanged():
@@ -293,9 +279,7 @@ def test_gate_application_leaves_inputs_unchanged():
     state = _random_state(layout, np.random.default_rng(13))
     before = state.amplitudes.copy()
     op = Controlled(QubitIs(5, 1), (Hadamard(2), PauliX(3)))
-    apply_gate(state, op)
-    apply_gate(state, PauliX(0))
-    apply_circuit(state, Circuit(layout, (op, Ry(1, 0.3))))
+    apply_circuit(state, Circuit(layout, (op, PauliX(0), Ry(1, 0.3))))
     project(state, QubitsDiffer(0, 4))
     assert np.array_equal(state.amplitudes, before)
 
@@ -315,12 +299,12 @@ def test_prepare_low_qubits_matches_full_state_run():
     layout = RegisterLayout(Mode.MOBIUS, 3)
     rng = np.random.default_rng(15)
     target = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    circ = compile_state_prep(layout, target / np.linalg.norm(target), "alpha_minus")
-    full = apply_circuit(new_state(layout), circ).amplitudes
-    low = prepare_low_qubits(circ.ops, 3)
+    ops = compile_state_prep(target / np.linalg.norm(target))
+    full = apply_circuit(new_state(layout), Circuit(layout, ops)).amplitudes
+    low = prepare_low_qubits(ops, 3)
     assert np.array_equal(low, full[:8])
     with pytest.raises(ValueError, match="outside the low 2"):
-        prepare_low_qubits(circ.ops, 2)
+        prepare_low_qubits(ops, 2)
 
 
 def test_controlled_matrix_is_unitary():
@@ -331,7 +315,7 @@ def test_controlled_matrix_is_unitary():
     )
     mat = np.column_stack(
         [
-            apply_gate(StateVector(layout, np.eye(1 << total)[:, j]), op).amplitudes
+            _apply(StateVector(layout, np.eye(1 << total)[:, j]), op).amplitudes
             for j in range(1 << total)
         ]
     )
@@ -345,18 +329,28 @@ def test_cnot_truth_table():
         for target in (0, 1):
             amps = np.zeros(1 << layout.total_qubits, dtype=complex)
             amps[control | (target << 1)] = 1.0
-            out = apply_gate(StateVector(layout, amps), cnot).amplitudes
+            out = _apply(StateVector(layout, amps), cnot).amplitudes
             want_target = target ^ control
             assert abs(out[control | (want_target << 1)] - 1.0) <= 1e-15
 
 
 def test_controlled_requires_disjoint_predicate_and_targets():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="overlap"):
         Controlled(QubitIs(3, 1), (PauliX(3),))
-    with pytest.raises(ValueError):
-        Controlled(QubitIs(3, 1), (Controlled(QubitIs(0, 1), (Hadamard(3),)),))
+    with pytest.raises(ValueError, match="overlap"):
+        Controlled(AllOf((QubitIs(0, 1), QubitsDiffer(4, 3))), (Hadamard(2), Ry(3, 0.5)))
     with pytest.raises(ValueError):
         Controlled(QubitIs(3, 1), ())
+
+
+def test_controlled_rejects_nested_controlled():
+    inner = Controlled(QubitIs(0, 1), (Hadamard(3),))
+    for ops in ((inner,), (Hadamard(2), inner), (inner, PauliX(4))):
+        with pytest.raises(ValueError, match="do not nest"):
+            Controlled(QubitIs(5, 1), ops)
+    # the flat form of the same control is accepted and reads both qubits
+    flat = Controlled(AllOf((QubitIs(5, 1), QubitIs(0, 1))), (Hadamard(3),))
+    assert gate_qubits(flat) == frozenset((0, 3, 5))
 
 
 def test_gate_qubit_helpers():
@@ -371,18 +365,19 @@ def test_gate_application_is_linear():
     a, b = _random_state(layout, rng), _random_state(layout, rng)
     op = Controlled(QubitIs(5, 1), (Ry(2, 0.77),))
     combo = StateVector(layout, 0.6 * a.amplitudes + 0.8j * b.amplitudes)
-    got = apply_gate(combo, op).amplitudes
-    want = 0.6 * apply_gate(a, op).amplitudes + 0.8j * apply_gate(b, op).amplitudes
+    got = _apply(combo, op).amplitudes
+    want = 0.6 * _apply(a, op).amplitudes + 0.8j * _apply(b, op).amplitudes
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_out_of_range_qubits_raise():
     layout = RegisterLayout(Mode.MOBIUS, 1)
-    state = new_state(layout)
     with pytest.raises(ValueError):
-        apply_gate(state, Hadamard(layout.total_qubits))
+        Circuit(layout, (Hadamard(layout.total_qubits),))
     with pytest.raises(ValueError):
         Circuit(layout, (PauliX(99),))
+    with pytest.raises(ValueError):
+        Circuit(layout, (Controlled(QubitIs(-1, 0), (PauliX(0),)),))
 
 
 def test_norm_survives_long_random_circuits():
@@ -427,7 +422,7 @@ def test_state_shape_validation():
 
 def test_project_splits_norm():
     layout = RegisterLayout(Mode.MOBIUS, 1)
-    state = apply_gate(new_state(layout), Hadamard(layout.gamma_qubit))
+    state = _apply(new_state(layout), Hadamard(layout.gamma_qubit))
     inside, norm = project(state, QubitIs(layout.gamma_qubit, 1))
     outside, norm0 = project(state, QubitIs(layout.gamma_qubit, 0))
     assert abs(norm - math.sqrt(0.5)) <= 1e-12
@@ -455,22 +450,16 @@ def test_state_json_roundtrip():
 
 
 def test_uniform_register_prep_uses_two_plain_rotations():
-    layout = RegisterLayout(Mode.MARGINAL, 3, 2)
-    target = np.full(4, 0.5)
-    circ = compile_state_prep(layout, target, "alpha")
-    assert len(circ) == 2
-    assert all(isinstance(op, Ry) for op in circ)
-    out = apply_circuit(new_state(layout), circ)
-    start = layout.register("alpha").start
-    dist = np.abs(out.amplitudes[[v << start for v in range(4)]]) ** 2
-    assert np.allclose(dist, 0.25)
+    ops = compile_state_prep(np.full(4, 0.5))
+    assert len(ops) == 2
+    assert all(isinstance(op, Ry) for op in ops)
+    assert np.allclose(np.abs(prepare_low_qubits(ops, 2)) ** 2, 0.25)
 
 
 def test_basis_state_prep_is_empty():
-    layout = RegisterLayout(Mode.MOBIUS, 2)
     target = np.zeros(4)
     target[0] = 1.0
-    assert len(compile_state_prep(layout, target, "alpha_minus")) == 0
+    assert len(compile_state_prep(target)) == 0
 
 
 def test_state_prep_roundtrip_complex():
@@ -479,37 +468,35 @@ def test_state_prep_roundtrip_complex():
         layout = RegisterLayout(Mode.MOBIUS, k)
         target = rng.standard_normal(1 << k) + 1j * rng.standard_normal(1 << k)
         target /= np.linalg.norm(target)
-        circ = compile_state_prep(layout, target, "alpha_minus")
-        out = apply_circuit(new_state(layout), circ)
+        out = apply_circuit(new_state(layout), Circuit(layout, compile_state_prep(target)))
         got = out.amplitudes[: 1 << k]
         assert np.max(np.abs(got - target)) <= 1e-10
         # nothing outside the register moved
         assert np.max(np.abs(out.amplitudes[1 << k :])) == 0.0
 
 
+@pytest.mark.parametrize("k", range(1, 6))
+def test_state_prep_touches_only_the_low_qubits(k):
+    rng = np.random.default_rng(30 + k)
+    target = rng.standard_normal(1 << k) + 1j * rng.standard_normal(1 << k)
+    ops = compile_state_prep(target / np.linalg.norm(target))
+    assert ops
+    for op in ops:
+        assert gate_qubits(op) <= frozenset(range(k))
+        if isinstance(op, Controlled):
+            assert all(not isinstance(inner, Controlled) for inner in op.ops)
+
+
 def test_state_prep_with_zeros_and_signs():
     layout = RegisterLayout(Mode.MOBIUS, 2)
     target = np.array([0.6, 0.0, -0.8, 0.0])
-    circ = compile_state_prep(layout, target, "alpha_minus")
-    out = apply_circuit(new_state(layout), circ)
+    out = apply_circuit(new_state(layout), Circuit(layout, compile_state_prep(target)))
     assert np.max(np.abs(out.amplitudes[:4] - target)) <= 1e-12
 
 
-def test_state_prep_on_high_register():
-    layout = RegisterLayout(Mode.MARGINAL, 3, 2)
-    target = np.array([0.5, 0.5j, -0.5, 0.5])
-    circ = compile_state_prep(layout, target, "beta")
-    for op in circ:
-        assert gate_qubits(op) <= set(layout.register("beta"))
-    out = apply_circuit(new_state(layout), circ)
-    start = layout.register("beta").start
-    idx = [v << start for v in range(4)]
-    assert np.max(np.abs(out.amplitudes[idx] - target)) <= 1e-12
-
-
 def test_state_prep_rejects_unnormalized():
-    layout = RegisterLayout(Mode.MOBIUS, 2)
-    with pytest.raises(ValueError):
-        compile_state_prep(layout, np.array([1.0, 1.0, 0.0, 0.0]), "alpha")
-    with pytest.raises(ValueError):
-        compile_state_prep(layout, np.ones(3) / math.sqrt(3), "alpha")
+    with pytest.raises(ValueError, match="norm"):
+        compile_state_prep(np.array([1.0, 1.0, 0.0, 0.0]))
+    for wrong_length in (np.ones(3) / math.sqrt(3), np.ones(1), np.ones((2, 2)) / 2.0):
+        with pytest.raises(ValueError, match="2\\*\\*k amplitudes"):
+            compile_state_prep(wrong_length)
