@@ -52,7 +52,7 @@ from .sim import (
     prepare_low_qubits,
     sector,
 )
-from .subset import BitString, SubsetTable
+from .subset import BitString, SubsetTable, json_int
 
 __all__ = [
     "TransformQuery",
@@ -135,7 +135,8 @@ class TransformQuery:
         if missing:
             raise ValueError(f"query JSON missing keys: {sorted(missing)}")
         amps = np.array([complex(re, im) for re, im in obj["psi_minus"]], dtype=np.complex128)
-        return cls(Mode(obj["mode"]), int(obj["n"]), amps, BitString.from_str(obj["x"]), int(obj["n0"]))
+        n, n0 = json_int(obj, "n"), json_int(obj, "n0")
+        return cls(Mode(obj["mode"]), n, amps, BitString.from_str(obj["x"]), n0)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json_obj()))

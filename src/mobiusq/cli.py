@@ -99,13 +99,9 @@ MINFIND_SCHEMA = {
 }
 
 
-class _UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep usage problems on exit code 1
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _build_parser() -> _Parser:
@@ -242,13 +238,13 @@ def _cmd_transform(args, mode: Mode) -> int:
         points = [BitString.from_str(r["x"]).to_int() for r in check_obj["rows"]]
     else:
         if args.sweep == bool(args.x):
-            raise _UsageError("need exactly one of --x or --sweep")
+            raise ValueError("need exactly one of --x or --sweep")
         shots, seed = args.shots, args.seed
         points = list(range(1 << n0)) if args.sweep else [_parse_point(args.x, n0)]
     if shots is not None and shots < 1:
-        raise _UsageError(f"shots must be >= 1, got {shots}")
+        raise ValueError(f"shots must be >= 1, got {shots}")
     if args.dump_state and len(points) != 1:
-        raise _UsageError("--dump-state needs a single --x point")
+        raise ValueError("--dump-state needs a single --x point")
 
     queries = [TransformQuery(mode, n, psi, BitString.from_int(xv, n0), n0) for xv in points]
     unmarked = build_unmarked_state(queries[0])
@@ -330,13 +326,13 @@ def _cmd_marginal(args) -> int:
 
 def _cmd_minfind(args) -> int:
     if bool(args.input) == (args.center is not None):
-        raise _UsageError("need exactly one of --input or --center")
+        raise ValueError("need exactly one of --input or --center")
     if args.input:
         table = SubsetTable.from_json_obj(_read_json(args.input))
         objective = ObjectiveTable(table.n, table.values)
     else:
         if args.n is None:
-            raise _UsageError("--center needs --n")
+            raise ValueError("--center needs --n")
         objective = quadratic_objective(args.n, args.center)
 
     check_obj = None

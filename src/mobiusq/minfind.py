@@ -35,6 +35,16 @@ __all__ = [
     "quadratic_objective",
 ]
 
+# The classical path peaks at about 5.1 float64 tables of 2**n entries
+# (tracemalloc, n = 20 and 22): about 2.5 GiB at n = 26, the same as the
+# statevector cap.
+MAX_OBJECTIVE_BITS = 26
+
+
+def _require_bits(n: int) -> None:
+    if not 1 <= n <= MAX_OBJECTIVE_BITS:
+        raise ValueError(f"objective needs 1 <= n <= {MAX_OBJECTIVE_BITS}, got n={n}")
+
 
 @dataclass(eq=False)
 class ObjectiveTable:
@@ -44,9 +54,11 @@ class ObjectiveTable:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        arr = np.array(self.values, dtype=np.float64)
+        _require_bits(self.n)
+        arr = np.asarray(self.values)
+        if np.iscomplexobj(arr):
+            raise ValueError("objective values must be real")
+        arr = np.array(arr, dtype=np.float64)
         if arr.shape != (1 << self.n,):
             raise ValueError(f"expected {1 << self.n} values, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -61,6 +73,7 @@ class ObjectiveTable:
 
 def quadratic_objective(n: int, center: int) -> ObjectiveTable:
     """Builtin objective family E(x) = (dec(x) - center)**2 + 1."""
+    _require_bits(n)
     points = np.arange(1 << n, dtype=np.float64)
     return ObjectiveTable(n, (points - center) ** 2 + 1.0)
 
@@ -72,8 +85,8 @@ def softmin_table(objective: ObjectiveTable, beta: float) -> SubsetTable:
     usual max-shift so any beta is safe in log space (entries far from the
     minimum simply underflow to zero).
     """
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     logits = -beta * float(1 << objective.n) * objective.values
     logits -= logits.max()
     weights = np.exp(logits)

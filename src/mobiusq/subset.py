@@ -127,7 +127,7 @@ class SubsetTable:
         arr = np.array(vals, dtype=complex)
         if not arr.imag.any():  # only an exactly real table loads as float64
             arr = arr.real
-        return cls(int(obj["n"]), arr)
+        return cls(json_int(obj, "n"), arr)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json_obj()))
@@ -135,6 +135,14 @@ class SubsetTable:
     @classmethod
     def load(cls, path: str | Path) -> SubsetTable:
         return cls.from_json_obj(json.loads(Path(path).read_text()))
+
+
+def json_int(obj: dict, key: str) -> int:
+    """obj[key], which must be a JSON integer: no float, string or bool."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"'{key}' must be an integer, got {value!r}")
+    return value
 
 
 def zeta_matrix(n: int) -> np.ndarray:
@@ -164,13 +172,29 @@ def zeta_naive(table: SubsetTable) -> SubsetTable:
 def _butterfly(values, sign: int) -> None:
     """Signed subset-sum butterfly, in place: values[x] += sign * values[x - bit].
 
-    sign = 1 is the zeta transform and sign = -1 its Mobius inverse.  The
-    choice between += and -= is made once per row, not per element, so both
-    directions run the same scalar loop.
+    sign = 1 is the zeta transform and sign = -1 its Mobius inverse.  A 1-D
+    numpy array (contiguous or a strided view) takes one vectorised pass per
+    bit, lowest bit first: viewed as (blocks, 2, bit), the upper half of each
+    block gains its lower half.  That is the same additions in the same order
+    as the scalar loop, so both paths give bit-identical results.  Any other
+    mutable sequence, such as a list, runs the scalar loop, whose += / -=
+    choice is made once per row, not per element.
     """
     size = len(values)
     if size & (size - 1):
         raise ValueError(f"buffer length {size} is not a power of two")
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1:
+            raise ValueError(f"butterfly needs a 1-D array, got shape {values.shape}")
+        bit = 1
+        while bit < size:
+            pairs = values.reshape(-1, 2, bit)  # a view, even of a strided 1-D array
+            if sign > 0:
+                pairs[:, 1] += pairs[:, 0]
+            else:
+                pairs[:, 1] -= pairs[:, 0]
+            bit <<= 1
+        return
     bit = 1
     while bit < size:
         step = bit << 1
@@ -187,8 +211,10 @@ def _butterfly(values, sign: int) -> None:
 def zeta_fast_inplace(values) -> None:
     """Subset-sum butterfly over a caller-provided buffer.
 
-    Runs n * 2**n / 2 scalar additions in place; the buffer length must be a
-    power of two.  Works for any mutable sequence of numbers.
+    Runs n * 2**n / 2 additions in place; the buffer length must be a power
+    of two.  A 1-D numpy array is updated with one vectorised pass per bit;
+    any other mutable sequence of numbers (a list, say) runs the scalar
+    loop.  Both give bit-identical results.
     """
     _butterfly(values, 1)
 

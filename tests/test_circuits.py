@@ -135,6 +135,16 @@ def test_query_json_missing_keys():
         TransformQuery.from_json_obj({"mode": "mobius", "n": 1})
 
 
+@pytest.mark.parametrize("key", ["n", "n0"])
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1", True])
+def test_query_json_takes_only_integer_sizes(key, bad):
+    obj = {"mode": "mobius", "n": 1, "n0": 1, "psi_minus": [[0.8, 0], [0.6, 0]], "x": "1"}
+    TransformQuery.from_json_obj(obj)
+    obj[key] = bad
+    with pytest.raises(ValueError, match=f"'{key}' must be an integer"):
+        TransformQuery.from_json_obj(obj)
+
+
 # ---------------------------------------------------------------------------
 # classical ground truth
 

@@ -379,6 +379,54 @@ def test_minfind_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_minfind_rejects_oversized_objective(capsys):
+    # n = 40 only: a broken guard then fails fast instead of allocating
+    assert main(["minfind", "--center", "1", "--n", "40"]) == 1
+    assert "n <= 26" in capsys.readouterr().err
+
+
+def test_minfind_rejects_complex_objective(tmp_path, capsys):
+    path = tmp_path / "obj.json"
+    path.write_text(json.dumps({"n": 2, "values": [1, [1, 5], 3, 4]}))
+    assert main(["minfind", "--input", str(path)]) == 1
+    assert "objective values must be real" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_minfind_rejects_non_finite_beta(bad, capsys):
+    assert main(["minfind", "--center", "5", "--n", "3", f"--beta={bad}"]) == 1
+    err = capsys.readouterr().err
+    assert "beta must be positive and finite" in err
+    assert "non-finite" not in err
+
+
+@pytest.mark.parametrize("bad", ["2.9", '"2"', "true"])
+def test_transform_inputs_take_only_integer_sizes(tmp_path, capsys, bad):
+    table = tmp_path / "table.json"
+    table.write_text('{"n": %s, "values": [0.25, 0.25, 0.25, 0.25]}' % bad)
+    query = tmp_path / "query.json"
+    query.write_text(
+        '{"mode": "mobius", "n": 1, "n0": %s, "psi_minus": [[0.8, 0], [0.6, 0]], "x": "1"}' % bad
+    )
+    assert main(["mobius", "--input", str(table), "--x", "11"]) == 1
+    assert "'n' must be an integer" in capsys.readouterr().err
+    assert main(["mobius", "--input", str(query), "--x", "1"]) == 1
+    assert "'n0' must be an integer" in capsys.readouterr().err
+
+
+GOLDEN_MINFIND18_CENTER = 200001  # tests/data/minfind18_classical.json was run with it
+
+
+def test_minfind_n18_matches_golden_bytes(tmp_path, capsys):
+    golden = DATA / "minfind18_classical.json"
+    out = tmp_path / "trace.json"
+    argv = ["minfind", "--center", str(GOLDEN_MINFIND18_CENTER), "--n", "18"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == golden.read_bytes()
+    assert main(argv + ["--check", str(golden)]) == 0
+    assert "check: PASS (18 rows" in capsys.readouterr().out
+
+
 def test_minfind_takes_no_seed(capsys):
     # the search is deterministic, so minfind has no --seed to accept
     assert main(["minfind", "--center", "5", "--n", "3", "--seed", "0"]) == 1

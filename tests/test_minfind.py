@@ -41,6 +41,16 @@ def test_objective_validation():
         ObjectiveTable(1, [1.0, math.inf])
     with pytest.raises(ValueError):
         ObjectiveTable(0, [1.0])
+    with pytest.raises(ValueError, match="must be real"):
+        ObjectiveTable(1, [1.0, 1.0 + 5.0j])
+
+
+def test_objective_size_is_capped_before_allocation():
+    # n = 40 would need 8 TiB per table, so a missing guard fails loudly
+    with pytest.raises(ValueError, match="n <= 26"):
+        quadratic_objective(40, 1)
+    with pytest.raises(ValueError, match="n <= 26"):
+        ObjectiveTable(40, None)
 
 
 def test_quadratic_objective_values():
@@ -54,6 +64,12 @@ def test_softmin_frozen_example():
     table = softmin_table(obj, beta=1.0)
     assert abs(table.values[1] - 0.9816902843735651) <= 1e-12
     assert abs(table.values.sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_softmin_rejects_bad_beta(beta):
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
+        softmin_table(ObjectiveTable(1, [1.0, 2.0]), beta)
 
 
 def test_softmin_peaks_at_the_argmin():

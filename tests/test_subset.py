@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mobiusq.subset import (
     BitString,
     SubsetTable,
+    _butterfly,
     mobius_inverse,
     zeta_fast,
     zeta_fast_inplace,
@@ -148,6 +149,43 @@ def test_inplace_transform_mutates_the_caller_buffer():
 def test_inplace_rejects_non_power_of_two():
     with pytest.raises(ValueError):
         zeta_fast_inplace([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError):
+        zeta_fast_inplace(np.ones(6))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_array_and_list_paths_are_bit_identical(dtype, sign):
+    rng = np.random.default_rng(16)
+    for n in range(1, 13):
+        vals = rng.standard_normal(1 << n).astype(dtype)
+        if dtype is np.complex128:
+            vals += 1j * rng.standard_normal(1 << n)
+        fast = vals.copy()
+        _butterfly(fast, sign)  # one vectorised pass per bit
+        scalar = vals.tolist()
+        _butterfly(scalar, sign)  # the scalar loop
+        assert fast.dtype == dtype
+        assert fast.tobytes() == np.array(scalar, dtype=dtype).tobytes(), n
+
+
+def test_inplace_transforms_a_strided_view_in_place():
+    backing = np.arange(16, dtype=np.float64)
+    view = backing[::2]
+    want = zeta_fast(SubsetTable(3, view.copy())).values
+    zeta_fast_inplace(view)
+    assert np.array_equal(backing[::2], want)
+    assert np.array_equal(backing[1::2], np.arange(1, 16, 2))  # untouched
+
+
+def test_inplace_rejects_2d_and_read_only_arrays():
+    with pytest.raises(ValueError, match="1-D"):
+        zeta_fast_inplace(np.ones((4, 2)))
+    frozen = np.ones(8)
+    frozen.setflags(write=False)
+    with pytest.raises(ValueError, match="read-only"):
+        zeta_fast_inplace(frozen)
+    assert np.array_equal(frozen, np.ones(8))
 
 
 # ---------------------------------------------------------------------------
@@ -250,3 +288,9 @@ def test_table_from_json_rejects_garbage():
         SubsetTable.from_json_obj({"n": 2})
     with pytest.raises(ValueError):
         SubsetTable.from_json_obj({"n": 2, "values": "nope"})
+
+
+@pytest.mark.parametrize("n", [2.9, 2.0, "2", True])
+def test_table_from_json_takes_only_integer_n(n):
+    with pytest.raises(ValueError, match="'n' must be an integer"):
+        SubsetTable.from_json_obj({"n": n, "values": [0.25] * 4})
