@@ -2,7 +2,7 @@
 
 Classical side: dense tables over the boolean lattice with naive and
 butterfly zeta transforms plus Mobius inversion.  Quantum side: a dense
-statevector simulator with predicate-controlled gates, a start-state
+statevector simulator with {qubit: value}-controlled gates, a start-state
 construction whose conditional gamma odds on omega=0 equal the transform
 value, Grover-style amplification that preserves those odds, and exact or
 sampled estimators.  On top of both sits a bit-fixing binary search that
@@ -19,16 +19,12 @@ from .subset import (
 )
 from .sim import (
     MAX_QUBITS,
-    AllOf,
     Circuit,
     Controlled,
     Hadamard,
     Mode,
     PauliX,
     PhasePair,
-    Predicate,
-    QubitIs,
-    QubitsDiffer,
     RegisterLayout,
     Ry,
     StateVector,

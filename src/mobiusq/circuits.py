@@ -35,16 +35,12 @@ from typing import Iterator
 import numpy as np
 
 from .sim import (
-    AllOf,
     Circuit,
     Controlled,
     GateOp,
     Hadamard,
     Mode,
     PauliX,
-    Predicate,
-    QubitIs,
-    QubitsDiffer,
     RegisterLayout,
     StateVector,
     apply_in_place,
@@ -52,7 +48,7 @@ from .sim import (
     prepare_low_qubits,
     sector,
 )
-from .subset import BitString, SubsetTable, json_int
+from .subset import BitString, SubsetTable, json_complex, json_int
 
 __all__ = [
     "TransformQuery",
@@ -134,7 +130,7 @@ class TransformQuery:
         missing = needed - set(obj)
         if missing:
             raise ValueError(f"query JSON missing keys: {sorted(missing)}")
-        amps = np.array([complex(re, im) for re, im in obj["psi_minus"]], dtype=np.complex128)
+        amps = np.array(json_complex(obj, "psi_minus"), dtype=np.complex128)
         n, n0 = json_int(obj, "n"), json_int(obj, "n0")
         return cls(Mode(obj["mode"]), n, amps, BitString.from_str(obj["x"]), n0)
 
@@ -167,10 +163,11 @@ def classical_value(query: TransformQuery) -> float:
 def build_comparator(query: TransformQuery) -> Circuit:
     """Comparator core: Hadamard-sample alpha, mark mismatches on beta.
 
-    For each j ascending, emits H(alpha_j) and then an X on beta_j
-    controlled on (alpha_minus_j = 1 and alpha_j = 0) in mobius mode, or on
-    (alpha_minus_j != alpha_j) in marginal mode.  In marginal mode only the
-    n0 low qubits of alpha_minus are compared.
+    For each j ascending, emits H(alpha_j) and then, in mobius mode, an X on
+    beta_j controlled on (alpha_minus_j = 1 and alpha_j = 0).  In marginal
+    mode it emits two X's on beta_j instead, controlled on alpha_minus_j = 1
+    and on alpha_j = 1, which leave beta_j = alpha_minus_j XOR alpha_j.  In
+    marginal mode only the n0 low qubits of alpha_minus are compared.
     """
     layout = query.layout
     am = layout.register("alpha_minus")
@@ -180,10 +177,12 @@ def build_comparator(query: TransformQuery) -> Circuit:
     for j in range(layout.n0):
         ops.append(Hadamard(al[j]))
         if query.mode is Mode.MOBIUS:
-            pred: Predicate = AllOf((QubitIs(am[j], 1), QubitIs(al[j], 0)))
+            ops.append(Controlled({am[j]: 1, al[j]: 0}, (PauliX(be[j]),)))
         else:
-            pred = QubitsDiffer(am[j], al[j])
-        ops.append(Controlled(pred, (PauliX(be[j]),)))
+            # an X only swaps amplitudes, so where both bits are 1 the two
+            # swaps cancel exactly
+            ops.append(Controlled({am[j]: 1}, (PauliX(be[j]),)))
+            ops.append(Controlled({al[j]: 1}, (PauliX(be[j]),)))
     return Circuit(layout, tuple(ops))
 
 
@@ -191,18 +190,15 @@ def mark_op(layout: RegisterLayout, x: BitString) -> Controlled:
     """The target-marking X on omega, controlled on alpha == x and beta == 0."""
     if len(x) != layout.n0:
         raise ValueError(f"x has {len(x)} bits, expected n0 = {layout.n0}")
-    al = layout.register("alpha")
-    be = layout.register("beta")
-    terms = tuple(QubitIs(al[j], x[j]) for j in range(layout.n0)) + tuple(
-        QubitIs(be[j], 0) for j in range(layout.n0)
-    )
-    return Controlled(AllOf(terms), (PauliX(layout.omega_qubit),))
+    controls = dict(zip(layout.register("alpha"), x.bits))
+    controls.update(dict.fromkeys(layout.register("beta"), 0))
+    return Controlled(controls, (PauliX(layout.omega_qubit),))
 
 
-def _controlled_on(pred: Predicate, op: GateOp) -> GateOp:
+def _controlled_on(controls: dict[int, int], op: GateOp) -> GateOp:
     if isinstance(op, Controlled):
-        return Controlled(AllOf((pred, op.predicate)), op.ops)
-    return Controlled(pred, (op,))
+        return Controlled({**controls, **op.controls}, op.ops)
+    return Controlled(controls, (op,))
 
 
 def _branch_ops(query: TransformQuery) -> list[GateOp]:
@@ -213,11 +209,11 @@ def _branch_ops(query: TransformQuery) -> list[GateOp]:
     ops: list[GateOp] = [
         PauliX(layout.omega_qubit),
         Hadamard(mu0),
-        Controlled(QubitIs(mu0, 1), (PauliX(layout.gamma_qubit),)),
+        Controlled({mu0: 1}, (PauliX(layout.gamma_qubit),)),
     ]
     for op in build_comparator(query).ops:
-        ops.append(_controlled_on(QubitIs(mu0, 1), op))
-    ops.append(Controlled(QubitIs(mu0, 0), tuple(Hadamard(q) for q in al)))
+        ops.append(_controlled_on({mu0: 1}, op))
+    ops.append(Controlled({mu0: 0}, tuple(Hadamard(q) for q in al)))
     return ops
 
 

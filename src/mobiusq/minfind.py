@@ -35,9 +35,9 @@ __all__ = [
     "quadratic_objective",
 ]
 
-# The classical path peaks at about 5.1 float64 tables of 2**n entries
-# (tracemalloc, n = 20 and 22): about 2.5 GiB at n = 26, the same as the
-# statevector cap.
+# The classical path peaks at about 4.1 float64 tables of 2**n entries
+# (tracemalloc, n = 18, 20 and 22): about 2.1 GiB at n = 26, under the
+# 2.5 GiB one quantum query peaks at on the 26-qubit statevector cap.
 MAX_OBJECTIVE_BITS = 26
 
 
@@ -74,8 +74,11 @@ class ObjectiveTable:
 def quadratic_objective(n: int, center: int) -> ObjectiveTable:
     """Builtin objective family E(x) = (dec(x) - center)**2 + 1."""
     _require_bits(n)
-    points = np.arange(1 << n, dtype=np.float64)
-    return ObjectiveTable(n, (points - center) ** 2 + 1.0)
+    values = np.arange(1 << n, dtype=np.float64)
+    values -= center
+    np.square(values, out=values)
+    values += 1.0
+    return ObjectiveTable(n, values)
 
 
 def softmin_table(objective: ObjectiveTable, beta: float) -> SubsetTable:
@@ -87,12 +90,14 @@ def softmin_table(objective: ObjectiveTable, beta: float) -> SubsetTable:
     """
     if not (math.isfinite(beta) and beta > 0.0):
         raise ValueError(f"beta must be positive and finite, got {beta}")
-    logits = -beta * float(1 << objective.n) * objective.values
-    logits -= logits.max()
-    weights = np.exp(logits)
+    # one working table, updated in place: the logits, then the softmin weights
+    weights = -beta * float(1 << objective.n) * objective.values
+    weights -= weights.max()
+    np.exp(weights, out=weights)
     # keep entries strictly positive even when exp underflows far from the peak
-    weights = np.maximum(weights, np.finfo(np.float64).tiny)
-    return SubsetTable(objective.n, weights / weights.sum())
+    np.maximum(weights, np.finfo(np.float64).tiny, out=weights)
+    weights /= weights.sum()
+    return SubsetTable(objective.n, weights)
 
 
 def choose_beta(objective: ObjectiveTable, target_nats: float = 50.0) -> float:

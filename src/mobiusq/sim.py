@@ -10,23 +10,23 @@ qubit q is axis N-1-q.  A one-qubit gate on q replaces the two halves a0, a1
 of that axis by m00*a0 + m01*a1 and m10*a0 + m11*a1, elementwise, so a
 result never depends on the shape of the array it sits in.
 
-Controlled gates carry an explicit basis-state predicate (per-qubit value,
-qubit inequality, conjunction) and are one level deep: their inner ops are
-one-qubit gates, never another Controlled.  A predicate lists its truth set
-as disjoint partial assignments {qubit: value}; the simulator fixes each
-assignment's qubits with width-1 slices and applies the inner ops to that
-sub-view only, which realizes
+A controlled gate pairs one partial basis assignment {qubit: value} with a
+list of one-qubit gates, and is one level deep: the inner gates act only
+where each listed qubit holds its value.  The simulator fixes those qubits
+with width-1 slices and applies the inner ops to that sub-view only, which
+realizes
 
     U**pi = (1 - pi) + U * pi
 
-directly, instead of decomposing the control into a gate network.
+directly, pi being the projector onto the assignment, instead of
+decomposing the control into a gate network.
 """
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import Mapping, Union
 
 import numpy as np
@@ -121,98 +121,6 @@ class RegisterLayout:
 
 
 # ---------------------------------------------------------------------------
-# basis-state predicates
-
-
-Assignment = dict[int, int]  # partial basis assignment {qubit: value}
-
-
-class Predicate(ABC):
-    """Boolean function of computational-basis qubit values."""
-
-    @abstractmethod
-    def qubits(self) -> frozenset[int]:
-        """Qubits the predicate reads."""
-
-    @abstractmethod
-    def mask(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorized truth value over an array of basis-state indices.
-
-        The simulator never calls this; the tests use it as the independent
-        dense oracle for assignments() and controlled gates.
-        """
-
-    @abstractmethod
-    def assignments(self) -> list[Assignment]:
-        """Disjoint partial assignments whose union is the predicate's truth set.
-
-        A basis state satisfies the predicate iff it agrees with exactly one
-        of the returned {qubit: value} maps; an empty map matches every state.
-        """
-
-
-@dataclass(frozen=True)
-class QubitIs(Predicate):
-    qubit: int
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.value not in (0, 1):
-            raise ValueError(f"qubit value must be 0 or 1, got {self.value}")
-
-    def qubits(self) -> frozenset[int]:
-        return frozenset((self.qubit,))
-
-    def mask(self, indices: np.ndarray) -> np.ndarray:
-        return ((indices >> self.qubit) & 1) == self.value
-
-    def assignments(self) -> list[Assignment]:
-        return [{self.qubit: self.value}]
-
-
-@dataclass(frozen=True)
-class QubitsDiffer(Predicate):
-    a: int
-    b: int
-
-    def qubits(self) -> frozenset[int]:
-        return frozenset((self.a, self.b))
-
-    def mask(self, indices: np.ndarray) -> np.ndarray:
-        return ((indices >> self.a) & 1) != ((indices >> self.b) & 1)
-
-    def assignments(self) -> list[Assignment]:
-        if self.a == self.b:
-            return []
-        return [{self.a: v, self.b: 1 - v} for v in (0, 1)]
-
-
-@dataclass(frozen=True)
-class AllOf(Predicate):
-    terms: tuple[Predicate, ...]
-
-    def qubits(self) -> frozenset[int]:
-        return frozenset().union(*(t.qubits() for t in self.terms)) if self.terms else frozenset()
-
-    def mask(self, indices: np.ndarray) -> np.ndarray:
-        out = np.ones(indices.shape, dtype=bool)
-        for t in self.terms:
-            out &= t.mask(indices)
-        return out
-
-    def assignments(self) -> list[Assignment]:
-        out: list[Assignment] = [{}]
-        for t in self.terms:
-            out = [
-                {**a, **b}
-                for a in out
-                for b in t.assignments()
-                if all(a.get(q, v) == v for q, v in b.items())
-            ]
-        return out
-
-
-# ---------------------------------------------------------------------------
 # gates
 
 
@@ -245,28 +153,33 @@ class PhasePair:
 
 @dataclass(frozen=True)
 class Controlled:
-    """Apply the inner one-qubit gates only where the predicate holds.
+    """Apply the inner one-qubit gates only where the controls hold.
 
-    Controls are one level deep: an inner op may not itself be a Controlled,
-    so a conjunction of controls is stated as one predicate.  Predicate
-    qubits must be disjoint from the inner ops' target qubits, so the
-    controlled action is unitary and realizes (1 - pi) + U pi exactly.  The
-    simulator applies the inner ops, in order, to the sub-view of each of the
-    predicate's disjoint assignments in turn; amplitudes outside every
-    assignment are not touched.
+    ``controls`` is one partial basis assignment {qubit: 0 or 1}; an empty
+    one matches every state.  Controls are one level deep (an inner op is
+    never a Controlled) and disjoint from the inner ops' targets, so the gate
+    realizes (1 - pi) + U pi exactly.  They are kept as a read-only copy, so
+    the gate is hashable and compares by value.
     """
 
-    predicate: Predicate
+    controls: Mapping[int, int]
     ops: tuple["OneQubitGate", ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "controls", MappingProxyType(dict(self.controls)))
+        bad = {q: v for q, v in self.controls.items() if v not in (0, 1)}
+        if bad:
+            raise ValueError(f"control values must be 0 or 1, got {bad}")
         if not self.ops:
             raise ValueError("controlled gate needs at least one inner op")
         if any(isinstance(op, Controlled) for op in self.ops):
-            raise ValueError("controlled gates do not nest; merge the predicates with AllOf")
-        overlap = self.predicate.qubits() & gate_target_qubits(self)
+            raise ValueError("controlled gates do not nest; merge the controls into one assignment")
+        overlap = set(self.controls) & gate_target_qubits(self)
         if overlap:
-            raise ValueError(f"predicate and target qubits overlap: {sorted(overlap)}")
+            raise ValueError(f"control and target qubits overlap: {sorted(overlap)}")
+
+    def __hash__(self) -> int:
+        return hash((frozenset(self.controls.items()), self.ops))
 
 
 OneQubitGate = Union[Hadamard, PauliX, Ry, PhasePair]
@@ -274,14 +187,14 @@ GateOp = Union[OneQubitGate, Controlled]
 
 
 def gate_target_qubits(op: GateOp) -> frozenset[int]:
-    """Qubits an op can modify (predicate reads excluded)."""
+    """Qubits an op can modify (control reads excluded)."""
     ops = op.ops if isinstance(op, Controlled) else (op,)
     return frozenset(o.qubit for o in ops)
 
 
 def gate_qubits(op: GateOp) -> frozenset[int]:
     """All qubits an op touches, reads included."""
-    reads = op.predicate.qubits() if isinstance(op, Controlled) else frozenset()
+    reads = frozenset(op.controls) if isinstance(op, Controlled) else frozenset()
     return reads | gate_target_qubits(op)
 
 
@@ -371,10 +284,10 @@ def _qubit_view(amps: np.ndarray) -> np.ndarray:
     return amps.reshape((2,) * (amps.size.bit_length() - 1))
 
 
-def _fix(view: np.ndarray, assignment: Assignment) -> np.ndarray:
-    """Sub-view with each assigned qubit cut to a width-1 slice (axes kept)."""
+def _fix(view: np.ndarray, controls: Mapping[int, int]) -> np.ndarray:
+    """Sub-view with each control qubit cut to a width-1 slice (axes kept)."""
     index = [slice(None)] * view.ndim
-    for q, v in assignment.items():
+    for q, v in controls.items():
         index[view.ndim - 1 - q] = slice(v, v + 1)
     return view[tuple(index)]
 
@@ -382,10 +295,9 @@ def _fix(view: np.ndarray, assignment: Assignment) -> np.ndarray:
 def _apply_op(view: np.ndarray, op: GateOp) -> None:
     """Apply op in place to a qubit view."""
     if isinstance(op, Controlled):
-        for assignment in op.predicate.assignments():
-            sub = _fix(view, assignment)
-            for inner in op.ops:
-                _apply_op(sub, inner)
+        sub = _fix(view, op.controls)
+        for inner in op.ops:
+            _apply_op(sub, inner)
         return
     axis = view.ndim - 1 - op.qubit
     # the trailing Ellipsis keeps a one-axis view a 0-d view, not a scalar copy
@@ -459,17 +371,22 @@ def sector(state: StateVector, fixed: Mapping[int, int]) -> np.ndarray:
     return view[(*index, Ellipsis)]
 
 
-def project(state: StateVector, predicate: Predicate) -> tuple[StateVector, float]:
-    """Unnormalized component where the predicate holds, plus its norm.
+def project(state: StateVector, fixed: Mapping[int, int]) -> tuple[StateVector, float]:
+    """Unnormalized component with the given qubits fixed, plus its norm.
 
-    The pipeline reads sector masses through ``sector`` instead; this stays
-    because acceptance criterion 6 and the benchmark's tracer read the
-    omega=0 success mass through it, independently of that view.
+    The component is the ``sector`` view copied into an otherwise zero
+    state.  The pipeline reads sector masses through ``sector`` itself; this
+    stays because acceptance criterion 6 and the benchmark's tracer read the
+    omega=0 success mass through it.
     """
     comp = StateVector(state.layout, np.zeros_like(state.amplitudes))
-    for assignment in predicate.assignments():
-        sector(comp, assignment)[...] = sector(state, assignment)
+    sector(comp, fixed)[...] = sector(state, fixed)
     return comp, float(np.linalg.norm(comp.amplitudes))
+
+
+def QubitIs(qubit: int, value: int) -> dict[int, int]:
+    """{qubit: value}; kept only for perfbench/tracer.py until ROADMAP item 3 retargets it."""
+    return {qubit: value}
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +400,7 @@ def compile_state_prep(target) -> tuple[GateOp, ...]:
     log2 of the target's length.  Classic rotation-tree construction
     (Mottonen et al., quant-ph/0407010): level m applies Ry rotations on
     qubit k-1-m, controlled on the basis values of the m qubits above it; a
-    final pass of predicate-controlled diagonal phase gates fixes the complex
+    final pass of controlled diagonal phase gates fixes the complex
     phases.  Gate count is O(2**k).  The compiled gates reproduce the target
     with no residual global phase.  Levels whose rotation angles agree across
     all prefixes collapse to a single uncontrolled gate, so product states
@@ -522,8 +439,8 @@ def compile_state_prep(target) -> tuple[GateOp, ...]:
         for p, angle in enumerate(angles):
             if abs(angle) <= 1e-12:
                 continue
-            controls = tuple(QubitIs(k - 1 - t, (p >> (m - 1 - t)) & 1) for t in range(m))
-            ops.append(Controlled(AllOf(controls), (Ry(qubit, angle),)))
+            controls = {k - 1 - t: (p >> (m - 1 - t)) & 1 for t in range(m)}
+            ops.append(Controlled(controls, (Ry(qubit, angle),)))
 
     phases = np.where(np.abs(target) > 0, np.angle(target), 0.0)
     if np.max(np.abs(phases)) > 1e-12:
@@ -534,8 +451,8 @@ def compile_state_prep(target) -> tuple[GateOp, ...]:
             for h, (phi0, phi1) in enumerate(pairs):
                 if abs(phi0) <= 1e-12 and abs(phi1) <= 1e-12:
                     continue
-                controls = tuple(QubitIs(1 + t, (h >> t) & 1) for t in range(k - 1))
-                ops.append(Controlled(AllOf(controls), (PhasePair(0, phi0, phi1),)))
+                controls = {1 + t: (h >> t) & 1 for t in range(k - 1)}
+                ops.append(Controlled(controls, (PhasePair(0, phi0, phi1),)))
 
     return tuple(ops)
 

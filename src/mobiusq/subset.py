@@ -120,11 +120,7 @@ class SubsetTable:
     def from_json_obj(cls, obj: dict) -> SubsetTable:
         if not isinstance(obj, dict) or "n" not in obj or "values" not in obj:
             raise ValueError("subset table JSON needs 'n' and 'values' keys")
-        raw = obj["values"]
-        if not isinstance(raw, list):
-            raise ValueError("'values' must be a list")
-        vals = [complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v) for v in raw]
-        arr = np.array(vals, dtype=complex)
+        arr = np.array(json_complex(obj, "values"), dtype=complex)
         if not arr.imag.any():  # only an exactly real table loads as float64
             arr = arr.real
         return cls(json_int(obj, "n"), arr)
@@ -143,6 +139,23 @@ def json_int(obj: dict, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"'{key}' must be an integer, got {value!r}")
     return value
+
+
+def json_complex(obj: dict, key: str) -> list[complex]:
+    """obj[key]: a list of JSON numbers or [re, im] number pairs, else ValueError."""
+    raw = obj[key]
+    if not isinstance(raw, list):
+        raise ValueError(f"'{key}' must be a list")
+    out = []
+    for i, v in enumerate(raw):
+        parts = v if isinstance(v, list) and len(v) == 2 else [v]
+        if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
+            raise ValueError(f"'{key}'[{i}] must be a number or an [re, im] pair, got {v!r}")
+        try:
+            out.append(complex(*parts))
+        except OverflowError:
+            raise ValueError(f"'{key}'[{i}] is too large for a float") from None
+    return out
 
 
 def zeta_matrix(n: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from mobiusq.minfind import (
     quantum_evaluator,
     softmin_table,
 )
-from mobiusq.sim import Mode, QubitIs, RegisterLayout, StateVector, project
+from mobiusq.sim import Mode, RegisterLayout, StateVector, project
 from mobiusq.subset import BitString, SubsetTable, zeta_fast, zeta_fast_inplace, zeta_naive
 
 _RESULTS: list[tuple[str, bool, str]] = []
@@ -152,7 +152,7 @@ def test_criterion_6_amplification_calibration():
     amps[1 << layout.omega_qubit] = math.sqrt(1 - 0.0625)
     plan = plan_grover(StateVector(layout, amps))
     final = amplify(StateVector(layout, amps), plan)
-    _, a = project(final, QubitIs(layout.omega_qubit, 0))
+    _, a = project(final, {layout.omega_qubit: 0})
     ok_plan = (
         plan.iterations == 3
         and abs(plan.predicted_success - 0.9613189697265625) <= 1e-12

@@ -205,6 +205,30 @@ def test_comparator_on_basis_source_marginal():
     assert abs(out[basis_index(layout, {"alpha_minus": 1, "alpha": 0, "beta": 0})]) <= 1e-15
 
 
+@pytest.mark.parametrize("mode,n,n0", [(Mode.MOBIUS, 3, None), (Mode.MARGINAL, 4, 2)])
+def test_comparator_xs_permute_basis_indices_exactly(mode, n, n0):
+    """Without its Hadamards the comparator only relabels amplitudes.
+
+    Mobius: beta_j ^= am_j & ~al_j.  Marginal: beta_j ^= am_j ^ al_j, built
+    from two controlled X's whose swaps cancel where both bits are 1.
+    """
+    q = _random_query(mode, n, "1" * (n0 or n), n0=n0, seed=n)
+    layout = q.layout
+    am, al, be = (layout.register(r) for r in ("alpha_minus", "alpha", "beta"))
+    xs = tuple(op for op in build_comparator(q) if isinstance(op, Controlled))
+    rng = np.random.default_rng(40 + n)
+    size = 1 << layout.total_qubits
+    amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    state = StateVector(layout, amps / np.linalg.norm(amps))
+    got = apply_circuit(state, Circuit(layout, xs)).amplitudes
+    idx = np.arange(size)
+    source = idx.copy()
+    for j in range(layout.n0):
+        a, b = (idx >> am[j]) & 1, (idx >> al[j]) & 1
+        source ^= (a & (1 - b) if mode is Mode.MOBIUS else a ^ b) << be[j]
+    assert np.array_equal(got, state.amplitudes[source])
+
+
 def test_comparator_coefficients_all_eight():
     coefficient = circuit_coefficient(build_comparator)
     r = 1.0 / math.sqrt(2.0)
@@ -228,12 +252,11 @@ def test_comparator_coefficients_all_eight():
 # start state
 
 
-def test_target_predicate_mask_size():
+def test_mark_controls_fix_alpha_to_x_and_beta_to_zero():
     q = _random_query(Mode.MARGINAL, 4, "10", n0=2, seed=2)
     layout = q.layout
-    idx = np.arange(1 << layout.total_qubits)
-    hits = int(mark_op(layout, q.x).predicate.mask(idx).sum())
-    assert hits == 1 << (layout.total_qubits - 2 * layout.n0)
+    al, be = layout.register("alpha"), layout.register("beta")
+    assert mark_op(layout, q.x).controls == {al[0]: 0, al[1]: 1, be[0]: 0, be[1]: 0}
 
 
 def test_start_state_matches_direct_assembly_mobius():

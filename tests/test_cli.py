@@ -20,13 +20,11 @@ from mobiusq.circuits import (
 from mobiusq.cli import MINFIND_SCHEMA, TRANSFORM_SCHEMA, main
 from mobiusq.grover import estimate_exact, estimate_sampled
 from mobiusq.sim import (
-    AllOf,
     Circuit,
     Controlled,
     Hadamard,
     Mode,
     PauliX,
-    QubitIs,
     state_from_json_obj,
 )
 from mobiusq.subset import BitString, SubsetTable, zeta_fast
@@ -139,6 +137,16 @@ def test_golden_sampled_sweep_still_checks(capsys):
     assert all(row["estimate"] is not None for row in json.loads(golden.read_text())["rows"])
     argv = ["mobius", "--input", str(DATA / "mobius3_table.json"), "--check", str(golden)]
     assert main(argv) == 0
+    assert "check: PASS (8 rows" in capsys.readouterr().out
+
+
+def test_golden_marginal_sweep_still_checks(capsys):
+    """An n=5, n0=3 sweep with 5000 shots, recorded before the comparator's
+    mismatch control became two CNOTs, re-checks."""
+    golden = DATA / "marginal5_n0_3_sweep_shots5000.json"
+    assert json.loads(golden.read_text())["seed"] == 11
+    argv = ["marginal", "--input", str(DATA / "marginal5_table.json"), "--n0", "3"]
+    assert main(argv + ["--check", str(golden)]) == 0
     assert "check: PASS (8 rows" in capsys.readouterr().out
 
 
@@ -414,6 +422,33 @@ def test_transform_inputs_take_only_integer_sizes(tmp_path, capsys, bad):
     assert "'n0' must be an integer" in capsys.readouterr().err
 
 
+BAD_VALUE_INPUTS = {
+    "one-element-pairs": '{"n": 1, "values": [[0.5], [0.5]]}',
+    "strings": '{"n": 1, "values": ["0.5", "0.5"]}',
+    "bools": '{"n": 1, "values": [true, false]}',
+    "triples": '{"n": 1, "values": [[0.5, 0, 7], [0.5, 0]]}',
+    "huge-int": '{"n": 1, "values": [1%s, 0]}' % ("0" * 400),
+    "not-a-list": '{"n": 1, "values": {"0": 0.5}}',
+    "bool-psi-pairs": '{"mode": "mobius", "n": 1, "n0": 1, "x": "1", '
+    '"psi_minus": [[true, false], [false, false]]}',
+}
+
+
+@pytest.mark.parametrize("command", ["mobius", "minfind"])
+@pytest.mark.parametrize("text", BAD_VALUE_INPUTS.values(), ids=BAD_VALUE_INPUTS.keys())
+def test_malformed_input_values_exit_1_without_traceback(tmp_path, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv = [command, "--input", str(path)] + (["--x", "1"] if command == "mobius" else [])
+    proc = subprocess.run(
+        [sys.executable, "-m", "mobiusq.cli", *argv], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert "'values'" in proc.stderr or "'psi_minus'" in proc.stderr
+
+
 GOLDEN_MINFIND18_CENTER = 200001  # tests/data/minfind18_classical.json was run with it
 
 
@@ -478,7 +513,7 @@ def test_verify_passes_and_prints_one_line_per_check(capsys):
 
 
 def _corrupted_comparator(query: TransformQuery) -> Circuit:
-    """Comparator with the mobius violation predicate inverted."""
+    """Comparator with the mobius violation control inverted."""
     if query.mode is not Mode.MOBIUS:
         return build_comparator(query)
     layout = query.layout
@@ -486,8 +521,8 @@ def _corrupted_comparator(query: TransformQuery) -> Circuit:
     ops = []
     for j in range(layout.n0):
         ops.append(Hadamard(al[j]))
-        pred = AllOf((QubitIs(am[j], 0), QubitIs(al[j], 1)))  # swapped sense
-        ops.append(Controlled(pred, (PauliX(be[j]),)))
+        controls = {am[j]: 0, al[j]: 1}  # swapped sense
+        ops.append(Controlled(controls, (PauliX(be[j]),)))
     return Circuit(layout, tuple(ops))
 
 

@@ -22,7 +22,7 @@ from mobiusq.grover import (
     plan_grover,
     read_out,
 )
-from mobiusq.sim import Mode, QubitIs, RegisterLayout, StateVector, project
+from mobiusq.sim import Mode, RegisterLayout, StateVector, project
 from mobiusq.subset import BitString, SubsetTable
 
 
@@ -63,7 +63,7 @@ def test_plan_overlap_is_the_projected_norm():
         amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
         q = TransformQuery(Mode.MOBIUS, n, amps / np.linalg.norm(amps), BitString.from_int(n, n))
         start = build_start_state(q)
-        _, a = project(start, QubitIs(start.layout.omega_qubit, 0))
+        _, a = project(start, {start.layout.omega_qubit: 0})
         plan = plan_grover(start)
         assert abs(plan.overlap - a) <= 1e-15
 
@@ -85,7 +85,7 @@ def test_step_frozen_two_level_case():
     assert abs(out.amplitudes[0] - (-0.936)) <= 1e-12
     assert abs(out.amplitudes[1 << layout.omega_qubit] - 0.352) <= 1e-12
     # omega=0 mass is sin(3 theta)**2
-    _, a = project(out, QubitIs(layout.omega_qubit, 0))
+    _, a = project(out, {layout.omega_qubit: 0})
     assert abs(a**2 - math.sin(3 * math.asin(0.6)) ** 2) <= 1e-12
 
 
@@ -164,7 +164,7 @@ def test_step_preserves_norm_and_matches_theory_over_iterations():
     theta = math.asin(plan_grover(start).overlap)
     state = start
     for k in range(11):
-        _, a = project(state, QubitIs(start.layout.omega_qubit, 0))
+        _, a = project(state, {start.layout.omega_qubit: 0})
         assert abs(a**2 - math.sin((2 * k + 1) * theta) ** 2) <= 1e-9
         assert abs(state.norm - 1.0) <= 1e-12
         state = grover_step(state, start)
@@ -176,7 +176,7 @@ def test_amplify_uniform_full_box():
     assert plan.iterations == 2
     assert abs(plan.predicted_success - 0.9453125) <= 1e-12
     final = amplify(start, plan)
-    _, a = project(final, QubitIs(start.layout.omega_qubit, 0))
+    _, a = project(final, {start.layout.omega_qubit: 0})
     assert abs(a**2 - plan.predicted_success) <= 1e-9
 
 

@@ -7,15 +7,12 @@ import pytest
 
 from mobiusq.sim import (
     MAX_QUBITS,
-    AllOf,
     Circuit,
     Controlled,
     Hadamard,
     Mode,
     PauliX,
     PhasePair,
-    QubitIs,
-    QubitsDiffer,
     RegisterLayout,
     Ry,
     StateVector,
@@ -46,11 +43,19 @@ def _apply(state: StateVector, op) -> StateVector:
     return apply_circuit(state, Circuit(state.layout, (op,)))
 
 
+def _matches(idx: np.ndarray, fixed: dict) -> np.ndarray:
+    """Indices agreeing with a partial assignment {qubit: value}."""
+    out = np.ones(idx.shape, dtype=bool)
+    for q, v in fixed.items():
+        out &= ((idx >> q) & 1) == v
+    return out
+
+
 def _full_matrix(op, total: int) -> np.ndarray:
     """Independent dense matrix for an op, built from kron products."""
     if isinstance(op, Controlled):
         indices = np.arange(1 << total, dtype=np.int64)
-        pi = np.diag(op.predicate.mask(indices).astype(np.complex128))
+        pi = np.diag(_matches(indices, op.controls).astype(np.complex128))
         u = np.eye(1 << total, dtype=np.complex128)
         for inner in op.ops:
             u = _full_matrix(inner, total) @ u
@@ -138,35 +143,6 @@ def test_unknown_register_raises():
 
 
 # ---------------------------------------------------------------------------
-# predicates
-
-
-def test_qubit_is_mask():
-    idx = np.arange(8)
-    assert list(QubitIs(1, 1).mask(idx)) == [False, False, True, True] * 2
-    with pytest.raises(ValueError):
-        QubitIs(0, 2)
-
-
-def test_equal_and_differ_masks():
-    idx = np.arange(4)
-    assert list(QubitsDiffer(0, 1).mask(idx)) == [False, True, True, False]
-    assert list(QubitsDiffer(0, 0).mask(idx)) == [False] * 4  # a qubit equals itself
-
-
-def test_conjunction_disjunction():
-    idx = np.arange(4)
-    both = AllOf((QubitIs(0, 1), QubitIs(1, 1)))
-    assert list(both.mask(idx)) == [False, False, False, True]
-    assert list(AllOf(()).mask(idx)) == [True] * 4
-    assert both.qubits() == frozenset((0, 1))
-    # a disjunction is listed as disjoint assignments, and a conjunction
-    # keeps the consistent combinations of its terms' assignments
-    assert QubitsDiffer(0, 1).assignments() == [{0: 0, 1: 1}, {0: 1, 1: 0}]
-    assert AllOf((QubitsDiffer(0, 1), QubitIs(1, 1))).assignments() == [{0: 0, 1: 1}]
-
-
-# ---------------------------------------------------------------------------
 # gates against the dense-matrix oracle
 
 
@@ -202,59 +178,31 @@ def test_controlled_gates_match_projector_formula():
         inner = _random_1q_gate(total, rng)
         choices = [q for q in range(total) if q not in gate_target_qubits(inner)]
         picks = rng.choice(choices, size=2, replace=False)
-        pred = AllOf(
-            (
-                QubitIs(int(picks[0]), int(rng.integers(2))),
-                QubitIs(int(picks[1]), int(rng.integers(2))),
-            )
-        )
-        op = Controlled(pred, (inner,))
+        controls = {int(q): int(rng.integers(2)) for q in picks}
+        op = Controlled(controls, (inner,))
         state = _random_state(layout, rng)
         got = _apply(state, op).amplitudes
         want = _full_matrix(op, total) @ state.amplitudes
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def _matches(idx: np.ndarray, fixed: dict) -> np.ndarray:
-    """Indices agreeing with a partial assignment {qubit: value}."""
-    out = np.ones(idx.shape, dtype=bool)
-    for q, v in fixed.items():
-        out &= ((idx >> q) & 1) == v
-    return out
-
-
-# one predicate of every class on the 6-qubit layout, none reading qubits 2-3
-PREDICATE_CASES = [
-    QubitIs(4, 1),
-    QubitsDiffer(5, 1),
-    AllOf((QubitIs(0, 1), QubitsDiffer(1, 5))),
-    AllOf((QubitsDiffer(0, 5), QubitsDiffer(1, 5))),  # two-assignment terms sharing qubit 5
-    AllOf((QubitsDiffer(0, 1), QubitsDiffer(4, 5))),  # four assignments
-    AllOf((QubitIs(4, 0), AllOf((QubitIs(1, 0), QubitsDiffer(0, 5))))),
-    AllOf(()),
-    AllOf((QubitIs(0, 1), QubitIs(0, 0))),
-    AllOf((QubitsDiffer(0, 1), QubitsDiffer(1, 5), QubitsDiffer(5, 0))),  # odd cycle: empty
-    AllOf((QubitsDiffer(4, 1), QubitsDiffer(1, 4))),  # one condition stated twice
-    QubitsDiffer(1, 1),
+# control sets on the 6-qubit layout, none reading qubits 2-3
+CONTROL_CASES = [
+    {4: 1},
+    {5: 0, 1: 1},
+    {0: 1, 1: 0, 5: 1},
+    {0: 0, 1: 1, 4: 1, 5: 0},
+    {},  # matches every state
 ]
 
 
-@pytest.mark.parametrize("pred", PREDICATE_CASES, ids=repr)
-def test_assignments_partition_the_mask(pred):
-    idx = np.arange(64)
-    hits = np.zeros(64, dtype=int)
-    for assignment in pred.assignments():
-        hits += _matches(idx, assignment)
-    assert np.array_equal(hits, pred.mask(idx).astype(int))
-
-
-@pytest.mark.parametrize("pred", PREDICATE_CASES, ids=repr)
-def test_controlled_over_each_predicate_matches_dense_oracle(pred):
+@pytest.mark.parametrize("controls", CONTROL_CASES, ids=repr)
+def test_controlled_over_each_control_set_matches_dense_oracle(controls):
     layout = RegisterLayout(Mode.MOBIUS, 1)
     total = layout.total_qubits
     rng = np.random.default_rng(11)
     for inner in (Hadamard(2), PauliX(3), Ry(2, 0.9), PhasePair(3, 0.4, -1.3)):
-        op = Controlled(pred, (inner,))
+        op = Controlled(controls, (inner,))
         state = _random_state(layout, rng)
         got = _apply(state, op).amplitudes
         want = _full_matrix(op, total) @ state.amplitudes
@@ -265,9 +213,7 @@ def test_controlled_with_several_ops_matches_dense_oracle():
     layout = RegisterLayout(Mode.MOBIUS, 1)
     total = layout.total_qubits
     rng = np.random.default_rng(12)
-    op = Controlled(
-        QubitsDiffer(0, 1), (Hadamard(2), Ry(3, 1.1), PhasePair(4, 0.3, -0.7), PauliX(2))
-    )
+    op = Controlled({0: 1, 1: 0}, (Hadamard(2), Ry(3, 1.1), PhasePair(4, 0.3, -0.7), PauliX(2)))
     state = _random_state(layout, rng)
     got = _apply(state, op).amplitudes
     want = _full_matrix(op, total) @ state.amplitudes
@@ -278,9 +224,9 @@ def test_gate_application_leaves_inputs_unchanged():
     layout = RegisterLayout(Mode.MOBIUS, 1)
     state = _random_state(layout, np.random.default_rng(13))
     before = state.amplitudes.copy()
-    op = Controlled(QubitIs(5, 1), (Hadamard(2), PauliX(3)))
+    op = Controlled({5: 1}, (Hadamard(2), PauliX(3)))
     apply_circuit(state, Circuit(layout, (op, PauliX(0), Ry(1, 0.3))))
-    project(state, QubitsDiffer(0, 4))
+    project(state, {0: 1, 4: 0})
     assert np.array_equal(state.amplitudes, before)
 
 
@@ -310,9 +256,7 @@ def test_prepare_low_qubits_matches_full_state_run():
 def test_controlled_matrix_is_unitary():
     layout = RegisterLayout(Mode.MOBIUS, 1)
     total = layout.total_qubits
-    op = Controlled(
-        QubitsDiffer(0, 1), (Hadamard(2), Ry(3, 1.1), PhasePair(4, 0.3, -0.7))
-    )
+    op = Controlled({0: 0, 1: 1}, (Hadamard(2), Ry(3, 1.1), PhasePair(4, 0.3, -0.7)))
     mat = np.column_stack(
         [
             _apply(StateVector(layout, np.eye(1 << total)[:, j]), op).amplitudes
@@ -324,7 +268,7 @@ def test_controlled_matrix_is_unitary():
 
 def test_cnot_truth_table():
     layout = RegisterLayout(Mode.MOBIUS, 1)
-    cnot = Controlled(QubitIs(0, 1), (PauliX(1),))
+    cnot = Controlled({0: 1}, (PauliX(1),))
     for control in (0, 1):
         for target in (0, 1):
             amps = np.zeros(1 << layout.total_qubits, dtype=complex)
@@ -334,27 +278,48 @@ def test_cnot_truth_table():
             assert abs(out[control | (want_target << 1)] - 1.0) <= 1e-15
 
 
-def test_controlled_requires_disjoint_predicate_and_targets():
+def test_controlled_requires_disjoint_controls_and_targets():
     with pytest.raises(ValueError, match="overlap"):
-        Controlled(QubitIs(3, 1), (PauliX(3),))
+        Controlled({3: 1}, (PauliX(3),))
     with pytest.raises(ValueError, match="overlap"):
-        Controlled(AllOf((QubitIs(0, 1), QubitsDiffer(4, 3))), (Hadamard(2), Ry(3, 0.5)))
+        Controlled({0: 1, 4: 0, 3: 1}, (Hadamard(2), Ry(3, 0.5)))
     with pytest.raises(ValueError):
-        Controlled(QubitIs(3, 1), ())
+        Controlled({3: 1}, ())
+
+
+def test_controlled_rejects_values_other_than_0_or_1():
+    for value in (2, -1, 0.5):
+        with pytest.raises(ValueError, match="0 or 1"):
+            Controlled({0: value}, (PauliX(1),))
 
 
 def test_controlled_rejects_nested_controlled():
-    inner = Controlled(QubitIs(0, 1), (Hadamard(3),))
+    inner = Controlled({0: 1}, (Hadamard(3),))
     for ops in ((inner,), (Hadamard(2), inner), (inner, PauliX(4))):
         with pytest.raises(ValueError, match="do not nest"):
-            Controlled(QubitIs(5, 1), ops)
+            Controlled({5: 1}, ops)
     # the flat form of the same control is accepted and reads both qubits
-    flat = Controlled(AllOf((QubitIs(5, 1), QubitIs(0, 1))), (Hadamard(3),))
+    flat = Controlled({5: 1, 0: 1}, (Hadamard(3),))
     assert gate_qubits(flat) == frozenset((0, 3, 5))
 
 
+def test_controlled_is_frozen_hashable_and_compared_by_value():
+    controls = {5: 1, 6: 0}
+    op = Controlled(controls, (Hadamard(1), PauliX(2)))
+    same = Controlled({6: 0, 5: 1}, (Hadamard(1), PauliX(2)))
+    assert op == same and hash(op) == hash(same) and len({op, same}) == 1
+    assert op != Controlled({5: 1, 6: 1}, (Hadamard(1), PauliX(2)))
+    assert op != Controlled(controls, (PauliX(2), Hadamard(1)))
+    controls[7] = 1  # the gate keeps its own copy
+    assert op == same
+    with pytest.raises(TypeError):
+        op.controls[7] = 1
+    with pytest.raises(AttributeError):
+        op.controls = {}
+
+
 def test_gate_qubit_helpers():
-    op = Controlled(AllOf((QubitIs(5, 1), QubitIs(6, 0))), (Hadamard(1), PauliX(2)))
+    op = Controlled({5: 1, 6: 0}, (Hadamard(1), PauliX(2)))
     assert gate_target_qubits(op) == frozenset((1, 2))
     assert gate_qubits(op) == frozenset((1, 2, 5, 6))
 
@@ -363,7 +328,7 @@ def test_gate_application_is_linear():
     layout = RegisterLayout(Mode.MOBIUS, 1)
     rng = np.random.default_rng(9)
     a, b = _random_state(layout, rng), _random_state(layout, rng)
-    op = Controlled(QubitIs(5, 1), (Ry(2, 0.77),))
+    op = Controlled({5: 1}, (Ry(2, 0.77),))
     combo = StateVector(layout, 0.6 * a.amplitudes + 0.8j * b.amplitudes)
     got = _apply(combo, op).amplitudes
     want = 0.6 * _apply(a, op).amplitudes + 0.8j * _apply(b, op).amplitudes
@@ -377,7 +342,7 @@ def test_out_of_range_qubits_raise():
     with pytest.raises(ValueError):
         Circuit(layout, (PauliX(99),))
     with pytest.raises(ValueError):
-        Circuit(layout, (Controlled(QubitIs(-1, 0), (PauliX(0),)),))
+        Circuit(layout, (Controlled({-1: 0}, (PauliX(0),)),))
 
 
 def test_norm_survives_long_random_circuits():
@@ -389,7 +354,7 @@ def test_norm_survives_long_random_circuits():
         inner = _random_1q_gate(total, rng)
         if rng.random() < 0.3:
             choices = [q for q in range(total) if q not in gate_target_qubits(inner)]
-            ops.append(Controlled(QubitIs(int(rng.choice(choices)), 1), (inner,)))
+            ops.append(Controlled({int(rng.choice(choices)): 1}, (inner,)))
         else:
             ops.append(inner)
     # apply_circuit itself raises if the norm drifts by more than 1e-9
@@ -423,8 +388,8 @@ def test_state_shape_validation():
 def test_project_splits_norm():
     layout = RegisterLayout(Mode.MOBIUS, 1)
     state = _apply(new_state(layout), Hadamard(layout.gamma_qubit))
-    inside, norm = project(state, QubitIs(layout.gamma_qubit, 1))
-    outside, norm0 = project(state, QubitIs(layout.gamma_qubit, 0))
+    inside, norm = project(state, {layout.gamma_qubit: 1})
+    outside, norm0 = project(state, {layout.gamma_qubit: 0})
     assert abs(norm - math.sqrt(0.5)) <= 1e-12
     assert abs(norm0 - math.sqrt(0.5)) <= 1e-12
     assert np.max(np.abs(inside.amplitudes + outside.amplitudes - state.amplitudes)) == 0.0
