@@ -13,6 +13,7 @@ from mobiusq.sim import (
     Mode,
     PauliX,
     PhasePair,
+    QubitIs,
     RegisterLayout,
     Ry,
     StateVector,
@@ -393,6 +394,27 @@ def test_project_splits_norm():
     assert abs(norm - math.sqrt(0.5)) <= 1e-12
     assert abs(norm0 - math.sqrt(0.5)) <= 1e-12
     assert np.max(np.abs(inside.amplitudes + outside.amplitudes - state.amplitudes)) == 0.0
+
+
+@pytest.mark.parametrize("fixed", CONTROL_CASES, ids=repr)
+def test_project_keeps_exactly_the_matching_amplitudes(fixed):
+    layout = RegisterLayout(Mode.MOBIUS, 1)
+    state = _random_state(layout, np.random.default_rng(16))
+    hit = _matches(np.arange(1 << layout.total_qubits), fixed)
+    comp, norm = project(state, fixed)
+    assert np.array_equal(comp.amplitudes[hit], state.amplitudes[hit])
+    assert np.all(comp.amplitudes[~hit] == 0.0)
+    assert abs(norm - np.linalg.norm(state.amplitudes[hit])) <= 1e-15
+
+
+def test_qubit_is_shim_is_a_one_entry_assignment():
+    # perfbench/tracer.py reads the omega=0 mass as project(final, QubitIs(omega, 0))
+    layout = RegisterLayout(Mode.MOBIUS, 1)
+    assert QubitIs(layout.omega_qubit, 0) == {layout.omega_qubit: 0}
+    state = _random_state(layout, np.random.default_rng(17))
+    _, via_shim = project(state, QubitIs(layout.omega_qubit, 0))
+    _, direct = project(state, {layout.omega_qubit: 0})
+    assert via_shim == direct
 
 
 def test_apply_circuit_checks_layout():
