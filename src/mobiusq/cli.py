@@ -8,8 +8,10 @@ Commands:
 
 Inputs are JSON: either a query object {"mode", "n", "n0", "psi_minus",
 "x"} with amplitudes as [re, im] pairs, or a plain table {"n", "values"}.
+A query input is evaluated at its own x unless --x or --sweep is given.
 Results print as a table on stdout and, with --out, as schema-validated
-JSON; --check recomputes a previous output file and confirms its values.
+JSON; --check recomputes a previous output file and confirms its header
+and values.
 
 Exit codes: 0 success, 1 validation failure, 2 I/O error.
 """
@@ -17,10 +19,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .circuits import TransformQuery, build_unmarked_state, classical_value, marked
@@ -98,6 +100,61 @@ MINFIND_SCHEMA = {
     },
 }
 
+# The keywords _validate implements; tests/test_schema.py checks that the two
+# schemas above use no other.
+_SCHEMA_KEYWORDS = frozenset(
+    {"type", "required", "properties", "items", "minItems", "enum", "const", "pattern", "minimum"}
+)
+
+_JSON_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "null": lambda v: v is None,
+}
+
+
+def _json_equal(a, b) -> bool:
+    """JSON equality of scalars: true and false are not 1 and 0, but 1.0 is 1."""
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _validate(value, schema: dict, path: str = "$") -> None:
+    """Raise ValueError naming the JSON path where value first breaks schema.
+
+    Implements the keywords in _SCHEMA_KEYWORDS with their JSON Schema
+    (draft 2020-12) meaning, with one intended difference: "integer" admits
+    only JSON integers, by the rule of subset.json_int, so 1.0 and true fail
+    where jsonschema accepts 1.0.
+    """
+    if "type" in schema:
+        names = [schema["type"]] if isinstance(schema["type"], str) else schema["type"]
+        if not any(_JSON_TYPES[name](value) for name in names):
+            raise ValueError(f"{path}: expected {' or '.join(names)}, got {value!r}")
+    if "enum" in schema and not any(_json_equal(value, v) for v in schema["enum"]):
+        raise ValueError(f"{path}: {value!r} is not one of {schema['enum']}")
+    if "const" in schema and not _json_equal(value, schema["const"]):
+        raise ValueError(f"{path}: expected {schema['const']!r}, got {value!r}")
+    if "pattern" in schema and isinstance(value, str) and not re.search(schema["pattern"], value):
+        raise ValueError(f"{path}: {value!r} does not match {schema['pattern']!r}")
+    if "minimum" in schema and _JSON_TYPES["number"](value) and value < schema["minimum"]:
+        raise ValueError(f"{path}: {value!r} is less than {schema['minimum']}")
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise ValueError(f"{path}: missing required key {key!r}")
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
+                _validate(value[key], sub, f"{path}.{key}")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            raise ValueError(f"{path}: expected at least {schema['minItems']} items, got {len(value)}")
+        if "items" in schema:
+            for i, item in enumerate(value):
+                _validate(item, schema["items"], f"{path}[{i}]")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep usage problems on exit code 1
@@ -118,7 +175,7 @@ def _build_parser() -> _Parser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help="query JSON or table JSON file")
-        p.add_argument("--x", help="evaluation point, most-significant bit first")
+        p.add_argument("--x", help="evaluation point, most-significant bit first (default: a query input's x)")
         p.add_argument("--sweep", action="store_true", help="evaluate every point")
         if name == "marginal":
             p.add_argument("--n0", type=int, help="marginal width (table inputs)")
@@ -159,14 +216,14 @@ def _write_json(path: str, obj: dict) -> None:
 
 
 def _parse_transform_input(obj: dict, mode: Mode, n0_flag: int | None):
-    """Returns (n, n0, psi_minus) from either input flavor."""
+    """Returns (n, n0, psi_minus, x) from either input flavor; a table has no x."""
     if "psi_minus" in obj:
         query = TransformQuery.from_json_obj(obj)
         if query.mode is not mode:
             raise ValueError(f"input query is {query.mode.value}-mode, command is {mode.value}")
         if n0_flag is not None and n0_flag != query.n0:
             raise ValueError(f"--n0 {n0_flag} conflicts with input n0 {query.n0}")
-        return query.n, query.n0, query.psi_minus
+        return query.n, query.n0, query.psi_minus, query.x
     if "values" in obj:
         table = SubsetTable.from_json_obj(obj)
         table.require_probability()
@@ -176,7 +233,7 @@ def _parse_transform_input(obj: dict, mode: Mode, n0_flag: int | None):
             n0 = n0_flag
         else:
             n0 = table.n
-        return table.n, n0, np.sqrt(table.values)
+        return table.n, n0, np.sqrt(table.values), None
     raise ValueError("input JSON needs either 'psi_minus' (query) or 'values' (table)")
 
 
@@ -225,22 +282,29 @@ def _values_match(a, b, tol: float = 1e-9) -> bool:
 
 def _cmd_transform(args, mode: Mode) -> int:
     obj = _read_json(args.input)
-    n, n0, psi = _parse_transform_input(obj, mode, getattr(args, "n0", None))
+    n, n0, psi, input_x = _parse_transform_input(obj, mode, getattr(args, "n0", None))
 
     check_obj = None
     if args.check:
         check_obj = _read_json(args.check)
-        jsonschema.validate(check_obj, TRANSFORM_SCHEMA)
+        _validate(check_obj, TRANSFORM_SCHEMA, f"{args.check}: $")
         if check_obj["command"] != mode.value:
             raise ValueError(f"--check file records a {check_obj['command']} run")
         shots = check_obj["shots"]
         seed = check_obj["seed"] if check_obj["seed"] is not None else 0
         points = [BitString.from_str(r["x"]).to_int() for r in check_obj["rows"]]
     else:
-        if args.sweep == bool(args.x):
-            raise ValueError("need exactly one of --x or --sweep")
+        if args.sweep and args.x:
+            raise ValueError("need at most one of --x or --sweep")
         shots, seed = args.shots, args.seed
-        points = list(range(1 << n0)) if args.sweep else [_parse_point(args.x, n0)]
+        if args.sweep:
+            points = list(range(1 << n0))
+        elif args.x:
+            points = [_parse_point(args.x, n0)]
+        elif input_x is not None:  # a query input's own point
+            points = [input_x.to_int()]
+        else:
+            raise ValueError("a table input needs --x or --sweep")
     if shots is not None and shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if args.dump_state and len(points) != 1:
@@ -272,10 +336,12 @@ def _cmd_transform(args, mode: Mode) -> int:
         "seed": seed if shots is not None else None,
         "rows": rows,
     }
-    jsonschema.validate(result, TRANSFORM_SCHEMA)
+    _validate(result, TRANSFORM_SCHEMA)
     if check_obj is not None:
         keys = ["x", "classical", "exact", "estimate", "halfwidth"]
-        if _report_check(_compare_rows(check_obj["rows"], rows, keys), len(rows)):
+        problems = _compare_header(check_obj, result, ["n", "n0"])
+        problems += _compare_rows(check_obj["rows"], rows, keys)
+        if _report_check(problems, len(rows)):
             return 1  # a failed check writes no file
     if args.out:
         _write_json(args.out, result)
@@ -291,6 +357,11 @@ def _parse_point(text: str, n0: int) -> int:
     if len(point) != n0:
         raise ValueError(f"--x has {len(point)} bits, expected {n0}")
     return point.to_int()
+
+
+def _compare_header(old: dict, new: dict, keys: list[str]) -> list[str]:
+    """One line per recorded header value the recomputation does not confirm."""
+    return [f"{key} {old[key]} vs {new[key]}" for key in keys if old[key] != new[key]]
 
 
 def _compare_rows(old_rows: list[dict], new_rows: list[dict], keys: list[str]) -> list[str]:
@@ -339,7 +410,7 @@ def _cmd_minfind(args) -> int:
     threshold, backend, beta = args.threshold, args.backend, args.beta
     if args.check:
         check_obj = _read_json(args.check)
-        jsonschema.validate(check_obj, MINFIND_SCHEMA)
+        _validate(check_obj, MINFIND_SCHEMA, f"{args.check}: $")
         threshold = check_obj["threshold"]
         backend = check_obj["backend"]
         beta = check_obj["beta"]
@@ -367,11 +438,10 @@ def _cmd_minfind(args) -> int:
         "probes": probe_rows,
         "result": str(trace.result),
     }
-    jsonschema.validate(result, MINFIND_SCHEMA)
+    _validate(result, MINFIND_SCHEMA)
     if check_obj is not None:
-        problems = _compare_rows(check_obj["probes"], probe_rows, ["x", "value", "bit"])
-        if check_obj["result"] != result["result"]:
-            problems.insert(0, f"result {check_obj['result']} vs {result['result']}")
+        problems = _compare_header(check_obj, result, ["n", "result"])
+        problems += _compare_rows(check_obj["probes"], probe_rows, ["x", "value", "bit"])
         if _report_check(problems, len(probe_rows)):
             return 1  # a failed check writes no file
     if args.out:
@@ -392,7 +462,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, TypeError, KeyError, jsonschema.ValidationError) as exc:
+    except (ValueError, TypeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -208,6 +208,107 @@ def test_transform_check_roundtrip(uniform3, tmp_path, capsys):
     assert "check: FAIL" in capsys.readouterr().out
 
 
+def _edited_fixture(tmp_path, name: str, edit) -> str:
+    """A copy of tests/data/<name> with edit(obj) applied."""
+    obj = json.loads((DATA / name).read_text())
+    edit(obj)
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("key,value", [("n", 99), ("n0", 2)])
+def test_transform_check_confirms_recorded_header(tmp_path, capsys, key, value):
+    check = _edited_fixture(tmp_path, "mobius3_sweep_shots5000.json", lambda o: o.update({key: value}))
+    argv = ["mobius", "--input", str(DATA / "mobius3_table.json"), "--check", check]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "check: FAIL" in out
+    assert f"{key} {value} vs 3" in out
+
+
+def test_minfind_check_confirms_recorded_n(tmp_path, capsys):
+    check = _edited_fixture(tmp_path, "minfind18_classical.json", lambda o: o.update({"n": 17}))
+    argv = ["minfind", "--center", str(GOLDEN_MINFIND18_CENTER), "--n", "18", "--check", check]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "check: FAIL" in out
+    assert "n 17 vs 18" in out
+
+
+@pytest.mark.parametrize("key,value", [("shots", 5000.0), ("seed", 3.0), ("n", True)])
+def test_check_file_integers_must_be_json_integers(tmp_path, capsys, key, value):
+    check = _edited_fixture(tmp_path, "mobius3_sweep_shots5000.json", lambda o: o.update({key: value}))
+    argv = ["mobius", "--input", str(DATA / "mobius3_table.json"), "--check", check]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"$.{key}: expected integer" in err
+
+
+SCHEMA_INVALID_CHECKS = {
+    "rows-missing": (
+        "mobius3_sweep_shots5000.json",
+        lambda o: o.pop("rows"),
+        "$: missing required key 'rows'",
+    ),
+    "x-012": (
+        "mobius3_sweep_shots5000.json",
+        lambda o: o["rows"][0].update({"x": "012"}),
+        "$.rows[0].x: '012' does not match",
+    ),
+    "bit-2": (
+        "minfind18_classical.json",
+        lambda o: o["probes"][0].update({"bit": 2}),
+        "$.probes[0].bit: 2 is not one of",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SCHEMA_INVALID_CHECKS.values(), ids=SCHEMA_INVALID_CHECKS.keys())
+def test_schema_invalid_check_file_exits_1_naming_the_path(tmp_path, case):
+    name, edit, message = case
+    check = _edited_fixture(tmp_path, name, edit)
+    out = tmp_path / "out.json"
+    if name.startswith("minfind"):
+        argv = ["minfind", "--center", str(GOLDEN_MINFIND18_CENTER), "--n", "18"]
+    else:
+        argv = ["mobius", "--input", str(DATA / "mobius3_table.json")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mobiusq.cli", *argv, "--check", check, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode,n,n0", [(Mode.MOBIUS, 3, None), (Mode.MARGINAL, 4, 2)])
+def test_query_input_is_evaluated_at_its_own_x(tmp_path, capsys, mode, n, n0):
+    rng = np.random.default_rng(53)
+    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    amps /= np.linalg.norm(amps)
+    own = BitString.from_int(1, n0 or n)
+    path = tmp_path / "query.json"
+    TransformQuery(mode, n, amps, own, n0).save(path)
+    out = tmp_path / "out.json"
+
+    def rows(*flags):
+        assert main([mode.value, "--input", str(path), *flags, "--out", str(out)]) == 0
+        return [r["x"] for r in json.loads(out.read_text())["rows"]]
+
+    assert rows() == [str(own)]
+    other = BitString.from_int(2, n0 or n)
+    assert rows("--x", str(other)) == [str(other)]
+    assert len(rows("--sweep")) == 1 << (n0 or n)
+    assert main([mode.value, "--input", str(path), "--x", str(other), "--sweep"]) == 1
+    capsys.readouterr()
+
+
 def test_dump_state_writes_loadable_start_state(uniform3, tmp_path, capsys):
     dump = tmp_path / "state.json"
     assert main(["mobius", "--input", uniform3, "--x", "101", "--dump-state", str(dump)]) == 0
