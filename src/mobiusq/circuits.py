@@ -312,28 +312,27 @@ def decompose_signal(query: TransformQuery, state: StateVector) -> SignalDecompo
 
     # with omega, gamma and beta fixed, the axes left are mu0, alpha,
     # alpha_minus: the ravel is indexed exactly like the mu grouping
-    mu_size = 1 << (n + n0 + 1)
     v1 = sector(state, {om: 0, ga: 1, **beta_clear}).ravel()
     v0 = sector(state, {om: 0, ga: 0, **beta_clear}).ravel()
     chi_norm = float(np.linalg.norm(sector(state, {om: 1}).ravel()))
     by_beta = sector(state, {om: 0}).reshape(2, 2, 1 << n0, -1)  # mu0, gamma, beta, rest
     stray = float(np.linalg.norm(by_beta[:, :, 1:].ravel()))
 
-    # predicted sector contents
+    # predicted sector contents: psi_minus on alpha_minus, with alpha = x
     xv = query.x.to_int()
-    am_all = np.arange(1 << n)
     keep = _keep(query)
     value = float((np.abs(query.psi_minus) ** 2 * keep).sum())
     base = 2.0 ** (-(n0 + 1) / 2.0)
 
-    claim0 = np.zeros(mu_size, dtype=np.complex128)
-    claim0[am_all | (xv << n)] = query.psi_minus
+    # axes gamma, then the mu grouping: mu0, alpha, alpha_minus
+    claims = np.zeros((2, 2, 1 << n0, 1 << n), dtype=np.complex128)
+    claims[0, 0, xv] = query.psi_minus
+    claims[1, 1, xv] = query.psi_minus * keep
+    claim0, claim1 = claims.reshape(2, -1)
     z0 = complex(np.vdot(claim0, v0))
     resid0 = float(np.linalg.norm(v0 - z0 * claim0))
 
     if value > 0.0:
-        claim1 = np.zeros(mu_size, dtype=np.complex128)
-        claim1[am_all | (xv << n) | (1 << (n + n0))] = query.psi_minus * keep
         claim1 /= np.sqrt(value)
         z1 = complex(np.vdot(claim1, v1))
         resid1 = float(np.linalg.norm(v1 - z1 * claim1))

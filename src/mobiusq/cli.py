@@ -169,30 +169,32 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in (
-        ("mobius", "subset-sum transform values at one point or over a sweep"),
-        ("marginal", "marginal probabilities at one point or over a sweep"),
+    for mode, help_text in (
+        (Mode.MOBIUS, "subset-sum transform values at one point or over a sweep"),
+        (Mode.MARGINAL, "marginal probabilities at one point or over a sweep"),
     ):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(mode.value, help=help_text)
         p.add_argument("--input", required=True, help="query JSON or table JSON file")
-        p.add_argument("--x", help="evaluation point, most-significant bit first (default: a query input's x)")
-        p.add_argument("--sweep", action="store_true", help="evaluate every point")
-        if name == "marginal":
+        points = p.add_mutually_exclusive_group()
+        points.add_argument("--x", help="evaluation point, most-significant bit first (default: a query input's x)")
+        points.add_argument("--sweep", action="store_const", const=True, help="evaluate every point")
+        if mode is Mode.MARGINAL:
             p.add_argument("--n0", type=int, help="marginal width (table inputs)")
         p.add_argument("--shots", type=int, help="also sample with this many shots")
-        p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0); sweeps use seed + dec(x) per point")
+        p.add_argument("--seed", type=int, help="sampling seed (default 0); sweeps use seed + dec(x) per point")
         p.add_argument("--out", help="write result JSON here")
         p.add_argument("--check", help="previous --out file to recompute and confirm")
         p.add_argument("--dump-state", help="write the start state for --x here as JSON")
-        p.set_defaults(func=_cmd_mobius if name == "mobius" else _cmd_marginal)
+        p.set_defaults(func=_cmd_transform, mode=mode)
 
     p = sub.add_parser("minfind", help="binary-search the argmin of a positive objective")
-    p.add_argument("--input", help="objective table JSON file")
-    p.add_argument("--center", type=int, help="builtin objective (dec(x) - center)**2 + 1")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="objective table JSON file")
+    source.add_argument("--center", type=int, help="builtin objective (dec(x) - center)**2 + 1")
     p.add_argument("--n", type=int, help="bit count for the builtin objective")
     p.add_argument("--beta", type=float, help="softmin sharpness (default: auto)")
-    p.add_argument("--threshold", type=float, default=0.5, help="bit decision threshold")
-    p.add_argument("--backend", choices=["classical", "quantum"], default="classical")
+    p.add_argument("--threshold", type=float, help="bit decision threshold")
+    p.add_argument("--backend", choices=["classical", "quantum"])
     p.add_argument("--out", help="write trace JSON here")
     p.add_argument("--check", help="previous --out file to recompute and confirm")
     p.set_defaults(func=_cmd_minfind)
@@ -205,7 +207,10 @@ def _build_parser() -> _Parser:
 
 def _read_json(path: str) -> dict:
     text = Path(path).read_text()
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object at top level")
     return obj
@@ -213,6 +218,24 @@ def _read_json(path: str) -> dict:
 
 def _write_json(path: str, obj: dict) -> None:
     Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+
+
+def _read_check(args, schema: dict, replayed: tuple[str, ...]) -> dict | None:
+    """The --check file, schema-validated and recorded by this command; None without --check.
+
+    The run is replayed from the file, so the ``replayed`` flags (None unless given) are refused.
+    """
+    if not args.check:
+        return None
+    given = [f"--{name}" for name in replayed if getattr(args, name) is not None]
+    if given:
+        flags = ", ".join(f"--{name}" for name in replayed)
+        raise ValueError(f"--check takes {flags} from the file; drop {', '.join(given)}")
+    obj = _read_json(args.check)
+    _validate(obj, schema, f"{args.check}: $")
+    if obj["command"] != args.command:
+        raise ValueError(f"--check file records a {obj['command']} run")
+    return obj
 
 
 def _parse_transform_input(obj: dict, mode: Mode, n0_flag: int | None):
@@ -246,7 +269,7 @@ def _transform_row(unmarked: StateVector, query: TransformQuery, shots: int | No
         "exact": readout.exact,
     }
     if shots is not None:
-        report = readout.sample(query.x, shots, seed + query.x.to_int())
+        report = readout.sample(shots, seed + query.x.to_int())
         row["estimate"] = report.estimate
         row["halfwidth"] = report.halfwidth
         if report.message:
@@ -280,37 +303,64 @@ def _values_match(a, b, tol: float = 1e-9) -> bool:
     return a == b
 
 
-def _cmd_transform(args, mode: Mode) -> int:
+def _mismatches(old: dict, new: dict, prefix: str = "") -> list[str]:
+    """One line per recorded value the recomputation does not confirm."""
+    return [
+        f"{prefix}{key} {value} vs {new.get(key)}"
+        for key, value in old.items()
+        if not _values_match(value, new.get(key))
+    ]
+
+
+def _finish(args, result: dict, schema: dict, check: dict | None, rows_key: str) -> int:
+    """Validate the result, confirm every recorded field of --check, then write --out.
+
+    Returns the exit code; a failed check writes no file.
+    """
+    _validate(result, schema)
+    if check is not None:
+        old_rows, new_rows = check[rows_key], result[rows_key]
+        problems = _mismatches({k: v for k, v in check.items() if k != rows_key}, result)
+        if len(old_rows) != len(new_rows):
+            problems.append(f"row count {len(old_rows)} vs {len(new_rows)}")
+        else:
+            for old, new in zip(old_rows, new_rows):
+                problems += _mismatches(old, new, f"x={old.get('x')}: ")
+        if problems:
+            print("check: FAIL", *problems, sep="\n  ")
+            return 1
+        print(f"check: PASS ({len(new_rows)} rows confirmed within 1e-9)")
+    if args.out:
+        _write_json(args.out, result)
+    return 0
+
+
+def _cmd_transform(args) -> int:
+    mode = args.mode
     obj = _read_json(args.input)
     n, n0, psi, input_x = _parse_transform_input(obj, mode, getattr(args, "n0", None))
 
-    check_obj = None
-    if args.check:
-        check_obj = _read_json(args.check)
-        _validate(check_obj, TRANSFORM_SCHEMA, f"{args.check}: $")
-        if check_obj["command"] != mode.value:
-            raise ValueError(f"--check file records a {check_obj['command']} run")
-        shots = check_obj["shots"]
-        seed = check_obj["seed"] if check_obj["seed"] is not None else 0
-        points = [BitString.from_str(r["x"]).to_int() for r in check_obj["rows"]]
+    check = _read_check(args, TRANSFORM_SCHEMA, ("x", "sweep", "shots", "seed"))
+    if check is not None:
+        shots, seed = check["shots"], check["seed"]
+        points = [BitString.from_str(r["x"]) for r in check["rows"]]
     else:
-        if args.sweep and args.x:
-            raise ValueError("need at most one of --x or --sweep")
         shots, seed = args.shots, args.seed
         if args.sweep:
-            points = list(range(1 << n0))
-        elif args.x:
-            points = [_parse_point(args.x, n0)]
+            points = [BitString.from_int(v, n0) for v in range(1 << n0)]
+        elif args.x is not None:
+            points = [BitString.from_str(args.x)]
         elif input_x is not None:  # a query input's own point
-            points = [input_x.to_int()]
+            points = [input_x]
         else:
             raise ValueError("a table input needs --x or --sweep")
-    if shots is not None and shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    seed = 0 if seed is None else seed
+    if shots is not None and not 1 <= shots < 1 << 63:  # numpy's multinomial limit
+        raise ValueError(f"shots must be >= 1 and < 2**63, got {shots}")
     if args.dump_state and len(points) != 1:
         raise ValueError("--dump-state needs a single --x point")
 
-    queries = [TransformQuery(mode, n, psi, BitString.from_int(xv, n0), n0) for xv in points]
+    queries = [TransformQuery(mode, n, psi, x, n0) for x in points]
     unmarked = build_unmarked_state(queries[0])
     rows = [_transform_row(unmarked, query, shots, seed) for query in queries]
 
@@ -336,68 +386,15 @@ def _cmd_transform(args, mode: Mode) -> int:
         "seed": seed if shots is not None else None,
         "rows": rows,
     }
-    _validate(result, TRANSFORM_SCHEMA)
-    if check_obj is not None:
-        keys = ["x", "classical", "exact", "estimate", "halfwidth"]
-        problems = _compare_header(check_obj, result, ["n", "n0"])
-        problems += _compare_rows(check_obj["rows"], rows, keys)
-        if _report_check(problems, len(rows)):
-            return 1  # a failed check writes no file
-    if args.out:
-        _write_json(args.out, result)
-
+    if _finish(args, result, TRANSFORM_SCHEMA, check, "rows"):
+        return 1
     if args.dump_state:
         with marked(unmarked, queries[0].x) as start:
             _write_json(args.dump_state, state_to_json_obj(start))
     return 0
 
 
-def _parse_point(text: str, n0: int) -> int:
-    point = BitString.from_str(text)
-    if len(point) != n0:
-        raise ValueError(f"--x has {len(point)} bits, expected {n0}")
-    return point.to_int()
-
-
-def _compare_header(old: dict, new: dict, keys: list[str]) -> list[str]:
-    """One line per recorded header value the recomputation does not confirm."""
-    return [f"{key} {old[key]} vs {new[key]}" for key in keys if old[key] != new[key]]
-
-
-def _compare_rows(old_rows: list[dict], new_rows: list[dict], keys: list[str]) -> list[str]:
-    """One line per recorded value the recomputation does not confirm."""
-    if len(old_rows) != len(new_rows):
-        return [f"row count {len(old_rows)} vs {len(new_rows)}"]
-    return [
-        f"x={old.get('x')}: {key} {old.get(key)} vs {new.get(key)}"
-        for old, new in zip(old_rows, new_rows)
-        for key in keys
-        if not _values_match(old.get(key), new.get(key))
-    ]
-
-
-def _report_check(problems: list[str], rows: int) -> int:
-    """Print the --check verdict; returns the exit code it implies."""
-    if problems:
-        print("check: FAIL")
-        for line in problems:
-            print("  " + line)
-        return 1
-    print(f"check: PASS ({rows} rows confirmed within 1e-9)")
-    return 0
-
-
-def _cmd_mobius(args) -> int:
-    return _cmd_transform(args, Mode.MOBIUS)
-
-
-def _cmd_marginal(args) -> int:
-    return _cmd_transform(args, Mode.MARGINAL)
-
-
 def _cmd_minfind(args) -> int:
-    if bool(args.input) == (args.center is not None):
-        raise ValueError("need exactly one of --input or --center")
     if args.input:
         table = SubsetTable.from_json_obj(_read_json(args.input))
         objective = ObjectiveTable(table.n, table.values)
@@ -406,14 +403,13 @@ def _cmd_minfind(args) -> int:
             raise ValueError("--center needs --n")
         objective = quadratic_objective(args.n, args.center)
 
-    check_obj = None
-    threshold, backend, beta = args.threshold, args.backend, args.beta
-    if args.check:
-        check_obj = _read_json(args.check)
-        _validate(check_obj, MINFIND_SCHEMA, f"{args.check}: $")
-        threshold = check_obj["threshold"]
-        backend = check_obj["backend"]
-        beta = check_obj["beta"]
+    check = _read_check(args, MINFIND_SCHEMA, ("beta", "threshold", "backend"))
+    if check is not None:
+        beta, threshold, backend = check["beta"], check["threshold"], check["backend"]
+    else:
+        beta = args.beta
+        threshold = 0.5 if args.threshold is None else args.threshold
+        backend = args.backend or "classical"
 
     if beta is None:
         beta = choose_beta(objective)
@@ -438,15 +434,7 @@ def _cmd_minfind(args) -> int:
         "probes": probe_rows,
         "result": str(trace.result),
     }
-    _validate(result, MINFIND_SCHEMA)
-    if check_obj is not None:
-        problems = _compare_header(check_obj, result, ["n", "result"])
-        problems += _compare_rows(check_obj["probes"], probe_rows, ["x", "value", "bit"])
-        if _report_check(problems, len(probe_rows)):
-            return 1  # a failed check writes no file
-    if args.out:
-        _write_json(args.out, result)
-    return 0
+    return _finish(args, result, MINFIND_SCHEMA, check, "probes")
 
 
 def _cmd_verify(args) -> int:
@@ -462,7 +450,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

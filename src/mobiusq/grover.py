@@ -21,7 +21,6 @@ import numpy as np
 
 from .circuits import TransformQuery, build_start_state
 from .sim import StateVector, sector
-from .subset import BitString
 
 __all__ = [
     "GroverPlan",
@@ -130,12 +129,8 @@ class EstimateReport:
     positive whenever an estimate exists.
     """
 
-    x: BitString
-    exact: float
     estimate: float | None
     halfwidth: float | None
-    shots: int
-    seed: int
     message: str = ""
 
 
@@ -158,15 +153,16 @@ class Readout:
             raise RuntimeError("gamma=0 reference mass vanished; cannot form the ratio")
         return p01 / p00
 
-    def sample(self, x: BitString, shots: int, seed: int) -> EstimateReport:
-        """Estimate the value at x from seeded (omega, gamma) measurements.
+    def sample(self, shots: int, seed: int) -> EstimateReport:
+        """Estimate the value from seeded (omega, gamma) measurements.
 
         Randomness comes from numpy's default PCG64 generator seeded with
         ``seed``; results are deterministic per (readout, shots, seed).
+        Raises RuntimeError, like ``exact``, when the reference mass vanished.
         """
         if shots < 1:
             raise ValueError("shots must be >= 1")
-        exact = self.exact
+        self.exact  # raises when the gamma=0 reference mass vanished
         cells = np.clip(np.array(self.cells), 0.0, None)
         cells /= cells.sum()
         rng = np.random.default_rng(seed)
@@ -175,12 +171,8 @@ class Readout:
 
         if n_ref == 0:
             return EstimateReport(
-                x=x,
-                exact=exact,
                 estimate=None,
                 halfwidth=None,
-                shots=shots,
-                seed=seed,
                 message="insufficient shots: no (omega=0, gamma=0) reference outcomes",
             )
 
@@ -188,14 +180,7 @@ class Readout:
         p_hat = n_hit / m
         p_smooth = (n_hit + 1.0) / (m + 2.0)
         se = math.sqrt(p_smooth * (1.0 - p_smooth) / m) / (1.0 - p_hat) ** 2
-        return EstimateReport(
-            x=x,
-            exact=exact,
-            estimate=n_hit / n_ref,
-            halfwidth=1.96 * se,
-            shots=shots,
-            seed=seed,
-        )
+        return EstimateReport(estimate=n_hit / n_ref, halfwidth=1.96 * se)
 
 
 def read_out(start: StateVector) -> Readout:
@@ -212,11 +197,5 @@ def estimate_exact(query: TransformQuery) -> float:
 
 
 def estimate_sampled(query: TransformQuery, shots: int, seed: int) -> EstimateReport:
-    """Estimate the transform value from seeded (omega, gamma) measurements.
-
-    Randomness comes from numpy's default PCG64 generator seeded with
-    ``seed``; results are deterministic per (query, shots, seed).
-    """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    return read_out(build_start_state(query)).sample(query.x, shots, seed)
+    """Seeded estimate of the transform value; see :meth:`Readout.sample`."""
+    return read_out(build_start_state(query)).sample(shots, seed)

@@ -67,9 +67,6 @@ class ObjectiveTable:
             raise ValueError(f"objective values must be positive, min is {arr.min()}")
         self.values = arr
 
-    def as_table(self) -> SubsetTable:
-        return SubsetTable(self.n, self.values)
-
 
 def quadratic_objective(n: int, center: int) -> ObjectiveTable:
     """Builtin objective family E(x) = (dec(x) - center)**2 + 1."""
@@ -100,10 +97,10 @@ def softmin_table(objective: ObjectiveTable, beta: float) -> SubsetTable:
     return SubsetTable(objective.n, weights)
 
 
-def choose_beta(objective: ObjectiveTable, target_nats: float = 50.0) -> float:
-    """Beta making the softmin gap at least ``target_nats`` nats.
+def choose_beta(objective: ObjectiveTable) -> float:
+    """Beta making the softmin gap at least 50 nats.
 
-    Picks beta = target_nats / (2**n * gap) where gap is the spread between
+    Picks beta = 50 / (2**n * gap) where gap is the spread between
     the two lowest objective values, then caps the largest resulting logit
     magnitude so it stays finite in double precision.
     """
@@ -111,7 +108,7 @@ def choose_beta(objective: ObjectiveTable, target_nats: float = 50.0) -> float:
     gap = float(second - lowest)
     if gap <= 0.0:
         raise ValueError("objective has tied minima; search needs a unique argmin")
-    beta = target_nats / (float(1 << objective.n) * gap)
+    beta = 50.0 / (float(1 << objective.n) * gap)
     spread = float(objective.values.max() - lowest)
     cap = 1e300 / (float(1 << objective.n) * max(spread, 1.0))
     return min(beta, cap)
@@ -171,9 +168,8 @@ def quantum_evaluator(d_minus: SubsetTable) -> Callable[[BitString], float]:
     The x-independent start state is built once, here; each probe marks it
     at the probe point, amplifies and reads the exact value.
     """
-    d_minus.require_probability()
     any_point = BitString.from_int(0, d_minus.n)  # the unmarked state does not read x
-    query = TransformQuery(Mode.MOBIUS, d_minus.n, np.sqrt(d_minus.values), any_point)
+    query = TransformQuery.from_probability_table(Mode.MOBIUS, d_minus, any_point)
     unmarked = build_unmarked_state(query)
 
     def evaluate(point: BitString) -> float:

@@ -31,9 +31,9 @@ from typing import Mapping, Union
 
 import numpy as np
 
-MAX_QUBITS = 26
+from .subset import json_complex, json_int
 
-REGISTER_ORDER = ("alpha_minus", "alpha", "beta", "gamma", "mu0", "omega")
+MAX_QUBITS = 26
 
 
 class Mode(Enum):
@@ -93,7 +93,7 @@ class RegisterLayout:
         try:
             return self.registers[name]
         except KeyError:
-            raise KeyError(f"unknown register {name!r}; have {REGISTER_ORDER}") from None
+            raise KeyError(f"unknown register {name!r}; have {tuple(self.registers)}") from None
 
     @property
     def gamma_qubit(self) -> int:
@@ -117,7 +117,7 @@ class RegisterLayout:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> RegisterLayout:
-        return cls(Mode(obj["mode"]), int(obj["n"]), int(obj["n0"]))
+        return cls(Mode(obj["mode"]), json_int(obj, "n"), json_int(obj, "n0"))
 
 
 # ---------------------------------------------------------------------------
@@ -475,5 +475,5 @@ def state_from_json_obj(obj: dict) -> StateVector:
     and the tests use it to check what ``--dump-state`` wrote.
     """
     layout = RegisterLayout.from_json_obj(obj["layout"])
-    amps = np.array([complex(re, im) for re, im in obj["amplitudes"]], dtype=np.complex128)
+    amps = np.array(json_complex(obj, "amplitudes"), dtype=np.complex128)
     return StateVector(layout, amps)

@@ -83,8 +83,8 @@ class SubsetTable:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if not 1 <= self.n <= 62:  # no array holds 2**63 entries; also bounds the shift below
+            raise ValueError(f"n must be in 1..62, got {self.n}")
         arr = np.asarray(self.values)
         dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
         arr = np.array(arr, dtype=dtype)
@@ -96,17 +96,14 @@ class SubsetTable:
             raise ValueError("table has non-finite values")
         self.values = arr
 
-    def copy(self) -> SubsetTable:
-        return SubsetTable(self.n, self.values.copy())
-
-    def require_probability(self, tol: float = 1e-9) -> None:
-        """Raise unless the table is a probability distribution."""
+    def require_probability(self) -> None:
+        """Raise unless the table is a probability distribution, within 1e-9."""
         if np.iscomplexobj(self.values):
             raise ValueError("probability table must be real")
-        if self.values.min() < -tol:
+        if self.values.min() < -1e-9:
             raise ValueError(f"negative entry {self.values.min()} in probability table")
         total = float(self.values.sum())
-        if abs(total - 1.0) > tol:
+        if abs(total - 1.0) > 1e-9:
             raise ValueError(f"probability table sums to {total}, expected 1")
 
     def to_json_obj(self) -> dict:

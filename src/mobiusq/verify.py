@@ -35,14 +35,12 @@ from .circuits import (
 )
 from .grover import cell_mass, grover_step, plan_grover
 from .sim import (
-    Circuit,
     Mode,
-    RegisterLayout,
     StateVector,
     apply_circuit,
     basis_index,
     compile_state_prep,
-    new_state,
+    prepare_low_qubits,
 )
 from .subset import BitString, SubsetTable, zeta_fast
 
@@ -212,12 +210,14 @@ def _oracle_equivalence(mobius_probs: np.ndarray, marginal_probs: np.ndarray) ->
 
 
 def _state_prep_round_trip(target: np.ndarray) -> Verdict:
-    layout = RegisterLayout(Mode.MOBIUS, 5)
-    state = apply_circuit(new_state(layout), Circuit(layout, compile_state_prep(target)))
-    err = float(np.max(np.abs(state.amplitudes[:32] - target)))
-    rest = float(np.linalg.norm(state.amplitudes[32:]))
-    if err > 1e-10 or rest > 1e-12:
-        return Verdict(False, max(err, rest), f"round-trip error {err}, leakage {rest}")
+    """The compiled prep on its own 5-qubit register, as build_unmarked_state runs it.
+
+    prepare_low_qubits raises on a gate outside the register, so leakage fails the check.
+    """
+    amps = prepare_low_qubits(compile_state_prep(target), 5)
+    err = float(np.max(np.abs(amps - target)))
+    if err > 1e-10:
+        return Verdict(False, err, f"round-trip error {err}")
     return Verdict(True, err, f"5-qubit complex round trip within {err:.2e}")
 
 

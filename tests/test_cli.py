@@ -384,7 +384,7 @@ def test_sweep_rows_equal_per_point_estimators(tmp_path, capsys, mode, n, n0, co
         x = BitString.from_str(row["x"])
         q = TransformQuery(mode, n, amps, x, n0)
         report = estimate_sampled(q, 400, 9 + x.to_int())
-        assert row["exact"] == estimate_exact(q) == report.exact
+        assert row["exact"] == estimate_exact(q)
         assert (row["estimate"], row["halfwidth"]) == (report.estimate, report.halfwidth)
     capsys.readouterr()
 
@@ -485,6 +485,7 @@ def test_minfind_usage_errors(tmp_path, capsys):
     assert main(["minfind", "--input", str(obj), "--center", "1"]) == 1
     assert main(["minfind", "--center", "1"]) == 1  # missing --n
     assert main(["minfind", "--center", "1", "--n", "2", "--shots", "10"]) == 1
+    assert main(["minfind", "--center", "1" + "0" * 400, "--n", "2"]) == 1  # no float holds it
     capsys.readouterr()
 
 
@@ -569,6 +570,60 @@ def test_minfind_takes_no_seed(capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+REPLAYED_FLAGS = {
+    "transform": (
+        ["mobius", "--input", str(DATA / "mobius3_table.json"), "--check", str(DATA / "mobius3_sweep_shots5000.json")],
+        [["--x", "101", "--shots", "7", "--seed", "99"], ["--sweep"], ["--seed", "0"]],
+        "--x, --sweep, --shots, --seed",
+    ),
+    "minfind": (
+        ["minfind", "--center", str(GOLDEN_MINFIND18_CENTER), "--n", "18", "--check", str(DATA / "minfind18_classical.json")],
+        [["--beta", "1"], ["--threshold", "0.5"], ["--backend", "classical"]],
+        "--beta, --threshold, --backend",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REPLAYED_FLAGS.values(), ids=REPLAYED_FLAGS.keys())
+def test_check_refuses_the_flags_it_replays(tmp_path, capsys, case):
+    """A --check run takes these values from the file, so giving one is an error."""
+    argv, extras, named = case
+    out = tmp_path / "out.json"
+    for extra in extras:
+        assert main(argv + extra + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--check takes {named} from the file; drop {', '.join(extra[::2])}" in captured.err
+        assert not out.exists()
+
+
+def test_oversized_shot_counts_exit_1_without_writing(uniform3, tmp_path, capsys):
+    """numpy's multinomial takes at most 2**63 - 1 shots, from the flag or a --check file."""
+    out = tmp_path / "out.json"
+    check = _edited_fixture(tmp_path, "mobius3_sweep_shots5000.json", lambda o: o.update({"shots": 2**63}))
+    for argv in (
+        ["mobius", "--input", uniform3, "--x", "101", "--shots", str(10**20)],
+        ["mobius", "--input", str(DATA / "mobius3_table.json"), "--check", check],
+    ):
+        assert main(argv + ["--out", str(out)]) == 1
+        assert "shots must be >= 1 and < 2**63" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_deeply_nested_json_exits_1_without_writing(uniform3, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"n": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    out = tmp_path / "out.json"
+    for argv in (
+        ["mobius", "--input", str(deep), "--x", "101"],
+        ["mobius", "--input", uniform3, "--check", str(deep)],
+        ["minfind", "--input", str(deep)],
+    ):
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply\n"
+        assert not out.exists()
+
+
 def test_failed_check_writes_no_files(uniform3, tmp_path, capsys):
     """A --check that fails exits 1 before writing --out or --dump-state."""
     out, dump = tmp_path / "out.json", tmp_path / "state.json"
@@ -611,6 +666,19 @@ def test_verify_passes_and_prints_one_line_per_check(capsys):
     checks = lines[:-1]
     assert len(checks) == 6
     assert all(line.startswith("PASS  ") for line in checks)
+
+
+def test_prep_gate_on_qubit_5_fails_the_state_prep_round_trip(monkeypatch):
+    import mobiusq.verify as verify_mod
+
+    compile_prep = verify_mod.compile_state_prep
+    monkeypatch.setattr(verify_mod, "compile_state_prep", lambda t: (*compile_prep(t), Hadamard(5)))
+    ok, lines = run_verify(seed=0)
+    assert not ok
+    assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
+        "FAIL  state-prep-round-trip"
+    ]
+    assert "qubits [5] outside the low 5" in lines[4]
 
 
 def _corrupted_comparator(query: TransformQuery) -> Circuit:

@@ -15,6 +15,7 @@ from mobiusq.circuits import (
 )
 from mobiusq.grover import (
     GroverPlan,
+    Readout,
     amplify,
     estimate_exact,
     estimate_sampled,
@@ -265,10 +266,10 @@ def test_sampling_error_shrinks_with_shots():
 
 
 def test_sampling_reports_positive_halfwidth():
-    rep = estimate_sampled(_uniform_query(3, "101"), shots=5_000, seed=3)
+    q = _uniform_query(3, "101")
+    rep = estimate_sampled(q, shots=5_000, seed=3)
     assert rep.halfwidth is not None and rep.halfwidth > 0.0
-    assert rep.shots == 5_000 and rep.seed == 3
-    assert abs(rep.estimate - rep.exact) <= 5 * rep.halfwidth
+    assert abs(rep.estimate - estimate_exact(q)) <= 5 * rep.halfwidth
 
 
 def test_single_shot_reports_insufficient_instead_of_crashing():
@@ -288,7 +289,15 @@ def test_sampling_rejects_bad_shot_counts():
     with pytest.raises(ValueError):
         estimate_sampled(_uniform_query(2, "11"), shots=0, seed=0)
     with pytest.raises(ValueError):
-        read_out(build_start_state(_uniform_query(2, "11"))).sample(BitString.from_str("11"), 0, 0)
+        read_out(build_start_state(_uniform_query(2, "11"))).sample(0, 0)
+
+
+def test_vanished_reference_mass_raises_for_exact_and_sample():
+    readout = Readout(GroverPlan(0.5, 0, 0.25), (0.0, 0.5, 0.25, 0.25))
+    with pytest.raises(RuntimeError, match="reference mass vanished"):
+        readout.exact
+    with pytest.raises(RuntimeError, match="reference mass vanished"):
+        readout.sample(100, 0)
 
 
 def test_one_readout_serves_both_estimators():
@@ -296,8 +305,8 @@ def test_one_readout_serves_both_estimators():
     readout = read_out(build_start_state(q))
     assert readout.plan == plan_grover(build_start_state(q))
     assert readout.exact == estimate_exact(q)
-    got, want = readout.sample(q.x, 3000, 4), estimate_sampled(q, 3000, 4)
-    assert (got.exact, got.estimate, got.halfwidth) == (want.exact, want.estimate, want.halfwidth)
+    got, want = readout.sample(3000, 4), estimate_sampled(q, 3000, 4)
+    assert (got.estimate, got.halfwidth) == (want.estimate, want.halfwidth)
     assert abs(sum(readout.cells) - 1.0) <= 1e-12
     # the unmarked state has no omega=0 weight; the mark is what makes the target reachable
     with pytest.raises(ValueError, match="unreachable"):

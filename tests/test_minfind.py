@@ -56,7 +56,6 @@ def test_objective_size_is_capped_before_allocation():
 def test_quadratic_objective_values():
     obj = quadratic_objective(3, 5)
     assert list(obj.values) == [(v - 5) ** 2 + 1 for v in range(8)]
-    assert obj.as_table().n == 3
 
 
 def test_softmin_frozen_example():

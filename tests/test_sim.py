@@ -432,6 +432,19 @@ def test_state_json_roundtrip():
     assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= 1e-15
 
 
+def test_state_json_takes_only_json_numbers():
+    """A --dump-state file is read by the rules of every other JSON input."""
+    good = state_to_json_obj(new_state(RegisterLayout(Mode.MARGINAL, 2, 1)))
+    for key, bad in [("n", True), ("n", 2.9), ("n", "2"), ("n0", 1.0)]:
+        obj = {**good, "layout": {**good["layout"], key: bad}}
+        with pytest.raises(ValueError, match=f"'{key}' must be an integer"):
+            state_from_json_obj(obj)
+    for bad in ([True, 0.0], ["1", 0], [1.0, 0.0, 7.0]):
+        obj = {**good, "amplitudes": [bad] + good["amplitudes"][1:]}
+        with pytest.raises(ValueError, match=r"'amplitudes'\[0\]"):
+            state_from_json_obj(obj)
+
+
 # ---------------------------------------------------------------------------
 # state preparation
 

@@ -238,6 +238,8 @@ def test_table_validation():
         SubsetTable(2, [1.0, 2.0])
     with pytest.raises(ValueError):
         SubsetTable(0, [1.0])
+    with pytest.raises(ValueError, match="1..62"):  # refused before computing 2**n
+        SubsetTable(10**20, [1.0])
     for bad in (np.nan, np.inf, -np.inf, complex(0.5, np.nan)):
         with pytest.raises(ValueError, match="non-finite"):
             SubsetTable(2, [bad, 0.5, 0.25, 0.25])
