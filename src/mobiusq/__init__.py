@@ -64,7 +64,6 @@ from .grover import (
     read_out,
 )
 from .minfind import (
-    MinSearchError,
     ObjectiveTable,
     ProbeRecord,
     SearchTrace,

@@ -26,10 +26,8 @@ table's points are all read from one unmarked state.
 """
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -116,6 +114,7 @@ class TransformQuery:
         return cls(mode, table.n, np.sqrt(table.values), x, n0)
 
     def to_json_obj(self) -> dict:
+        """The query input format from_json_obj reads; the tests write their inputs with it."""
         return {
             "mode": self.mode.value,
             "n": self.n,
@@ -133,13 +132,6 @@ class TransformQuery:
         amps = np.array(json_complex(obj, "psi_minus"), dtype=np.complex128)
         n, n0 = json_int(obj, "n"), json_int(obj, "n0")
         return cls(Mode(obj["mode"]), n, amps, BitString.from_str(obj["x"]), n0)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_obj()))
-
-    @classmethod
-    def load(cls, path: str | Path) -> TransformQuery:
-        return cls.from_json_obj(json.loads(Path(path).read_text()))
 
 
 def _keep(query: TransformQuery) -> np.ndarray:
@@ -220,7 +212,9 @@ def _branch_ops(query: TransformQuery) -> list[GateOp]:
 def build_start_circuit(query: TransformQuery) -> Circuit:
     """Full start-state circuit: the alpha_minus prep, the branch ops, the mark.
 
-    See the module docstring for the state it builds.
+    See the module docstring for the state it builds.  The CLI simulates its
+    parts through build_unmarked_state and marked; the whole circuit is the
+    tests' oracle for those and the op list perfbench's tracer replays.
     """
     prep = compile_state_prep(query.psi_minus)
     ops = (*prep, *_branch_ops(query), mark_op(query.layout, query.x))

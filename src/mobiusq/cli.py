@@ -216,10 +216,6 @@ def _read_json(path: str) -> dict:
     return obj
 
 
-def _write_json(path: str, obj: dict) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
-
-
 def _read_check(args, schema: dict, replayed: tuple[str, ...]) -> dict | None:
     """The --check file, schema-validated and recorded by this command; None without --check.
 
@@ -295,11 +291,11 @@ def _print_table(rows: list[dict], columns: list[str]) -> None:
         print("  ".join(_format_cell(r.get(c)).ljust(w) for c, w in zip(columns, widths)))
 
 
-def _values_match(a, b, tol: float = 1e-9) -> bool:
+def _values_match(a, b) -> bool:
     if a is None or b is None:
         return a is None and b is None
     if isinstance(a, float) or isinstance(b, float):
-        return abs(float(a) - float(b)) <= tol
+        return abs(float(a) - float(b)) <= 1e-9
     return a == b
 
 
@@ -312,10 +308,25 @@ def _mismatches(old: dict, new: dict, prefix: str = "") -> list[str]:
     ]
 
 
-def _finish(args, result: dict, schema: dict, check: dict | None, rows_key: str) -> int:
-    """Validate the result, confirm every recorded field of --check, then write --out.
+def _write_outputs(files: dict) -> None:
+    """Write each {path: obj} whose path is set; on an I/O error remove the ones written and re-raise."""
+    written = []
+    try:
+        for path, obj in files.items():
+            if path:
+                Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+                written.append(path)
+    except OSError:
+        for path in written:
+            Path(path).unlink(missing_ok=True)
+        raise
 
-    Returns the exit code; a failed check writes no file.
+
+def _finish(args, result: dict, schema: dict, check: dict | None, rows_key: str, dump=None) -> int:
+    """Validate the result, confirm every recorded field of --check, then write the outputs.
+
+    --out and the --dump-state ``dump`` are written in one last step, so a
+    failed check or a failed write leaves neither.  Returns the exit code.
     """
     _validate(result, schema)
     if check is not None:
@@ -330,8 +341,7 @@ def _finish(args, result: dict, schema: dict, check: dict | None, rows_key: str)
             print("check: FAIL", *problems, sep="\n  ")
             return 1
         print(f"check: PASS ({len(new_rows)} rows confirmed within 1e-9)")
-    if args.out:
-        _write_json(args.out, result)
+    _write_outputs({args.out: result, getattr(args, "dump_state", None): dump})
     return 0
 
 
@@ -355,8 +365,13 @@ def _cmd_transform(args) -> int:
         else:
             raise ValueError("a table input needs --x or --sweep")
     seed = 0 if seed is None else seed
-    if shots is not None and not 1 <= shots < 1 << 63:  # numpy's multinomial limit
-        raise ValueError(f"shots must be >= 1 and < 2**63, got {shots}")
+    if shots is not None:
+        if not 1 <= shots < 1 << 63:  # numpy's multinomial limit
+            raise ValueError(f"shots must be >= 1 and < 2**63, got {shots}")
+        low = min(points, key=BitString.to_int)  # each point samples with seed + dec(x) >= 0
+        if seed + low.to_int() < 0:
+            source = f"{args.check}: seed" if check is not None else "--seed"
+            raise ValueError(f"{source} {seed} makes the sampling seed seed + dec(x) negative at x = {low}")
     if args.dump_state and len(points) != 1:
         raise ValueError("--dump-state needs a single --x point")
 
@@ -386,21 +401,24 @@ def _cmd_transform(args) -> int:
         "seed": seed if shots is not None else None,
         "rows": rows,
     }
-    if _finish(args, result, TRANSFORM_SCHEMA, check, "rows"):
-        return 1
+    dump = None
     if args.dump_state:
         with marked(unmarked, queries[0].x) as start:
-            _write_json(args.dump_state, state_to_json_obj(start))
-    return 0
+            dump = state_to_json_obj(start)
+    return _finish(args, result, TRANSFORM_SCHEMA, check, "rows", dump)
 
 
 def _cmd_minfind(args) -> int:
     if args.input:
+        if args.n is not None:
+            raise ValueError("--n sizes the --center objective; an --input table has its own n")
         table = SubsetTable.from_json_obj(_read_json(args.input))
         objective = ObjectiveTable(table.n, table.values)
     else:
         if args.n is None:
             raise ValueError("--center needs --n")
+        if abs(args.center) > 2**511:  # keeps every (dec(x) - center)**2 + 1 a finite float64
+            raise ValueError("--center must be at most 2**511 in magnitude for a float64 objective")
         objective = quadratic_objective(args.n, args.center)
 
     check = _read_check(args, MINFIND_SCHEMA, ("beta", "threshold", "backend"))
@@ -438,6 +456,8 @@ def _cmd_minfind(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     ok, lines = run_verify(args.seed)
     for line in lines:
         print(line)

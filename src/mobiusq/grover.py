@@ -163,7 +163,7 @@ class Readout:
         if shots < 1:
             raise ValueError("shots must be >= 1")
         self.exact  # raises when the gamma=0 reference mass vanished
-        cells = np.clip(np.array(self.cells), 0.0, None)
+        cells = np.array(self.cells)
         cells /= cells.sum()
         rng = np.random.default_rng(seed)
         counts = rng.multinomial(shots, cells)

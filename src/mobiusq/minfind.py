@@ -11,7 +11,7 @@ backend (classical butterfly table, or the exact quantum estimator).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,7 +25,6 @@ __all__ = [
     "ObjectiveTable",
     "ProbeRecord",
     "SearchTrace",
-    "MinSearchError",
     "softmin_table",
     "choose_beta",
     "probe_point",
@@ -82,13 +81,17 @@ def softmin_table(objective: ObjectiveTable, beta: float) -> SubsetTable:
     """Softmin distribution exp(beta * sum_y (E(y) - E(x))) normalized over x.
 
     Equivalent to a softmax over -beta * 2**n * E(x); computed with the
-    usual max-shift so any beta is safe in log space (entries far from the
-    minimum simply underflow to zero).
+    usual max-shift, so any beta whose logits are finite float64 is safe
+    (entries far from the minimum simply underflow to zero).  A larger beta
+    raises ValueError before any logit is formed.
     """
     if not (math.isfinite(beta) and beta > 0.0):
         raise ValueError(f"beta must be positive and finite, got {beta}")
+    scale = beta * float(1 << objective.n)
+    if not math.isfinite(scale * float(objective.values.max())):
+        raise ValueError(f"beta {beta} is too large: the softmin logits overflow float64")
     # one working table, updated in place: the logits, then the softmin weights
-    weights = -beta * float(1 << objective.n) * objective.values
+    weights = -scale * objective.values
     weights -= weights.max()
     np.exp(weights, out=weights)
     # keep entries strictly positive even when exp underflows far from the peak
@@ -138,18 +141,10 @@ class ProbeRecord:
     bit: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchTrace:
-    probes: list[ProbeRecord] = field(default_factory=list)
-    result: BitString | None = None
-
-
-class MinSearchError(RuntimeError):
-    """Evaluator failure; carries the probes completed so far."""
-
-    def __init__(self, message: str, trace: SearchTrace):
-        super().__init__(message)
-        self.trace = trace
+    probes: list[ProbeRecord]
+    result: BitString
 
 
 def classical_evaluator(d_minus: SubsetTable) -> Callable[[BitString], float]:
@@ -190,23 +185,18 @@ def find_min(
     Bits are decided most-significant first: when D(probe) falls below the
     threshold the peak lies above the probe, so the bit is 1.  ``evaluator``
     defaults to the classical backend over softmin_table(objective, beta).
-    Evaluator failures raise MinSearchError carrying the partial trace.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie strictly between 0 and 1")
     if evaluator is None:
         evaluator = classical_evaluator(softmin_table(objective, beta))
     n = objective.n
-    trace = SearchTrace()
+    probes: list[ProbeRecord] = []
     decided: list[int] = []
     for j in range(n - 1, -1, -1):
         point = probe_point(n, decided, j)
-        try:
-            value = float(evaluator(point))
-        except Exception as exc:
-            raise MinSearchError(f"evaluator failed at probe {point}: {exc}", trace) from exc
+        value = float(evaluator(point))
         bit = 1 if value < threshold else 0
-        trace.probes.append(ProbeRecord(point=point, value=value, bit=bit))
+        probes.append(ProbeRecord(point=point, value=value, bit=bit))
         decided.append(bit)
-    trace.result = BitString(tuple(reversed(decided)))
-    return trace
+    return SearchTrace(probes, BitString(tuple(reversed(decided))))

@@ -117,6 +117,7 @@ class RegisterLayout:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> RegisterLayout:
+        """Inverse of to_json_obj; only state_from_json_obj, the tests' dump reader, calls it."""
         return cls(Mode(obj["mode"]), json_int(obj, "n"), json_int(obj, "n0"))
 
 
@@ -216,9 +217,6 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.ops)
 
-    def __iter__(self):
-        return iter(self.ops)
-
 
 # ---------------------------------------------------------------------------
 # states and gate application
@@ -246,7 +244,7 @@ class StateVector:
 
 
 def new_state(layout: RegisterLayout) -> StateVector:
-    """All-zeros basis state."""
+    """All-zeros basis state; the tests' full-circuit runs and perfbench's replay start here."""
     amps = np.zeros(1 << layout.total_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(layout, amps)

@@ -11,9 +11,7 @@ tables are both supported.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -58,15 +56,8 @@ class BitString:
     def to_int(self) -> int:
         return sum(b << j for j, b in enumerate(self.bits))
 
-    @property
-    def n(self) -> int:
-        return len(self.bits)
-
     def __len__(self) -> int:
         return len(self.bits)
-
-    def __getitem__(self, j: int) -> int:
-        return self.bits[j]
 
     def __str__(self) -> str:
         return "".join(str(b) for b in reversed(self.bits))
@@ -107,6 +98,7 @@ class SubsetTable:
             raise ValueError(f"probability table sums to {total}, expected 1")
 
     def to_json_obj(self) -> dict:
+        """The table input format from_json_obj reads; the tests write their inputs with it."""
         if np.iscomplexobj(self.values):
             vals = [[float(v.real), float(v.imag)] for v in self.values]
         else:
@@ -121,13 +113,6 @@ class SubsetTable:
         if not arr.imag.any():  # only an exactly real table loads as float64
             arr = arr.real
         return cls(json_int(obj, "n"), arr)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_obj()))
-
-    @classmethod
-    def load(cls, path: str | Path) -> SubsetTable:
-        return cls.from_json_obj(json.loads(Path(path).read_text()))
 
 
 def json_int(obj: dict, key: str) -> int:

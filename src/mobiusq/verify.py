@@ -14,8 +14,8 @@ property is stated once:
 
 Both the comparator check of ``run_verify`` and the acceptance gate read the
 coefficients off the compiled circuit (``circuit_coefficient``), so a
-corrupted comparator builder (the fault-injection hook used by the tests) is
-caught there.
+corrupted ``build_comparator`` (the tests inject one by replacing this
+module's name) is caught there.
 """
 from __future__ import annotations
 
@@ -238,17 +238,8 @@ def _probabilities(rng: np.random.Generator, size: int) -> np.ndarray:
     return probs / probs.sum()
 
 
-def run_verify(
-    seed: int = 0,
-    comparator_builder: Callable[[TransformQuery], object] | None = None,
-) -> tuple[bool, list[str]]:
-    """Run every check; returns overall success and one report line each.
-
-    ``comparator_builder`` overrides the circuit builder under test, which
-    lets the test suite inject a corrupted comparator and confirm the
-    coefficient check catches it.
-    """
-    builder = build_comparator if comparator_builder is None else comparator_builder
+def run_verify(seed: int = 0) -> tuple[bool, list[str]]:
+    """Run every check; returns overall success and one report line each."""
     rng = np.random.default_rng(seed)
     sector_queries = [_random_query(rng, Mode.MOBIUS, 3) for _ in range(4)]
     sector_queries += [_random_query(rng, Mode.MARGINAL, 4, 2) for _ in range(3)]
@@ -258,7 +249,7 @@ def run_verify(
     uniform = TransformQuery(Mode.MOBIUS, 3, np.full(8, 2.0 ** -1.5), BitString.from_str("111"))
 
     checks: tuple[tuple[str, Callable[[], Verdict]], ...] = (
-        ("comparator-coefficients", lambda: comparator_table(circuit_coefficient(builder), 1e-12)),
+        ("comparator-coefficients", lambda: comparator_table(circuit_coefficient(build_comparator), 1e-12)),
         ("sector-decomposition", lambda: sector_readout(sector_queries, 1e-10)),
         ("ratio-preservation", lambda: odds_preserved([odds_query], 8, 1e-9)),
         ("oracle-equivalence", lambda: _oracle_equivalence(mobius_probs, marginal_probs)),

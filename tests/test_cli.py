@@ -82,7 +82,7 @@ def test_mobius_accepts_query_json(tmp_path, capsys):
     amps /= np.linalg.norm(amps)
     q = TransformQuery(Mode.MOBIUS, 2, amps, BitString.from_str("11"))
     path = tmp_path / "query.json"
-    q.save(path)
+    path.write_text(json.dumps(q.to_json_obj()))
     assert main(["mobius", "--input", str(path), "--x", "01"]) == 0
     row = capsys.readouterr().out.strip().splitlines()[1].split()
     want = float(np.abs(amps[0]) ** 2 + np.abs(amps[1]) ** 2)
@@ -174,7 +174,7 @@ def test_marginal_query_input_conflicting_n0(tmp_path, capsys):
     amps /= np.linalg.norm(amps)
     q = TransformQuery(Mode.MARGINAL, 3, amps, BitString.from_str("10"), n0=2)
     path = tmp_path / "mq.json"
-    q.save(path)
+    path.write_text(json.dumps(q.to_json_obj()))
     assert main(["marginal", "--input", str(path), "--x", "01"]) == 0
     assert main(["marginal", "--input", str(path), "--x", "01", "--n0", "1"]) == 1
     # query mode must match the command
@@ -294,7 +294,7 @@ def test_query_input_is_evaluated_at_its_own_x(tmp_path, capsys, mode, n, n0):
     amps /= np.linalg.norm(amps)
     own = BitString.from_int(1, n0 or n)
     path = tmp_path / "query.json"
-    TransformQuery(mode, n, amps, own, n0).save(path)
+    path.write_text(json.dumps(TransformQuery(mode, n, amps, own, n0).to_json_obj()))
     out = tmp_path / "out.json"
 
     def rows(*flags):
@@ -354,6 +354,49 @@ def test_bad_flags_fail_before_any_circuit_work(uniform3, tmp_path, monkeypatch,
     assert built == []
 
 
+def test_negative_sampling_seeds_fail_before_any_circuit_work(uniform3, tmp_path, monkeypatch, capsys):
+    """Each point samples with seed + dec(x), which numpy needs to be >= 0."""
+    built = _count_unmarked_builds(monkeypatch)
+    out = tmp_path / "out.json"
+    check = _edited_fixture(tmp_path, "mobius3_sweep_shots5000.json", lambda o: o.update({"seed": -3}))
+    for argv, message in (
+        (["mobius", "--input", uniform3, "--sweep", "--shots", "10", "--seed", "-3"], "--seed -3 "),
+        (["mobius", "--input", uniform3, "--x", "010", "--shots", "10", "--seed", "-3"], "--seed -3 "),
+        (["mobius", "--input", str(DATA / "mobius3_table.json"), "--check", check], f"{check}: seed -3 "),
+    ):
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "negative at x = " in err
+        assert not out.exists()
+    assert built == []
+    # a seed that stays non-negative at every point of the run still works
+    assert main(["mobius", "--input", uniform3, "--x", "101", "--shots", "10", "--seed", "-5"]) == 0
+    assert main(["mobius", "--input", uniform3, "--sweep", "--seed", "-3"]) == 0  # no sampling
+    capsys.readouterr()
+
+
+def test_verify_refuses_a_negative_seed(capsys):
+    assert main(["verify", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+
+
+def test_failed_output_write_leaves_no_output_files(uniform3, tmp_path, capsys):
+    """--out and --dump-state are written together: an I/O failure on either leaves neither."""
+    out, dump = tmp_path / "out.json", tmp_path / "state.json"
+    missing = str(tmp_path / "missing_dir" / "file.json")
+    point = ["mobius", "--input", uniform3, "--x", "101"]
+    for argv in (
+        point + ["--out", str(out), "--dump-state", missing],
+        point + ["--out", missing, "--dump-state", str(dump)],
+    ):
+        assert main(argv) == 2
+        assert "No such file or directory" in capsys.readouterr().err
+        assert not out.exists() and not dump.exists()
+    assert main(point + ["--out", str(out), "--dump-state", str(dump)]) == 0
+    assert out.exists() and dump.exists()
+    capsys.readouterr()
+
+
 def _query_input(tmp_path, mode: Mode, n: int, n0: int | None, complex_amps: bool) -> tuple[str, np.ndarray]:
     rng = np.random.default_rng(10 * n + (n0 or 0) + complex_amps)
     if complex_amps:
@@ -362,8 +405,9 @@ def _query_input(tmp_path, mode: Mode, n: int, n0: int | None, complex_amps: boo
         amps = rng.random(1 << n)
     amps /= np.linalg.norm(amps)
     path = tmp_path / "query.json"
-    TransformQuery(mode, n, amps, BitString.from_int(0, n0 or n), n0).save(path)
-    return str(path), TransformQuery.load(path).psi_minus
+    obj = TransformQuery(mode, n, amps, BitString.from_int(0, n0 or n), n0).to_json_obj()
+    path.write_text(json.dumps(obj))
+    return str(path), TransformQuery.from_json_obj(obj).psi_minus
 
 
 @pytest.mark.parametrize("complex_amps", [False, True])
@@ -487,6 +531,25 @@ def test_minfind_usage_errors(tmp_path, capsys):
     assert main(["minfind", "--center", "1", "--n", "2", "--shots", "10"]) == 1
     assert main(["minfind", "--center", "1" + "0" * 400, "--n", "2"]) == 1  # no float holds it
     capsys.readouterr()
+
+
+def test_minfind_input_refuses_n(tmp_path, capsys):
+    obj = tmp_path / "obj.json"
+    obj.write_text(json.dumps({"n": 2, "values": [2.0, 1.0, 3.0, 4.0]}))
+    assert main(["minfind", "--input", str(obj), "--n", "7"]) == 1
+    assert capsys.readouterr().err.startswith("error: --n ")
+
+
+@pytest.mark.parametrize("center", ["1" + "0" * 400, "-1" + "0" * 400, str(10**200), str(2**511 + 1)])
+def test_minfind_refuses_a_center_beyond_a_float64_objective(center, capsys):
+    assert main(["minfind", "--center", center, "--n", "5"]) == 1
+    assert capsys.readouterr().err.startswith("error: --center must be at most 2**511")
+
+
+def test_minfind_rejects_a_beta_whose_logits_overflow(capsys):
+    assert main(["minfind", "--center", "13", "--n", "5", "--beta", "1e308"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: beta 1e+308 is too large") and "non-finite" not in err
 
 
 def test_minfind_rejects_oversized_objective(capsys):
@@ -695,8 +758,11 @@ def _corrupted_comparator(query: TransformQuery) -> Circuit:
     return Circuit(layout, tuple(ops))
 
 
-def test_fault_injection_is_caught_by_the_comparator_check():
-    ok, lines = run_verify(seed=0, comparator_builder=_corrupted_comparator)
+def test_fault_injection_is_caught_by_the_comparator_check(monkeypatch):
+    import mobiusq.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, "build_comparator", _corrupted_comparator)
+    ok, lines = run_verify(seed=0)
     assert not ok
     assert lines[0].startswith("FAIL  comparator-coefficients")
     assert "closed form" in lines[0]

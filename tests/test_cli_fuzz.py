@@ -1,7 +1,8 @@
 """Fuzz ``mobiusq.cli.main`` in-process over mutated small inputs and flags.
 
 Every run must return exit code 0, 1 or 2 with no exception escaping, and a
-run that does not succeed must leave no --out or --dump-state file.  Sizes
+run that does not succeed must leave no --out or --dump-state file, also
+when the --dump-state path cannot be written.  Sizes
 stay small: tables have n <= 4, minfind's --n is 1..8 or past the 26-bit cap
 (which is refused before any allocation), and the quantum backend runs only
 at n <= 4.
@@ -15,7 +16,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mobiusq.cli import main
@@ -27,6 +28,7 @@ ODD_VALUES = [
 ]
 RAW_TEXTS = ["", "{not json", "[]", "null", "[" * 100_000 + "]" * 100_000]
 HUGE_COUNTS = [0, -3, 10**20, 2**63]
+UNWRITABLE = "missing_dir/dump.json"  # its directory is never made, so the write fails
 
 
 def _paths(doc, prefix=()):
@@ -112,7 +114,7 @@ def _transform_run(draw) -> tuple[list, dict[str, str]]:
         files["check"] = draw(_json_text(_transform_record(command, n, n0)))
         argv += ["--check", "check"]
     if draw(st.booleans()):
-        argv += ["--dump-state", "dump.json"]
+        argv += ["--dump-state", draw(st.sampled_from(["dump.json", UNWRITABLE]))]
     return argv, files
 
 
@@ -127,7 +129,7 @@ def _minfind_run(draw) -> tuple[list, dict[str, str]]:
         n = draw(st.one_of(st.integers(1, 8), st.sampled_from([27, 40])))
         argv = ["minfind", "--center", str(draw(st.sampled_from([0, 3, -2, 10**30, 10**400]))), "--n", str(n)]
     if draw(st.booleans()):
-        argv += ["--beta", draw(st.sampled_from(["0.5", "0", "-1", "nan", "inf", "1e300"]))]
+        argv += ["--beta", draw(st.sampled_from(["0.5", "0", "-1", "nan", "inf", "1e300", "1e308"]))]
     if draw(st.booleans()):
         argv += ["--threshold", draw(st.sampled_from(["0.5", "0.9", "0", "1", "nan"]))]
     if n <= 4 and draw(st.booleans()):
@@ -138,15 +140,21 @@ def _minfind_run(draw) -> tuple[list, dict[str, str]]:
     return argv, files
 
 
+# draws that reach these two cases are rare, so each is also run as a fixed example
+_POINT_RUN = ["mobius", "--input", "input", "--x", "101", "--dump-state", UNWRITABLE]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.one_of(_transform_run(), _minfind_run()), st.booleans())
+@example((_POINT_RUN, {"input": json.dumps(_table(3))}), True)
+@example((["minfind", "--center", "3", "--n", "4", "--beta", "1e308"], {}), False)
 def test_main_exits_0_1_or_2_and_a_failed_run_writes_nothing(run, with_out):
     argv, files = run
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name, text in files.items():
             (root / name).write_text(text)
-        argv = [str(root / a) if a in files or a == "dump.json" else a for a in argv]
+        argv = [str(root / a) if a in files or a in ("dump.json", UNWRITABLE) else a for a in argv]
         out = root / "out.json"
         if with_out:
             argv += ["--out", str(out)]

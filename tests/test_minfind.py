@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,10 +10,7 @@ import mobiusq.minfind as minfind_mod
 from mobiusq.circuits import TransformQuery
 from mobiusq.grover import estimate_exact
 from mobiusq.minfind import (
-    MinSearchError,
     ObjectiveTable,
-    ProbeRecord,
-    SearchTrace,
     choose_beta,
     classical_evaluator,
     find_min,
@@ -69,6 +67,14 @@ def test_softmin_frozen_example():
 def test_softmin_rejects_bad_beta(beta):
     with pytest.raises(ValueError, match="beta must be positive and finite"):
         softmin_table(ObjectiveTable(1, [1.0, 2.0]), beta)
+
+
+def test_softmin_rejects_a_beta_whose_logits_overflow():
+    obj = quadratic_objective(5, 13)  # largest value 18**2 + 1 = 325
+    softmin_table(obj, 1e300)  # logits reach 1e300 * 32 * 325, still finite
+    for beta in (1e306, 1e308):
+        with pytest.raises(ValueError, match=re.escape(f"beta {beta} is too large")):
+            softmin_table(obj, beta)
 
 
 def test_softmin_peaks_at_the_argmin():
@@ -235,23 +241,20 @@ def test_find_min_threshold_validation():
             find_min(obj, 1.0, threshold=bad)
 
 
-def test_find_min_wraps_evaluator_failures_with_partial_trace():
+def test_find_min_passes_evaluator_failures_through():
+    # an evaluator's ValueError stays a ValueError, which the CLI maps to exit 1
     obj = quadratic_objective(4, 6)
     calls = []
 
     def flaky(point):
         if len(calls) == 2:
-            raise RuntimeError("backend went away")
+            raise ValueError("backend went away")
         calls.append(point)
         return 1.0 if (6 & point.to_int()) == 6 else 0.0
 
-    with pytest.raises(MinSearchError) as info:
+    with pytest.raises(ValueError, match="backend went away"):
         find_min(obj, 1.0, evaluator=flaky)
-    trace = info.value.trace
-    assert isinstance(trace, SearchTrace)
-    assert trace.result is None
-    assert len(trace.probes) == 2
-    assert all(isinstance(p, ProbeRecord) for p in trace.probes)
+    assert len(calls) == 2
 
 
 def test_trace_values_are_monotone_enough_to_threshold():

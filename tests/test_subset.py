@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,7 +35,7 @@ def test_bitstring_display_is_msb_first():
 
 def test_bitstring_bit_j_is_2_to_j():
     b = _bs("100")  # dec 4
-    assert (b[0], b[1], b[2]) == (0, 0, 1)
+    assert b.bits == (0, 0, 1)
     assert b.to_int() == 4
 
 
@@ -245,17 +247,18 @@ def test_table_validation():
             SubsetTable(2, [bad, 0.5, 0.25, 0.25])
 
 
-def test_table_json_roundtrip_real_and_complex(tmp_path):
+def _json_round_trip(table: SubsetTable) -> SubsetTable:
+    return SubsetTable.from_json_obj(json.loads(json.dumps(table.to_json_obj())))
+
+
+def test_table_json_roundtrip_real_and_complex():
     real = SubsetTable(2, [0.1, 0.2, 0.3, 0.4])
-    path = tmp_path / "t.json"
-    real.save(path)
-    back = SubsetTable.load(path)
+    back = _json_round_trip(real)
     assert np.array_equal(back.values, real.values)
     assert not np.iscomplexobj(back.values)
 
     cx = SubsetTable(1, [0.6 + 0.8j, 0.0])
-    cx.save(path)
-    back = SubsetTable.load(path)
+    back = _json_round_trip(cx)
     assert np.allclose(back.values, cx.values)
     assert np.iscomplexobj(back.values)
 

@@ -57,13 +57,15 @@ def test_tracer_runs_the_cli_with_no_problems(tmp_path, cli_args):
 def test_tracer_replays_the_start_circuit_in_segments(tmp_path):
     """The segmented replay of build_start_circuit equals the one-shot build."""
     script = """
+import json
 import sys
 sys.path.insert(0, sys.argv[1])
 import tracer
 from mobiusq.circuits import TransformQuery, build_start_circuit
 from mobiusq.subset import BitString, SubsetTable
 
-table = SubsetTable.load(sys.argv[2])
+with open(sys.argv[2]) as f:
+    table = SubsetTable.from_json_obj(json.load(f))
 run = tracer.TracedRun()
 for mode, x, n0 in (("mobius", "101", None), ("marginal", "10", 2)):
     q = TransformQuery.from_probability_table(mode, table, BitString.from_str(x), n0)
