@@ -1,0 +1,146 @@
+"""Golden-output corpus of the mobiusq CLI: the manifest, its runner and its writer.
+
+Each entry is one CLI invocation.  Its expected exit code sits in
+``tests/data/golden/manifest.json``; its stdout and the files it writes
+(``--out``, ``--dump-state``) sit beside the manifest as
+``<name>.stdout``, ``<name>.out.json`` and ``<name>.state.json``.
+``tests/test_golden.py`` reruns every entry and compares bytes.
+
+Regenerate the corpus, from the root of a checkout, with
+
+    python tests/golden.py
+
+which writes every expected file from the code in ``src/``, at one BLAS
+thread, and the entries' input files where they are missing.  A change that
+regenerates says why in CHANGES.md; the diff of these files then shows every
+byte the change moved.
+"""
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "data" / "golden"
+INPUTS = GOLDEN / "inputs"
+MANIFEST = GOLDEN / "manifest.json"
+OUTPUT_FLAGS = {"{out}": "out", "{state}": "state"}  # argv placeholder -> file key
+
+
+def _workload_args(name: str, seed: int) -> list[str]:
+    """argv of a benchmark workload, with its generated table kept under INPUTS."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    with tempfile.TemporaryDirectory() as tmp:
+        workload = workloads.build(name, seed, Path(tmp))
+        args = list(workload.cli_args)
+        if "--input" in args:
+            i = args.index("--input") + 1
+            kept = INPUTS / f"{name}-{seed}.json"
+            if not kept.exists():
+                kept.write_text((Path(tmp) / args[i]).read_text())
+            args[i] = kept.relative_to(ROOT).as_posix()
+    return args
+
+
+def _complex_marginal_query(n0: int) -> str:
+    """A marginal n=5 query input with complex psi_minus; returns its path."""
+    kept = INPUTS / f"marginal5-n0-{n0}-complex.json"
+    if not kept.exists():
+        import numpy as np
+
+        rng = np.random.default_rng(500 + n0)
+        amps = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+        amps /= np.linalg.norm(amps)
+        obj = {
+            "mode": "marginal",
+            "n": 5,
+            "n0": n0,
+            "psi_minus": [[float(a.real), float(a.imag)] for a in amps],
+            "x": "0" * n0,
+        }
+        kept.write_text(json.dumps(obj) + "\n")
+    return kept.relative_to(ROOT).as_posix()
+
+
+def entries() -> list[dict]:
+    """The corpus entries: a name and the CLI argv, output paths as placeholders."""
+    runs = []
+    for seed in (41, 7):
+        for name in ("sweep", "marginal-point", "minfind-classical"):
+            runs.append((f"{name}-{seed}", _workload_args(name, seed) + ["--out", "{out}"]))
+    mobius3 = "tests/data/mobius3_table.json"
+    runs += [
+        ("mobius3-dump", ["mobius", "--input", mobius3, "--x", "101", "--shots", "300", "--seed", "4",
+                          "--out", "{out}", "--dump-state", "{state}"]),
+        ("minfind-quantum", ["minfind", "--center", "13", "--n", "5", "--backend", "quantum",
+                             "--out", "{out}"]),
+        ("verify-0", ["verify", "--seed", "0"]),
+        ("verify-3", ["verify", "--seed", "3"]),
+    ]
+    for n0 in (2, 3):
+        path = _complex_marginal_query(n0)
+        runs.append((f"marginal5-n0-{n0}-complex", ["marginal", "--input", path, "--sweep",
+                                                     "--shots", "2000", "--seed", "5", "--out", "{out}"]))
+    return [{"name": name, "argv": argv} for name, argv in runs]
+
+
+def env(threads: str = "1") -> dict[str, str]:
+    """The caller's environment with src/ on the path and the BLAS thread count set."""
+    out = dict(os.environ)
+    out["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), out.get("PYTHONPATH")) if p)
+    out["OPENBLAS_NUM_THREADS"] = threads
+    return out
+
+
+def run(entry: dict, workdir: Path, threads: str = "1") -> dict:
+    """Run one entry from the checkout root; returns its exit code, stdout and file bytes."""
+    files = {key: workdir / f"{entry['name']}.{key}.json" for key in OUTPUT_FLAGS.values()}
+    argv = [str(files[OUTPUT_FLAGS[a]]) if a in OUTPUT_FLAGS else a for a in entry["argv"]]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mobiusq.cli", *argv],
+        cwd=ROOT,
+        env=env(threads),
+        capture_output=True,
+        timeout=300,
+    )
+    written = {key: path.read_bytes() for key, path in files.items() if path.exists()}
+    return {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr, "files": written}
+
+
+def run_all(manifest: list[dict], workdir: Path, threads: str = "1") -> list[dict]:
+    """Run every entry, two processes at a time."""
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return list(pool.map(lambda e: run(e, workdir, threads), manifest))
+
+
+def expected_files(name: str) -> dict[str, Path]:
+    return {key: GOLDEN / f"{name}.{key}.json" for key in OUTPUT_FLAGS.values()}
+
+
+def main() -> int:
+    INPUTS.mkdir(parents=True, exist_ok=True)
+    manifest = entries()
+    with tempfile.TemporaryDirectory() as tmp:
+        results = run_all(manifest, Path(tmp))
+    for entry, result in zip(manifest, results):
+        entry["exit"] = result["exit"]
+        (GOLDEN / f"{entry['name']}.stdout").write_bytes(result["stdout"])
+        for key, path in expected_files(entry["name"]).items():
+            if key in result["files"]:
+                path.write_bytes(result["files"][key])
+            else:
+                path.unlink(missing_ok=True)
+        print(f"{entry['name']}: exit {result['exit']}, files {sorted(result['files'])}")
+    MANIFEST.write_text(json.dumps(manifest, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
