@@ -7,74 +7,55 @@ construction whose conditional gamma odds on omega=0 equal the transform
 value, Grover-style amplification that preserves those odds, and exact or
 sampled estimators.  On top of both sits a bit-fixing binary search that
 finds the argmin of a positive objective in n probes.
-"""
-from .subset import (
-    BitString,
-    SubsetTable,
-    mobius_inverse,
-    zeta_fast,
-    zeta_fast_inplace,
-    zeta_matrix,
-    zeta_naive,
-)
-from .sim import (
-    MAX_QUBITS,
-    Circuit,
-    Controlled,
-    Hadamard,
-    Mode,
-    PauliX,
-    PhasePair,
-    RegisterLayout,
-    Ry,
-    StateVector,
-    apply_circuit,
-    apply_in_place,
-    basis_index,
-    compile_state_prep,
-    new_state,
-    prepare_low_qubits,
-    project,
-    sector,
-    state_from_json_obj,
-    state_to_json_obj,
-)
-from .circuits import (
-    DecompositionError,
-    SignalDecomposition,
-    TransformQuery,
-    build_comparator,
-    build_start_circuit,
-    build_start_state,
-    build_unmarked_state,
-    classical_value,
-    decompose_signal,
-    mark_op,
-    marked,
-)
-from .grover import (
-    EstimateReport,
-    GroverPlan,
-    Readout,
-    amplify,
-    estimate_exact,
-    estimate_sampled,
-    grover_step,
-    plan_grover,
-    read_out,
-)
-from .minfind import (
-    ObjectiveTable,
-    ProbeRecord,
-    SearchTrace,
-    choose_beta,
-    classical_evaluator,
-    find_min,
-    probe_point,
-    quadratic_objective,
-    quantum_evaluator,
-    softmin_table,
-)
-from .verify import run_verify
 
+The names below are re-exported lazily (PEP 562): ``import mobiusq`` loads
+no submodule and so no numpy, and ``from mobiusq import read_out`` loads
+only what that name needs.  The CLI relies on this to set its BLAS thread
+count before numpy first loads (see :mod:`mobiusq.cli`).
+"""
+from __future__ import annotations
+
+import importlib
+
+_EXPORTS = {
+    "subset": (
+        "BitString", "SubsetTable", "mobius_inverse", "zeta_fast", "zeta_fast_inplace",
+        "zeta_matrix", "zeta_naive",
+    ),
+    "sim": (
+        "MAX_QUBITS", "Circuit", "Controlled", "Hadamard", "Mode", "PauliX", "PhasePair",
+        "RegisterLayout", "Ry", "StateVector", "apply_circuit", "apply_in_place", "basis_index",
+        "compile_state_prep", "new_state", "prepare_low_qubits", "project", "sector",
+        "state_from_json_obj", "state_to_json_obj",
+    ),
+    "circuits": (
+        "DecompositionError", "SignalDecomposition", "Support", "TransformQuery",
+        "build_comparator", "build_start_circuit", "build_start_state", "build_unmarked_state",
+        "classical_value", "decompose_signal", "gather", "mark_op", "marked",
+    ),
+    "grover": (
+        "EstimateReport", "GroverPlan", "Readout", "amplify", "estimate_exact",
+        "estimate_sampled", "grover_step", "plan_grover", "read_out", "read_out_at",
+    ),
+    "minfind": (
+        "ObjectiveTable", "ProbeRecord", "SearchTrace", "choose_beta", "classical_evaluator",
+        "find_min", "min_gap", "probe_point", "quadratic_objective", "quantum_evaluator", "softmin_table",
+    ),
+    "verify": ("run_verify",),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip __getattr__
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -23,6 +23,11 @@ psi_minus) alone.  build_unmarked_state simulates those ops once, and
 mark in place and, on exit, applying it again.  The mark is an X, an exact
 swap of amplitudes, so this restores the unmarked state bit for bit, and a
 table's points are all read from one unmarked state.
+
+The readout needs less: ``gather`` keeps the unmarked state's nonzero
+amplitudes, one per (alpha_minus, alpha, mu0) value, and the mark at x only
+moves the omega bit of those with alpha == x and beta == 0, so a
+:class:`Support` serves every point with no dense state at all.
 """
 from __future__ import annotations
 
@@ -44,6 +49,7 @@ from .sim import (
     apply_in_place,
     compile_state_prep,
     prepare_low_qubits,
+    register_values,
     sector,
 )
 from .subset import BitString, SubsetTable, json_complex, json_int
@@ -58,6 +64,8 @@ __all__ = [
     "build_start_circuit",
     "build_unmarked_state",
     "marked",
+    "Support",
+    "gather",
     "build_start_state",
     "decompose_signal",
 ]
@@ -255,6 +263,50 @@ def marked(unmarked: StateVector, x: BitString) -> Iterator[StateVector]:
         yield unmarked
     finally:
         apply_in_place(unmarked, mark)
+
+
+@dataclass(frozen=True, eq=False)
+class Support:
+    """The nonzero amplitudes of an unmarked state, and what the mark reads of them.
+
+    ``index`` lists the basis indices where the unmarked state is nonzero,
+    ascending, and ``amplitudes`` its values there.  Each entry is at
+    omega=1; ``gamma`` flags the entries at gamma=1, and ``alpha`` and
+    ``beta_clear`` hold the alpha value and whether beta == 0, the controls
+    of the mark.
+    """
+
+    layout: RegisterLayout
+    index: np.ndarray
+    amplitudes: np.ndarray
+    gamma: np.ndarray
+    alpha: np.ndarray
+    beta_clear: np.ndarray
+
+    def target(self, x: BitString) -> np.ndarray:
+        """Flags of the entries at omega=0 in the start state at x: the ones the mark moves."""
+        if len(x) != self.layout.n0:
+            raise ValueError(f"x has {len(x)} bits, expected n0 = {self.layout.n0}")
+        return (self.alpha == x.to_int()) & self.beta_clear
+
+
+def gather(unmarked: StateVector) -> Support:
+    """The support of an unmarked state: its nonzero amplitudes, all at omega=1.
+
+    Raises ValueError for a state with omega=0 weight, i.e. one already marked.
+    """
+    layout = unmarked.layout
+    index = np.flatnonzero(unmarked.amplitudes)
+    if not register_values(layout, "omega", index).all():
+        raise ValueError("gather needs an unmarked state; this one has omega=0 weight")
+    return Support(
+        layout,
+        index,
+        unmarked.amplitudes[index],
+        gamma=register_values(layout, "gamma", index) == 1,
+        alpha=register_values(layout, "alpha", index),
+        beta_clear=register_values(layout, "beta", index) == 0,
+    )
 
 
 def build_start_state(query: TransformQuery) -> StateVector:

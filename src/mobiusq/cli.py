@@ -14,8 +14,18 @@ JSON; --check recomputes a previous output file and confirms its header
 and values.
 
 Exit codes: 0 success, 1 validation failure, 2 I/O error.
+
+Run as a program (``mobiusq``, ``python -m mobiusq`` or ``python -m
+mobiusq.cli``), the CLI defaults OPENBLAS_NUM_THREADS to 1 before numpy
+loads; a value set by the caller wins.  Importing this module changes no
+environment variable.
 """
 from __future__ import annotations
+
+if __name__ == "__main__":  # python -m mobiusq.cli: pin before numpy first loads
+    from mobiusq.__main__ import default_one_blas_thread
+
+    default_one_blas_thread()
 
 import argparse
 import json
@@ -25,20 +35,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuits import TransformQuery, build_unmarked_state, classical_value, marked
+from .circuits import Support, TransformQuery, build_unmarked_state, classical_value, gather, marked
 # estimate_exact and estimate_sampled are not called here; perfbench/tracer.py
 # wraps them as attributes of this module
-from .grover import estimate_exact, estimate_sampled, read_out  # noqa: F401
+from .grover import estimate_exact, estimate_sampled, read_out_at  # noqa: F401
 from .minfind import (
     ObjectiveTable,
     choose_beta,
     classical_evaluator,
     find_min,
+    min_gap,
     quadratic_objective,
     quantum_evaluator,
     softmin_table,
 )
-from .sim import Mode, StateVector, state_to_json_obj
+from .sim import Mode, state_to_json_obj
 from .subset import BitString, SubsetTable
 from .verify import run_verify
 
@@ -256,9 +267,8 @@ def _parse_transform_input(obj: dict, mode: Mode, n0_flag: int | None):
     raise ValueError("input JSON needs either 'psi_minus' (query) or 'values' (table)")
 
 
-def _transform_row(unmarked: StateVector, query: TransformQuery, shots: int | None, seed: int) -> dict:
-    with marked(unmarked, query.x) as start:
-        readout = read_out(start)
+def _transform_row(support: Support, query: TransformQuery, shots: int | None, seed: int) -> dict:
+    readout = read_out_at(support, query.x)
     row = {
         "x": str(query.x),
         "classical": classical_value(query),
@@ -377,7 +387,13 @@ def _cmd_transform(args) -> int:
 
     queries = [TransformQuery(mode, n, psi, x, n0) for x in points]
     unmarked = build_unmarked_state(queries[0])
-    rows = [_transform_row(unmarked, query, shots, seed) for query in queries]
+    support = gather(unmarked)
+    dump = None
+    if args.dump_state:
+        with marked(unmarked, queries[0].x) as start:
+            dump = state_to_json_obj(start)
+    del unmarked  # the readout runs on the support alone
+    rows = [_transform_row(support, query, shots, seed) for query in queries]
 
     drift = max(abs(r["classical"] - r["exact"]) for r in rows)
     if drift > 1e-9:
@@ -401,10 +417,6 @@ def _cmd_transform(args) -> int:
         "seed": seed if shots is not None else None,
         "rows": rows,
     }
-    dump = None
-    if args.dump_state:
-        with marked(unmarked, queries[0].x) as start:
-            dump = state_to_json_obj(start)
     return _finish(args, result, TRANSFORM_SCHEMA, check, "rows", dump)
 
 
@@ -420,6 +432,11 @@ def _cmd_minfind(args) -> int:
         if abs(args.center) > 2**511:  # keeps every (dec(x) - center)**2 + 1 a finite float64
             raise ValueError("--center must be at most 2**511 in magnitude for a float64 objective")
         objective = quadratic_objective(args.n, args.center)
+        if min_gap(objective) == 0.0:  # (dec(x) - center)**2 + 1 has one minimum over the integers
+            raise ValueError(
+                f"--center {args.center} is beyond float64 precision at --n {args.n}: "
+                "(dec(x) - center)**2 + 1 rounds to the same value at two points"
+            )
 
     check = _read_check(args, MINFIND_SCHEMA, ("beta", "threshold", "backend"))
     if check is not None:

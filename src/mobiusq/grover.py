@@ -10,17 +10,31 @@ transform value survive amplification unchanged.
 read_out amplifies one start state and keeps what every estimator needs
 from it: the plan and the four (omega, gamma) cell masses.  The exact value
 and the seeded sample are both read from that one readout, so a start state
-built or marked once (see :func:`mobiusq.circuits.marked`) is amplified once.
+is amplified once.
+
+The steps only mix the start state with its omega reflection, so they move
+amplitude within the start state's support alone, the 2-D invariant subspace
+of Brassard, Hoyer, Mosca and Tapp (quant-ph/0005055).  read_out_at runs the
+readout on that support, gathered once per table (see
+:class:`mobiusq.circuits.Support`); read_out, plan_grover, grover_step and
+cell_mass run the same code over every basis index of a dense state and are
+its oracle.  Every reduction (the overlap, each <start|r> and the four cell
+masses) is a correctly rounded math.fsum over real and imaginary parts, so
+the results do not depend on the order of the terms, on zero entries or on
+the BLAS thread count.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .circuits import TransformQuery, build_start_state
-from .sim import StateVector, sector
+from .circuits import Support, TransformQuery, build_start_state
+from .sim import StateVector
+from .subset import BitString
 
 __all__ = [
     "GroverPlan",
@@ -31,6 +45,7 @@ __all__ = [
     "amplify",
     "cell_mass",
     "read_out",
+    "read_out_at",
     "estimate_exact",
     "estimate_sampled",
 ]
@@ -45,14 +60,52 @@ class GroverPlan:
     predicted_success: float
 
 
-def plan_grover(state: StateVector) -> GroverPlan:
-    """Pick the iteration count maximizing the omega=0 success probability.
+# Entries per reduction or update chunk: bounds the temporaries of a dense
+# readout to a few chunks instead of whole-state copies.
+_CHUNK = 1 << 14
 
-    Scans k = 0 .. ceil(pi / (4a)) for the largest sin((2k+1) asin a)**2,
-    keeping the smallest k on ties.  omega is the top qubit, so a is the norm
-    of the state's first half, read in place.
+
+def _chunks(size: int) -> Iterator[slice]:
+    """Consecutive slices of at most _CHUNK entries covering range(size)."""
+    return (slice(i, i + _CHUNK) for i in range(0, size, _CHUNK))
+
+
+def _fsum(parts: Iterable[np.ndarray]) -> float:
+    """Correctly rounded sum of every float64 in ``parts`` (math.fsum, Shewchuk's algorithm).
+
+    The result depends on the multiset of nonzero terms alone: not on their
+    order, on the array layout or on any thread count.  Zero terms change no
+    exact sum, so they are dropped before the sum, which keeps a dense
+    state's sums as cheap as its support's.
     """
-    a = float(np.linalg.norm(sector(state, {state.layout.omega_qubit: 0}).ravel()))
+    return math.fsum(itertools.chain.from_iterable(part[part != 0.0].tolist() for part in parts))
+
+
+def _mass(amps: np.ndarray, where: np.ndarray) -> float:
+    """Probability mass of the flagged entries: one fsum of their re**2 and im**2."""
+    return _fsum(np.square(amps[c][where[c]].view(np.float64)) for c in _chunks(amps.size))
+
+
+def _inner(start: np.ndarray, state: np.ndarray) -> complex:
+    """<start|state>, each part one fsum of the rounded elementwise products.
+
+    With s = s_re + i s_im and r = r_re + i r_im per entry, the real part sums
+    s_re r_re and s_im r_im, the imaginary part s_re r_im and -(s_im r_re).
+    """
+    s, r = start.view(np.float64), state.view(np.float64)  # re, im interleaved
+    wide = [slice(2 * c.start, 2 * c.stop) for c in _chunks(start.size)]
+    real = _fsum(s[w] * r[w] for w in wide)
+    imag = _fsum(
+        part
+        for w in wide
+        for part in (s[w][0::2] * r[w][1::2], np.negative(s[w][1::2] * r[w][0::2]))
+    )
+    return complex(real, imag)
+
+
+def _plan(amps: np.ndarray, target: np.ndarray) -> GroverPlan:
+    """The plan for a start state whose omega=0 entries ``target`` flags."""
+    a = math.sqrt(_mass(amps, target))
     if a <= 1e-15:
         raise ValueError("target unreachable: state has no omega=0 weight")
     a = min(a, 1.0)
@@ -66,22 +119,67 @@ def plan_grover(state: StateVector) -> GroverPlan:
     return GroverPlan(overlap=a, iterations=best_k, predicted_success=best_s)
 
 
-def _step_in_place(state: StateVector, start: StateVector) -> None:
-    """One amplification step, overwriting ``state``.
+def _step_in_place(state: np.ndarray, start: np.ndarray, off_target: np.ndarray) -> None:
+    """One amplification step on flat amplitudes, overwriting ``state``.
 
-    With r the state after the omega reflection and c = 2 <start|r>, the
-    result c * start - r is formed as (-r) + c * start: negation is exact and
-    IEEE addition commutes, so the bits are the same, while the c * start
-    product is formed one omega half at a time rather than as a full copy.
+    With r the state after the omega reflection (negate the ``off_target``,
+    omega=1, entries) and c = 2 <start|r>, the result c * start - r is formed
+    as (-r) + c * start: negation is exact and IEEE addition commutes, so the
+    bits are those of the textbook order, while the c * start product is
+    formed one chunk at a time rather than as a full copy.
     """
-    omega = state.layout.omega_qubit
-    top = sector(state, {omega: 1})
-    np.negative(top, out=top)
-    c = 2.0 * np.vdot(start.amplitudes, state.amplitudes)
-    np.negative(state.amplitudes, out=state.amplitudes)
-    for v in (0, 1):
-        half = sector(state, {omega: v})
-        half += c * sector(start, {omega: v})
+    np.negative(state, out=state, where=off_target)
+    c = 2.0 * _inner(start, state)
+    np.negative(state, out=state)
+    for chunk in _chunks(state.size):
+        state[chunk] += c * start[chunk]
+
+
+def _amplify(start: np.ndarray, target: np.ndarray, iterations: int) -> np.ndarray:
+    """``start`` after ``iterations`` steps, on one working copy; ``start`` itself for none."""
+    if iterations == 0:
+        return start
+    state = start.copy()
+    off_target = ~target
+    for _ in range(iterations):
+        _step_in_place(state, start, off_target)
+    return state
+
+
+def _read_out(start: np.ndarray, target: np.ndarray, gamma: np.ndarray) -> Readout:
+    """Plan, amplify and measure the four cells of flat amplitudes.
+
+    ``target`` flags the omega=0 entries and ``gamma`` the gamma=1 ones.  The
+    entries must include every nonzero amplitude of the start state: a step
+    mixes the state only with the start state and its omega reflection, so
+    an amplitude that is zero in the start state stays zero, and the
+    readout of those entries equals the readout of the whole state.
+    """
+    plan = _plan(start, target)
+    final = _amplify(start, target, plan.iterations)
+    cells = tuple(
+        _mass(final, (target if omega == 0 else ~target) & (gamma if g else ~gamma))
+        for omega in (0, 1)
+        for g in (0, 1)
+    )
+    return Readout(plan, cells)
+
+
+def _qubit_set(state: StateVector, qubit: int) -> np.ndarray:
+    """Flags of the basis indices, all of them in ascending order, whose ``qubit`` is 1."""
+    flags = np.zeros((state.amplitudes.size >> (qubit + 1), 2, 1 << qubit), dtype=bool)
+    flags[:, 1] = True
+    return flags.reshape(-1)
+
+
+def plan_grover(state: StateVector) -> GroverPlan:
+    """Pick the iteration count maximizing the omega=0 success probability.
+
+    Scans k = 0 .. ceil(pi / (4a)) for the largest sin((2k+1) asin a)**2,
+    keeping the smallest k on ties.  a is the norm of the omega=0 entries,
+    the square root of one correctly rounded sum of their squared parts.
+    """
+    return _plan(state.amplitudes, ~_qubit_set(state, state.layout.omega_qubit))
 
 
 def grover_step(state: StateVector, start: StateVector) -> StateVector:
@@ -89,7 +187,7 @@ def grover_step(state: StateVector, start: StateVector) -> StateVector:
     if state.layout != start.layout:
         raise ValueError("state and start layouts differ")
     out = state.copy()
-    _step_in_place(out, start)
+    _step_in_place(out.amplitudes, start.amplitudes, _qubit_set(state, state.layout.omega_qubit))
     return out
 
 
@@ -101,21 +199,16 @@ def amplify(start: StateVector, plan: GroverPlan) -> StateVector:
     """
     if plan.iterations == 0:
         return start
-    state = start.copy()
-    for _ in range(plan.iterations):
-        _step_in_place(state, start)
-    return state
+    target = ~_qubit_set(start, start.layout.omega_qubit)
+    return StateVector(start.layout, _amplify(start.amplitudes, target, plan.iterations))
 
 
 def cell_mass(state: StateVector, omega: int, gamma: int) -> float:
-    """Probability mass of one (omega, gamma) cell.
-
-    Summed over the cell's C-order ravel, i.e. in ascending basis-index
-    order, so the rounding is that of a boolean-mask gather of the cell.
-    """
+    """Probability mass of one (omega, gamma) cell: one fsum of its re**2 and im**2."""
     layout = state.layout
-    cell = sector(state, {layout.omega_qubit: omega, layout.gamma_qubit: gamma})
-    return float((np.abs(cell.ravel()) ** 2).sum())
+    cell = _qubit_set(state, layout.omega_qubit) == bool(omega)
+    cell &= _qubit_set(state, layout.gamma_qubit) == bool(gamma)
+    return _mass(state.amplitudes, cell)
 
 
 @dataclass(eq=False)
@@ -184,11 +277,23 @@ class Readout:
 
 
 def read_out(start: StateVector) -> Readout:
-    """Plan, amplify and measure the cell masses of one start state, once."""
-    plan = plan_grover(start)
-    final = amplify(start, plan)
-    cells = tuple(cell_mass(final, omega, gamma) for omega in (0, 1) for gamma in (0, 1))
-    return Readout(plan, cells)
+    """Plan, amplify and measure the cell masses of one start state, once.
+
+    This is the readout of :func:`read_out_at` run over every basis index,
+    and the oracle the tests and ``mobiusq verify`` hold it to.
+    """
+    layout = start.layout
+    target = ~_qubit_set(start, layout.omega_qubit)
+    return _read_out(start.amplitudes, target, _qubit_set(start, layout.gamma_qubit))
+
+
+def read_out_at(support: Support, x: BitString) -> Readout:
+    """The readout of the start state at x, run on the unmarked state's support alone.
+
+    Equal, plan and cells bit for bit, to ``read_out`` of the dense start
+    state at x; see :class:`mobiusq.circuits.Support`.
+    """
+    return _read_out(support.amplitudes, support.target(x), support.gamma)
 
 
 def estimate_exact(query: TransformQuery) -> float:

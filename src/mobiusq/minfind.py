@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circuits import TransformQuery, build_unmarked_state, marked
-from .grover import read_out
+from .circuits import TransformQuery, build_unmarked_state, gather
+from .grover import read_out_at
 from .sim import Mode
 from .subset import BitString, SubsetTable, zeta_fast
 
@@ -26,6 +26,7 @@ __all__ = [
     "ProbeRecord",
     "SearchTrace",
     "softmin_table",
+    "min_gap",
     "choose_beta",
     "probe_point",
     "classical_evaluator",
@@ -100,6 +101,12 @@ def softmin_table(objective: ObjectiveTable, beta: float) -> SubsetTable:
     return SubsetTable(objective.n, weights)
 
 
+def min_gap(objective: ObjectiveTable) -> float:
+    """Spread between the two lowest objective values; 0.0 when the minimum is tied."""
+    lowest, second = np.partition(objective.values, 1)[:2]
+    return float(second - lowest)
+
+
 def choose_beta(objective: ObjectiveTable) -> float:
     """Beta making the softmin gap at least 50 nats.
 
@@ -107,12 +114,11 @@ def choose_beta(objective: ObjectiveTable) -> float:
     the two lowest objective values, then caps the largest resulting logit
     magnitude so it stays finite in double precision.
     """
-    lowest, second = np.partition(objective.values, 1)[:2]
-    gap = float(second - lowest)
+    gap = min_gap(objective)
     if gap <= 0.0:
         raise ValueError("objective has tied minima; search needs a unique argmin")
     beta = 50.0 / (float(1 << objective.n) * gap)
-    spread = float(objective.values.max() - lowest)
+    spread = float(objective.values.max() - objective.values.min())
     cap = 1e300 / (float(1 << objective.n) * max(spread, 1.0))
     return min(beta, cap)
 
@@ -160,16 +166,15 @@ def classical_evaluator(d_minus: SubsetTable) -> Callable[[BitString], float]:
 def quantum_evaluator(d_minus: SubsetTable) -> Callable[[BitString], float]:
     """D-query backend reading the exact value off an amplified circuit per probe.
 
-    The x-independent start state is built once, here; each probe marks it
-    at the probe point, amplifies and reads the exact value.
+    The x-independent start state is built and gathered once, here; each
+    probe amplifies the support at the probe point and reads the exact value.
     """
     any_point = BitString.from_int(0, d_minus.n)  # the unmarked state does not read x
     query = TransformQuery.from_probability_table(Mode.MOBIUS, d_minus, any_point)
-    unmarked = build_unmarked_state(query)
+    support = gather(build_unmarked_state(query))
 
     def evaluate(point: BitString) -> float:
-        with marked(unmarked, point) as start:
-            return read_out(start).exact
+        return read_out_at(support, point).exact
 
     return evaluate
 

@@ -261,6 +261,12 @@ def basis_index(layout: RegisterLayout, values: Mapping[str, int]) -> int:
     return index
 
 
+def register_values(layout: RegisterLayout, name: str, index: np.ndarray) -> np.ndarray:
+    """Value of register ``name`` at each basis index in ``index``."""
+    reg = layout.register(name)
+    return (index >> reg.start) & ((1 << len(reg)) - 1)
+
+
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 
 

@@ -15,6 +15,7 @@ from mobiusq.circuits import (
     build_unmarked_state,
     classical_value,
     decompose_signal,
+    gather,
     mark_op,
     marked,
 )
@@ -29,6 +30,8 @@ from mobiusq.sim import (
     basis_index,
     compile_state_prep,
     new_state,
+    register_values,
+    sector,
 )
 from mobiusq.subset import BitString, SubsetTable, zeta_fast
 from mobiusq.verify import circuit_coefficient
@@ -292,6 +295,33 @@ def test_register_local_prep_equals_full_circuit_run(mode, n, n0):
         assert np.array_equal(build_start_state(q).amplitudes, full)
         unmarked = apply_circuit(new_state(q.layout), Circuit(q.layout, ops[:-1])).amplitudes
         assert np.array_equal(build_unmarked_state(q).amplitudes, unmarked)
+
+
+@pytest.mark.parametrize("mode,n,n0", [(Mode.MOBIUS, 3, None), (Mode.MARGINAL, 4, 2), (Mode.MARGINAL, 5, 3)])
+def test_gather_keeps_one_entry_per_alpha_minus_alpha_mu0(mode, n, n0):
+    """A table with no zero keeps 2**(n+n0+1) entries, all at omega=1, which hold the whole state."""
+    q = _random_query(mode, n, "1" * (n0 or n), n0=n0, seed=22)
+    unmarked = build_unmarked_state(q)
+    support = gather(unmarked)
+    layout = q.layout
+    assert support.index.size == 1 << (n + layout.n0 + 1)
+    assert np.all(np.diff(support.index) > 0)
+    scattered = np.zeros_like(unmarked.amplitudes)
+    scattered[support.index] = support.amplitudes
+    assert scattered.tobytes() == unmarked.amplitudes.tobytes()
+    assert np.array_equal(support.gamma, register_values(layout, "gamma", support.index) == 1)
+    # the target at x is exactly what the mark moves to omega=0, the top qubit
+    with marked(unmarked, q.x) as start:
+        moved = np.flatnonzero(sector(start, {layout.omega_qubit: 0}).ravel())
+    assert np.array_equal(support.index[support.target(q.x)] ^ (1 << layout.omega_qubit), moved)
+    with pytest.raises(ValueError, match="expected n0"):
+        support.target(BitString.from_int(0, layout.n0 + 1))
+
+
+def test_gather_refuses_a_marked_state():
+    q = _random_query(Mode.MOBIUS, 2, "11", seed=23)
+    with pytest.raises(ValueError, match="unmarked"):
+        gather(build_start_state(q))
 
 
 @pytest.mark.parametrize("mode,n,n0", [(Mode.MOBIUS, 3, None), (Mode.MARGINAL, 4, 2)])

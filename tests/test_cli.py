@@ -18,7 +18,7 @@ from mobiusq.circuits import (
     build_unmarked_state,
 )
 from mobiusq.cli import MINFIND_SCHEMA, TRANSFORM_SCHEMA, main
-from mobiusq.grover import estimate_exact, estimate_sampled
+from mobiusq.grover import estimate_exact, estimate_sampled, read_out
 from mobiusq.sim import (
     Circuit,
     Controlled,
@@ -436,25 +436,26 @@ def test_sweep_rows_equal_per_point_estimators(tmp_path, capsys, mode, n, n0, co
 def test_sweep_builds_one_unmarked_state_and_restores_it_after_each_point(
     uniform3, monkeypatch, capsys
 ):
+    """One build and one gather serve every point; the unmarked state is never changed."""
     built = _count_unmarked_builds(monkeypatch)
-    starts = []
-    read_out = cli_mod.read_out
+    supports = []
+    read_out_at = cli_mod.read_out_at
 
-    def recording(start):
-        starts.append((start is built[0], start.amplitudes.tobytes()))
-        return read_out(start)
+    def recording(support, x):
+        supports.append((support, x))
+        return read_out_at(support, x)
 
-    monkeypatch.setattr(cli_mod, "read_out", recording)
+    monkeypatch.setattr(cli_mod, "read_out_at", recording)
     assert main(["mobius", "--input", uniform3, "--sweep", "--shots", "100"]) == 0
     capsys.readouterr()
     assert len(built) == 1
+    assert len(supports) == 8 and all(s is supports[0][0] for s, _ in supports)
     amps = np.full(8, 0.125**0.5)
-    for xv, (shared, seen) in enumerate(starts):
-        # each point's start state is the shared one, marked at that point only
-        assert shared
-        q = TransformQuery(Mode.MOBIUS, 3, amps, BitString.from_int(xv, 3))
-        assert seen == build_start_state(q).amplitudes.tobytes()
-    assert len(starts) == 8
+    for xv, (support, x) in enumerate(supports):
+        # each point reads the shared support exactly as the dense start state at that point
+        assert x.to_int() == xv
+        q = TransformQuery(Mode.MOBIUS, 3, amps, x)
+        assert read_out_at(support, x) == read_out(build_start_state(q))
     fresh = build_unmarked_state(q)
     assert built[0].amplitudes.tobytes() == fresh.amplitudes.tobytes()
 
@@ -462,10 +463,10 @@ def test_sweep_builds_one_unmarked_state_and_restores_it_after_each_point(
 def test_failed_readout_leaves_shared_state_unmarked(uniform3, tmp_path, monkeypatch, capsys):
     built = _count_unmarked_builds(monkeypatch)
 
-    def boom(state):
+    def boom(support, x):
         raise ValueError("planner failed")
 
-    monkeypatch.setattr(grover_mod, "plan_grover", boom)
+    monkeypatch.setattr(cli_mod, "read_out_at", boom)
     out = tmp_path / "out.json"
     assert main(["mobius", "--input", uniform3, "--sweep", "--out", str(out)]) == 1
     assert "planner failed" in capsys.readouterr().err
@@ -544,6 +545,27 @@ def test_minfind_input_refuses_n(tmp_path, capsys):
 def test_minfind_refuses_a_center_beyond_a_float64_objective(center, capsys):
     assert main(["minfind", "--center", center, "--n", "5"]) == 1
     assert capsys.readouterr().err.startswith("error: --center must be at most 2**511")
+
+
+@pytest.mark.parametrize("extra", [[], ["--beta", "0.5"]])
+def test_minfind_names_center_precision_when_the_objective_rounds_to_ties(extra, capsys):
+    # |center| beyond 2**53: dec(x) - center rounds to one float64 for neighbouring x
+    assert main(["minfind", "--center", "100000000000000000", "--n", "5", *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --center 100000000000000000 is beyond float64 precision at --n 5")
+    assert "tied minima" not in err
+
+
+def test_minfind_keeps_the_tied_minima_message_for_an_input_table(tmp_path, capsys):
+    obj = tmp_path / "obj.json"
+    obj.write_text(json.dumps({"n": 2, "values": [1.0, 1.0, 2.0, 3.0]}))
+    assert main(["minfind", "--input", str(obj)]) == 1
+    assert capsys.readouterr().err == "error: objective has tied minima; search needs a unique argmin\n"
+
+
+def test_minfind_center_at_two_to_the_forty_still_finds_its_argmin(capsys):
+    assert main(["minfind", "--center", "1099511627776", "--n", "5"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "result: 11111 (dec 31)"
 
 
 def test_minfind_rejects_a_beta_whose_logits_overflow(capsys):

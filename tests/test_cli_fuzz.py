@@ -2,7 +2,9 @@
 
 Every run must return exit code 0, 1 or 2 with no exception escaping, and a
 run that does not succeed must leave no --out or --dump-state file, also
-when the --dump-state path cannot be written.  Sizes
+when the --dump-state path cannot be written.  A run that succeeds with
+--out must pass its own --check, and that check's --out must equal the
+first byte for byte.  Sizes
 stay small: tables have n <= 4, minfind's --n is 1..8 or past the 26-bit cap
 (which is refused before any allocation), and the quantum backend runs only
 at n <= 4.
@@ -140,7 +142,32 @@ def _minfind_run(draw) -> tuple[list, dict[str, str]]:
     return argv, files
 
 
-# draws that reach these two cases are rare, so each is also run as a fixed example
+# flags a --check run takes from its file, and the ones that write files
+_REPLAYED = {"--x", "--sweep", "--shots", "--seed", "--beta", "--threshold", "--backend"}
+_VALUED = _REPLAYED - {"--sweep"} | {"--check", "--dump-state", "--out"}
+
+
+def _check_argv(argv: list, out: Path, again: Path) -> list:
+    """argv recomputed from its own --out: the replayed and file-writing flags dropped."""
+    kept, skip = [], False
+    for arg in argv:
+        if skip:
+            skip = False
+        elif arg in _VALUED:
+            skip = True
+        elif arg not in _REPLAYED:
+            kept.append(arg)
+    return kept + ["--check", str(out), "--out", str(again)]
+
+
+def _main_quietly(argv: list) -> tuple[int, str]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    return code, err.getvalue()
+
+
+# draws that reach these cases are rare, so each is also run as a fixed example;
+# the last two reach the readout and the --check round trip on every run
 _POINT_RUN = ["mobius", "--input", "input", "--x", "101", "--dump-state", UNWRITABLE]
 
 
@@ -148,6 +175,9 @@ _POINT_RUN = ["mobius", "--input", "input", "--x", "101", "--dump-state", UNWRIT
 @given(st.one_of(_transform_run(), _minfind_run()), st.booleans())
 @example((_POINT_RUN, {"input": json.dumps(_table(3))}), True)
 @example((["minfind", "--center", "3", "--n", "4", "--beta", "1e308"], {}), False)
+@example((["mobius", "--input", "input", "--sweep", "--shots", "100", "--seed", "2"],
+          {"input": json.dumps(_table(3))}), True)
+@example((["minfind", "--center", "-2", "--n", "4", "--backend", "quantum"], {}), True)
 def test_main_exits_0_1_or_2_and_a_failed_run_writes_nothing(run, with_out):
     argv, files = run
     with tempfile.TemporaryDirectory() as tmp:
@@ -158,9 +188,13 @@ def test_main_exits_0_1_or_2_and_a_failed_run_writes_nothing(run, with_out):
         out = root / "out.json"
         if with_out:
             argv += ["--out", str(out)]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
-            code = main(argv)
-        assert code in (0, 1, 2), err.getvalue()
+        code, err = _main_quietly(argv)
+        assert code in (0, 1, 2), err
         if code != 0:
             assert not out.exists(), argv
             assert not (root / "dump.json").exists(), argv
+        elif with_out:
+            again = root / "again.json"
+            code, err = _main_quietly(_check_argv(argv, out, again))
+            assert code == 0, (argv, err)
+            assert again.read_bytes() == out.read_bytes(), argv

@@ -6,12 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import mobiusq.grover as grover_mod
 from mobiusq.circuits import (
     TransformQuery,
     build_start_state,
     build_unmarked_state,
     classical_value,
     decompose_signal,
+    gather,
 )
 from mobiusq.grover import (
     GroverPlan,
@@ -22,6 +24,7 @@ from mobiusq.grover import (
     grover_step,
     plan_grover,
     read_out,
+    read_out_at,
 )
 from mobiusq.sim import Mode, RegisterLayout, StateVector, project
 from mobiusq.subset import BitString, SubsetTable
@@ -64,7 +67,9 @@ def test_plan_overlap_is_the_projected_norm():
         amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
         q = TransformQuery(Mode.MOBIUS, n, amps / np.linalg.norm(amps), BitString.from_int(n, n))
         start = build_start_state(q)
-        _, a = project(start, {start.layout.omega_qubit: 0})
+        component, _ = project(start, {start.layout.omega_qubit: 0})
+        # the norm as one correctly rounded sum of the squared parts, as plan_grover takes it
+        a = math.sqrt(math.fsum(np.square(component.amplitudes.view(np.float64)).tolist()))
         plan = plan_grover(start)
         assert abs(plan.overlap - a) <= 1e-15
 
@@ -109,12 +114,19 @@ def test_step_leaves_inputs_unchanged():
     assert np.array_equal(start.amplitudes, before_start)
 
 
+def _fsum_vdot(s: np.ndarray, r: np.ndarray) -> complex:
+    """<s|r>, each part one math.fsum of the rounded elementwise products."""
+    real = math.fsum([*(s.real * r.real).tolist(), *(s.imag * r.imag).tolist()])
+    imag = math.fsum([*(s.real * r.imag).tolist(), *(-(s.imag * r.real)).tolist()])
+    return complex(real, imag)
+
+
 def _textbook_step(state: StateVector, start: StateVector) -> np.ndarray:
     """2 <s|r> s - r with r the omega-reflected state, formed on full copies."""
     reflected = state.amplitudes.copy()
     top = (np.arange(reflected.size) >> state.layout.omega_qubit) & 1 == 1
     reflected[top] = -reflected[top]
-    out = 2.0 * np.vdot(start.amplitudes, reflected) * start.amplitudes
+    out = 2.0 * _fsum_vdot(start.amplitudes, reflected) * start.amplitudes
     out -= reflected
     return out
 
@@ -153,6 +165,68 @@ def test_readout_memory_stays_within_two_and_a_half_states():
     assert readout.plan.iterations > 0
     assert build_peak <= 2.05 * state_bytes
     assert readout_peak - base <= 1.55 * state_bytes
+
+
+def test_support_readout_uses_no_dense_working_copy():
+    """At 18 qubits the support readout allocates under 5% of the dense state."""
+    rng = np.random.default_rng(35)
+    probs = rng.random(32)
+    q = TransformQuery(Mode.MOBIUS, 5, np.sqrt(probs / probs.sum()), BitString.from_int(31, 5))
+    support = gather(build_unmarked_state(q))
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        readout = read_out_at(support, q.x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert readout.plan.iterations > 0
+    assert peak - base <= 0.05 * (16 << q.layout.total_qubits)
+
+
+SUPPORT_CASES = [(Mode.MOBIUS, n, None) for n in range(1, 5)] + [
+    (Mode.MARGINAL, 3, 1),
+    (Mode.MARGINAL, 4, 2),
+    (Mode.MARGINAL, 5, 3),
+]
+
+
+@pytest.mark.parametrize("mode,n,n0", SUPPORT_CASES)
+def test_support_readout_equals_the_dense_oracle_bit_for_bit(mode, n, n0):
+    """Plan and all four cells agree exactly at every point, complex and zero-holed tables alike."""
+    rng = np.random.default_rng(40 + n + (n0 or 0))
+    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    amps[rng.random(1 << n) < 0.3] = 0.0
+    amps[0] = 1.0  # keep the table nonzero
+    amps /= np.linalg.norm(amps)
+    width = n0 or n
+    support = gather(build_unmarked_state(TransformQuery(mode, n, amps, BitString.from_int(0, width), n0)))
+    for xv in range(1 << width):
+        x = BitString.from_int(xv, width)
+        start = build_start_state(TransformQuery(mode, n, amps, x, n0))
+        try:
+            dense = read_out(start)
+        except ValueError as exc:  # no weight at this point: both paths refuse
+            with pytest.raises(ValueError, match=str(exc)):
+                read_out_at(support, x)
+            continue
+        assert read_out_at(support, x) == dense
+
+
+def test_reductions_are_exact_sums_over_chunks():
+    """Past one chunk, the mass and the inner product are still one correctly rounded sum."""
+    rng = np.random.default_rng(41)
+    size = 3 * grover_mod._CHUNK + 5
+    s = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    r = rng.standard_normal(size) * 1e-8 + 1j * rng.standard_normal(size)
+    where = rng.random(size) < 0.6
+    squares = np.square(s[where].view(np.float64)).tolist()
+    assert grover_mod._mass(s, where) == math.fsum(squares)
+    assert grover_mod._inner(s, r) == _fsum_vdot(s, r)
+    # the order and the zero entries of the terms do not matter
+    order = rng.permutation(size)
+    padded = np.concatenate([s[order], np.zeros(7, dtype=complex)])
+    assert grover_mod._inner(padded, np.concatenate([r[order], r[:7]])) == _fsum_vdot(s, r)
 
 
 def test_step_checks_layouts():
