@@ -36,8 +36,8 @@ __all__ = [
 ]
 
 # The classical path peaks at about 4.1 float64 tables of 2**n entries
-# (tracemalloc, n = 18, 20 and 22): about 2.1 GiB at n = 26, under the
-# 2.5 GiB one quantum query peaks at on the 26-qubit statevector cap.
+# (tracemalloc, n = 18, 20 and 22): about 2.1 GiB at n = 26, close to the
+# 2 GiB one quantum query peaks at on the 26-qubit statevector cap.
 MAX_OBJECTIVE_BITS = 26
 
 
