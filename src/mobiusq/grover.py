@@ -166,7 +166,11 @@ def _read_out(start: np.ndarray, target: np.ndarray, gamma: np.ndarray) -> Reado
 
 
 def _qubit_set(state: StateVector, qubit: int) -> np.ndarray:
-    """Flags of the basis indices, all of them in ascending order, whose ``qubit`` is 1."""
+    """Flags of the basis indices, all of them in ascending order, whose ``qubit`` is 1.
+
+    Built from a (high, 2, low) block rather than an index array, so a dense
+    readout's flags cost 1/16 of the state each instead of a 2**N int64 copy.
+    """
     flags = np.zeros((state.amplitudes.size >> (qubit + 1), 2, 1 << qubit), dtype=bool)
     flags[:, 1] = True
     return flags.reshape(-1)
