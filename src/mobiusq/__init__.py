@@ -11,7 +11,8 @@ finds the argmin of a positive objective in n probes.
 The names below are re-exported lazily (PEP 562): ``import mobiusq`` loads
 no submodule and so no numpy, and ``from mobiusq import read_out`` loads
 only what that name needs.  The CLI relies on this to set its BLAS thread
-count before numpy first loads (see :mod:`mobiusq.cli`).
+count before numpy first loads (see :mod:`mobiusq.cli`), and binds the
+names of its commands the same way, through :func:`_defer`.
 """
 from __future__ import annotations
 
@@ -43,18 +44,40 @@ _EXPORTS = {
     ),
     "verify": ("run_verify",),
 }
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = sorted(_MODULE_OF)
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
 __version__ = "0.1.0"
 
 
-def __getattr__(name: str):
-    if name not in _MODULE_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
-    globals()[name] = value  # later lookups skip __getattr__
-    return value
+def _defer(namespace: dict, exports: dict[str, tuple[str, ...]]):
+    """Bind the names ``exports`` lists per submodule into a module's ``namespace`` on first use.
+
+    Returns ``(load, __getattr__)``.  ``load(*submodules)`` imports those
+    submodules of this package and binds the names listed for them; a module
+    calls it before code that reads those names as globals.  ``__getattr__``
+    is the module's PEP 562 hook: the first attribute access to a listed name
+    loads its submodule.  So every listed name is an attribute of the module
+    before any load.  Names are bound with ``setdefault``: a value already
+    bound, such as a test's or a tracer's replacement, wins.
+    """
+    home = {name: module for module, names in exports.items() for name in names}
+
+    def load(*modules: str) -> None:
+        for module in modules:
+            source = importlib.import_module(f".{module}", __name__)
+            for name in exports[module]:
+                namespace.setdefault(name, getattr(source, name))
+
+    def __getattr__(name: str):
+        if name not in home:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        load(home[name])
+        return namespace[name]
+
+    return load, __getattr__
+
+
+__getattr__ = _defer(globals(), _EXPORTS)[1]
 
 
 def __dir__() -> list[str]:

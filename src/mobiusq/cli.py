@@ -35,23 +35,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuits import Support, TransformQuery, build_unmarked_state, classical_value, gather, marked
-# estimate_exact and estimate_sampled are not called here; perfbench/tracer.py
-# wraps them as attributes of this module
-from .grover import estimate_exact, estimate_sampled, read_out_at  # noqa: F401
-from .minfind import (
-    ObjectiveTable,
-    choose_beta,
-    classical_evaluator,
-    find_min,
-    min_gap,
-    quadratic_objective,
-    quantum_evaluator,
-    softmin_table,
-)
-from .sim import Mode, state_to_json_obj
+from . import _defer
 from .subset import BitString, SubsetTable
-from .verify import run_verify
+
+# Each command loads only the modules it runs: classical minfind never loads
+# the simulator.  The names below are bound on first use; each is an attribute
+# of this module from the start, the patch point of the tests and of
+# perfbench/tracer.py, and a replacement bound before a command runs wins.
+# estimate_exact and estimate_sampled are not called here; the tracer wraps them.
+_DEFERRED = {
+    "sim": ("Mode", "state_to_json_obj"),
+    "circuits": ("Support", "TransformQuery", "build_unmarked_state", "classical_value", "gather", "marked"),
+    "grover": ("estimate_exact", "estimate_sampled", "read_out_at"),
+    "minfind": (
+        "ObjectiveTable", "choose_beta", "classical_evaluator", "find_min", "min_gap",
+        "quadratic_objective", "quantum_evaluator", "softmin_table",
+    ),
+    "verify": ("run_verify",),
+}
+_load, __getattr__ = _defer(globals(), _DEFERRED)
 
 __all__ = ["main"]
 
@@ -181,15 +183,15 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for mode, help_text in (
-        (Mode.MOBIUS, "subset-sum transform values at one point or over a sweep"),
-        (Mode.MARGINAL, "marginal probabilities at one point or over a sweep"),
+        ("mobius", "subset-sum transform values at one point or over a sweep"),
+        ("marginal", "marginal probabilities at one point or over a sweep"),
     ):
-        p = sub.add_parser(mode.value, help=help_text)
+        p = sub.add_parser(mode, help=help_text)
         p.add_argument("--input", required=True, help="query JSON or table JSON file")
         points = p.add_mutually_exclusive_group()
         points.add_argument("--x", help="evaluation point, most-significant bit first (default: a query input's x)")
         points.add_argument("--sweep", action="store_const", const=True, help="evaluate every point")
-        if mode is Mode.MARGINAL:
+        if mode == "marginal":
             p.add_argument("--n0", type=int, help="marginal width (table inputs)")
         p.add_argument("--shots", type=int, help="also sample with this many shots")
         p.add_argument("--seed", type=int, help="sampling seed (default 0); sweeps use seed + dec(x) per point")
@@ -356,7 +358,8 @@ def _finish(args, result: dict, schema: dict, check: dict | None, rows_key: str,
 
 
 def _cmd_transform(args) -> int:
-    mode = args.mode
+    _load("grover", "circuits", "sim")
+    mode = Mode(args.mode)
     obj = _read_json(args.input)
     n, n0, psi, input_x = _parse_transform_input(obj, mode, getattr(args, "n0", None))
 
@@ -421,6 +424,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_minfind(args) -> int:
+    _load("minfind")
     if args.input:
         if args.n is not None:
             raise ValueError("--n sizes the --center objective; an --input table has its own n")
@@ -473,6 +477,7 @@ def _cmd_minfind(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _load("verify")
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     ok, lines = run_verify(args.seed)

@@ -16,10 +16,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circuits import TransformQuery, build_unmarked_state, gather
-from .grover import read_out_at
-from .sim import Mode
+from . import _defer
 from .subset import BitString, SubsetTable, zeta_fast
+
+# The quantum backend's names, bound when quantum_evaluator first runs, so the
+# classical backend never loads the simulator; each is a module attribute from
+# the start and a replacement bound before that call wins.
+_DEFERRED = {
+    "sim": ("Mode",),
+    "circuits": ("TransformQuery", "build_unmarked_state", "gather"),
+    "grover": ("read_out_at",),
+}
+_load, __getattr__ = _defer(globals(), _DEFERRED)
 
 __all__ = [
     "ObjectiveTable",
@@ -169,6 +177,7 @@ def quantum_evaluator(d_minus: SubsetTable) -> Callable[[BitString], float]:
     The x-independent start state is built and gathered once, here; each
     probe amplifies the support at the probe point and reads the exact value.
     """
+    _load("grover", "circuits", "sim")
     any_point = BitString.from_int(0, d_minus.n)  # the unmarked state does not read x
     query = TransformQuery.from_probability_table(Mode.MOBIUS, d_minus, any_point)
     support = gather(build_unmarked_state(query))

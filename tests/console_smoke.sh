@@ -18,3 +18,17 @@ for threads in 1 4; do
 done
 cmp "$tmp/threads1.json" "$tmp/threads4.json"
 echo "--out byte-identical at OPENBLAS_NUM_THREADS=1 and 4"
+
+# the script prints and writes what python -m mobiusq.cli does (tests/test_loading.py
+# compares python -m mobiusq with python -m mobiusq.cli)
+parity() {
+    local name=$1
+    shift
+    mobiusq "$@" --out "$tmp/$name.script.json" > "$tmp/$name.script.stdout"
+    python -m mobiusq.cli "$@" --out "$tmp/$name.module.json" > "$tmp/$name.module.stdout"
+    cmp "$tmp/$name.script.stdout" "$tmp/$name.module.stdout"
+    cmp "$tmp/$name.script.json" "$tmp/$name.module.json"
+    echo "$name: stdout and --out byte-identical from the script and python -m mobiusq.cli"
+}
+parity marginal-sweep marginal --input tests/data/golden/inputs/marginal5-n0-2-complex.json --sweep --shots 2000 --seed 5
+parity minfind-classical minfind --center 174099 --n 18

@@ -4,10 +4,12 @@ Every run must return exit code 0, 1 or 2 with no exception escaping, and a
 run that does not succeed must leave no --out or --dump-state file, also
 when the --dump-state path cannot be written.  A run that succeeds with
 --out must pass its own --check, and that check's --out must equal the
-first byte for byte.  Sizes
-stay small: tables have n <= 4, minfind's --n is 1..8 or past the 26-bit cap
-(which is refused before any allocation), and the quantum backend runs only
-at n <= 4.
+first byte for byte.  Half the runs are drawn well formed (an unedited
+document and valid flags), so the readout and the --check round trip run
+often; the other half draw each value from the valid and the odd ones
+alike.  Sizes stay small: tables have n <= 4, minfind's --n is 1..8 or past
+the 26-bit cap (which is refused before any allocation), and the quantum
+backend runs only at n <= 4.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from mobiusq.cli import main
@@ -41,9 +43,19 @@ def _paths(doc, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
+def _pick(draw, valid: bool, good: list, odd: list):
+    """One of good; in a run not held valid, one of good and odd alike."""
+    return draw(st.sampled_from(good if valid else good + odd))
+
+
 @st.composite
-def _json_text(draw, doc: dict) -> str:
-    """doc with up to two values replaced or keys deleted, as text; or a malformed text."""
+def _json_text(draw, doc: dict, valid: bool = False) -> str:
+    """doc with up to two values replaced or keys deleted, as text; or a malformed text.
+
+    A valid run gets doc as it is.
+    """
+    if valid:
+        return json.dumps(doc)
     if draw(st.integers(0, 9)) == 0:
         return draw(st.sampled_from(RAW_TEXTS))
     doc = copy.deepcopy(doc)
@@ -95,48 +107,55 @@ def _minfind_record(n: int) -> dict:
 
 @st.composite
 def _transform_run(draw) -> tuple[list, dict[str, str]]:
+    valid = draw(st.booleans())
     command = draw(st.sampled_from(["mobius", "marginal"]))
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(2 if valid and command == "marginal" else 1, 4))
     n0 = n if command == "mobius" else draw(st.integers(1, max(1, n - 1)))
-    doc = _query(command, n, n0) if draw(st.booleans()) else _table(n)
-    files = {"input": draw(_json_text(doc))}
+    query = draw(st.booleans())
+    doc = _query(command, n, n0) if query else _table(n)
+    files = {"input": draw(_json_text(doc, valid))}
     argv = [command, "--input", "input"]
-    if command == "marginal" and draw(st.booleans()):
-        argv += ["--n0", str(draw(st.integers(-1, 5)))]
-    point = draw(st.sampled_from(["x", "sweep", "both", "neither"]))
+    if command == "marginal" and (valid and not query or draw(st.booleans())):
+        argv += ["--n0", str(n0 if valid else draw(st.integers(-1, 5)))]
+    if query:  # a query input may be evaluated at its own x
+        point = _pick(draw, valid, ["x", "sweep", "neither"], ["both"])
+    else:
+        point = _pick(draw, valid, ["x", "sweep"], ["both", "neither"])
     if point in ("x", "both"):
-        argv += ["--x", draw(st.one_of(st.just("1" * n0), st.text("01a", max_size=5)))]
+        bits = st.integers(0, (1 << n0) - 1).map(lambda v: _bits(v, n0))
+        argv += ["--x", draw(bits if valid else st.one_of(st.just("1" * n0), st.text("01a", max_size=5)))]
     if point in ("sweep", "both"):
         argv += ["--sweep"]
     if draw(st.booleans()):
-        argv += ["--shots", str(draw(st.sampled_from([1, 7, 100, *HUGE_COUNTS])))]
+        argv += ["--shots", str(_pick(draw, valid, [1, 7, 100], HUGE_COUNTS))]
     if draw(st.booleans()):
-        argv += ["--seed", str(draw(st.sampled_from([0, 5, -1, 2**64])))]
-    if draw(st.integers(0, 3)) == 0:
+        argv += ["--seed", str(_pick(draw, valid, [0, 5], [-1, 2**64]))]
+    if not valid and draw(st.integers(0, 3)) == 0:
         files["check"] = draw(_json_text(_transform_record(command, n, n0)))
         argv += ["--check", "check"]
-    if draw(st.booleans()):
-        argv += ["--dump-state", draw(st.sampled_from(["dump.json", UNWRITABLE]))]
+    if (not valid or point != "sweep") and draw(st.booleans()):
+        argv += ["--dump-state", _pick(draw, valid, ["dump.json"], [UNWRITABLE])]
     return argv, files
 
 
 @st.composite
 def _minfind_run(draw) -> tuple[list, dict[str, str]]:
+    valid = draw(st.booleans())
     files = {}
     if draw(st.booleans()):
         n = draw(st.integers(1, 4))
-        files["input"] = draw(_json_text(_table(n, positive=True)))
+        files["input"] = draw(_json_text(_table(n, positive=True), valid))
         argv = ["minfind", "--input", "input"]
     else:
-        n = draw(st.one_of(st.integers(1, 8), st.sampled_from([27, 40])))
-        argv = ["minfind", "--center", str(draw(st.sampled_from([0, 3, -2, 10**30, 10**400]))), "--n", str(n)]
+        n = draw(st.integers(1, 8) if valid else st.one_of(st.integers(1, 8), st.sampled_from([27, 40])))
+        argv = ["minfind", "--center", str(_pick(draw, valid, [0, 3, -2], [10**30, 10**400])), "--n", str(n)]
     if draw(st.booleans()):
-        argv += ["--beta", draw(st.sampled_from(["0.5", "0", "-1", "nan", "inf", "1e300", "1e308"]))]
+        argv += ["--beta", _pick(draw, valid, ["0.5"], ["0", "-1", "nan", "inf", "1e300", "1e308"])]
     if draw(st.booleans()):
-        argv += ["--threshold", draw(st.sampled_from(["0.5", "0.9", "0", "1", "nan"]))]
+        argv += ["--threshold", _pick(draw, valid, ["0.5", "0.9"], ["0", "1", "nan"])]
     if n <= 4 and draw(st.booleans()):
         argv += ["--backend", "quantum"]
-    if draw(st.integers(0, 3)) == 0:
+    if not valid and draw(st.integers(0, 3)) == 0:
         files["check"] = draw(_json_text(_minfind_record(n if n <= 8 else 3)))
         argv += ["--check", "check"]
     return argv, files
@@ -189,6 +208,7 @@ def test_main_exits_0_1_or_2_and_a_failed_run_writes_nothing(run, with_out):
         if with_out:
             argv += ["--out", str(out)]
         code, err = _main_quietly(argv)
+        event(f"{argv[0]} exit {code}")
         assert code in (0, 1, 2), err
         if code != 0:
             assert not out.exists(), argv

@@ -1,0 +1,144 @@
+"""Each CLI command loads only the modules it runs, and every deferred name stays a patch point.
+
+``mobiusq.cli`` and ``mobiusq.minfind`` bind the names of the modules a
+command needs on first use (``mobiusq._defer``), so classical ``minfind``
+never loads the simulator.  Each deferred name is nonetheless an attribute of
+its module from the start: the tests and ``perfbench/tracer.py`` replace them
+there.  The module sets are read in fresh processes, since the pytest
+process has long since loaded every module.
+"""
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+import golden
+import mobiusq
+import mobiusq.cli as cli_mod
+import mobiusq.minfind as minfind_mod
+
+TABLE = "tests/data/mobius3_table.json"
+BASE = {"mobiusq", "mobiusq.cli", "mobiusq.subset"}
+SIMULATOR = {"mobiusq.sim", "mobiusq.circuits", "mobiusq.grover"}
+
+
+def _python(code: str, *args: str) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        cwd=golden.ROOT,
+        env=golden.env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+# runs cli.main on argv[1:] (when given) and prints the mobiusq modules loaded
+MODULES_AFTER = """
+import contextlib, io, json, sys
+import mobiusq.cli as cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(sys.argv[1:]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "mobiusq")))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, added",
+    [
+        ([], set()),
+        (["minfind", "--center", "13", "--n", "5"], {"mobiusq.minfind"}),
+        (["mobius", "--input", TABLE, "--x", "101"], SIMULATOR),
+        (["marginal", "--input", TABLE, "--n0", "2", "--x", "10"], SIMULATOR),
+        (["minfind", "--center", "13", "--n", "5", "--backend", "quantum"], SIMULATOR | {"mobiusq.minfind"}),
+        (["verify", "--seed", "0"], SIMULATOR | {"mobiusq.verify"}),
+    ],
+    ids=["import-only", "minfind-classical", "mobius", "marginal", "minfind-quantum", "verify"],
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, added):
+    assert set(json.loads(_python(MODULES_AFTER, *argv))) == BASE | added
+
+
+def test_every_deferred_name_is_an_attribute_before_any_command_runs():
+    code = """
+import importlib
+import mobiusq.cli as cli, mobiusq.minfind as minfind
+for module in (cli, minfind):
+    deferred = {name for names in module._DEFERRED.values() for name in names}
+    assert not deferred & set(vars(module)), (module.__name__, deferred & set(vars(module)))
+    for home, names in module._DEFERRED.items():
+        for name in names:
+            got = getattr(module, name)
+            assert got is getattr(importlib.import_module("mobiusq." + home), name), (module.__name__, name)
+print("ok")
+"""
+    assert _python(code) == "ok"
+
+
+@pytest.mark.parametrize("module", [mobiusq, cli_mod, minfind_mod], ids=lambda m: m.__name__)
+def test_an_unknown_attribute_raises_attribute_error_naming_the_module(module):
+    with pytest.raises(AttributeError, match=rf"module '{module.__name__}' has no attribute 'no_such_name'"):
+        module.no_such_name  # noqa: B018
+
+
+def test_a_replacement_bound_before_a_run_is_the_one_called():
+    """The tracer's wrap: read the attribute (which loads its module), then replace it."""
+    code = """
+import contextlib, io, sys
+import mobiusq.cli as cli
+calls = []
+original = cli.classical_value
+
+def classical_value(query):
+    calls.append(str(query.x))
+    return original(query)
+
+cli.classical_value = classical_value
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(sys.argv[1:]) == 0
+print(calls)
+"""
+    assert _python(code, "mobius", "--input", TABLE, "--x", "101") == "['101']"
+
+
+def test_importing_the_package_loads_no_numpy_and_lists_the_same_public_names():
+    code = """
+import json, sys
+import mobiusq
+assert "numpy" not in sys.modules
+print(json.dumps([name for name in dir(mobiusq) if not name.startswith("_")]))
+"""
+    assert set(json.loads(_python(code))) == {*mobiusq.__all__, "annotations", "importlib"}
+
+
+# python -m mobiusq binds the command's names into mobiusq.cli; python -m
+# mobiusq.cli binds them into __main__, a second module object
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["marginal", "--input", "tests/data/golden/inputs/marginal5-n0-2-complex.json", "--sweep",
+         "--shots", "2000", "--seed", "5"],
+        ["minfind", "--center", "174099", "--n", "18"],
+    ],
+    ids=["marginal-sweep-shots", "minfind-classical"],
+)
+def test_both_module_entry_points_print_and_write_the_same_bytes(tmp_path, argv):
+    results = []
+    for module in ("mobiusq", "mobiusq.cli"):
+        out = tmp_path / f"{module}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", module, *argv, "--out", str(out)],
+            cwd=golden.ROOT,
+            env=golden.env(),
+            capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        results.append((proc.stdout, out.read_bytes()))
+    assert results[0] == results[1]
