@@ -32,7 +32,7 @@ _EXPORTS = {
     "circuits": (
         "DecompositionError", "SignalDecomposition", "Support", "TransformQuery",
         "build_comparator", "build_start_circuit", "build_start_state", "build_unmarked_state",
-        "classical_value", "decompose_signal", "gather", "mark_op", "marked",
+        "classical_value", "decompose_signal", "gather", "mark_op",
     ),
     "grover": (
         "EstimateReport", "GroverPlan", "Readout", "amplify", "estimate_exact",

@@ -18,22 +18,17 @@ omega=0 therefore equal the transform value, and they are preserved by the
 amplitude amplification in :mod:`mobiusq.grover`.
 
 x enters only that final mark; every earlier op depends on (mode, n, n0,
-psi_minus) alone.  build_unmarked_state simulates those ops once, and
-``marked`` turns the result into the start state at any x by applying the
-mark in place and, on exit, applying it again.  The mark is an X, an exact
-swap of amplitudes, so this restores the unmarked state bit for bit, and a
-table's points are all read from one unmarked state.
-
-The readout needs less: ``gather`` keeps the unmarked state's nonzero
-amplitudes, one per (alpha_minus, alpha, mu0) value, and the mark at x only
-moves the omega bit of those with alpha == x and beta == 0, so a
-:class:`Support` serves every point with no dense state at all.
+psi_minus) alone.  ``gather`` simulates those ops once, densely
+(build_unmarked_state), and keeps only the nonzero amplitudes, one per
+(alpha_minus, alpha, mu0) value.  The mark at x only moves the omega bit of
+those with alpha == x and beta == 0, so the :class:`Support` it returns
+serves every point of a table with no dense state at all, and
+``Support.start_state(x)`` scatters it back into the dense start state at x
+when one is wanted (``--dump-state``).
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -53,22 +48,6 @@ from .sim import (
     sector,
 )
 from .subset import BitString, SubsetTable, json_complex, json_int
-
-__all__ = [
-    "TransformQuery",
-    "SignalDecomposition",
-    "DecompositionError",
-    "classical_value",
-    "build_comparator",
-    "mark_op",
-    "build_start_circuit",
-    "build_unmarked_state",
-    "marked",
-    "Support",
-    "gather",
-    "build_start_state",
-    "decompose_signal",
-]
 
 _CHECK_TOL = 1e-9
 
@@ -220,9 +199,9 @@ def _branch_ops(query: TransformQuery) -> list[GateOp]:
 def build_start_circuit(query: TransformQuery) -> Circuit:
     """Full start-state circuit: the alpha_minus prep, the branch ops, the mark.
 
-    See the module docstring for the state it builds.  The CLI simulates its
-    parts through build_unmarked_state and marked; the whole circuit is the
-    tests' oracle for those and the op list perfbench's tracer replays.
+    See the module docstring for the state it builds.  The CLI simulates all
+    but the mark through gather; the whole circuit is the tests' oracle for
+    that and the op list perfbench's tracer replays.
     """
     prep = compile_state_prep(query.psi_minus)
     ops = (*prep, *_branch_ops(query), mark_op(query.layout, query.x))
@@ -249,22 +228,6 @@ def build_unmarked_state(query: TransformQuery) -> StateVector:
     return state
 
 
-@contextmanager
-def marked(unmarked: StateVector, x: BitString) -> Iterator[StateVector]:
-    """The start state at point x, made by marking ``unmarked`` in place.
-
-    Yields ``unmarked`` itself with the mark applied.  On exit, also when the
-    body raises, the mark is applied again, which restores every amplitude
-    bit for bit because the mark only swaps amplitudes.
-    """
-    mark = Circuit(unmarked.layout, (mark_op(unmarked.layout, x),))
-    apply_in_place(unmarked, mark)
-    try:
-        yield unmarked
-    finally:
-        apply_in_place(unmarked, mark)
-
-
 @dataclass(frozen=True, eq=False)
 class Support:
     """The nonzero amplitudes of an unmarked state, and what the mark reads of them.
@@ -289,16 +252,30 @@ class Support:
             raise ValueError(f"x has {len(x)} bits, expected n0 = {self.layout.n0}")
         return (self.alpha == x.to_int()) & self.beta_clear
 
+    def start_state(self, x: BitString) -> StateVector:
+        """The dense start state at x: the support scattered back, marked at x.
 
-def gather(unmarked: StateVector) -> Support:
-    """The support of an unmarked state: its nonzero amplitudes, all at omega=1.
+        The mark is an X on omega, so it moves the target's amplitudes to the
+        omega=0 index unchanged; the result equals build_start_state bit for bit.
+        """
+        moved = np.where(self.target(x), self.index ^ (1 << self.layout.omega_qubit), self.index)
+        amps = np.zeros(1 << self.layout.total_qubits, dtype=np.complex128)
+        amps[moved] = self.amplitudes
+        return StateVector(self.layout, amps)
 
-    Raises ValueError for a state with omega=0 weight, i.e. one already marked.
+
+def gather(query: TransformQuery) -> Support:
+    """The support of the table's unmarked state: its nonzero amplitudes, all at omega=1.
+
+    Builds the dense unmarked state (build_unmarked_state) and keeps only
+    its support, so the dense state is freed on return; query.x is not read.
+    Raises DecompositionError when the build leaves weight at omega=0.
     """
+    unmarked = build_unmarked_state(query)
     layout = unmarked.layout
     index = np.flatnonzero(unmarked.amplitudes)
     if not register_values(layout, "omega", index).all():
-        raise ValueError("gather needs an unmarked state; this one has omega=0 weight")
+        raise DecompositionError("the unmarked state has omega=0 weight before the mark")
     return Support(
         layout,
         index,

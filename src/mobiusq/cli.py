@@ -45,7 +45,7 @@ from .subset import BitString, SubsetTable
 # estimate_exact and estimate_sampled are not called here; the tracer wraps them.
 _DEFERRED = {
     "sim": ("Mode", "state_to_json_obj"),
-    "circuits": ("Support", "TransformQuery", "build_unmarked_state", "classical_value", "gather", "marked"),
+    "circuits": ("TransformQuery", "classical_value", "gather"),
     "grover": ("estimate_exact", "estimate_sampled", "read_out_at"),
     "minfind": (
         "ObjectiveTable", "choose_beta", "classical_evaluator", "find_min", "min_gap",
@@ -389,13 +389,8 @@ def _cmd_transform(args) -> int:
         raise ValueError("--dump-state needs a single --x point")
 
     queries = [TransformQuery(mode, n, psi, x, n0) for x in points]
-    unmarked = build_unmarked_state(queries[0])
-    support = gather(unmarked)
-    dump = None
-    if args.dump_state:
-        with marked(unmarked, queries[0].x) as start:
-            dump = state_to_json_obj(start)
-    del unmarked  # the readout runs on the support alone
+    support = gather(queries[0])
+    dump = state_to_json_obj(support.start_state(queries[0].x)) if args.dump_state else None
     rows = [_transform_row(support, query, shots, seed) for query in queries]
 
     drift = max(abs(r["classical"] - r["exact"]) for r in rows)

@@ -36,20 +36,6 @@ from .circuits import Support, TransformQuery, build_start_state
 from .sim import StateVector
 from .subset import BitString
 
-__all__ = [
-    "GroverPlan",
-    "Readout",
-    "EstimateReport",
-    "plan_grover",
-    "grover_step",
-    "amplify",
-    "cell_mass",
-    "read_out",
-    "read_out_at",
-    "estimate_exact",
-    "estimate_sampled",
-]
-
 
 @dataclass(frozen=True)
 class GroverPlan:

@@ -24,24 +24,10 @@ from .subset import BitString, SubsetTable, zeta_fast
 # the start and a replacement bound before that call wins.
 _DEFERRED = {
     "sim": ("Mode",),
-    "circuits": ("TransformQuery", "build_unmarked_state", "gather"),
+    "circuits": ("TransformQuery", "gather"),
     "grover": ("read_out_at",),
 }
 _load, __getattr__ = _defer(globals(), _DEFERRED)
-
-__all__ = [
-    "ObjectiveTable",
-    "ProbeRecord",
-    "SearchTrace",
-    "softmin_table",
-    "min_gap",
-    "choose_beta",
-    "probe_point",
-    "classical_evaluator",
-    "quantum_evaluator",
-    "find_min",
-    "quadratic_objective",
-]
 
 # The classical path peaks at about 4.1 float64 tables of 2**n entries
 # (tracemalloc, n = 18, 20 and 22): about 2.1 GiB at n = 26, close to the
@@ -180,7 +166,7 @@ def quantum_evaluator(d_minus: SubsetTable) -> Callable[[BitString], float]:
     _load("grover", "circuits", "sim")
     any_point = BitString.from_int(0, d_minus.n)  # the unmarked state does not read x
     query = TransformQuery.from_probability_table(Mode.MOBIUS, d_minus, any_point)
-    support = gather(build_unmarked_state(query))
+    support = gather(query)
 
     def evaluate(point: BitString) -> float:
         return read_out_at(support, point).exact

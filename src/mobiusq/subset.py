@@ -15,16 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "BitString",
-    "SubsetTable",
-    "zeta_matrix",
-    "zeta_naive",
-    "zeta_fast",
-    "zeta_fast_inplace",
-    "mobius_inverse",
-]
-
 
 @dataclass(frozen=True)
 class BitString:

@@ -1,21 +1,20 @@
 """Named checks shared by ``mobiusq verify`` and the acceptance gate.
 
 Each check is a function of explicit inputs (queries, a step count, a
-coefficient source, a tolerance) and returns a :class:`Verdict`: pass or
-fail, the worst error it measured, and one line of detail.  ``run_verify``
-draws seeded random inputs for six named checks; ``tests/test_acceptance.py``
-calls the same functions with its own inputs and tolerances, so every
-property is stated once:
+tolerance) and returns a :class:`Verdict`: pass or fail, the worst error it
+measured, and one line of detail.  ``run_verify`` draws seeded random inputs
+for six named checks; ``tests/test_acceptance.py`` calls the same functions
+with its own inputs and tolerances, so every property is stated once:
 
     sector_readout    z0 anchor and value ratio of the start state
     odds_preserved    gamma odds on omega=0 through Grover steps
     rotation_law      omega=0 mass sin((2k+1) theta)**2 after k steps
     comparator_table  the 8 comparator coefficients against the closed form
 
-Both the comparator check of ``run_verify`` and the acceptance gate read the
-coefficients off the compiled circuit (``circuit_coefficient``), so a
-corrupted ``build_comparator`` (the tests inject one by replacing this
-module's name) is caught there.
+The comparator check reads the coefficients off the compiled circuit
+(``circuit_coefficient``), looking ``build_comparator`` up in this module at
+each call, so a corrupted comparator (the tests inject one by replacing this
+module's name) is caught by ``run_verify`` and the acceptance gate alike.
 """
 from __future__ import annotations
 
@@ -53,8 +52,6 @@ __all__ = [
     "circuit_coefficient",
     "run_verify",
 ]
-
-Coefficient = Callable[[int, int, Mode], complex]  # (source bit, sample bit, mode)
 
 
 @dataclass(frozen=True)
@@ -147,13 +144,13 @@ def _closed_form(source_bit: int, sample_bit: int, mode: Mode) -> float:
     return (1.0 if survives else 0.0) / np.sqrt(2.0)
 
 
-def comparator_table(coefficient: Coefficient, tol: float) -> Verdict:
-    """All 8 (mode, source, sample) coefficients of a source against the closed form."""
+def comparator_table(tol: float) -> Verdict:
+    """All 8 (mode, source, sample) circuit coefficients against the closed form."""
     errors, bad = [], []
     for mode in Mode:
         for source in (0, 1):
             for sample in (0, 1):
-                got = coefficient(source, sample, mode)
+                got = circuit_coefficient(source, sample, mode)
                 want = _closed_form(source, sample, mode)
                 errors.append(abs(got - want))
                 if not errors[-1] <= tol:
@@ -169,21 +166,18 @@ def comparator_table(coefficient: Coefficient, tol: float) -> Verdict:
     )
 
 
-def circuit_coefficient(builder: Callable[[TransformQuery], object]) -> Coefficient:
-    """Coefficient source reading beta=0 amplitudes off the circuit ``builder`` compiles."""
+def circuit_coefficient(source_bit: int, sample_bit: int, mode: Mode) -> complex:
+    """Amplitude build_comparator moves from alpha_minus = source_bit to alpha = sample_bit, beta = 0.
 
-    def coefficient(source_bit: int, sample_bit: int, mode: Mode) -> complex:
-        n, n0 = (1, None) if mode is Mode.MOBIUS else (2, 1)
-        query = TransformQuery(mode, n, np.eye(1 << n)[0], BitString.from_int(0, 1), n0)
-        layout = query.layout
-        amps = np.zeros(1 << layout.total_qubits, dtype=np.complex128)
-        amps[basis_index(layout, {"alpha_minus": source_bit})] = 1.0
-        state = apply_circuit(StateVector(layout, amps), builder(query))
-        return state.amplitudes[
-            basis_index(layout, {"alpha_minus": source_bit, "alpha": sample_bit})
-        ]
-
-    return coefficient
+    build_comparator is looked up in this module at each call, so a replacement there is the one read.
+    """
+    n, n0 = (1, None) if mode is Mode.MOBIUS else (2, 1)
+    query = TransformQuery(mode, n, np.eye(1 << n)[0], BitString.from_int(0, 1), n0)
+    layout = query.layout
+    amps = np.zeros(1 << layout.total_qubits, dtype=np.complex128)
+    amps[basis_index(layout, {"alpha_minus": source_bit})] = 1.0
+    state = apply_circuit(StateVector(layout, amps), build_comparator(query))
+    return state.amplitudes[basis_index(layout, {"alpha_minus": source_bit, "alpha": sample_bit})]
 
 
 def _oracle_equivalence(mobius_probs: np.ndarray, marginal_probs: np.ndarray) -> Verdict:
@@ -249,7 +243,7 @@ def run_verify(seed: int = 0) -> tuple[bool, list[str]]:
     uniform = TransformQuery(Mode.MOBIUS, 3, np.full(8, 2.0 ** -1.5), BitString.from_str("111"))
 
     checks: tuple[tuple[str, Callable[[], Verdict]], ...] = (
-        ("comparator-coefficients", lambda: comparator_table(circuit_coefficient(build_comparator), 1e-12)),
+        ("comparator-coefficients", lambda: comparator_table(1e-12)),
         ("sector-decomposition", lambda: sector_readout(sector_queries, 1e-10)),
         ("ratio-preservation", lambda: odds_preserved([odds_query], 8, 1e-9)),
         ("oracle-equivalence", lambda: _oracle_equivalence(mobius_probs, marginal_probs)),

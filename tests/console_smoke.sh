@@ -19,6 +19,13 @@ done
 cmp "$tmp/threads1.json" "$tmp/threads4.json"
 echo "--out byte-identical at OPENBLAS_NUM_THREADS=1 and 4"
 
+# --dump-state scatters the gathered support back into the dense start state
+# (the mobius3-dump entry of tests/data/golden/manifest.json)
+mobiusq mobius --input tests/data/mobius3_table.json --x 101 --shots 300 --seed 4 \
+    --out "$tmp/dump.out.json" --dump-state "$tmp/dump.state.json" > /dev/null
+cmp "$tmp/dump.state.json" tests/data/golden/mobius3-dump.state.json
+echo "--dump-state byte-identical to the golden mobius3-dump state"
+
 # the script prints and writes what python -m mobiusq.cli does (tests/test_loading.py
 # compares python -m mobiusq with python -m mobiusq.cli)
 parity() {

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import mobiusq.circuits as circuits_mod
 from mobiusq.circuits import (
     DecompositionError,
     TransformQuery,
@@ -17,7 +18,6 @@ from mobiusq.circuits import (
     decompose_signal,
     gather,
     mark_op,
-    marked,
 )
 from mobiusq.sim import (
     Circuit,
@@ -232,7 +232,6 @@ def test_comparator_xs_permute_basis_indices_exactly(mode, n, n0):
 
 
 def test_comparator_coefficients_all_eight():
-    coefficient = circuit_coefficient(build_comparator)
     r = 1.0 / math.sqrt(2.0)
     want = {
         (Mode.MOBIUS, 0, 0): r,
@@ -245,9 +244,9 @@ def test_comparator_coefficients_all_eight():
         (Mode.MARGINAL, 1, 1): r,
     }
     for (mode, src, smp), value in want.items():
-        assert coefficient(src, smp, mode) == value
+        assert circuit_coefficient(src, smp, mode) == value
     with pytest.raises(ValueError):
-        coefficient(2, 0, Mode.MOBIUS)
+        circuit_coefficient(2, 0, Mode.MOBIUS)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +300,8 @@ def test_register_local_prep_equals_full_circuit_run(mode, n, n0):
 def test_gather_keeps_one_entry_per_alpha_minus_alpha_mu0(mode, n, n0):
     """A table with no zero keeps 2**(n+n0+1) entries, all at omega=1, which hold the whole state."""
     q = _random_query(mode, n, "1" * (n0 or n), n0=n0, seed=22)
+    support = gather(q)
     unmarked = build_unmarked_state(q)
-    support = gather(unmarked)
     layout = q.layout
     assert support.index.size == 1 << (n + layout.n0 + 1)
     assert np.all(np.diff(support.index) > 0)
@@ -311,37 +310,68 @@ def test_gather_keeps_one_entry_per_alpha_minus_alpha_mu0(mode, n, n0):
     assert scattered.tobytes() == unmarked.amplitudes.tobytes()
     assert np.array_equal(support.gamma, register_values(layout, "gamma", support.index) == 1)
     # the target at x is exactly what the mark moves to omega=0, the top qubit
-    with marked(unmarked, q.x) as start:
-        moved = np.flatnonzero(sector(start, {layout.omega_qubit: 0}).ravel())
+    moved = np.flatnonzero(sector(build_start_state(q), {layout.omega_qubit: 0}).ravel())
     assert np.array_equal(support.index[support.target(q.x)] ^ (1 << layout.omega_qubit), moved)
     with pytest.raises(ValueError, match="expected n0"):
         support.target(BitString.from_int(0, layout.n0 + 1))
 
 
-def test_gather_refuses_a_marked_state():
+def test_gather_refuses_a_marked_state(monkeypatch):
+    """An unmarked build with omega=0 weight is a circuit bug, not a support."""
     q = _random_query(Mode.MOBIUS, 2, "11", seed=23)
-    with pytest.raises(ValueError, match="unmarked"):
-        gather(build_start_state(q))
+    start = build_start_state(q)
+    monkeypatch.setattr(circuits_mod, "build_unmarked_state", lambda query: start)
+    with pytest.raises(DecompositionError, match="omega=0 weight"):
+        gather(q)
 
 
-@pytest.mark.parametrize("mode,n,n0", [(Mode.MOBIUS, 3, None), (Mode.MARGINAL, 4, 2)])
-def test_marked_gives_each_start_state_and_restores_the_unmarked_one(mode, n, n0):
-    unmarked = build_unmarked_state(_random_query(mode, n, "1" * (n0 or n), n0=n0, seed=21))
-    before = unmarked.amplitudes.tobytes()
-    for xv in range(1 << (n0 or n)):
-        q = _random_query(mode, n, format(xv, f"0{n0 or n}b"), n0=n0, seed=21)
-        with marked(unmarked, q.x) as start:
-            assert start is unmarked
-            assert start.amplitudes.tobytes() == build_start_state(q).amplitudes.tobytes()
-        assert unmarked.amplitudes.tobytes() == before
-    with pytest.raises(RuntimeError, match="readout failed"):
-        with marked(unmarked, BitString.from_int(1, n0 or n)):
-            raise RuntimeError("readout failed")
-    assert unmarked.amplitudes.tobytes() == before
-    with pytest.raises(ValueError, match="bits"):
-        with marked(unmarked, BitString.from_int(1, (n0 or n) + 1)):
-            pass
-    assert unmarked.amplitudes.tobytes() == before
+def _table_amplitudes(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    size = 1 << n
+    if kind == "uniform":
+        amps = np.ones(size)
+    elif kind == "basis":
+        amps = np.eye(size)[rng.integers(size)]
+    elif kind == "real":
+        amps = rng.random(size)
+    else:
+        amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        if kind == "zeros":
+            amps[rng.random(size) < 0.6] = 0.0
+            amps[rng.integers(size)] = 1.0  # keep the table nonzero
+    return amps / np.linalg.norm(amps)
+
+
+@pytest.mark.parametrize("kind", ["complex", "real", "zeros", "uniform", "basis"])
+@pytest.mark.parametrize(
+    "mode,n,n0",
+    [(Mode.MOBIUS, n, None) for n in range(1, 6)]
+    + [(Mode.MARGINAL, 3, 1), (Mode.MARGINAL, 4, 2), (Mode.MARGINAL, 5, 3), (Mode.MARGINAL, 6, 2)],
+    ids=lambda v: v.value if isinstance(v, Mode) else str(v),
+)
+def test_start_state_is_build_start_state_at_every_x(mode, n, n0, kind, monkeypatch):
+    """The support scattered back and marked is the dense build, byte for byte, with no -0.0."""
+    rng = np.random.default_rng(60 + 10 * n + (n0 or 0))
+    amps = _table_amplitudes(kind, n, rng)
+    width = n0 or n
+    q = TransformQuery(mode, n, amps, BitString.from_int(0, width), n0)
+    support = gather(q)
+    # the unmarked build does not read x: build_start_state marks a copy of one build at each x
+    unmarked = build_unmarked_state(q)
+
+    def copy_of_the_build(query):
+        return StateVector(unmarked.layout, unmarked.amplitudes.copy())
+
+    monkeypatch.setattr(circuits_mod, "build_unmarked_state", copy_of_the_build)
+    for xv in range(1 << width):
+        x = BitString.from_int(xv, width)
+        got = support.start_state(x)
+        want = build_start_state(TransformQuery(mode, n, amps, x, n0))
+        assert got.layout == want.layout
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+        parts = got.amplitudes.view(np.float64)
+        assert not np.any(np.signbit(parts) & (parts == 0.0))
+    with pytest.raises(ValueError, match="expected n0"):
+        support.start_state(BitString.from_int(1, width + 1))
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ from mobiusq.circuits import (
     TransformQuery,
     build_comparator,
     build_start_state,
-    build_unmarked_state,
+    gather,
 )
 from mobiusq.cli import MINFIND_SCHEMA, TRANSFORM_SCHEMA, main
 from mobiusq.grover import estimate_exact, estimate_sampled, read_out
@@ -325,21 +325,21 @@ def test_dump_state_writes_loadable_start_state(uniform3, tmp_path, capsys):
     assert not out.exists()
 
 
-def _count_unmarked_builds(monkeypatch) -> list:
-    """Route cli.build_unmarked_state through a recorder; returns the built states."""
-    built = []
-    build = cli_mod.build_unmarked_state
+def _count_gathers(monkeypatch) -> list:
+    """Route cli.gather, the one dense build of a transform run, through a recorder; returns the supports."""
+    supports = []
+    gather = cli_mod.gather
 
     def recording(query):
-        built.append(build(query))
-        return built[-1]
+        supports.append(gather(query))
+        return supports[-1]
 
-    monkeypatch.setattr(cli_mod, "build_unmarked_state", recording)
-    return built
+    monkeypatch.setattr(cli_mod, "gather", recording)
+    return supports
 
 
 def test_bad_flags_fail_before_any_circuit_work(uniform3, tmp_path, monkeypatch, capsys):
-    built = _count_unmarked_builds(monkeypatch)
+    gathered = _count_gathers(monkeypatch)
     out, dump = tmp_path / "out.json", tmp_path / "state.json"
     golden = str(DATA / "mobius3_sweep_shots5000.json")
     table = str(DATA / "mobius3_table.json")
@@ -351,12 +351,12 @@ def test_bad_flags_fail_before_any_circuit_work(uniform3, tmp_path, monkeypatch,
         assert main(argv + ["--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists() and not dump.exists()
-    assert built == []
+    assert gathered == []
 
 
 def test_negative_sampling_seeds_fail_before_any_circuit_work(uniform3, tmp_path, monkeypatch, capsys):
     """Each point samples with seed + dec(x), which numpy needs to be >= 0."""
-    built = _count_unmarked_builds(monkeypatch)
+    gathered = _count_gathers(monkeypatch)
     out = tmp_path / "out.json"
     check = _edited_fixture(tmp_path, "mobius3_sweep_shots5000.json", lambda o: o.update({"seed": -3}))
     for argv, message in (
@@ -368,7 +368,7 @@ def test_negative_sampling_seeds_fail_before_any_circuit_work(uniform3, tmp_path
         err = capsys.readouterr().err
         assert message in err and "negative at x = " in err
         assert not out.exists()
-    assert built == []
+    assert gathered == []
     # a seed that stays non-negative at every point of the run still works
     assert main(["mobius", "--input", uniform3, "--x", "101", "--shots", "10", "--seed", "-5"]) == 0
     assert main(["mobius", "--input", uniform3, "--sweep", "--seed", "-3"]) == 0  # no sampling
@@ -433,11 +433,9 @@ def test_sweep_rows_equal_per_point_estimators(tmp_path, capsys, mode, n, n0, co
     capsys.readouterr()
 
 
-def test_sweep_builds_one_unmarked_state_and_restores_it_after_each_point(
-    uniform3, monkeypatch, capsys
-):
-    """One build and one gather serve every point; the unmarked state is never changed."""
-    built = _count_unmarked_builds(monkeypatch)
+def test_sweep_gathers_one_support_for_every_point(uniform3, monkeypatch, capsys):
+    """One gather serves every point, and the readouts leave the support as gathered."""
+    gathered = _count_gathers(monkeypatch)
     supports = []
     read_out_at = cli_mod.read_out_at
 
@@ -448,32 +446,16 @@ def test_sweep_builds_one_unmarked_state_and_restores_it_after_each_point(
     monkeypatch.setattr(cli_mod, "read_out_at", recording)
     assert main(["mobius", "--input", uniform3, "--sweep", "--shots", "100"]) == 0
     capsys.readouterr()
-    assert len(built) == 1
-    assert len(supports) == 8 and all(s is supports[0][0] for s, _ in supports)
+    assert len(gathered) == 1
+    assert len(supports) == 8 and all(s is gathered[0] for s, _ in supports)
     amps = np.full(8, 0.125**0.5)
     for xv, (support, x) in enumerate(supports):
         # each point reads the shared support exactly as the dense start state at that point
         assert x.to_int() == xv
         q = TransformQuery(Mode.MOBIUS, 3, amps, x)
         assert read_out_at(support, x) == read_out(build_start_state(q))
-    fresh = build_unmarked_state(q)
-    assert built[0].amplitudes.tobytes() == fresh.amplitudes.tobytes()
-
-
-def test_failed_readout_leaves_shared_state_unmarked(uniform3, tmp_path, monkeypatch, capsys):
-    built = _count_unmarked_builds(monkeypatch)
-
-    def boom(support, x):
-        raise ValueError("planner failed")
-
-    monkeypatch.setattr(cli_mod, "read_out_at", boom)
-    out = tmp_path / "out.json"
-    assert main(["mobius", "--input", uniform3, "--sweep", "--out", str(out)]) == 1
-    assert "planner failed" in capsys.readouterr().err
-    assert not out.exists()
-    q = TransformQuery(Mode.MOBIUS, 3, np.full(8, 0.125**0.5), BitString.from_str("000"))
-    fresh = build_unmarked_state(q)
-    assert built[0].amplitudes.tobytes() == fresh.amplitudes.tobytes()
+    fresh = gather(q)
+    assert gathered[0].amplitudes.tobytes() == fresh.amplitudes.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -172,7 +172,7 @@ def test_support_readout_uses_no_dense_working_copy():
     rng = np.random.default_rng(35)
     probs = rng.random(32)
     q = TransformQuery(Mode.MOBIUS, 5, np.sqrt(probs / probs.sum()), BitString.from_int(31, 5))
-    support = gather(build_unmarked_state(q))
+    support = gather(q)
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
@@ -200,7 +200,7 @@ def test_support_readout_equals_the_dense_oracle_bit_for_bit(mode, n, n0):
     amps[0] = 1.0  # keep the table nonzero
     amps /= np.linalg.norm(amps)
     width = n0 or n
-    support = gather(build_unmarked_state(TransformQuery(mode, n, amps, BitString.from_int(0, width), n0)))
+    support = gather(TransformQuery(mode, n, amps, BitString.from_int(0, width), n0))
     for xv in range(1 << width):
         x = BitString.from_int(xv, width)
         start = build_start_state(TransformQuery(mode, n, amps, x, n0))

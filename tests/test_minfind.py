@@ -216,8 +216,8 @@ def test_classical_evaluator_is_one_butterfly_pass():
 
 def test_quantum_evaluator_builds_one_unmarked_state_for_all_probes(monkeypatch):
     built = []
-    build = minfind_mod.build_unmarked_state
-    monkeypatch.setattr(minfind_mod, "build_unmarked_state", lambda q: built.append(q) or build(q))
+    gather = minfind_mod.gather
+    monkeypatch.setattr(minfind_mod, "gather", lambda q: built.append(q) or gather(q))
     obj = quadratic_objective(4, 6)
     beta = choose_beta(obj)
     d_minus = softmin_table(obj, beta)
