@@ -31,8 +31,8 @@ _EXPORTS = {
     ),
     "circuits": (
         "DecompositionError", "SignalDecomposition", "Support", "TransformQuery",
-        "build_comparator", "build_start_circuit", "build_start_state", "build_unmarked_state",
-        "classical_value", "decompose_signal", "gather", "mark_op",
+        "build_comparator", "build_start_circuit", "build_start_state", "classical_value",
+        "decompose_signal", "gather",
     ),
     "grover": (
         "EstimateReport", "GroverPlan", "Readout", "amplify", "estimate_exact",

@@ -18,13 +18,13 @@ omega=0 therefore equal the transform value, and they are preserved by the
 amplitude amplification in :mod:`mobiusq.grover`.
 
 x enters only that final mark; every earlier op depends on (mode, n, n0,
-psi_minus) alone.  ``gather`` simulates those ops once, densely
-(build_unmarked_state), and keeps only the nonzero amplitudes, one per
+psi_minus) alone.  ``gather``, the one builder of start states, simulates
+those ops once, densely, and keeps only the nonzero amplitudes, one per
 (alpha_minus, alpha, mu0) value.  The mark at x only moves the omega bit of
 those with alpha == x and beta == 0, so the :class:`Support` it returns
 serves every point of a table with no dense state at all, and
 ``Support.start_state(x)`` scatters it back into the dense start state at x
-when one is wanted (``--dump-state``).
+when one is wanted (``--dump-state``, ``build_start_state``).
 """
 from __future__ import annotations
 
@@ -165,15 +165,6 @@ def build_comparator(query: TransformQuery) -> Circuit:
     return Circuit(layout, tuple(ops))
 
 
-def mark_op(layout: RegisterLayout, x: BitString) -> Controlled:
-    """The target-marking X on omega, controlled on alpha == x and beta == 0."""
-    if len(x) != layout.n0:
-        raise ValueError(f"x has {len(x)} bits, expected n0 = {layout.n0}")
-    controls = dict(zip(layout.register("alpha"), x.bits))
-    controls.update(dict.fromkeys(layout.register("beta"), 0))
-    return Controlled(controls, (PauliX(layout.omega_qubit),))
-
-
 def _controlled_on(controls: dict[int, int], op: GateOp) -> GateOp:
     if isinstance(op, Controlled):
         return Controlled({**controls, **op.controls}, op.ops)
@@ -199,33 +190,17 @@ def _branch_ops(query: TransformQuery) -> list[GateOp]:
 def build_start_circuit(query: TransformQuery) -> Circuit:
     """Full start-state circuit: the alpha_minus prep, the branch ops, the mark.
 
-    See the module docstring for the state it builds.  The CLI simulates all
-    but the mark through gather; the whole circuit is the tests' oracle for
-    that and the op list perfbench's tracer replays.
-    """
-    prep = compile_state_prep(query.psi_minus)
-    ops = (*prep, *_branch_ops(query), mark_op(query.layout, query.x))
-    return Circuit(query.layout, ops)
-
-
-def build_unmarked_state(query: TransformQuery) -> StateVector:
-    """Simulate build_start_circuit(query) without its final mark.
-
-    The result serves every point x of the table; query.x is not read.
-    alpha_minus is the lowest register and the prep touches it alone, so the
-    prep runs on its 2**n amplitudes only; the result fills the low end of an
-    otherwise zero state and the branch ops run on the whole, in place.  The
-    amplitudes equal those of apply_circuit on the same ops.
+    The mark is an X on omega controlled on alpha == x and beta == 0.  See
+    the module docstring for the state the circuit builds.  gather simulates
+    all but the mark; run gate by gate, the whole circuit is the tests'
+    oracle for that and the op list perfbench's tracer replays.
     """
     layout = query.layout
-    state = StateVector(layout, np.zeros(1 << layout.total_qubits, dtype=np.complex128))
-    state.amplitudes[: 1 << layout.n] = prepare_low_qubits(
-        compile_state_prep(query.psi_minus), layout.n
-    )
-    apply_in_place(state, Circuit(layout, _branch_ops(query)))
-    if abs(state.norm - 1.0) > 1e-12:
-        raise DecompositionError(f"start state norm is {state.norm}")
-    return state
+    controls = dict(zip(layout.register("alpha"), query.x.bits))
+    controls.update(dict.fromkeys(layout.register("beta"), 0))
+    mark = Controlled(controls, (PauliX(layout.omega_qubit),))
+    prep = compile_state_prep(query.psi_minus)
+    return Circuit(layout, (*prep, *_branch_ops(query), mark))
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,7 +231,8 @@ class Support:
         """The dense start state at x: the support scattered back, marked at x.
 
         The mark is an X on omega, so it moves the target's amplitudes to the
-        omega=0 index unchanged; the result equals build_start_state bit for bit.
+        omega=0 index unchanged; the result equals apply_circuit on
+        build_start_circuit at x bit for bit.
         """
         moved = np.where(self.target(x), self.index ^ (1 << self.layout.omega_qubit), self.index)
         amps = np.zeros(1 << self.layout.total_qubits, dtype=np.complex128)
@@ -267,19 +243,29 @@ class Support:
 def gather(query: TransformQuery) -> Support:
     """The support of the table's unmarked state: its nonzero amplitudes, all at omega=1.
 
-    Builds the dense unmarked state (build_unmarked_state) and keeps only
-    its support, so the dense state is freed on return; query.x is not read.
-    Raises DecompositionError when the build leaves weight at omega=0.
+    Simulates build_start_circuit(query) without its final mark, so
+    query.x is not read.  alpha_minus is the lowest register and the prep
+    touches it alone, so the prep runs on its 2**n amplitudes only; the
+    result fills the low end of an otherwise zero state and the branch ops
+    run on the whole, in place.  The amplitudes equal those of apply_circuit
+    on the same ops.  Only the support is kept, so the dense state is freed
+    on return.  Raises DecompositionError when the build's norm is not 1 or
+    it leaves weight at omega=0.
     """
-    unmarked = build_unmarked_state(query)
-    layout = unmarked.layout
-    index = np.flatnonzero(unmarked.amplitudes)
+    layout = query.layout
+    amps = np.zeros(1 << layout.total_qubits, dtype=np.complex128)
+    amps[: 1 << layout.n] = prepare_low_qubits(compile_state_prep(query.psi_minus), layout.n)
+    unmarked = StateVector(layout, amps)
+    apply_in_place(unmarked, Circuit(layout, _branch_ops(query)))
+    if abs(unmarked.norm - 1.0) > 1e-12:
+        raise DecompositionError(f"start state norm is {unmarked.norm}")
+    index = np.flatnonzero(amps)
     if not register_values(layout, "omega", index).all():
         raise DecompositionError("the unmarked state has omega=0 weight before the mark")
     return Support(
         layout,
         index,
-        unmarked.amplitudes[index],
+        amps[index],
         gamma=register_values(layout, "gamma", index) == 1,
         alpha=register_values(layout, "alpha", index),
         beta_clear=register_values(layout, "beta", index) == 0,
@@ -287,14 +273,11 @@ def gather(query: TransformQuery) -> Support:
 
 
 def build_start_state(query: TransformQuery) -> StateVector:
-    """Simulate build_start_circuit(query) from the all-zeros state.
+    """The dense start state at query.x: gather's support, scattered and marked.
 
-    This is build_unmarked_state(query) with the mark applied, and its
-    amplitudes equal those of apply_circuit on the full circuit.
+    Its amplitudes equal those of apply_circuit on build_start_circuit(query).
     """
-    state = build_unmarked_state(query)
-    apply_in_place(state, Circuit(state.layout, (mark_op(query.layout, query.x),)))
-    return state
+    return gather(query).start_state(query.x)
 
 
 @dataclass(eq=False)

@@ -387,6 +387,8 @@ def _cmd_transform(args) -> int:
             raise ValueError(f"{source} {seed} makes the sampling seed seed + dec(x) negative at x = {low}")
     if args.dump_state and len(points) != 1:
         raise ValueError("--dump-state needs a single --x point")
+    if args.dump_state and args.out and Path(args.dump_state).resolve() == Path(args.out).resolve():
+        raise ValueError(f"--out {args.out} and --dump-state {args.dump_state} are the same file")
 
     queries = [TransformQuery(mode, n, psi, x, n0) for x in points]
     support = gather(queries[0])

@@ -185,7 +185,8 @@ def amplify(start: StateVector, plan: GroverPlan) -> StateVector:
     """Run the planned number of amplification steps from the start state.
 
     The steps update one working copy in place; with no steps the start
-    state itself is returned.
+    state itself is returned.  No CLI command calls it: acceptance criterion
+    6, the tests and ``perfbench/tracer.py``'s one-shot check do.
     """
     if plan.iterations == 0:
         return start
@@ -270,7 +271,8 @@ def read_out(start: StateVector) -> Readout:
     """Plan, amplify and measure the cell masses of one start state, once.
 
     This is the readout of :func:`read_out_at` run over every basis index,
-    and the oracle the tests and ``mobiusq verify`` hold it to.
+    and the oracle the tests hold it to.  No CLI command calls it; besides
+    the tests, only estimate_exact and estimate_sampled do.
     """
     layout = start.layout
     target = ~_qubit_set(start, layout.omega_qubit)
@@ -287,10 +289,18 @@ def read_out_at(support: Support, x: BitString) -> Readout:
 
 
 def estimate_exact(query: TransformQuery) -> float:
-    """Transform value as the exact conditional gamma odds on omega=0."""
+    """Transform value as the exact conditional gamma odds on omega=0.
+
+    No CLI command calls it: the README example, the tests and
+    ``perfbench/tracer.py`` (which wraps ``cli.estimate_exact``) do.
+    """
     return read_out(build_start_state(query)).exact
 
 
 def estimate_sampled(query: TransformQuery, shots: int, seed: int) -> EstimateReport:
-    """Seeded estimate of the transform value; see :meth:`Readout.sample`."""
+    """Seeded estimate of the transform value; see :meth:`Readout.sample`.
+
+    No CLI command calls it: the README example, acceptance criterion 7, the
+    tests and ``perfbench/tracer.py`` (which wraps ``cli.estimate_sampled``) do.
+    """
     return read_out(build_start_state(query)).sample(shots, seed)

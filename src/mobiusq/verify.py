@@ -204,7 +204,7 @@ def _oracle_equivalence(mobius_probs: np.ndarray, marginal_probs: np.ndarray) ->
 
 
 def _state_prep_round_trip(target: np.ndarray) -> Verdict:
-    """The compiled prep on its own 5-qubit register, as build_unmarked_state runs it.
+    """The compiled prep on its own 5-qubit register, as circuits.gather runs it.
 
     prepare_low_qubits raises on a gate outside the register, so leakage fails the check.
     """

@@ -13,11 +13,9 @@ from mobiusq.circuits import (
     build_comparator,
     build_start_circuit,
     build_start_state,
-    build_unmarked_state,
     classical_value,
     decompose_signal,
     gather,
-    mark_op,
 )
 from mobiusq.sim import (
     Circuit,
@@ -35,6 +33,7 @@ from mobiusq.sim import (
 )
 from mobiusq.subset import BitString, SubsetTable, zeta_fast
 from mobiusq.verify import circuit_coefficient
+from oracle import mark_oracle, unmarked_oracle
 
 
 def _exact_ratio(q: TransformQuery) -> float:
@@ -257,7 +256,7 @@ def test_mark_controls_fix_alpha_to_x_and_beta_to_zero():
     q = _random_query(Mode.MARGINAL, 4, "10", n0=2, seed=2)
     layout = q.layout
     al, be = layout.register("alpha"), layout.register("beta")
-    assert mark_op(layout, q.x).controls == {al[0]: 0, al[1]: 1, be[0]: 0, be[1]: 0}
+    assert build_start_circuit(q).ops[-1].controls == {al[0]: 0, al[1]: 1, be[0]: 0, be[1]: 0}
 
 
 def test_start_state_matches_direct_assembly_mobius():
@@ -292,8 +291,10 @@ def test_register_local_prep_equals_full_circuit_run(mode, n, n0):
         ops = build_start_circuit(q).ops
         full = apply_circuit(new_state(q.layout), Circuit(q.layout, ops)).amplitudes
         assert np.array_equal(build_start_state(q).amplitudes, full)
-        unmarked = apply_circuit(new_state(q.layout), Circuit(q.layout, ops[:-1])).amplitudes
-        assert np.array_equal(build_unmarked_state(q).amplitudes, unmarked)
+        support = gather(q)
+        scattered = np.zeros_like(full)
+        scattered[support.index] = support.amplitudes
+        assert np.array_equal(scattered, unmarked_oracle(q).amplitudes)
 
 
 @pytest.mark.parametrize("mode,n,n0", [(Mode.MOBIUS, 3, None), (Mode.MARGINAL, 4, 2), (Mode.MARGINAL, 5, 3)])
@@ -301,7 +302,7 @@ def test_gather_keeps_one_entry_per_alpha_minus_alpha_mu0(mode, n, n0):
     """A table with no zero keeps 2**(n+n0+1) entries, all at omega=1, which hold the whole state."""
     q = _random_query(mode, n, "1" * (n0 or n), n0=n0, seed=22)
     support = gather(q)
-    unmarked = build_unmarked_state(q)
+    unmarked = unmarked_oracle(q)
     layout = q.layout
     assert support.index.size == 1 << (n + layout.n0 + 1)
     assert np.all(np.diff(support.index) > 0)
@@ -310,7 +311,7 @@ def test_gather_keeps_one_entry_per_alpha_minus_alpha_mu0(mode, n, n0):
     assert scattered.tobytes() == unmarked.amplitudes.tobytes()
     assert np.array_equal(support.gamma, register_values(layout, "gamma", support.index) == 1)
     # the target at x is exactly what the mark moves to omega=0, the top qubit
-    moved = np.flatnonzero(sector(build_start_state(q), {layout.omega_qubit: 0}).ravel())
+    moved = np.flatnonzero(sector(mark_oracle(unmarked, q), {layout.omega_qubit: 0}).ravel())
     assert np.array_equal(support.index[support.target(q.x)] ^ (1 << layout.omega_qubit), moved)
     with pytest.raises(ValueError, match="expected n0"):
         support.target(BitString.from_int(0, layout.n0 + 1))
@@ -319,9 +320,17 @@ def test_gather_keeps_one_entry_per_alpha_minus_alpha_mu0(mode, n, n0):
 def test_gather_refuses_a_marked_state(monkeypatch):
     """An unmarked build with omega=0 weight is a circuit bug, not a support."""
     q = _random_query(Mode.MOBIUS, 2, "11", seed=23)
-    start = build_start_state(q)
-    monkeypatch.setattr(circuits_mod, "build_unmarked_state", lambda query: start)
+    branch_ops, mark = circuits_mod._branch_ops, build_start_circuit(q).ops[-1]
+    monkeypatch.setattr(circuits_mod, "_branch_ops", lambda query: [*branch_ops(query), mark])
     with pytest.raises(DecompositionError, match="omega=0 weight"):
+        gather(q)
+
+
+def test_gather_refuses_a_build_off_the_unit_norm(monkeypatch):
+    q = _random_query(Mode.MOBIUS, 2, "11", seed=23)
+    prepare = circuits_mod.prepare_low_qubits
+    monkeypatch.setattr(circuits_mod, "prepare_low_qubits", lambda ops, k: 2.0 * prepare(ops, k))
+    with pytest.raises(DecompositionError, match="start state norm is 1.99"):
         gather(q)
 
 
@@ -348,24 +357,19 @@ def _table_amplitudes(kind: str, n: int, rng: np.random.Generator) -> np.ndarray
     + [(Mode.MARGINAL, 3, 1), (Mode.MARGINAL, 4, 2), (Mode.MARGINAL, 5, 3), (Mode.MARGINAL, 6, 2)],
     ids=lambda v: v.value if isinstance(v, Mode) else str(v),
 )
-def test_start_state_is_build_start_state_at_every_x(mode, n, n0, kind, monkeypatch):
-    """The support scattered back and marked is the dense build, byte for byte, with no -0.0."""
+def test_start_state_is_build_start_state_at_every_x(mode, n, n0, kind):
+    """The support scattered back and marked is the gate-by-gate build, byte for byte, with no -0.0."""
     rng = np.random.default_rng(60 + 10 * n + (n0 or 0))
     amps = _table_amplitudes(kind, n, rng)
     width = n0 or n
     q = TransformQuery(mode, n, amps, BitString.from_int(0, width), n0)
     support = gather(q)
-    # the unmarked build does not read x: build_start_state marks a copy of one build at each x
-    unmarked = build_unmarked_state(q)
-
-    def copy_of_the_build(query):
-        return StateVector(unmarked.layout, unmarked.amplitudes.copy())
-
-    monkeypatch.setattr(circuits_mod, "build_unmarked_state", copy_of_the_build)
+    # the unmarked ops do not read x: one gate-by-gate run serves the mark at every x
+    unmarked = unmarked_oracle(q)
     for xv in range(1 << width):
         x = BitString.from_int(xv, width)
         got = support.start_state(x)
-        want = build_start_state(TransformQuery(mode, n, amps, x, n0))
+        want = mark_oracle(unmarked, TransformQuery(mode, n, amps, x, n0))
         assert got.layout == want.layout
         assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
         parts = got.amplitudes.view(np.float64)
@@ -393,7 +397,8 @@ def test_start_circuit_ends_with_target_marking():
     assert isinstance(last, Controlled)
     assert isinstance(last.ops[0], PauliX)
     assert last.ops[0].qubit == q.layout.omega_qubit
-    assert last == mark_op(q.layout, q.x)
+    al, be = q.layout.register("alpha"), q.layout.register("beta")
+    assert last.controls == {al[0]: 1, al[1]: 0, be[0]: 0, be[1]: 0}
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import mobiusq.circuits as circuits_mod
 import mobiusq.cli as cli_mod
 import mobiusq.grover as grover_mod
 from mobiusq.circuits import (
@@ -397,6 +399,21 @@ def test_failed_output_write_leaves_no_output_files(uniform3, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_out_and_dump_state_on_one_file_fail_before_any_circuit_work(
+    uniform3, tmp_path, monkeypatch, capsys
+):
+    """The dump would overwrite the result, so the run exits 1 and writes no file."""
+    gathered = _count_gathers(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    same = tmp_path / "same.json"
+    point = ["mobius", "--input", uniform3, "--x", "101"]
+    for dump in (str(same), "./same.json"):
+        assert main(point + ["--out", str(same), "--dump-state", dump]) == 1
+        assert f"--out {same} and --dump-state {dump} are the same file" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["uniform3.json"]
+    assert gathered == []
+
+
 def _query_input(tmp_path, mode: Mode, n: int, n0: int | None, complex_amps: bool) -> tuple[str, np.ndarray]:
     rng = np.random.default_rng(10 * n + (n0 or 0) + complex_amps)
     if complex_amps:
@@ -770,6 +787,22 @@ def test_fault_injection_is_caught_by_the_comparator_check(monkeypatch):
     assert not ok
     assert lines[0].startswith("FAIL  comparator-coefficients")
     assert "closed form" in lines[0]
+
+
+def test_a_corrupted_gather_fails_the_sector_decomposition(monkeypatch):
+    """verify builds its start states through circuits.gather, the build the CLI runs."""
+    gather = circuits_mod.gather
+
+    def corrupted(query):
+        support = gather(query)
+        amplitudes = support.amplitudes.copy()
+        amplitudes[0] *= 1.5
+        return dataclasses.replace(support, amplitudes=amplitudes)
+
+    monkeypatch.setattr(circuits_mod, "gather", corrupted)
+    ok, lines = run_verify(seed=0)
+    assert not ok
+    assert any(line.startswith("FAIL  sector-decomposition: ") for line in lines)
 
 
 def test_verify_cli_reports_failure_exit_code(capsys, monkeypatch):

@@ -10,7 +10,6 @@ import mobiusq.grover as grover_mod
 from mobiusq.circuits import (
     TransformQuery,
     build_start_state,
-    build_unmarked_state,
     classical_value,
     decompose_signal,
     gather,
@@ -28,6 +27,7 @@ from mobiusq.grover import (
 )
 from mobiusq.sim import Mode, RegisterLayout, StateVector, project
 from mobiusq.subset import BitString, SubsetTable
+from oracle import unmarked_oracle
 
 
 def _uniform_query(n: int, x: str) -> TransformQuery:
@@ -384,4 +384,4 @@ def test_one_readout_serves_both_estimators():
     assert abs(sum(readout.cells) - 1.0) <= 1e-12
     # the unmarked state has no omega=0 weight; the mark is what makes the target reachable
     with pytest.raises(ValueError, match="unreachable"):
-        read_out(build_unmarked_state(q))
+        read_out(unmarked_oracle(q))
