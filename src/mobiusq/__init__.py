@@ -25,7 +25,7 @@ _EXPORTS = {
     ),
     "sim": (
         "MAX_QUBITS", "Circuit", "Controlled", "Hadamard", "Mode", "PauliX", "PhasePair",
-        "RegisterLayout", "Ry", "StateVector", "apply_circuit", "apply_in_place", "basis_index",
+        "Multiplexed", "RegisterLayout", "Ry", "StateVector", "apply_circuit", "basis_index",
         "compile_state_prep", "new_state", "prepare_low_qubits", "project", "sector",
         "state_from_json_obj", "state_to_json_obj",
     ),

@@ -18,17 +18,19 @@ omega=0 therefore equal the transform value, and they are preserved by the
 amplitude amplification in :mod:`mobiusq.grover`.
 
 x enters only that final mark; every earlier op depends on (mode, n, n0,
-psi_minus) alone.  ``gather``, the one builder of start states, simulates
-those ops once, densely, and keeps only the nonzero amplitudes, one per
-(alpha_minus, alpha, mu0) value.  The mark at x only moves the omega bit of
-those with alpha == x and beta == 0, so the :class:`Support` it returns
-serves every point of a table with no dense state at all, and
-``Support.start_state(x)`` scatters it back into the dense start state at x
-when one is wanted (``--dump-state``, ``build_start_state``).
+psi_minus) alone.  Those ops leave at most one nonzero amplitude per
+(alpha_minus, alpha, mu0) value: the other qubits they only relabel.
+``gather``, the one builder of start states, simulates them once on those
+2**(n+n0+1) amplitudes, each labelled with its basis index, and keeps the
+nonzero ones.  The mark at x only moves the omega bit of those with
+alpha == x and beta == 0, so the :class:`Support` it returns serves every
+point of a table with no dense state at all, and ``Support.start_state(x)``
+scatters it back into the dense start state at x when one is wanted
+(``--dump-state``, ``build_start_state``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,10 +43,10 @@ from .sim import (
     PauliX,
     RegisterLayout,
     StateVector,
-    apply_in_place,
     compile_state_prep,
     prepare_low_qubits,
     register_values,
+    run_ops,
     sector,
 )
 from .subset import BitString, SubsetTable, json_complex, json_int
@@ -116,7 +118,7 @@ class TransformQuery:
         missing = needed - set(obj)
         if missing:
             raise ValueError(f"query JSON missing keys: {sorted(missing)}")
-        amps = np.array(json_complex(obj, "psi_minus"), dtype=np.complex128)
+        amps = json_complex(obj, "psi_minus")
         n, n0 = json_int(obj, "n"), json_int(obj, "n0")
         return cls(Mode(obj["mode"]), n, amps, BitString.from_str(obj["x"]), n0)
 
@@ -240,32 +242,81 @@ class Support:
         return StateVector(self.layout, amps)
 
 
+def _holds(label: np.ndarray, controls) -> np.ndarray:
+    """Flags of the basis indices in ``label`` that meet every {qubit: value} control."""
+    hold = np.ones(label.shape, dtype=bool)
+    for q, v in controls.items():
+        hold &= ((label >> q) & 1) == v
+    return hold
+
+
+def _mixes_labels(label: np.ndarray, controls, qubit: int, bit: int) -> bool:
+    """Whether a gate on register bit ``bit`` pairs two entries whose labels differ off ``qubit``."""
+    pairs = label.reshape(-1, 2, 1 << bit)
+    low, high = pairs[:, 0], pairs[:, 1]
+    return bool(np.any(_holds(low, controls) & ((low ^ high) != 1 << qubit)))
+
+
 def gather(query: TransformQuery) -> Support:
     """The support of the table's unmarked state: its nonzero amplitudes, all at omega=1.
 
     Simulates build_start_circuit(query) without its final mark, so
-    query.x is not read.  alpha_minus is the lowest register and the prep
-    touches it alone, so the prep runs on its 2**n amplitudes only; the
-    result fills the low end of an otherwise zero state and the branch ops
-    run on the whole, in place.  The amplitudes equal those of apply_circuit
-    on the same ops.  Only the support is kept, so the dense state is freed
-    on return.  Raises DecompositionError when the build's norm is not 1 or
-    it leaves weight at omega=0.
+    query.x is not read.  The amplitudes live on a register of the
+    alpha_minus, alpha and mu0 qubits, 2**(n+n0+1) of them, and each carries
+    a label, the basis index of the full state where it sits.  alpha_minus
+    is the lowest register and the prep touches it alone, so the prep fills
+    the low end of the register.  Then each branch op runs on the register:
+    an X on beta, gamma or omega flips that bit of the labels where its
+    controls hold, and any other op runs as it would on the full state,
+    which it may only where every pair it mixes differs in the target
+    qubit's bit of the label alone.  The amplitudes equal those of
+    apply_circuit on the same ops, at the labels, bit for bit.  Raises
+    DecompositionError for an op the register cannot carry, when the
+    build's norm is not 1, or when it leaves weight at omega=0.
     """
     layout = query.layout
-    amps = np.zeros(1 << layout.total_qubits, dtype=np.complex128)
-    amps[: 1 << layout.n] = prepare_low_qubits(compile_state_prep(query.psi_minus), layout.n)
-    unmarked = StateVector(layout, amps)
-    apply_in_place(unmarked, Circuit(layout, _branch_ops(query)))
-    if abs(unmarked.norm - 1.0) > 1e-12:
-        raise DecompositionError(f"start state norm is {unmarked.norm}")
-    index = np.flatnonzero(amps)
+    n, n0 = layout.n, layout.n0
+    held = [*layout.register("alpha_minus"), *layout.register("alpha"), layout.mu0_qubit]
+    spot = {q: r for r, q in enumerate(held)}  # qubit -> its bit in the register
+    prep = prepare_low_qubits(compile_state_prep(query.psi_minus), n)  # its gates are freed first
+    amps = np.zeros(1 << len(held), dtype=np.complex128)
+    amps[: prep.size] = prep
+    label = np.arange(1 << (n + n0))
+    label = np.concatenate([label, label | 1 << layout.mu0_qubit])
+    for op in _branch_ops(query):
+        controls, gates = (op.controls, op.ops) if isinstance(op, Controlled) else ({}, (op,))
+        for gate in gates:
+            if isinstance(gate, PauliX) and gate.qubit not in spot:
+                label[_holds(label, controls)] ^= 1 << gate.qubit
+                continue
+            if isinstance(gate, PauliX) or not {gate.qubit, *controls} <= spot.keys():
+                raise DecompositionError(f"the (alpha_minus, alpha, mu0) register cannot carry {op}")
+            if _mixes_labels(label, controls, gate.qubit, spot[gate.qubit]):
+                raise DecompositionError(f"{op} mixes amplitudes whose labels differ off its target")
+            moved = {spot[q]: v for q, v in controls.items()}
+            run_ops(amps, [Controlled(moved, (replace(gate, qubit=spot[gate.qubit]),))])
+    norm = float(np.linalg.norm(amps))
+    if abs(norm - 1.0) > 1e-12:
+        raise DecompositionError(f"start state norm is {norm}")
+    keep = amps != 0  # each copy below is made once its source is freed, to bound the peak
+    index = label[keep]
+    del label
+    amplitudes = amps[keep]
+    del amps, keep
     if not register_values(layout, "omega", index).all():
         raise DecompositionError("the unmarked state has omega=0 weight before the mark")
+    # Dense order is a stable partition by the label bits above alpha: within a part the
+    # labels differ only in the register's low bits, so register order already ascends.
+    high = index >> (n + n0)
+    order = np.concatenate([np.flatnonzero(high == h) for h in range(1 << (layout.total_qubits - n - n0))])
+    del high
+    index = index[order]
+    amplitudes = amplitudes[order]
+    del order
     return Support(
         layout,
         index,
-        amps[index],
+        amplitudes,
         gamma=register_values(layout, "gamma", index) == 1,
         alpha=register_values(layout, "alpha", index),
         beta_clear=register_values(layout, "beta", index) == 0,

@@ -229,6 +229,17 @@ def _read_json(path: str) -> dict:
     return obj
 
 
+def _refuse_overwrites(args) -> None:
+    """Refuse an --out or --dump-state path naming the file of another path flag, which it would overwrite."""
+    flags = ("--out", "--dump-state", "--input", "--check")
+    named = [(flag, getattr(args, flag[2:].replace("-", "_"), None)) for flag in flags]
+    named = [(flag, path) for flag, path in named if path]
+    for i, (flag, path) in enumerate(named):
+        for other, other_path in named[i + 1 :]:
+            if flag in flags[:2] and Path(path).resolve() == Path(other_path).resolve():
+                raise ValueError(f"{flag} {path} and {other} {other_path} are the same file")
+
+
 def _read_check(args, schema: dict, replayed: tuple[str, ...]) -> dict | None:
     """The --check file, schema-validated and recorded by this command; None without --check.
 
@@ -358,6 +369,7 @@ def _finish(args, result: dict, schema: dict, check: dict | None, rows_key: str,
 
 
 def _cmd_transform(args) -> int:
+    _refuse_overwrites(args)
     _load("grover", "circuits", "sim")
     mode = Mode(args.mode)
     obj = _read_json(args.input)
@@ -387,8 +399,6 @@ def _cmd_transform(args) -> int:
             raise ValueError(f"{source} {seed} makes the sampling seed seed + dec(x) negative at x = {low}")
     if args.dump_state and len(points) != 1:
         raise ValueError("--dump-state needs a single --x point")
-    if args.dump_state and args.out and Path(args.dump_state).resolve() == Path(args.out).resolve():
-        raise ValueError(f"--out {args.out} and --dump-state {args.dump_state} are the same file")
 
     queries = [TransformQuery(mode, n, psi, x, n0) for x in points]
     support = gather(queries[0])
@@ -421,6 +431,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_minfind(args) -> int:
+    _refuse_overwrites(args)
     _load("minfind")
     if args.input:
         if args.n is not None:

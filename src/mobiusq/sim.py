@@ -19,7 +19,10 @@ realizes
     U**pi = (1 - pi) + U * pi
 
 directly, pi being the projector onto the assignment, instead of
-decomposing the control into a gate network.
+decomposing the control into a gate network.  A multiplexed gate is one
+level of a rotation tree: it applies its own one-qubit gate per value of the
+qubits just above its target, as the same elementwise operations with one
+coefficient per value.
 """
 from __future__ import annotations
 
@@ -173,7 +176,7 @@ class Controlled:
             raise ValueError(f"control values must be 0 or 1, got {bad}")
         if not self.ops:
             raise ValueError("controlled gate needs at least one inner op")
-        if any(isinstance(op, Controlled) for op in self.ops):
+        if any(isinstance(op, (Controlled, Multiplexed)) for op in self.ops):
             raise ValueError("controlled gates do not nest; merge the controls into one assignment")
         overlap = set(self.controls) & gate_target_qubits(self)
         if overlap:
@@ -183,8 +186,35 @@ class Controlled:
         return hash((frozenset(self.controls.items()), self.ops))
 
 
+@dataclass(frozen=True)
+class Multiplexed:
+    """A uniformly controlled Ry or PhasePair: one gate per value of the qubits above ``qubit``.
+
+    The m qubits qubit+1 .. qubit+m, 2**m being ``len(rows)``, hold a value
+    p (qubit+1 its low bit), and where they do, the gate applies
+    ``gate(qubit, *rows[p])``; a row of None leaves those amplitudes alone.
+    That is the same as one ``Controlled`` gate per row that is not None,
+    bit for bit, and it is one level of the rotation tree of Mottonen et al.
+    (quant-ph/0407010), also called a multiplexed rotation.
+    """
+
+    qubit: int
+    gate: type
+    rows: tuple
+
+    def __post_init__(self) -> None:
+        size = len(self.rows)
+        if self.gate not in (Ry, PhasePair) or size < 2 or size & (size - 1):
+            raise ValueError(f"a Multiplexed gate is an Ry or PhasePair with 2**m >= 2 rows, got {size}")
+
+    @property
+    def width(self) -> int:
+        """m, the number of qubits that select the row."""
+        return len(self.rows).bit_length() - 1
+
+
 OneQubitGate = Union[Hadamard, PauliX, Ry, PhasePair]
-GateOp = Union[OneQubitGate, Controlled]
+GateOp = Union[OneQubitGate, Controlled, Multiplexed]
 
 
 def gate_target_qubits(op: GateOp) -> frozenset[int]:
@@ -195,6 +225,8 @@ def gate_target_qubits(op: GateOp) -> frozenset[int]:
 
 def gate_qubits(op: GateOp) -> frozenset[int]:
     """All qubits an op touches, reads included."""
+    if isinstance(op, Multiplexed):
+        return frozenset(range(op.qubit, op.qubit + 1 + op.width))
     reads = frozenset(op.controls) if isinstance(op, Controlled) else frozenset()
     return reads | gate_target_qubits(op)
 
@@ -270,17 +302,16 @@ def register_values(layout: RegisterLayout, name: str, index: np.ndarray) -> np.
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 
 
-def _gate_matrix(op: GateOp) -> np.ndarray:
-    if isinstance(op, Hadamard):
-        return _H
-    if isinstance(op, Ry):
-        c, s = math.cos(op.theta / 2.0), math.sin(op.theta / 2.0)
-        return np.array([[c, -s], [s, c]], dtype=np.complex128)
-    if isinstance(op, PhasePair):
-        return np.array(
-            [[np.exp(1j * op.phi0), 0.0], [0.0, np.exp(1j * op.phi1)]], dtype=np.complex128
-        )
-    raise TypeError(f"no matrix for {op!r}")
+def _gate_matrices(gate: type, rows) -> np.ndarray:
+    """The matrices of gate(q, *row), an Ry or a PhasePair, for each row, stacked."""
+    out = np.zeros((len(rows), 2, 2), dtype=np.complex128)
+    if gate is Ry:
+        c, s = np.array([(math.cos(t / 2.0), math.sin(t / 2.0)) for t, in rows]).reshape(-1, 2).T
+        out[:, 0, 0] = out[:, 1, 1] = c
+        out[:, 0, 1], out[:, 1, 0] = -s, s
+    else:
+        out[:, 0, 0], out[:, 1, 1] = np.exp(1j * np.array(rows).reshape(-1, 2).T)
+    return out
 
 
 def _qubit_view(amps: np.ndarray) -> np.ndarray:
@@ -296,12 +327,32 @@ def _fix(view: np.ndarray, controls: Mapping[int, int]) -> np.ndarray:
     return view[tuple(index)]
 
 
+def _rotate(a0: np.ndarray, a1: np.ndarray, m00, m01, m10, m11) -> None:
+    """(a0, a1) <- (m00 a0 + m01 a1, m10 a0 + m11 a1), in place."""
+    t01 = m01 * a1
+    t10 = m10 * a0
+    a0 *= m00
+    a0 += t01
+    a1 *= m11
+    a1 += t10
+
+
 def _apply_op(view: np.ndarray, op: GateOp) -> None:
     """Apply op in place to a qubit view."""
     if isinstance(op, Controlled):
         sub = _fix(view, op.controls)
         for inner in op.ops:
             _apply_op(sub, inner)
+        return
+    if isinstance(op, Multiplexed):
+        # axes: the qubits above the selecting ones, the row p, the target, the qubits below
+        block = view.reshape(-1, len(op.rows), 2, 1 << op.qubit)
+        live = [p for p, row in enumerate(op.rows) if row is not None]
+        sub = block if len(live) == len(op.rows) else block[:, live]  # a copy if rows are skipped
+        m = _gate_matrices(op.gate, [op.rows[p] for p in live])[..., None]
+        _rotate(sub[:, :, 0], sub[:, :, 1], m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1])
+        if sub is not block:
+            block[:, live] = sub
         return
     axis = view.ndim - 1 - op.qubit
     # the trailing Ellipsis keeps a one-axis view a 0-d view, not a scalar copy
@@ -312,32 +363,23 @@ def _apply_op(view: np.ndarray, op: GateOp) -> None:
         a0[...] = a1
         a1[...] = saved
         return
-    (m00, m01), (m10, m11) = _gate_matrix(op)
-    t01 = m01 * a1
-    t10 = m10 * a0
-    a0 *= m00
-    a0 += t01
-    a1 *= m11
-    a1 += t10
+    m = _H if isinstance(op, Hadamard) else _gate_matrices(type(op), [tuple(vars(op).values())[1:]])[0]
+    _rotate(a0, a1, *m.ravel())
 
 
-def _run(amps: np.ndarray, ops) -> None:
+def run_ops(amps: np.ndarray, ops) -> None:
+    """Apply ops in place to a flat array of 2**k amplitudes, qubit q being the 2**q bit."""
     view = _qubit_view(amps)
     for op in ops:
         _apply_op(view, op)
 
 
-def apply_in_place(state: StateVector, circuit: Circuit) -> None:
-    """Apply the circuit to the state's own amplitudes, with no copy and no norm check."""
+def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     if circuit.layout != state.layout:
         raise ValueError("circuit and state layouts differ")
-    _run(state.amplitudes, circuit.ops)
-
-
-def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     out = state.copy()
     before = out.norm
-    apply_in_place(out, circuit)
+    run_ops(out.amplitudes, circuit.ops)
     after = out.norm
     if before > 0 and abs(after - before) > 1e-9 * max(1.0, before):
         raise RuntimeError(f"norm drifted from {before} to {after} over {len(circuit)} ops")
@@ -356,7 +398,7 @@ def prepare_low_qubits(ops, k: int) -> np.ndarray:
         raise ValueError(f"ops touch qubits {bad} outside the low {k}")
     amps = np.zeros(1 << k, dtype=np.complex128)
     amps[0] = 1.0
-    _run(amps, ops)
+    run_ops(amps, ops)
     return amps
 
 
@@ -397,18 +439,27 @@ def QubitIs(qubit: int, value: int) -> dict[int, int]:
 # state preparation
 
 
+def _rows(params: np.ndarray) -> tuple:
+    """The rows of a Multiplexed gate: each row of params as floats, None where all are within 1e-12 of 0."""
+    rows = list(zip(*params.T.tolist()))
+    for p in np.flatnonzero(np.all(np.abs(params) <= 1e-12, axis=1)).tolist():
+        rows[p] = None
+    return tuple(rows)
+
+
 def compile_state_prep(target) -> tuple[GateOp, ...]:
     """Compile gates mapping |0...0> of qubits 0..k-1 to the target amplitudes.
 
     Those qubits are the alpha_minus register of every layout, and k is
     log2 of the target's length.  Classic rotation-tree construction
-    (Mottonen et al., quant-ph/0407010): level m applies Ry rotations on
-    qubit k-1-m, controlled on the basis values of the m qubits above it; a
-    final pass of controlled diagonal phase gates fixes the complex
-    phases.  Gate count is O(2**k).  The compiled gates reproduce the target
-    with no residual global phase.  Levels whose rotation angles agree across
-    all prefixes collapse to a single uncontrolled gate, so product states
-    compile to single-qubit rotations.
+    (Mottonen et al., quant-ph/0407010): level m is one Multiplexed Ry on
+    qubit k-1-m, with one angle per basis value of the m qubits above it; a
+    final Multiplexed PhasePair on qubit 0 fixes the complex phases.  So
+    there are at most k+1 gates.  The compiled gates reproduce the target
+    with no residual global phase.  A row whose angles are all within 1e-12
+    of 0 is left alone, and a level whose angles agree across all prefixes
+    collapses to a single plain gate, so product states compile to
+    single-qubit rotations.
 
     Args:
         target: complex array of 2**k amplitudes, k >= 1, normalized within 1e-9.
@@ -428,36 +479,20 @@ def compile_state_prep(target) -> tuple[GateOp, ...]:
     weights = np.abs(target) ** 2
 
     for m in range(k):
-        qubit = k - 1 - m
-        block = 1 << (k - m)
-        angles = []
-        for p in range(1 << m):
-            sub = weights[p * block : (p + 1) * block]
-            w0 = float(sub[: block // 2].sum())
-            w1 = float(sub[block // 2 :].sum())
-            angles.append(2.0 * math.atan2(math.sqrt(w1), math.sqrt(w0)))
-        if all(abs(a - angles[0]) <= 1e-12 for a in angles):
-            if abs(angles[0]) > 1e-12:
-                ops.append(Ry(qubit, angles[0]))
-            continue
-        for p, angle in enumerate(angles):
-            if abs(angle) <= 1e-12:
-                continue
-            controls = {k - 1 - t: (p >> (m - 1 - t)) & 1 for t in range(m)}
-            ops.append(Controlled(controls, (Ry(qubit, angle),)))
+        # the weights of each prefix's two halves, each summed as its own slice; sqrt is exact-rounded
+        halves = np.sqrt(weights.reshape(1 << m, 2, -1).sum(axis=2))
+        angles = np.array([2.0 * math.atan2(r1, r0) for r0, r1 in zip(*halves.T.tolist())])
+        if np.any(np.abs(angles - angles[0]) > 1e-12):
+            ops.append(Multiplexed(k - 1 - m, Ry, _rows(angles[:, None])))
+        elif abs(angles[0]) > 1e-12:
+            ops.append(Ry(k - 1 - m, float(angles[0])))
 
-    phases = np.where(np.abs(target) > 0, np.angle(target), 0.0)
+    phases = np.where(np.abs(target) > 0, np.angle(target), 0.0).reshape(-1, 2)
     if np.max(np.abs(phases)) > 1e-12:
-        pairs = [(float(phases[2 * h]), float(phases[2 * h + 1])) for h in range(1 << (k - 1))]
-        if all(p == pairs[0] for p in pairs):  # always so for k == 1
-            ops.append(PhasePair(0, *pairs[0]))
-        else:
-            for h, (phi0, phi1) in enumerate(pairs):
-                if abs(phi0) <= 1e-12 and abs(phi1) <= 1e-12:
-                    continue
-                controls = {1 + t: (h >> t) & 1 for t in range(k - 1)}
-                ops.append(Controlled(controls, (PhasePair(0, phi0, phi1),)))
-
+        if np.any(phases != phases[0]):
+            ops.append(Multiplexed(0, PhasePair, _rows(phases)))
+        else:  # always so for k == 1
+            ops.append(PhasePair(0, *phases[0].tolist()))
     return tuple(ops)
 
 
@@ -479,5 +514,5 @@ def state_from_json_obj(obj: dict) -> StateVector:
     and the tests use it to check what ``--dump-state`` wrote.
     """
     layout = RegisterLayout.from_json_obj(obj["layout"])
-    amps = np.array(json_complex(obj, "amplitudes"), dtype=np.complex128)
+    amps = json_complex(obj, "amplitudes")
     return StateVector(layout, amps)

@@ -12,6 +12,7 @@ tables are both supported.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -99,7 +100,7 @@ class SubsetTable:
     def from_json_obj(cls, obj: dict) -> SubsetTable:
         if not isinstance(obj, dict) or "n" not in obj or "values" not in obj:
             raise ValueError("subset table JSON needs 'n' and 'values' keys")
-        arr = np.array(json_complex(obj, "values"), dtype=complex)
+        arr = json_complex(obj, "values")
         if not arr.imag.any():  # only an exactly real table loads as float64
             arr = arr.real
         return cls(json_int(obj, "n"), arr)
@@ -113,11 +114,24 @@ def json_int(obj: dict, key: str) -> int:
     return value
 
 
-def json_complex(obj: dict, key: str) -> list[complex]:
-    """obj[key]: a list of JSON numbers or [re, im] number pairs, else ValueError."""
+def json_complex(obj: dict, key: str) -> np.ndarray:
+    """obj[key]: a list of JSON numbers or [re, im] number pairs, as complex128; else ValueError."""
     raw = obj[key]
     if not isinstance(raw, list):
         raise ValueError(f"'{key}' must be a list")
+    # the plain numbers or plain pairs a JSON document holds convert in one step;
+    # anything else, or an int too large for a float, takes the checked loop
+    kinds = set(map(type, raw))
+    pairs = kinds == {list} and set(map(len, raw)) == {2}
+    if pairs:
+        kinds = set(map(type, chain.from_iterable(raw)))
+    if kinds <= {int, float}:
+        try:
+            values = np.array(raw, dtype=np.float64)
+        except OverflowError:
+            pass
+        else:
+            return values.view(np.complex128).ravel() if pairs else values.astype(np.complex128)
     out = []
     for i, v in enumerate(raw):
         parts = v if isinstance(v, list) and len(v) == 2 else [v]
@@ -127,7 +141,7 @@ def json_complex(obj: dict, key: str) -> list[complex]:
             out.append(complex(*parts))
         except OverflowError:
             raise ValueError(f"'{key}'[{i}] is too large for a float") from None
-    return out
+    return np.array(out, dtype=np.complex128)
 
 
 def zeta_matrix(n: int) -> np.ndarray:

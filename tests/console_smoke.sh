@@ -30,6 +30,10 @@ mobiusq mobius --input tests/data/mobius3_table.json --x 101 --shots 300 --seed 
     --out "$tmp/dump.out.json" --dump-state "$tmp/dump.state.json" > /dev/null
 cmp "$tmp/dump.state.json" tests/data/golden/mobius3-dump.state.json
 echo "--dump-state byte-identical to the golden mobius3-dump state"
+mobiusq marginal --input tests/data/golden/inputs/marginal5-n0-2-complex.json --x 01 --shots 300 --seed 4 \
+    --out "$tmp/mdump.out.json" --dump-state "$tmp/mdump.state.json" > /dev/null
+cmp "$tmp/mdump.state.json" tests/data/golden/marginal5-dump.state.json
+echo "marginal --dump-state byte-identical to the golden marginal5-dump state"
 
 # the script prints and writes what python -m mobiusq.cli does (tests/test_loading.py
 # compares python -m mobiusq with python -m mobiusq.cli)

@@ -49,18 +49,18 @@ def _workload_args(name: str, seed: int) -> list[str]:
     return args
 
 
-def _complex_marginal_query(n0: int) -> str:
-    """A marginal n=5 query input with complex psi_minus; returns its path."""
-    kept = INPUTS / f"marginal5-n0-{n0}-complex.json"
+def _complex_marginal_query(n: int, n0: int) -> str:
+    """A marginal query input with complex psi_minus; returns its path."""
+    kept = INPUTS / f"marginal{n}-n0-{n0}-complex.json"
     if not kept.exists():
         import numpy as np
 
-        rng = np.random.default_rng(500 + n0)
-        amps = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+        rng = np.random.default_rng(500 + 100 * (n - 5) + n0)
+        amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
         amps /= np.linalg.norm(amps)
         obj = {
             "mode": "marginal",
-            "n": 5,
+            "n": n,
             "n0": n0,
             "psi_minus": [[float(a.real), float(a.imag)] for a in amps],
             "x": "0" * n0,
@@ -84,10 +84,14 @@ def entries() -> list[dict]:
         ("verify-0", ["verify", "--seed", "0"]),
         ("verify-3", ["verify", "--seed", "3"]),
     ]
-    for n0 in (2, 3):
-        path = _complex_marginal_query(n0)
-        runs.append((f"marginal5-n0-{n0}-complex", ["marginal", "--input", path, "--sweep",
-                                                     "--shots", "2000", "--seed", "5", "--out", "{out}"]))
+    # n=10/n0=3 gives the prep level gates up to 127 rows each
+    for n, n0 in ((5, 2), (5, 3), (10, 3)):
+        path = _complex_marginal_query(n, n0)
+        runs.append((f"marginal{n}-n0-{n0}-complex", ["marginal", "--input", path, "--sweep",
+                                                      "--shots", "2000", "--seed", "5", "--out", "{out}"]))
+    runs.append(("marginal5-dump", ["marginal", "--input", _complex_marginal_query(5, 2), "--x", "01",
+                                    "--shots", "300", "--seed", "4",
+                                    "--out", "{out}", "--dump-state", "{state}"]))
     return [{"name": name, "argv": argv} for name, argv in runs]
 
 

@@ -2,17 +2,102 @@
 
 ``circuits.gather`` is the one builder of start states in the package; these
 helpers rebuild its states independently, by running ``build_start_circuit``
-one gate at a time from the all-zeros state with ``apply_circuit``.
+one gate at a time from the all-zeros state with ``apply_circuit``.  Each
+``Multiplexed`` level of the state prep is first expanded into the
+per-prefix ``Controlled`` gates it stands for, so the oracle never runs the
+level kernel; ``per_prefix_state_prep`` compiles those gates from the target
+directly, one prefix at a time.
 """
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 from mobiusq.circuits import TransformQuery, build_start_circuit
-from mobiusq.sim import Circuit, StateVector, apply_circuit, new_state
+from mobiusq.sim import (
+    Circuit,
+    Controlled,
+    Multiplexed,
+    PhasePair,
+    Ry,
+    StateVector,
+    apply_circuit,
+    new_state,
+)
+
+
+def expand(ops) -> list:
+    """The ops with each Multiplexed level replaced by one Controlled gate per row it applies."""
+    out = []
+    for op in ops:
+        if not isinstance(op, Multiplexed):
+            out.append(op)
+            continue
+        for p, row in enumerate(op.rows):
+            if row is not None:
+                controls = {op.qubit + 1 + t: (p >> t) & 1 for t in range(op.width)}
+                out.append(Controlled(controls, (op.gate(op.qubit, *row),)))
+    return out
+
+
+def per_prefix_state_prep(target) -> list:
+    """compile_state_prep's gates, each prefix's angle from its own slice sums: the expanded form."""
+    target = np.asarray(target, dtype=np.complex128)
+    k = target.size.bit_length() - 1
+    ops: list = []
+    weights = np.abs(target) ** 2
+    for m in range(k):
+        qubit = k - 1 - m
+        block = 1 << (k - m)
+        angles = []
+        for p in range(1 << m):
+            sub = weights[p * block : (p + 1) * block]
+            w0 = float(sub[: block // 2].sum())
+            w1 = float(sub[block // 2 :].sum())
+            angles.append(2.0 * math.atan2(math.sqrt(w1), math.sqrt(w0)))
+        if all(abs(a - angles[0]) <= 1e-12 for a in angles):
+            if abs(angles[0]) > 1e-12:
+                ops.append(Ry(qubit, angles[0]))
+            continue
+        for p, angle in enumerate(angles):
+            if abs(angle) > 1e-12:
+                controls = {k - 1 - t: (p >> (m - 1 - t)) & 1 for t in range(m)}
+                ops.append(Controlled(controls, (Ry(qubit, angle),)))
+    phases = np.where(np.abs(target) > 0, np.angle(target), 0.0)
+    if np.max(np.abs(phases)) > 1e-12:
+        pairs = [(float(phases[2 * h]), float(phases[2 * h + 1])) for h in range(1 << (k - 1))]
+        if all(p == pairs[0] for p in pairs):
+            ops.append(PhasePair(0, *pairs[0]))
+        else:
+            for h, (phi0, phi1) in enumerate(pairs):
+                if abs(phi0) > 1e-12 or abs(phi1) > 1e-12:
+                    controls = {1 + t: (h >> t) & 1 for t in range(k - 1)}
+                    ops.append(Controlled(controls, (PhasePair(0, phi0, phi1),)))
+    return ops
+
+
+def table_amplitudes(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """A unit 2**n-entry table of one kind: complex, real, zeros (60% zero), uniform or basis."""
+    size = 1 << n
+    if kind == "uniform":
+        amps = np.ones(size)
+    elif kind == "basis":
+        amps = np.zeros(size)
+        amps[rng.integers(size)] = 1.0
+    elif kind == "real":
+        amps = rng.random(size)
+    else:
+        amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        if kind == "zeros":
+            amps[rng.random(size) < 0.6] = 0.0
+            amps[rng.integers(size)] = 1.0  # keep the table nonzero
+    return amps / np.linalg.norm(amps)
 
 
 def unmarked_oracle(query: TransformQuery) -> StateVector:
     """The start circuit without its final mark, run gate by gate; query.x is not read."""
-    ops = build_start_circuit(query).ops[:-1]
+    ops = expand(build_start_circuit(query).ops[:-1])
     return apply_circuit(new_state(query.layout), Circuit(query.layout, ops))
 
 

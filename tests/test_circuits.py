@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from mobiusq.sim import (
 )
 from mobiusq.subset import BitString, SubsetTable, zeta_fast
 from mobiusq.verify import circuit_coefficient
-from oracle import mark_oracle, unmarked_oracle
+from oracle import mark_oracle, table_amplitudes, unmarked_oracle
 
 
 def _exact_ratio(q: TransformQuery) -> float:
@@ -334,20 +335,34 @@ def test_gather_refuses_a_build_off_the_unit_norm(monkeypatch):
         gather(q)
 
 
-def _table_amplitudes(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
-    size = 1 << n
-    if kind == "uniform":
-        amps = np.ones(size)
-    elif kind == "basis":
-        amps = np.eye(size)[rng.integers(size)]
-    elif kind == "real":
-        amps = rng.random(size)
-    else:
-        amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        if kind == "zeros":
-            amps[rng.random(size) < 0.6] = 0.0
-            amps[rng.integers(size)] = 1.0  # keep the table nonzero
-    return amps / np.linalg.norm(amps)
+def test_gather_refuses_an_op_the_register_cannot_carry(monkeypatch):
+    """The register holds alpha_minus, alpha and mu0: an op must act there, or only relabel."""
+    q = _random_query(Mode.MARGINAL, 4, "10", n0=2, seed=24)
+    layout = q.layout
+    branch_ops = circuits_mod._branch_ops
+    for extra, message in (
+        (Hadamard(layout.register("beta")[0]), "cannot carry"),
+        (PauliX(layout.register("alpha")[1]), "cannot carry"),
+        # after the comparator, the beta_0 labels differ across the alpha_0 pairs of the mu0=1 branch
+        (Controlled({layout.mu0_qubit: 1}, (Hadamard(layout.register("alpha")[0]),)), "labels differ"),
+    ):
+        monkeypatch.setattr(circuits_mod, "_branch_ops", lambda query, extra=extra: [*branch_ops(query), extra])
+        with pytest.raises(DecompositionError, match=message):
+            gather(q)
+
+
+def test_gather_peaks_far_below_the_dense_state():
+    """A marginal n=14/n0=2 build: its dense state would take 2**21 * 16 B = 32 MiB."""
+    q = TransformQuery(Mode.MARGINAL, 14, table_amplitudes("complex", 14, np.random.default_rng(14)),
+                       BitString.from_str("01"), 2)
+    tracemalloc.start()
+    try:
+        support = gather(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert support.index.size == 1 << 17
+    assert peak < 8 << 20
 
 
 @pytest.mark.parametrize("kind", ["complex", "real", "zeros", "uniform", "basis"])
@@ -360,7 +375,7 @@ def _table_amplitudes(kind: str, n: int, rng: np.random.Generator) -> np.ndarray
 def test_start_state_is_build_start_state_at_every_x(mode, n, n0, kind):
     """The support scattered back and marked is the gate-by-gate build, byte for byte, with no -0.0."""
     rng = np.random.default_rng(60 + 10 * n + (n0 or 0))
-    amps = _table_amplitudes(kind, n, rng)
+    amps = table_amplitudes(kind, n, rng)
     width = n0 or n
     q = TransformQuery(mode, n, amps, BitString.from_int(0, width), n0)
     support = gather(q)

@@ -414,6 +414,43 @@ def test_out_and_dump_state_on_one_file_fail_before_any_circuit_work(
     assert gathered == []
 
 
+_OVERWRITES = {
+    "mobius": ("mobius3_table.json", "mobius3_sweep_shots5000.json", ["--x", "101"]),
+    "marginal": ("marginal5_table.json", "marginal5_n0_3_sweep_shots5000.json", ["--n0", "3", "--x", "101"]),
+    "minfind": (None, "minfind18_classical.json", ["--center", "200001", "--n", "18"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OVERWRITES))
+def test_an_output_naming_an_input_file_fails_before_any_work(command, tmp_path, monkeypatch, capsys):
+    """--out or --dump-state resolving to the --input or --check file would overwrite it: exit 1, file kept."""
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for name in ("gather", "find_min"):
+        monkeypatch.setattr(cli_mod, name, lambda *args, name=name: ran.append(name))
+    table, check, point = _OVERWRITES[command]
+    (tmp_path / check).write_bytes((DATA / check).read_bytes())
+    if table is None:  # minfind reads an objective table with --input, in place of --center
+        table = "objective.json"
+        (tmp_path / table).write_text(json.dumps(SubsetTable(3, np.arange(1.0, 9.0)).to_json_obj()))
+        cases = [(["--input", table], "--out", f"./{table}", "--input", table)]
+    else:
+        (tmp_path / table).write_bytes((DATA / table).read_bytes())
+        cases = [
+            (["--input", table, *point], "--out", table, "--input", table),
+            (["--input", table, *point], "--dump-state", f"./{table}", "--input", table),
+            (["--input", table, "--check", check], "--dump-state", str(tmp_path / check), "--check", check),
+        ]
+    cases.append(([*(["--input", table] if command != "minfind" else point), "--check", check],
+                  "--out", f"./{check}", "--check", check))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    for flags, out_flag, out, in_flag, source in cases:
+        assert main([command, *flags, out_flag, out]) == 1
+        assert f"{out_flag} {out} and {in_flag} {source} are the same file" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert ran == []
+
+
 def _query_input(tmp_path, mode: Mode, n: int, n0: int | None, complex_amps: bool) -> tuple[str, np.ndarray]:
     rng = np.random.default_rng(10 * n + (n0 or 0) + complex_amps)
     if complex_amps:

@@ -11,6 +11,7 @@ from mobiusq.sim import (
     Controlled,
     Hadamard,
     Mode,
+    Multiplexed,
     PauliX,
     PhasePair,
     QubitIs,
@@ -29,6 +30,7 @@ from mobiusq.sim import (
     state_from_json_obj,
     state_to_json_obj,
 )
+from oracle import expand, per_prefix_state_prep, table_amplitudes
 
 RNG = np.random.default_rng(20240817)
 
@@ -500,3 +502,43 @@ def test_state_prep_rejects_unnormalized():
     for wrong_length in (np.ones(3) / math.sqrt(3), np.ones(1), np.ones((2, 2)) / 2.0):
         with pytest.raises(ValueError, match="2\\*\\*k amplitudes"):
             compile_state_prep(wrong_length)
+
+
+@pytest.mark.parametrize("kind", ["complex", "real", "zeros", "uniform", "basis"])
+def test_level_gates_equal_the_per_prefix_gates_they_replace(kind):
+    """Each Multiplexed level is its per-prefix Controlled gates: the same gates, the same amplitude bits."""
+    rng = np.random.default_rng(40 + len(kind))
+    for k in range(1, 13):
+        target = table_amplitudes(kind, k, rng)
+        ops = compile_state_prep(target)
+        expanded = expand(ops)
+        assert expanded == per_prefix_state_prep(target)
+        assert prepare_low_qubits(ops, k).tobytes() == prepare_low_qubits(expanded, k).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["complex", "real", "zeros"])
+def test_state_prep_is_one_gate_per_level_plus_the_phases(kind):
+    rng = np.random.default_rng(50 + len(kind))
+    for k in range(1, 13):
+        ops = compile_state_prep(table_amplitudes(kind, k, rng))
+        assert len(ops) <= k + 1
+        assert all(isinstance(op, (Ry, PhasePair, Multiplexed)) for op in ops)
+
+
+def test_multiplexed_gate_on_a_full_state_matches_its_expansion():
+    """Qubits above and below the level, and a skipped row, on a random state."""
+    layout = RegisterLayout(Mode.MARGINAL, 3, 1)
+    state = _random_state(layout)
+    for op, touched in (
+        (Multiplexed(2, Ry, ((0.3,), None, (-1.2,), (2.9,))), {2, 3, 4}),
+        (Multiplexed(1, PhasePair, ((0.4, -1.3), (0.0, 2.2))), {1, 2}),
+        (Multiplexed(0, Ry, (None, None)), {0, 1}),
+    ):
+        assert gate_target_qubits(op) == frozenset({op.qubit})
+        assert gate_qubits(op) == frozenset(touched)
+        got = _apply(state, op).amplitudes
+        want = apply_circuit(state, Circuit(layout, expand([op]))).amplitudes
+        assert got.tobytes() == want.tobytes()
+    for gate, rows in ((Ry, ((0.1,),) * 3), (Ry, ((0.1,),)), (Hadamard, ((), ()))):
+        with pytest.raises(ValueError, match="2\\*\\*m >= 2 rows"):
+            Multiplexed(0, gate, rows)
