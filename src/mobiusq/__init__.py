@@ -27,22 +27,21 @@ _EXPORTS = {
         "MAX_QUBITS", "Circuit", "Controlled", "Hadamard", "Mode", "PauliX", "PhasePair",
         "Multiplexed", "RegisterLayout", "Ry", "StateVector", "apply_circuit", "basis_index",
         "compile_state_prep", "new_state", "prepare_low_qubits", "project", "sector",
-        "state_from_json_obj", "state_to_json_obj",
+        "state_to_json_obj",
     ),
     "circuits": (
-        "DecompositionError", "SignalDecomposition", "Support", "TransformQuery",
-        "build_comparator", "build_start_circuit", "build_start_state", "classical_value",
-        "decompose_signal", "gather",
+        "DecompositionError", "Support", "TransformQuery", "build_comparator",
+        "build_start_circuit", "build_start_state", "classical_value", "gather",
     ),
     "grover": (
         "EstimateReport", "GroverPlan", "Readout", "amplify", "estimate_exact",
-        "estimate_sampled", "grover_step", "plan_grover", "read_out", "read_out_at",
+        "estimate_sampled", "plan_grover", "read_out", "read_out_at",
     ),
     "minfind": (
         "ObjectiveTable", "ProbeRecord", "SearchTrace", "choose_beta", "classical_evaluator",
         "find_min", "min_gap", "probe_point", "quadratic_objective", "quantum_evaluator", "softmin_table",
     ),
-    "verify": ("run_verify",),
+    "verify": ("SignalDecomposition", "decompose_signal", "run_verify"),
 }
 
 __all__ = sorted(name for names in _EXPORTS.values() for name in names)

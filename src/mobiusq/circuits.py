@@ -47,11 +47,8 @@ from .sim import (
     prepare_low_qubits,
     register_values,
     run_ops,
-    sector,
 )
 from .subset import BitString, SubsetTable, json_complex, json_int
-
-_CHECK_TOL = 1e-9
 
 
 class DecompositionError(RuntimeError):
@@ -327,94 +324,7 @@ def build_start_state(query: TransformQuery) -> StateVector:
     """The dense start state at query.x: gather's support, scattered and marked.
 
     Its amplitudes equal those of apply_circuit on build_start_circuit(query).
+    No CLI command calls it: the estimators, the tests and
+    ``perfbench/tracer.py``'s one-shot check do.
     """
     return gather(query).start_state(query.x)
-
-
-@dataclass(eq=False)
-class SignalDecomposition:
-    """Split of the start state by its (beta, gamma, omega) sectors.
-
-    psi1 and psi0 are amplitude vectors over the (alpha_minus, alpha, mu0)
-    grouping, indexed alpha_minus lowest and mu0 highest; psi1 is None when
-    the transform value is zero.  chi_norm is the norm of the omega=1 rest.
-    """
-
-    z1: complex
-    z0: complex
-    chi_norm: float
-    psi1: np.ndarray | None
-    psi0: np.ndarray
-
-    @property
-    def ratio(self) -> float:
-        """Transform value |z1 / z0| ** 2."""
-        return float(abs(self.z1) ** 2 / abs(self.z0) ** 2)
-
-
-def decompose_signal(query: TransformQuery, state: StateVector) -> SignalDecomposition:
-    """Read z1, z0 and chi off the start state and verify their predicted shape.
-
-    Raises DecompositionError when any component strays from the predicted
-    structure by more than 1e-9: z0 must equal base = 2**-((n0+1)/2), z1
-    must equal base * sqrt(value), the two omega=0 sectors must match their
-    predicted register contents, and the sector masses must be complete.
-    """
-    layout = state.layout
-    if (layout.mode, layout.n, layout.n0) != (query.mode, query.n, query.n0):
-        raise ValueError("state layout does not match the query")
-    n, n0 = layout.n, layout.n0
-    om, ga = layout.omega_qubit, layout.gamma_qubit
-    beta_clear = {q: 0 for q in layout.register("beta")}
-
-    # with omega, gamma and beta fixed, the axes left are mu0, alpha,
-    # alpha_minus: the ravel is indexed exactly like the mu grouping
-    v1 = sector(state, {om: 0, ga: 1, **beta_clear}).ravel()
-    v0 = sector(state, {om: 0, ga: 0, **beta_clear}).ravel()
-    chi_norm = float(np.linalg.norm(sector(state, {om: 1}).ravel()))
-    by_beta = sector(state, {om: 0}).reshape(2, 2, 1 << n0, -1)  # mu0, gamma, beta, rest
-    stray = float(np.linalg.norm(by_beta[:, :, 1:].ravel()))
-
-    # predicted sector contents: psi_minus on alpha_minus, with alpha = x
-    xv = query.x.to_int()
-    keep = _keep(query)
-    value = float((np.abs(query.psi_minus) ** 2 * keep).sum())
-    base = 2.0 ** (-(n0 + 1) / 2.0)
-
-    # axes gamma, then the mu grouping: mu0, alpha, alpha_minus
-    claims = np.zeros((2, 2, 1 << n0, 1 << n), dtype=np.complex128)
-    claims[0, 0, xv] = query.psi_minus
-    claims[1, 1, xv] = query.psi_minus * keep
-    claim0, claim1 = claims.reshape(2, -1)
-    z0 = complex(np.vdot(claim0, v0))
-    resid0 = float(np.linalg.norm(v0 - z0 * claim0))
-
-    if value > 0.0:
-        claim1 /= np.sqrt(value)
-        z1 = complex(np.vdot(claim1, v1))
-        resid1 = float(np.linalg.norm(v1 - z1 * claim1))
-    else:
-        z1 = 0.0 + 0.0j
-        resid1 = float(np.linalg.norm(v1))
-
-    problems = []
-    if abs(z0 - base) > _CHECK_TOL:
-        problems.append(f"z0 = {z0}, expected {base}")
-    if abs(z1 - base * np.sqrt(value)) > _CHECK_TOL:
-        problems.append(f"z1 = {z1}, expected {base * np.sqrt(value)}")
-    if resid0 > _CHECK_TOL:
-        problems.append(f"gamma=0 sector residual {resid0}")
-    if resid1 > _CHECK_TOL:
-        problems.append(f"gamma=1 sector residual {resid1}")
-    if stray > _CHECK_TOL:
-        problems.append(f"stray omega=0 weight {stray} outside the beta=0 sectors")
-    completeness = abs(z1) ** 2 + abs(z0) ** 2 + chi_norm**2
-    if abs(completeness - 1.0) > _CHECK_TOL:
-        problems.append(f"sector masses sum to {completeness}")
-    if problems:
-        raise DecompositionError("; ".join(problems))
-
-    psi1 = v1 / z1 if abs(z1) > 0 else None
-    psi0 = v0 / z0
-    return SignalDecomposition(z1=z1, z0=z0, chi_norm=chi_norm, psi1=psi1, psi0=psi0)
-

@@ -16,12 +16,13 @@ The steps only mix the start state with its omega reflection, so they move
 amplitude within the start state's support alone, the 2-D invariant subspace
 of Brassard, Hoyer, Mosca and Tapp (quant-ph/0005055).  read_out_at runs the
 readout on that support, gathered once per table (see
-:class:`mobiusq.circuits.Support`); read_out, plan_grover, grover_step and
-cell_mass run the same code over every basis index of a dense state and are
-its oracle.  Every reduction (the overlap, each <start|r> and the four cell
-masses) is a correctly rounded math.fsum over real and imaginary parts, so
-the results do not depend on the order of the terms, on zero entries or on
-the BLAS thread count.
+:class:`mobiusq.circuits.Support`), and cells_by_step runs its steps one at
+a time for ``mobiusq verify``; read_out, plan_grover and amplify run the
+same code over every basis index of a dense state and are its oracle.
+Every reduction (the overlap, each <start|r> and the four cell masses) is a
+correctly rounded math.fsum over real and imaginary parts, so the results
+do not depend on the order of the terms, on zero entries or on the BLAS
+thread count.
 """
 from __future__ import annotations
 
@@ -142,13 +143,12 @@ def _read_out(start: np.ndarray, target: np.ndarray, gamma: np.ndarray) -> Reado
     readout of those entries equals the readout of the whole state.
     """
     plan = _plan(start, target)
-    final = _amplify(start, target, plan.iterations)
-    cells = tuple(
-        _mass(final, (target if omega == 0 else ~target) & (gamma if g else ~gamma))
-        for omega in (0, 1)
-        for g in (0, 1)
-    )
-    return Readout(plan, cells)
+    return Readout(plan, _cells(_amplify(start, target, plan.iterations), target, gamma))
+
+
+def _cells(amps: np.ndarray, target: np.ndarray, gamma: np.ndarray) -> tuple[float, float, float, float]:
+    """Masses of the (omega, gamma) cells (0, 0), (0, 1), (1, 0) and (1, 1) of flat amplitudes."""
+    return tuple(_mass(amps, omega & g) for omega in (target, ~target) for g in (~gamma, gamma))
 
 
 def _qubit_set(state: StateVector, qubit: int) -> np.ndarray:
@@ -168,17 +168,10 @@ def plan_grover(state: StateVector) -> GroverPlan:
     Scans k = 0 .. ceil(pi / (4a)) for the largest sin((2k+1) asin a)**2,
     keeping the smallest k on ties.  a is the norm of the omega=0 entries,
     the square root of one correctly rounded sum of their squared parts.
+    No CLI command calls it: acceptance criterion 6, the tests and
+    ``perfbench/tracer.py``'s one-shot check do.
     """
     return _plan(state.amplitudes, ~_qubit_set(state, state.layout.omega_qubit))
-
-
-def grover_step(state: StateVector, start: StateVector) -> StateVector:
-    """One amplification step: reflect about omega=0, then about the start state."""
-    if state.layout != start.layout:
-        raise ValueError("state and start layouts differ")
-    out = state.copy()
-    _step_in_place(out.amplitudes, start.amplitudes, _qubit_set(state, state.layout.omega_qubit))
-    return out
 
 
 def amplify(start: StateVector, plan: GroverPlan) -> StateVector:
@@ -192,14 +185,6 @@ def amplify(start: StateVector, plan: GroverPlan) -> StateVector:
         return start
     target = ~_qubit_set(start, start.layout.omega_qubit)
     return StateVector(start.layout, _amplify(start.amplitudes, target, plan.iterations))
-
-
-def cell_mass(state: StateVector, omega: int, gamma: int) -> float:
-    """Probability mass of one (omega, gamma) cell: one fsum of its re**2 and im**2."""
-    layout = state.layout
-    cell = _qubit_set(state, layout.omega_qubit) == bool(omega)
-    cell &= _qubit_set(state, layout.gamma_qubit) == bool(gamma)
-    return _mass(state.amplitudes, cell)
 
 
 @dataclass(eq=False)
@@ -286,6 +271,21 @@ def read_out_at(support: Support, x: BitString) -> Readout:
     state at x; see :class:`mobiusq.circuits.Support`.
     """
     return _read_out(support.amplitudes, support.target(x), support.gamma)
+
+
+def cells_by_step(support: Support, x: BitString, steps: int) -> Iterator[tuple[float, float, float, float]]:
+    """``Readout.cells`` of the start state at x after each of k = 0..steps steps.
+
+    Runs read_out_at's step on the support, on one working copy; ``mobiusq
+    verify`` checks the gamma odds and the rotation law at every k with it.
+    """
+    start, target, gamma = support.amplitudes, support.target(x), support.gamma
+    state = start.copy()
+    off_target = ~target
+    for k in range(steps + 1):
+        if k:
+            _step_in_place(state, start, off_target)
+        yield _cells(state, target, gamma)
 
 
 def estimate_exact(query: TransformQuery) -> float:

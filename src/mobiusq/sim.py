@@ -34,8 +34,6 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .subset import json_complex, json_int
-
 MAX_QUBITS = 26
 
 
@@ -117,11 +115,6 @@ class RegisterLayout:
             "n0": self.n0,
             "registers": {k: [r.start, len(r)] for k, r in self.registers.items()},
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> RegisterLayout:
-        """Inverse of to_json_obj; only state_from_json_obj, the tests' dump reader, calls it."""
-        return cls(Mode(obj["mode"]), json_int(obj, "n"), json_int(obj, "n0"))
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +465,7 @@ def compile_state_prep(target) -> tuple[GateOp, ...]:
     if k < 1 or target.shape != (1 << k,):
         raise ValueError(f"target needs 2**k amplitudes with k >= 1, got shape {target.shape}")
     norm = np.linalg.norm(target)
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:  # a NaN norm fails too
         raise ValueError(f"target norm is {norm}, expected 1 within 1e-9")
 
     ops: list[GateOp] = []
@@ -506,13 +499,3 @@ def state_to_json_obj(state: StateVector) -> dict:
         "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
     }
 
-
-def state_from_json_obj(obj: dict) -> StateVector:
-    """Read a state written by state_to_json_obj, e.g. a ``--dump-state`` file.
-
-    The CLI only writes such files; this is the reader that loads them back,
-    and the tests use it to check what ``--dump-state`` wrote.
-    """
-    layout = RegisterLayout.from_json_obj(obj["layout"])
-    amps = json_complex(obj, "amplitudes")
-    return StateVector(layout, amps)

@@ -11,6 +11,9 @@ with its own inputs and tolerances, so every property is stated once:
     rotation_law      omega=0 mass sin((2k+1) theta)**2 after k steps
     comparator_table  the 8 comparator coefficients against the closed form
 
+The first three read each start state where the CLI reads it, on
+``gather``'s support, and step it with the step ``read_out_at`` runs.
+
 The comparator check reads the coefficients off the compiled circuit
 (``circuit_coefficient``), looking ``build_comparator`` up in this module at
 each call, so a corrupted comparator (the tests inject one by replacing this
@@ -26,13 +29,14 @@ import numpy as np
 
 from .circuits import (
     DecompositionError,
+    Support,
     TransformQuery,
+    _keep,
     build_comparator,
-    build_start_state,
     classical_value,
-    decompose_signal,
+    gather,
 )
-from .grover import cell_mass, grover_step, plan_grover
+from .grover import cells_by_step, read_out_at
 from .sim import (
     Mode,
     StateVector,
@@ -40,11 +44,14 @@ from .sim import (
     basis_index,
     compile_state_prep,
     prepare_low_qubits,
+    register_values,
 )
 from .subset import BitString, SubsetTable, zeta_fast
 
 __all__ = [
     "Verdict",
+    "SignalDecomposition",
+    "decompose_signal",
     "sector_readout",
     "odds_preserved",
     "rotation_law",
@@ -52,6 +59,8 @@ __all__ = [
     "circuit_coefficient",
     "run_verify",
 ]
+
+_CHECK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,6 +70,98 @@ class Verdict:
     ok: bool
     worst: float
     detail: str
+
+
+@dataclass(eq=False)
+class SignalDecomposition:
+    """Split of the start state by its (gamma, omega) sectors.
+
+    psi1 and psi0 are amplitude vectors over the (alpha_minus, alpha, mu0)
+    grouping, indexed alpha_minus lowest and mu0 highest; psi1 is None when
+    the transform value is zero.  chi_norm is the norm of the omega=1 rest.
+    """
+
+    z1: complex
+    z0: complex
+    chi_norm: float
+    psi1: np.ndarray | None
+    psi0: np.ndarray
+
+    @property
+    def ratio(self) -> float:
+        """Transform value |z1 / z0| ** 2."""
+        return float(abs(self.z1) ** 2 / abs(self.z0) ** 2)
+
+
+def decompose_signal(query: TransformQuery, support: Support) -> SignalDecomposition:
+    """Read z1, z0 and chi off the start state at query.x and verify their predicted shape.
+
+    The start state is read on ``support``, the unmarked state's support
+    (see :class:`mobiusq.circuits.Support`): its target at query.x is the
+    omega=0 part, split by gamma, and the rest is chi.  Each gamma's target
+    entries are scattered into a vector over the (alpha_minus, alpha, mu0)
+    grouping, which holds the same values, in the same order, as the
+    omega=0, beta=0 sector of the dense start state at that gamma.  The
+    target only holds entries at beta == 0, so the start state has no
+    omega=0 weight outside beta == 0 to check.
+
+    Raises DecompositionError when any component strays from the predicted
+    structure by more than 1e-9: z0 must equal base = 2**-((n0+1)/2), z1
+    must equal base * sqrt(value), the two omega=0 sectors must match their
+    predicted register contents, and the sector masses must be complete.
+    """
+    layout = support.layout
+    if (layout.mode, layout.n, layout.n0) != (query.mode, query.n, query.n0):
+        raise ValueError("support layout does not match the query")
+    n, n0 = layout.n, layout.n0
+    target = support.target(query.x)
+    index = support.index[target]
+    spot = (index & ((1 << (n + n0)) - 1)) | register_values(layout, "mu0", index) << (n + n0)
+    sectors = np.zeros((2, 1 << (n + n0 + 1)), dtype=np.complex128)
+    sectors[support.gamma[target].astype(int), spot] = support.amplitudes[target]
+    v0, v1 = sectors
+    chi_norm = float(np.linalg.norm(support.amplitudes[~target]))
+
+    # predicted sector contents: psi_minus on alpha_minus, with alpha = x
+    xv = query.x.to_int()
+    keep = _keep(query)
+    value = float((np.abs(query.psi_minus) ** 2 * keep).sum())
+    base = 2.0 ** (-(n0 + 1) / 2.0)
+
+    # axes gamma, then the mu grouping: mu0, alpha, alpha_minus
+    claims = np.zeros((2, 2, 1 << n0, 1 << n), dtype=np.complex128)
+    claims[0, 0, xv] = query.psi_minus
+    claims[1, 1, xv] = query.psi_minus * keep
+    claim0, claim1 = claims.reshape(2, -1)
+    z0 = complex(np.vdot(claim0, v0))
+    resid0 = float(np.linalg.norm(v0 - z0 * claim0))
+
+    if value > 0.0:
+        claim1 /= np.sqrt(value)
+        z1 = complex(np.vdot(claim1, v1))
+        resid1 = float(np.linalg.norm(v1 - z1 * claim1))
+    else:
+        z1 = 0.0 + 0.0j
+        resid1 = float(np.linalg.norm(v1))
+
+    problems = []
+    if abs(z0 - base) > _CHECK_TOL:
+        problems.append(f"z0 = {z0}, expected {base}")
+    if abs(z1 - base * np.sqrt(value)) > _CHECK_TOL:
+        problems.append(f"z1 = {z1}, expected {base * np.sqrt(value)}")
+    if resid0 > _CHECK_TOL:
+        problems.append(f"gamma=0 sector residual {resid0}")
+    if resid1 > _CHECK_TOL:
+        problems.append(f"gamma=1 sector residual {resid1}")
+    completeness = abs(z1) ** 2 + abs(z0) ** 2 + chi_norm**2
+    if abs(completeness - 1.0) > _CHECK_TOL:
+        problems.append(f"sector masses sum to {completeness}")
+    if problems:
+        raise DecompositionError("; ".join(problems))
+
+    psi1 = v1 / z1 if abs(z1) > 0 else None
+    psi0 = v0 / z0
+    return SignalDecomposition(z1=z1, z0=z0, chi_norm=chi_norm, psi1=psi1, psi0=psi0)
 
 
 def _worst(errors: Sequence[float]) -> float:
@@ -77,7 +178,7 @@ def sector_readout(queries: Sequence[TransformQuery], tol: float) -> Verdict:
     z0_errors, ratio_errors = [], []
     for q in queries:
         try:
-            dec = decompose_signal(q, build_start_state(q))
+            dec = decompose_signal(q, gather(q))
         except DecompositionError as exc:
             return Verdict(False, math.inf, f"{q.mode.value} n={q.n} x={q.x}: {exc}")
         z0_errors.append(abs(dec.z0 - 2.0 ** (-(q.n0 + 1) / 2.0)))
@@ -92,20 +193,13 @@ def sector_readout(queries: Sequence[TransformQuery], tol: float) -> Verdict:
     )
 
 
-def _gamma_odds(state: StateVector) -> float:
-    return cell_mass(state, 0, 1) / cell_mass(state, 0, 0)
-
-
 def odds_preserved(queries: Sequence[TransformQuery], steps: int, tol: float) -> Verdict:
     """Gamma odds on omega=0 equal the classical value after k = 0..steps Grover steps."""
     errors = []
     for q in queries:
         want = classical_value(q)
-        start = state = build_start_state(q)
-        for k in range(steps + 1):
-            if k:
-                state = grover_step(state, start)
-            errors.append(abs(_gamma_odds(state) - want))
+        for cells in cells_by_step(gather(q), q.x, steps):
+            errors.append(abs(cells[1] / cells[0] - want))
     worst = _worst(errors)
     return Verdict(
         worst <= tol,
@@ -120,14 +214,12 @@ def rotation_law(query: TransformQuery, steps: int, tol: float) -> Verdict:
     theta = asin(a) for the planner's overlap a.  The range must reach the
     iteration count the planner picks, so the law is checked where it is used.
     """
-    start = state = build_start_state(query)
-    plan = plan_grover(start)
+    support = gather(query)
+    plan = read_out_at(support, query.x).plan
     theta = math.asin(plan.overlap)
     errors = []
-    for k in range(steps + 1):
-        if k:
-            state = grover_step(state, start)
-        mass = cell_mass(state, 0, 0) + cell_mass(state, 0, 1)
+    for k, cells in enumerate(cells_by_step(support, query.x, steps)):
+        mass = cells[0] + cells[1]
         errors.append(abs(mass - math.sin((2 * k + 1) * theta) ** 2))
     worst = _worst(errors)
     return Verdict(
@@ -193,7 +285,7 @@ def _oracle_equivalence(mobius_probs: np.ndarray, marginal_probs: np.ndarray) ->
             query = TransformQuery.from_probability_table(
                 mode, table, BitString.from_int(xv, 3), n0=3
             )
-            got = decompose_signal(query, build_start_state(query)).ratio
+            got = decompose_signal(query, gather(query)).ratio
             errors.append(abs(got - want[mode][xv]))
     worst = _worst(errors)
     return Verdict(

@@ -6,10 +6,12 @@ set -euo pipefail
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-# verify prints what the golden corpus recorded (verify-0 in tests/data/golden/manifest.json)
-mobiusq verify --seed 0 > "$tmp/verify-0.stdout"
-cmp "$tmp/verify-0.stdout" tests/data/golden/verify-0.stdout
-echo "verify --seed 0: stdout byte-identical to the golden verify-0.stdout"
+# verify prints what the golden corpus recorded (verify-0 and verify-3 in tests/data/golden/manifest.json)
+for seed in 0 3; do
+    mobiusq verify --seed $seed > "$tmp/verify-$seed.stdout"
+    cmp "$tmp/verify-$seed.stdout" tests/data/golden/verify-$seed.stdout
+    echo "verify --seed $seed: stdout byte-identical to the golden verify-$seed.stdout"
+done
 
 mobiusq mobius --input tests/data/mobius3_table.json --check tests/data/mobius3_sweep_shots5000.json
 mobiusq marginal --input tests/data/marginal5_table.json --n0 3 --check tests/data/marginal5_n0_3_sweep_shots5000.json

@@ -6,7 +6,8 @@ one gate at a time from the all-zeros state with ``apply_circuit``.  Each
 ``Multiplexed`` level of the state prep is first expanded into the
 per-prefix ``Controlled`` gates it stands for, so the oracle never runs the
 level kernel; ``per_prefix_state_prep`` compiles those gates from the target
-directly, one prefix at a time.
+directly, one prefix at a time.  The module also holds the reader of
+``--dump-state`` files, which only the tests load back.
 """
 from __future__ import annotations
 
@@ -18,13 +19,16 @@ from mobiusq.circuits import TransformQuery, build_start_circuit
 from mobiusq.sim import (
     Circuit,
     Controlled,
+    Mode,
     Multiplexed,
     PhasePair,
+    RegisterLayout,
     Ry,
     StateVector,
     apply_circuit,
     new_state,
 )
+from mobiusq.subset import json_complex, json_int
 
 
 def expand(ops) -> list:
@@ -105,3 +109,13 @@ def mark_oracle(unmarked: StateVector, query: TransformQuery) -> StateVector:
     """The start state at query.x: the start circuit's final mark run on ``unmarked``."""
     mark = build_start_circuit(query).ops[-1:]
     return apply_circuit(unmarked, Circuit(query.layout, mark))
+
+
+def layout_from_json_obj(obj: dict) -> RegisterLayout:
+    """Inverse of RegisterLayout.to_json_obj, by the rules of every other JSON input."""
+    return RegisterLayout(Mode(obj["mode"]), json_int(obj, "n"), json_int(obj, "n0"))
+
+
+def state_from_json_obj(obj: dict) -> StateVector:
+    """Read a state written by sim.state_to_json_obj, such as a ``--dump-state`` file."""
+    return StateVector(layout_from_json_obj(obj["layout"]), json_complex(obj, "amplitudes"))

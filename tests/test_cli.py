@@ -27,10 +27,10 @@ from mobiusq.sim import (
     Hadamard,
     Mode,
     PauliX,
-    state_from_json_obj,
 )
 from mobiusq.subset import BitString, SubsetTable, zeta_fast
 from mobiusq.verify import run_verify
+from oracle import state_from_json_obj
 
 DATA = Path(__file__).parent / "data"
 
@@ -827,8 +827,11 @@ def test_fault_injection_is_caught_by_the_comparator_check(monkeypatch):
 
 
 def test_a_corrupted_gather_fails_the_sector_decomposition(monkeypatch):
-    """verify builds its start states through circuits.gather, the build the CLI runs."""
+    """verify reads its start states off circuits.gather, the build the CLI runs."""
+    import mobiusq.verify as verify_mod
+
     gather = circuits_mod.gather
+    assert verify_mod.gather is gather
 
     def corrupted(query):
         support = gather(query)
@@ -836,7 +839,7 @@ def test_a_corrupted_gather_fails_the_sector_decomposition(monkeypatch):
         amplitudes[0] *= 1.5
         return dataclasses.replace(support, amplitudes=amplitudes)
 
-    monkeypatch.setattr(circuits_mod, "gather", corrupted)
+    monkeypatch.setattr(verify_mod, "gather", corrupted)
     ok, lines = run_verify(seed=0)
     assert not ok
     assert any(line.startswith("FAIL  sector-decomposition: ") for line in lines)

@@ -11,22 +11,22 @@ from mobiusq.circuits import (
     TransformQuery,
     build_start_state,
     classical_value,
-    decompose_signal,
     gather,
 )
 from mobiusq.grover import (
     GroverPlan,
     Readout,
     amplify,
+    cells_by_step,
     estimate_exact,
     estimate_sampled,
-    grover_step,
     plan_grover,
     read_out,
     read_out_at,
 )
 from mobiusq.sim import Mode, RegisterLayout, StateVector, project
 from mobiusq.subset import BitString, SubsetTable
+from mobiusq.verify import decompose_signal
 from oracle import unmarked_oracle
 
 
@@ -42,6 +42,11 @@ def _two_level_state(a: float) -> StateVector:
     amps[0] = a
     amps[1 << layout.omega_qubit] = math.sqrt(1.0 - a * a)
     return StateVector(layout, amps)
+
+
+def _after(start: StateVector, steps: int) -> StateVector:
+    """``start`` after a fixed number of amplification steps."""
+    return amplify(start, GroverPlan(overlap=0.0, iterations=steps, predicted_success=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +91,7 @@ def test_plan_rejects_unreachable_target():
 def test_step_frozen_two_level_case():
     # start (0.6, 0.8): negate omega=1 then reflect about the start
     state = _two_level_state(0.6)
-    out = grover_step(state, state)
+    out = _after(state, 1)
     layout = state.layout
     assert abs(out.amplitudes[0] - (-0.936)) <= 1e-12
     assert abs(out.amplitudes[1 << layout.omega_qubit] - 0.352) <= 1e-12
@@ -101,17 +106,18 @@ def test_step_order_regression():
     swapped = state.amplitudes.copy()  # reflect about start first: no-op on |s>
     omega_bit = 1 << state.layout.omega_qubit
     swapped[omega_bit] = -swapped[omega_bit]  # then negate omega=1
-    out = grover_step(state, state).amplitudes
+    out = _after(state, 1).amplitudes
     assert np.max(np.abs(out - swapped)) > 0.5
 
 
 def test_step_leaves_inputs_unchanged():
-    start = build_start_state(_uniform_query(2, "10"))
-    state = grover_step(start, start)
-    before_state, before_start = state.amplitudes.copy(), start.amplitudes.copy()
-    grover_step(state, start)
-    assert np.array_equal(state.amplitudes, before_state)
+    q = _uniform_query(2, "10")
+    start, support = build_start_state(q), gather(q)
+    before_start, before_support = start.amplitudes.copy(), support.amplitudes.copy()
+    _after(start, 2)
+    list(cells_by_step(support, q.x, 2))
     assert np.array_equal(start.amplitudes, before_start)
+    assert np.array_equal(support.amplitudes, before_support)
 
 
 def _fsum_vdot(s: np.ndarray, r: np.ndarray) -> complex:
@@ -131,19 +137,26 @@ def _textbook_step(state: StateVector, start: StateVector) -> np.ndarray:
     return out
 
 
+def _cell_masses(state: StateVector) -> tuple[float, ...]:
+    """The (omega, gamma) cell masses (0, 0), (0, 1), (1, 0), (1, 1), each one math.fsum."""
+    idx = np.arange(state.amplitudes.size)
+    omega, gamma = (idx >> state.layout.omega_qubit) & 1, (idx >> state.layout.gamma_qubit) & 1
+    cells = [state.amplitudes[(omega == w) & (gamma == g)] for w in (0, 1) for g in (0, 1)]
+    return tuple(math.fsum(np.square(cell.view(np.float64)).tolist()) for cell in cells)
+
+
 def test_step_and_amplify_match_the_textbook_step_bit_for_bit():
+    """amplify's states and cells_by_step's cells after k = 0..4 steps, against textbook steps."""
     rng = np.random.default_rng(34)
     for mode, n, n0 in ((Mode.MOBIUS, 3, None), (Mode.MOBIUS, 5, None), (Mode.MARGINAL, 4, 2)):
         amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-        x = BitString.from_int(1, n0 or n)
-        start = build_start_state(TransformQuery(mode, n, amps / np.linalg.norm(amps), x, n0))
-        state = start
-        for _ in range(4):
-            want = _textbook_step(state, start)
-            state = grover_step(state, start)
-            assert state.amplitudes.tobytes() == want.tobytes()
-        plan = GroverPlan(overlap=0.0, iterations=4, predicted_success=0.0)
-        assert amplify(start, plan).amplitudes.tobytes() == state.amplitudes.tobytes()
+        q = TransformQuery(mode, n, amps / np.linalg.norm(amps), BitString.from_int(1, n0 or n), n0)
+        start = want = build_start_state(q)
+        for k, cells in enumerate(cells_by_step(gather(q), q.x, 4)):
+            if k:
+                want = StateVector(start.layout, _textbook_step(want, start))
+            assert _after(start, k).amplitudes.tobytes() == want.amplitudes.tobytes()
+            assert cells == _cell_masses(want)
 
 
 def test_readout_memory_stays_within_two_and_a_half_states():
@@ -229,20 +242,14 @@ def test_reductions_are_exact_sums_over_chunks():
     assert grover_mod._inner(padded, np.concatenate([r[order], r[:7]])) == _fsum_vdot(s, r)
 
 
-def test_step_checks_layouts():
-    with pytest.raises(ValueError):
-        grover_step(_two_level_state(0.5), build_start_state(_uniform_query(2, "10")))
-
-
 def test_step_preserves_norm_and_matches_theory_over_iterations():
     start = build_start_state(_uniform_query(3, "111"))
     theta = math.asin(plan_grover(start).overlap)
-    state = start
     for k in range(11):
+        state = _after(start, k)
         _, a = project(state, {start.layout.omega_qubit: 0})
         assert abs(a**2 - math.sin((2 * k + 1) * theta) ** 2) <= 1e-9
         assert abs(state.norm - 1.0) <= 1e-12
-        state = grover_step(state, start)
 
 
 def test_amplify_uniform_full_box():
@@ -259,17 +266,6 @@ def test_amplify_zero_iterations_is_identity():
     start = build_start_state(_uniform_query(2, "10"))
     final = amplify(start, GroverPlan(overlap=0.3, iterations=0, predicted_success=0.09))
     assert final is start
-
-
-def _conditional_odds(state: StateVector) -> float:
-    layout = state.layout
-    idx = np.arange(state.amplitudes.shape[0])
-    omega = (idx >> layout.omega_qubit) & 1
-    gamma = (idx >> layout.gamma_qubit) & 1
-    probs = np.abs(state.amplitudes) ** 2
-    p00 = probs[(omega == 0) & (gamma == 0)].sum()
-    p01 = probs[(omega == 0) & (gamma == 1)].sum()
-    return float(p01 / p00)
 
 
 def test_conditional_odds_survive_every_iteration_count():
@@ -289,11 +285,10 @@ def test_conditional_odds_survive_every_iteration_count():
     )
     for q in queries:
         start = build_start_state(q)
-        want = decompose_signal(q, start).ratio
-        state = start
-        for _ in range(11):
-            assert abs(_conditional_odds(state) - want) <= 1e-9
-            state = grover_step(state, start)
+        want = decompose_signal(q, gather(q)).ratio
+        for k in range(11):
+            p00, p01 = _cell_masses(_after(start, k))[:2]
+            assert abs(p01 / p00 - want) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +312,7 @@ def test_estimate_exact_agrees_with_sector_readout():
         amps /= np.linalg.norm(amps)
         q = TransformQuery(Mode.MOBIUS, 3, amps, BitString.from_str(x))
         measured = estimate_exact(q)
-        assert abs(measured - decompose_signal(q, build_start_state(q)).ratio) <= 1e-9
+        assert abs(measured - decompose_signal(q, gather(q)).ratio) <= 1e-9
         assert abs(measured - classical_value(q)) <= 1e-9
 
 

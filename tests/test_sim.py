@@ -27,10 +27,15 @@ from mobiusq.sim import (
     prepare_low_qubits,
     project,
     sector,
-    state_from_json_obj,
     state_to_json_obj,
 )
-from oracle import expand, per_prefix_state_prep, table_amplitudes
+from oracle import (
+    expand,
+    layout_from_json_obj,
+    per_prefix_state_prep,
+    state_from_json_obj,
+    table_amplitudes,
+)
 
 RNG = np.random.default_rng(20240817)
 
@@ -137,7 +142,7 @@ def test_layout_json_roundtrip():
     layout = RegisterLayout(Mode.MARGINAL, 6, 3)
     obj = layout.to_json_obj()
     assert obj["registers"]["omega"] == [14, 1]
-    assert RegisterLayout.from_json_obj(obj) == layout
+    assert layout_from_json_obj(obj) == layout
 
 
 def test_unknown_register_raises():
@@ -497,8 +502,9 @@ def test_state_prep_with_zeros_and_signs():
 
 
 def test_state_prep_rejects_unnormalized():
-    with pytest.raises(ValueError, match="norm"):
-        compile_state_prep(np.array([1.0, 1.0, 0.0, 0.0]))
+    for unnormalized in (np.array([1.0, 1.0, 0.0, 0.0]), np.array([np.nan, 0.0, 0.0, 0.0])):
+        with pytest.raises(ValueError, match="norm"):
+            compile_state_prep(unnormalized)
     for wrong_length in (np.ones(3) / math.sqrt(3), np.ones(1), np.ones((2, 2)) / 2.0):
         with pytest.raises(ValueError, match="2\\*\\*k amplitudes"):
             compile_state_prep(wrong_length)
