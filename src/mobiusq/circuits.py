@@ -204,27 +204,27 @@ def build_start_circuit(query: TransformQuery) -> Circuit:
 
 @dataclass(frozen=True, eq=False)
 class Support:
-    """The nonzero amplitudes of an unmarked state, and what the mark reads of them.
+    """The nonzero amplitudes of an unmarked state, and the gamma bit the readout reads.
 
-    ``index`` lists the basis indices where the unmarked state is nonzero,
-    ascending, and ``amplitudes`` its values there.  Each entry is at
-    omega=1; ``gamma`` flags the entries at gamma=1, and ``alpha`` and
-    ``beta_clear`` hold the alpha value and whether beta == 0, the controls
-    of the mark.
+    ``index`` lists the basis indices where the unmarked state is nonzero
+    and ``amplitudes`` its values there, in the order of gather's register:
+    ascending in the slot (index & (2**(n+n0) - 1)) | mu0 << (n+n0).  Each
+    entry is at omega=1, and ``gamma`` flags the entries at gamma=1.  The
+    mark's controls, alpha and beta, are read off ``index``.
     """
 
     layout: RegisterLayout
     index: np.ndarray
     amplitudes: np.ndarray
     gamma: np.ndarray
-    alpha: np.ndarray
-    beta_clear: np.ndarray
 
     def target(self, x: BitString) -> np.ndarray:
         """Flags of the entries at omega=0 in the start state at x: the ones the mark moves."""
-        if len(x) != self.layout.n0:
-            raise ValueError(f"x has {len(x)} bits, expected n0 = {self.layout.n0}")
-        return (self.alpha == x.to_int()) & self.beta_clear
+        n, n0 = self.layout.n, self.layout.n0
+        if len(x) != n0:
+            raise ValueError(f"x has {len(x)} bits, expected n0 = {n0}")
+        # alpha and beta are the 2*n0 qubits above alpha_minus: alpha == x, beta == 0
+        return (self.index & ((1 << 2 * n0) - 1) << n) == x.to_int() << n
 
     def start_state(self, x: BitString) -> StateVector:
         """The dense start state at x: the support scattered back, marked at x.
@@ -267,9 +267,10 @@ def gather(query: TransformQuery) -> Support:
     controls hold, and any other op runs as it would on the full state,
     which it may only where every pair it mixes differs in the target
     qubit's bit of the label alone.  The amplitudes equal those of
-    apply_circuit on the same ops, at the labels, bit for bit.  Raises
-    DecompositionError for an op the register cannot carry, when the
-    build's norm is not 1, or when it leaves weight at omega=0.
+    apply_circuit on the same ops, at the labels, bit for bit, and the
+    support keeps them in the register's order.  Raises DecompositionError
+    for an op the register cannot carry, when the build's norm is not 1, or
+    when it leaves weight at omega=0.
     """
     layout = query.layout
     n, n0 = layout.n, layout.n0
@@ -302,22 +303,7 @@ def gather(query: TransformQuery) -> Support:
     del amps, keep
     if not register_values(layout, "omega", index).all():
         raise DecompositionError("the unmarked state has omega=0 weight before the mark")
-    # Dense order is a stable partition by the label bits above alpha: within a part the
-    # labels differ only in the register's low bits, so register order already ascends.
-    high = index >> (n + n0)
-    order = np.concatenate([np.flatnonzero(high == h) for h in range(1 << (layout.total_qubits - n - n0))])
-    del high
-    index = index[order]
-    amplitudes = amplitudes[order]
-    del order
-    return Support(
-        layout,
-        index,
-        amplitudes,
-        gamma=register_values(layout, "gamma", index) == 1,
-        alpha=register_values(layout, "alpha", index),
-        beta_clear=register_values(layout, "beta", index) == 0,
-    )
+    return Support(layout, index, amplitudes, register_values(layout, "gamma", index) == 1)
 
 
 def build_start_state(query: TransformQuery) -> StateVector:

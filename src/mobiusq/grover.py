@@ -47,8 +47,8 @@ class GroverPlan:
     predicted_success: float
 
 
-# Entries per reduction or update chunk: bounds the temporaries of a dense
-# readout to a few chunks instead of whole-state copies.
+# Entries per reduction or update chunk: bounds the temporaries of a
+# readout, dense or on a support, to a few chunks instead of whole copies.
 _CHUNK = 1 << 14
 
 

@@ -30,8 +30,8 @@ _DEFERRED = {
 _load, __getattr__ = _defer(globals(), _DEFERRED)
 
 # The classical path peaks at about 4.1 float64 tables of 2**n entries
-# (tracemalloc, n = 18, 20 and 22): about 2.1 GiB at n = 26, close to the
-# 2 GiB one quantum query peaks at on the 26-qubit statevector cap.
+# (tracemalloc, n = 18, 20 and 22): about 2.1 GiB at n = 26, a bound of its
+# own, since a quantum query builds no dense state (README "Limits").
 MAX_OBJECTIVE_BITS = 26
 
 

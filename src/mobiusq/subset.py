@@ -79,10 +79,10 @@ class SubsetTable:
         self.values = arr
 
     def require_probability(self) -> None:
-        """Raise unless the table is a probability distribution, within 1e-9."""
+        """Raise unless the table is a probability distribution: no entry below 0, sum 1 within 1e-9."""
         if np.iscomplexobj(self.values):
             raise ValueError("probability table must be real")
-        if self.values.min() < -1e-9:
+        if self.values.min() < 0.0:
             raise ValueError(f"negative entry {self.values.min()} in probability table")
         total = float(self.values.sum())
         if abs(total - 1.0) > 1e-9:

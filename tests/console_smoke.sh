@@ -2,6 +2,8 @@
 # Runs the installed `mobiusq` console script on the committed fixtures.
 # Usage, from the repository root: bash tests/console_smoke.sh
 set -euo pipefail
+# a numpy overflow or invalid-value warning fails the run, as under pytest (pyproject.toml)
+export PYTHONWARNINGS=error::RuntimeWarning
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT

@@ -306,14 +306,17 @@ def test_gather_keeps_one_entry_per_alpha_minus_alpha_mu0(mode, n, n0):
     unmarked = unmarked_oracle(q)
     layout = q.layout
     assert support.index.size == 1 << (n + layout.n0 + 1)
-    assert np.all(np.diff(support.index) > 0)
+    # register order: entry i sits at slot i of the (alpha_minus, alpha, mu0) register
+    low = n + layout.n0
+    slot = (support.index & ((1 << low) - 1)) | register_values(layout, "mu0", support.index) << low
+    assert np.array_equal(slot, np.arange(support.index.size))
     scattered = np.zeros_like(unmarked.amplitudes)
     scattered[support.index] = support.amplitudes
     assert scattered.tobytes() == unmarked.amplitudes.tobytes()
     assert np.array_equal(support.gamma, register_values(layout, "gamma", support.index) == 1)
     # the target at x is exactly what the mark moves to omega=0, the top qubit
     moved = np.flatnonzero(sector(mark_oracle(unmarked, q), {layout.omega_qubit: 0}).ravel())
-    assert np.array_equal(support.index[support.target(q.x)] ^ (1 << layout.omega_qubit), moved)
+    assert np.array_equal(np.sort(support.index[support.target(q.x)] ^ (1 << layout.omega_qubit)), moved)
     with pytest.raises(ValueError, match="expected n0"):
         support.target(BitString.from_int(0, layout.n0 + 1))
 
@@ -362,7 +365,7 @@ def test_gather_peaks_far_below_the_dense_state():
     finally:
         tracemalloc.stop()
     assert support.index.size == 1 << 17
-    assert peak < 8 << 20
+    assert peak < 6 << 20
 
 
 @pytest.mark.parametrize("kind", ["complex", "real", "zeros", "uniform", "basis"])

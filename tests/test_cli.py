@@ -4,6 +4,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -113,6 +114,20 @@ def test_mobius_rejects_non_probability_table(tmp_path, capsys):
     path.write_text(json.dumps({"n": 1, "values": [[0.5, 5e-9], [0.5, 0.0]]}))
     assert main(["mobius", "--input", str(path), "--x", "1"]) == 1
     assert "must be real" in capsys.readouterr().err
+
+
+def test_a_slightly_negative_table_entry_fails_as_the_table(tmp_path, capsys):
+    """An entry in [-1e-9, 0) has no square root to encode: refuse the table, before any warning."""
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"n": 3, "values": [0.125 + 1e-10, -1e-10] + [0.125] * 6}))
+    for argv in (
+        ["mobius", "--input", str(path), "--x", "101"],
+        ["marginal", "--input", str(path), "--n0", "2", "--x", "01"],
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        assert "negative entry -1e-10 in probability table" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])

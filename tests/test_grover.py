@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -27,7 +28,7 @@ from mobiusq.grover import (
 from mobiusq.sim import Mode, RegisterLayout, StateVector, project
 from mobiusq.subset import BitString, SubsetTable
 from mobiusq.verify import decompose_signal
-from oracle import unmarked_oracle
+from oracle import table_amplitudes, unmarked_oracle
 
 
 def _uniform_query(n: int, x: str) -> TransformQuery:
@@ -224,6 +225,36 @@ def test_support_readout_equals_the_dense_oracle_bit_for_bit(mode, n, n0):
                 read_out_at(support, x)
             continue
         assert read_out_at(support, x) == dense
+
+
+@pytest.mark.parametrize("kind", ["complex", "real", "zeros", "uniform", "basis"])
+@pytest.mark.parametrize(
+    "mode,n,n0",
+    [(Mode.MOBIUS, n, None) for n in range(1, 5)] + [(Mode.MARGINAL, 4, 2), (Mode.MARGINAL, 5, 3)],
+    ids=lambda v: v.value if isinstance(v, Mode) else str(v),
+)
+def test_support_consumers_do_not_depend_on_entry_order(mode, n, n0, kind):
+    """A shuffled support reads out, steps, scatters and decomposes as gather's order does.
+
+    Only chi_norm, a BLAS norm, may see the order; it keeps decompose_signal's 8-ulp bound.
+    """
+    rng = np.random.default_rng(70 + 10 * n + (n0 or 0))
+    amps = table_amplitudes(kind, n, rng)
+    width = n0 or n
+    support = gather(TransformQuery(mode, n, amps, BitString.from_int(0, width), n0))
+    perm = rng.permutation(support.index.size)
+    shuffled = dataclasses.replace(
+        support, index=support.index[perm], amplitudes=support.amplitudes[perm], gamma=support.gamma[perm]
+    )
+    for xv in range(1 << width):
+        x = BitString.from_int(xv, width)
+        assert read_out_at(shuffled, x) == read_out_at(support, x)
+        assert list(cells_by_step(shuffled, x, 3)) == list(cells_by_step(support, x, 3))
+        assert shuffled.start_state(x).amplitudes.tobytes() == support.start_state(x).amplitudes.tobytes()
+        q = TransformQuery(mode, n, amps, x, n0)
+        got, want = decompose_signal(q, shuffled), decompose_signal(q, support)
+        assert (got.z0, got.z1) == (want.z0, want.z1)
+        assert abs(got.chi_norm - want.chi_norm) <= 8 * np.spacing(want.chi_norm)
 
 
 def test_reductions_are_exact_sums_over_chunks():

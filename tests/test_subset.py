@@ -284,6 +284,9 @@ def test_require_probability():
         SubsetTable(2, [0.5, 0.6, 0.0, 0.0]).require_probability()
     with pytest.raises(ValueError):
         SubsetTable(2, [-0.1, 0.6, 0.25, 0.25]).require_probability()
+    with pytest.raises(ValueError, match="negative entry -1e-10"):
+        SubsetTable(2, [0.25 + 1e-10, -1e-10, 0.25, 0.5]).require_probability()
+    SubsetTable(2, [0.5, -0.0, 0.25, 0.25]).require_probability()
     with pytest.raises(ValueError):
         SubsetTable(1, [0.5 + 0.1j, 0.5]).require_probability()
 
