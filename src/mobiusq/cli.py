@@ -17,13 +17,15 @@ Exit codes: 0 success, 1 validation failure, 2 I/O error.
 
 Run as a program (``mobiusq``, ``python -m mobiusq`` or ``python -m
 mobiusq.cli``), the CLI defaults OPENBLAS_NUM_THREADS to 1 before numpy
-loads; a value set by the caller wins.  Importing this module changes no
-environment variable.
+loads; a value set by the caller wins.  Once the command returns, it freezes
+the heap so that interpreter teardown skips its collector passes (see
+:mod:`mobiusq.__main__`).  Importing this module changes no environment
+variable, and :func:`main` called as a library freezes nothing.
 """
 from __future__ import annotations
 
 if __name__ == "__main__":  # python -m mobiusq.cli: pin before numpy first loads
-    from mobiusq.__main__ import default_one_blas_thread
+    from mobiusq.__main__ import default_one_blas_thread, freeze_for_exit
 
     default_one_blas_thread()
 
@@ -49,7 +51,7 @@ _DEFERRED = {
     "grover": ("estimate_exact", "estimate_sampled", "read_out_at"),
     "minfind": (
         "ObjectiveTable", "choose_beta", "classical_evaluator", "find_min", "min_gap",
-        "quadratic_objective", "quantum_evaluator", "softmin_table",
+        "quadratic_objective", "quantum_evaluator", "require_threshold", "softmin_table",
     ),
     "verify": ("run_verify",),
 }
@@ -433,6 +435,15 @@ def _cmd_transform(args) -> int:
 def _cmd_minfind(args) -> int:
     _refuse_overwrites(args)
     _load("minfind")
+    check = _read_check(args, MINFIND_SCHEMA, ("beta", "threshold", "backend"))
+    if check is not None:
+        beta, threshold, backend = check["beta"], check["threshold"], check["backend"]
+    else:
+        beta = args.beta
+        threshold = 0.5 if args.threshold is None else args.threshold
+        backend = args.backend or "classical"
+    require_threshold(threshold)  # before any table is built
+
     if args.input:
         if args.n is not None:
             raise ValueError("--n sizes the --center objective; an --input table has its own n")
@@ -449,14 +460,6 @@ def _cmd_minfind(args) -> int:
                 f"--center {args.center} is beyond float64 precision at --n {args.n}: "
                 "(dec(x) - center)**2 + 1 rounds to the same value at two points"
             )
-
-    check = _read_check(args, MINFIND_SCHEMA, ("beta", "threshold", "backend"))
-    if check is not None:
-        beta, threshold, backend = check["beta"], check["threshold"], check["backend"]
-    else:
-        beta = args.beta
-        threshold = 0.5 if args.threshold is None else args.threshold
-        backend = args.backend or "classical"
 
     if beta is None:
         beta = choose_beta(objective)
@@ -509,4 +512,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(freeze_for_exit(main()))

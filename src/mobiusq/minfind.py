@@ -174,6 +174,12 @@ def quantum_evaluator(d_minus: SubsetTable) -> Callable[[BitString], float]:
     return evaluate
 
 
+def require_threshold(threshold: float) -> None:
+    """Refuse a bit decision threshold outside the open interval (0, 1), NaN included."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError("threshold must lie strictly between 0 and 1")
+
+
 def find_min(
     objective: ObjectiveTable,
     beta: float,
@@ -186,8 +192,7 @@ def find_min(
     threshold the peak lies above the probe, so the bit is 1.  ``evaluator``
     defaults to the classical backend over softmin_table(objective, beta).
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must lie strictly between 0 and 1")
+    require_threshold(threshold)
     if evaluator is None:
         evaluator = classical_evaluator(softmin_table(objective, beta))
     n = objective.n

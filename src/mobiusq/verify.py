@@ -36,7 +36,7 @@ from .circuits import (
     classical_value,
     gather,
 )
-from .grover import cells_by_step, read_out_at
+from .grover import _mass, cells_by_step, read_out_at
 from .sim import (
     Mode,
     StateVector,
@@ -78,7 +78,9 @@ class SignalDecomposition:
 
     psi1 and psi0 are amplitude vectors over the (alpha_minus, alpha, mu0)
     grouping, indexed alpha_minus lowest and mu0 highest; psi1 is None when
-    the transform value is zero.  chi_norm is the norm of the omega=1 rest.
+    the transform value is zero.  chi_norm is the norm of the omega=1 rest:
+    the square root of its correctly rounded mass, so no entry order or
+    thread count moves it.
     """
 
     z1: complex
@@ -120,7 +122,7 @@ def decompose_signal(query: TransformQuery, support: Support) -> SignalDecomposi
     sectors = np.zeros((2, 1 << (n + n0 + 1)), dtype=np.complex128)
     sectors[support.gamma[target].astype(int), spot] = support.amplitudes[target]
     v0, v1 = sectors
-    chi_norm = float(np.linalg.norm(support.amplitudes[~target]))
+    chi_norm = math.sqrt(_mass(support.amplitudes, ~target))
 
     # predicted sector contents: psi_minus on alpha_minus, with alpha = x
     xv = query.x.to_int()

@@ -503,10 +503,10 @@ def test_decomposition_rejects_layout_mismatch():
 
 @pytest.mark.parametrize("kind", ["complex", "real", "zeros", "uniform", "basis"])
 def test_support_decomposition_reads_the_dense_sectors(kind):
-    """z0 and z1 are the claims' vdots with the gate-by-gate start state's omega=0 sectors, bit for bit.
+    """z0, z1 and chi_norm match the gate-by-gate start state's sectors, bit for bit.
 
-    chi_norm is a BLAS norm of the omega=1 amplitudes without the dense state's zeros, so its
-    partial sums differ; over 300 such cases it was at most 5 ulps off, and the bound is 8.
+    z0 and z1 are the claims' vdots with the omega=0 sectors.  chi_norm is the square root of the
+    omega=1 sector's correctly rounded mass; the dense state's zeros add nothing to that sum.
     """
     rng = np.random.default_rng(60 + len(kind))
     cases = [(Mode.MOBIUS, n, None) for n in range(1, 6)]
@@ -525,8 +525,8 @@ def test_support_decomposition_reads_the_dense_sectors(kind):
         claims[1] /= math.sqrt(value) if value > 0 else 1.0
         for g, z in enumerate((dec.z0, dec.z1)):
             assert z == np.vdot(claims[g].ravel(), sector(dense, {om: 0, ga: g, **beta_clear}).ravel())
-        chi = float(np.linalg.norm(sector(dense, {om: 1}).ravel()))
-        assert abs(dec.chi_norm - chi) <= 8 * np.spacing(chi)
+        chi = math.sqrt(math.fsum(np.square(sector(dense, {om: 1}).ravel().view(np.float64)).tolist()))
+        assert dec.chi_norm == chi
 
 
 # ---------------------------------------------------------------------------

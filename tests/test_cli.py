@@ -625,6 +625,23 @@ def test_minfind_rejects_a_beta_whose_logits_overflow(capsys):
     assert err.startswith("error: beta 1e+308 is too large") and "non-finite" not in err
 
 
+@pytest.mark.parametrize("threshold", ["2", "0", "nan", "check"])
+def test_minfind_refuses_a_bad_threshold_before_any_table_is_built(tmp_path, monkeypatch, capsys, threshold):
+    def no_table(*args):
+        raise AssertionError("a table was built for a run its threshold refuses")
+
+    for name in ("quadratic_objective", "softmin_table"):
+        monkeypatch.setattr(cli_mod, name, no_table)
+    argv = ["minfind", "--center", str(GOLDEN_MINFIND18_CENTER), "--n", "18"]
+    if threshold == "check":  # the value a --check file replays
+        check = _edited_fixture(tmp_path, "minfind18_classical.json", lambda o: o.update({"threshold": 2}))
+        argv += ["--check", check]
+    else:
+        argv += ["--threshold", threshold]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: threshold must lie strictly between 0 and 1\n"
+
+
 def test_minfind_rejects_oversized_objective(capsys):
     # n = 40 only: a broken guard then fails fast instead of allocating
     assert main(["minfind", "--center", "1", "--n", "40"]) == 1
