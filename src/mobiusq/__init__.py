@@ -9,7 +9,7 @@ sampled estimators.  On top of both sits a bit-fixing binary search that
 finds the argmin of a positive objective in n probes.
 
 The names below are re-exported lazily (PEP 562): ``import mobiusq`` loads
-no submodule and so no numpy, and ``from mobiusq import read_out`` loads
+no submodule and so no numpy, and ``from mobiusq import read_out_at`` loads
 only what that name needs.  The CLI relies on this to set its BLAS thread
 count before numpy first loads (see :mod:`mobiusq.cli`), and binds the
 names of its commands the same way, through :func:`_defer`.
@@ -35,7 +35,7 @@ _EXPORTS = {
     ),
     "grover": (
         "EstimateReport", "GroverPlan", "Readout", "amplify", "estimate_exact",
-        "estimate_sampled", "plan_grover", "read_out", "read_out_at",
+        "estimate_sampled", "plan_grover", "read_out_at",
     ),
     "minfind": (
         "ObjectiveTable", "ProbeRecord", "SearchTrace", "choose_beta", "classical_evaluator",

@@ -310,7 +310,7 @@ def build_start_state(query: TransformQuery) -> StateVector:
     """The dense start state at query.x: gather's support, scattered and marked.
 
     Its amplitudes equal those of apply_circuit on build_start_circuit(query).
-    No CLI command calls it: the estimators, the tests and
-    ``perfbench/tracer.py``'s one-shot check do.
+    No command or estimator calls it: ``perfbench/tracer.py``'s one-shot
+    check does, through the name :mod:`mobiusq.grover` imports.
     """
     return gather(query).start_state(query.x)

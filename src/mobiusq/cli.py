@@ -44,14 +44,14 @@ from .subset import BitString, SubsetTable
 # the simulator.  The names below are bound on first use; each is an attribute
 # of this module from the start, the patch point of the tests and of
 # perfbench/tracer.py, and a replacement bound before a command runs wins.
-# estimate_exact and estimate_sampled are not called here; the tracer wraps them.
+# estimate_exact and estimate_sampled are not called here; perfbench/tracer.py wraps them.
 _DEFERRED = {
-    "sim": ("Mode", "state_to_json_obj"),
+    "sim": ("Mode", "RegisterLayout", "state_to_json_obj"),
     "circuits": ("TransformQuery", "classical_value", "gather"),
     "grover": ("estimate_exact", "estimate_sampled", "read_out_at"),
     "minfind": (
         "ObjectiveTable", "choose_beta", "classical_evaluator", "find_min", "min_gap",
-        "quadratic_objective", "quantum_evaluator", "require_threshold", "softmin_table",
+        "quadratic_objective", "quantum_evaluator", "require_beta", "require_threshold", "softmin_table",
     ),
     "verify": ("run_verify",),
 }
@@ -376,6 +376,7 @@ def _cmd_transform(args) -> int:
     mode = Mode(args.mode)
     obj = _read_json(args.input)
     n, n0, psi, input_x = _parse_transform_input(obj, mode, getattr(args, "n0", None))
+    RegisterLayout(mode, n, n0)  # refuses an over-cap layout before a sweep's points are built
 
     check = _read_check(args, TRANSFORM_SCHEMA, ("x", "sweep", "shots", "seed"))
     if check is not None:
@@ -443,6 +444,8 @@ def _cmd_minfind(args) -> int:
         threshold = 0.5 if args.threshold is None else args.threshold
         backend = args.backend or "classical"
     require_threshold(threshold)  # before any table is built
+    if beta is not None:
+        require_beta(beta)
 
     if args.input:
         if args.n is not None:

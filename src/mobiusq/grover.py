@@ -7,22 +7,20 @@ leave omega=0 mass sin((2k+1) theta)**2, and they rescale the whole omega=0
 component uniformly, so the conditional gamma odds that encode the
 transform value survive amplification unchanged.
 
-read_out amplifies one start state and keeps what every estimator needs
-from it: the plan and the four (omega, gamma) cell masses.  The exact value
-and the seeded sample are both read from that one readout, so a start state
-is amplified once.
-
 The steps only mix the start state with its omega reflection, so they move
 amplitude within the start state's support alone, the 2-D invariant subspace
-of Brassard, Hoyer, Mosca and Tapp (quant-ph/0005055).  read_out_at runs the
-readout on that support, gathered once per table (see
-:class:`mobiusq.circuits.Support`), and cells_by_step runs its steps one at
-a time for ``mobiusq verify``; read_out, plan_grover and amplify run the
-same code over every basis index of a dense state and are its oracle.
-Every reduction (the overlap, each <start|r> and the four cell masses) is a
-correctly rounded math.fsum over real and imaginary parts, so the results
-do not depend on the order of the terms, on zero entries or on the BLAS
-thread count.
+of Brassard, Hoyer, Mosca and Tapp (quant-ph/0005055).  read_out_at is the
+one readout: it plans, amplifies and measures the four (omega, gamma) cell
+masses of the start state at x on that support, gathered once per table
+(see :class:`mobiusq.circuits.Support`).  The exact value and the seeded
+sample are both read from that one readout, so a start state is amplified
+once; estimate_exact and estimate_sampled gather and read out one point,
+and cells_by_step runs the same steps one at a time for ``mobiusq verify``.
+plan_grover and amplify run the plan and the steps over every basis index
+of a dense state.  Every reduction (the overlap, each <start|r> and the
+four cell masses) is a correctly rounded math.fsum over real and imaginary
+parts, so the results do not depend on the order of the terms, on zero
+entries or on the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -33,7 +31,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .circuits import Support, TransformQuery, build_start_state
+# Nothing here calls build_start_state: perfbench/tracer.py reads and replaces it in this module.
+from .circuits import Support, TransformQuery, build_start_state, gather
 from .sim import StateVector
 from .subset import BitString
 
@@ -133,19 +132,6 @@ def _amplify(start: np.ndarray, target: np.ndarray, iterations: int) -> np.ndarr
     return state
 
 
-def _read_out(start: np.ndarray, target: np.ndarray, gamma: np.ndarray) -> Readout:
-    """Plan, amplify and measure the four cells of flat amplitudes.
-
-    ``target`` flags the omega=0 entries and ``gamma`` the gamma=1 ones.  The
-    entries must include every nonzero amplitude of the start state: a step
-    mixes the state only with the start state and its omega reflection, so
-    an amplitude that is zero in the start state stays zero, and the
-    readout of those entries equals the readout of the whole state.
-    """
-    plan = _plan(start, target)
-    return Readout(plan, _cells(_amplify(start, target, plan.iterations), target, gamma))
-
-
 def _cells(amps: np.ndarray, target: np.ndarray, gamma: np.ndarray) -> tuple[float, float, float, float]:
     """Masses of the (omega, gamma) cells (0, 0), (0, 1), (1, 0) and (1, 1) of flat amplitudes."""
     return tuple(_mass(amps, omega & g) for omega in (target, ~target) for g in (~gamma, gamma))
@@ -154,8 +140,9 @@ def _cells(amps: np.ndarray, target: np.ndarray, gamma: np.ndarray) -> tuple[flo
 def _qubit_set(state: StateVector, qubit: int) -> np.ndarray:
     """Flags of the basis indices, all of them in ascending order, whose ``qubit`` is 1.
 
-    Built from a (high, 2, low) block rather than an index array, so a dense
-    readout's flags cost 1/16 of the state each instead of a 2**N int64 copy.
+    Built from a (high, 2, low) block rather than an index array, so the
+    flags of plan_grover and amplify cost 1/16 of the state instead of a
+    2**N int64 copy.
     """
     flags = np.zeros((state.amplitudes.size >> (qubit + 1), 2, 1 << qubit), dtype=bool)
     flags[:, 1] = True
@@ -168,7 +155,7 @@ def plan_grover(state: StateVector) -> GroverPlan:
     Scans k = 0 .. ceil(pi / (4a)) for the largest sin((2k+1) asin a)**2,
     keeping the smallest k on ties.  a is the norm of the omega=0 entries,
     the square root of one correctly rounded sum of their squared parts.
-    No CLI command calls it: acceptance criterion 6, the tests and
+    No CLI command calls it: acceptance criterion 6 and
     ``perfbench/tracer.py``'s one-shot check do.
     """
     return _plan(state.amplitudes, ~_qubit_set(state, state.layout.omega_qubit))
@@ -179,7 +166,7 @@ def amplify(start: StateVector, plan: GroverPlan) -> StateVector:
 
     The steps update one working copy in place; with no steps the start
     state itself is returned.  No CLI command calls it: acceptance criterion
-    6, the tests and ``perfbench/tracer.py``'s one-shot check do.
+    6 and ``perfbench/tracer.py``'s one-shot check do.
     """
     if plan.iterations == 0:
         return start
@@ -252,25 +239,19 @@ class Readout:
         return EstimateReport(estimate=n_hit / n_ref, halfwidth=1.96 * se)
 
 
-def read_out(start: StateVector) -> Readout:
-    """Plan, amplify and measure the cell masses of one start state, once.
-
-    This is the readout of :func:`read_out_at` run over every basis index,
-    and the oracle the tests hold it to.  No CLI command calls it; besides
-    the tests, only estimate_exact and estimate_sampled do.
-    """
-    layout = start.layout
-    target = ~_qubit_set(start, layout.omega_qubit)
-    return _read_out(start.amplitudes, target, _qubit_set(start, layout.gamma_qubit))
-
-
 def read_out_at(support: Support, x: BitString) -> Readout:
-    """The readout of the start state at x, run on the unmarked state's support alone.
+    """Plan, amplify and measure the four cells of the start state at x, on ``support`` alone.
 
-    Equal, plan and cells bit for bit, to ``read_out`` of the dense start
-    state at x; see :class:`mobiusq.circuits.Support`.
+    The support's ``target(x)`` flags the omega=0 entries and ``gamma`` the
+    gamma=1 ones.  It holds every nonzero amplitude of the start state: a
+    step mixes the state only with the start state and its omega reflection,
+    so an amplitude that is zero in the start state stays zero, and the
+    readout of the support equals, plan and cells bit for bit, the readout
+    of the dense start state at x; see :class:`mobiusq.circuits.Support`.
     """
-    return _read_out(support.amplitudes, support.target(x), support.gamma)
+    start, target = support.amplitudes, support.target(x)
+    plan = _plan(start, target)
+    return Readout(plan, _cells(_amplify(start, target, plan.iterations), target, support.gamma))
 
 
 def cells_by_step(support: Support, x: BitString, steps: int) -> Iterator[tuple[float, float, float, float]]:
@@ -289,18 +270,17 @@ def cells_by_step(support: Support, x: BitString, steps: int) -> Iterator[tuple[
 
 
 def estimate_exact(query: TransformQuery) -> float:
-    """Transform value as the exact conditional gamma odds on omega=0.
+    """Transform value as the exact conditional gamma odds on omega=0 at query.x.
 
-    No CLI command calls it: the README example, the tests and
-    ``perfbench/tracer.py`` (which wraps ``cli.estimate_exact``) do.
+    This is :func:`read_out_at` on ``gather(query)``, the readout a CLI row's
+    ``exact`` holds, bit for bit.
     """
-    return read_out(build_start_state(query)).exact
+    return read_out_at(gather(query), query.x).exact
 
 
 def estimate_sampled(query: TransformQuery, shots: int, seed: int) -> EstimateReport:
-    """Seeded estimate of the transform value; see :meth:`Readout.sample`.
+    """Seeded estimate of the transform value at query.x; see :meth:`Readout.sample`.
 
-    No CLI command calls it: the README example, acceptance criterion 7, the
-    tests and ``perfbench/tracer.py`` (which wraps ``cli.estimate_sampled``) do.
+    This is :func:`read_out_at` on ``gather(query)``, sampled as a CLI row is.
     """
-    return read_out(build_start_state(query)).sample(shots, seed)
+    return read_out_at(gather(query), query.x).sample(shots, seed)

@@ -80,8 +80,7 @@ def softmin_table(objective: ObjectiveTable, beta: float) -> SubsetTable:
     (entries far from the minimum simply underflow to zero).  A larger beta
     raises ValueError before any logit is formed.
     """
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+    require_beta(beta)
     scale = beta * float(1 << objective.n)
     if not math.isfinite(scale * float(objective.values.max())):
         raise ValueError(f"beta {beta} is too large: the softmin logits overflow float64")
@@ -172,6 +171,12 @@ def quantum_evaluator(d_minus: SubsetTable) -> Callable[[BitString], float]:
         return read_out_at(support, point).exact
 
     return evaluate
+
+
+def require_beta(beta: float) -> None:
+    """Refuse a softmin sharpness that is not positive and finite, NaN included."""
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise ValueError(f"beta must be positive and finite, got {beta}")
 
 
 def require_threshold(threshold: float) -> None:

@@ -48,18 +48,6 @@ from .sim import (
 )
 from .subset import BitString, SubsetTable, zeta_fast
 
-__all__ = [
-    "Verdict",
-    "SignalDecomposition",
-    "decompose_signal",
-    "sector_readout",
-    "odds_preserved",
-    "rotation_law",
-    "comparator_table",
-    "circuit_coefficient",
-    "run_verify",
-]
-
 _CHECK_TOL = 1e-9
 
 
@@ -74,20 +62,17 @@ class Verdict:
 
 @dataclass(eq=False)
 class SignalDecomposition:
-    """Split of the start state by its (gamma, omega) sectors.
+    """Weights of the start state's (gamma, omega) sectors.
 
-    psi1 and psi0 are amplitude vectors over the (alpha_minus, alpha, mu0)
-    grouping, indexed alpha_minus lowest and mu0 highest; psi1 is None when
-    the transform value is zero.  chi_norm is the norm of the omega=1 rest:
-    the square root of its correctly rounded mass, so no entry order or
-    thread count moves it.
+    z1 and z0 weigh the omega=0 sectors at gamma=1 and gamma=0, whose
+    contents decompose_signal has held to their predicted vectors.  chi_norm
+    is the norm of the omega=1 rest: the square root of its correctly
+    rounded mass, so no entry order or thread count moves it.
     """
 
     z1: complex
     z0: complex
     chi_norm: float
-    psi1: np.ndarray | None
-    psi0: np.ndarray
 
     @property
     def ratio(self) -> float:
@@ -160,10 +145,7 @@ def decompose_signal(query: TransformQuery, support: Support) -> SignalDecomposi
         problems.append(f"sector masses sum to {completeness}")
     if problems:
         raise DecompositionError("; ".join(problems))
-
-    psi1 = v1 / z1 if abs(z1) > 0 else None
-    psi0 = v0 / z0
-    return SignalDecomposition(z1=z1, z0=z0, chi_norm=chi_norm, psi1=psi1, psi0=psi0)
+    return SignalDecomposition(z1=z1, z0=z0, chi_norm=chi_norm)
 
 
 def _worst(errors: Sequence[float]) -> float:

@@ -1,4 +1,4 @@
-"""Gate-by-gate oracle for the start-state build, shared by the test modules.
+"""Dense oracles for the start-state build and the readout, shared by the test modules.
 
 ``circuits.gather`` is the one builder of start states in the package; these
 helpers rebuild its states independently, by running ``build_start_circuit``
@@ -6,7 +6,13 @@ one gate at a time from the all-zeros state with ``apply_circuit``.  Each
 ``Multiplexed`` level of the state prep is first expanded into the
 per-prefix ``Controlled`` gates it stands for, so the oracle never runs the
 level kernel; ``per_prefix_state_prep`` compiles those gates from the target
-directly, one prefix at a time.  The module also holds the reader of
+directly, one prefix at a time.
+
+``grover.read_out_at`` is the one readout in the package, run on a support.
+``read_out`` here is the same readout over every basis index of a dense
+start state: the package's dense ``plan_grover`` and ``amplify``, then cell
+masses that are each one ``math.fsum`` over an ``np.arange`` index mask, not
+the package's cell reduction.  The module also holds the reader of
 ``--dump-state`` files, which only the tests load back.
 """
 from __future__ import annotations
@@ -16,6 +22,7 @@ import math
 import numpy as np
 
 from mobiusq.circuits import TransformQuery, build_start_circuit
+from mobiusq.grover import Readout, amplify, plan_grover
 from mobiusq.sim import (
     Circuit,
     Controlled,
@@ -119,3 +126,17 @@ def layout_from_json_obj(obj: dict) -> RegisterLayout:
 def state_from_json_obj(obj: dict) -> StateVector:
     """Read a state written by sim.state_to_json_obj, such as a ``--dump-state`` file."""
     return StateVector(layout_from_json_obj(obj["layout"]), json_complex(obj, "amplitudes"))
+
+
+def cell_masses(state: StateVector) -> tuple[float, float, float, float]:
+    """The (omega, gamma) cell masses (0, 0), (0, 1), (1, 0), (1, 1), each one math.fsum."""
+    idx = np.arange(state.amplitudes.size)
+    omega, gamma = (idx >> state.layout.omega_qubit) & 1, (idx >> state.layout.gamma_qubit) & 1
+    cells = [state.amplitudes[(omega == w) & (gamma == g)] for w in (0, 1) for g in (0, 1)]
+    return tuple(math.fsum(np.square(cell.view(np.float64)).tolist()) for cell in cells)
+
+
+def read_out(start: StateVector) -> Readout:
+    """The readout of a dense start state: its plan and the cell masses after the planned steps."""
+    plan = plan_grover(start)
+    return Readout(plan, cell_masses(amplify(start, plan)))

@@ -458,29 +458,30 @@ def test_decomposition_base_depends_only_on_n0():
 
 
 def test_sector_vectors_are_orthonormal_and_theta_weighted():
+    """z1 and z0 weigh the two omega=0 sectors as predicted; the sector vectors are held by the residual checks."""
     q = _random_query(Mode.MOBIUS, 3, "101", seed=12)
-    dec = decompose_signal(q, gather(q))
-    assert abs(np.linalg.norm(dec.psi0) - 1.0) <= 1e-9
-    assert abs(np.linalg.norm(dec.psi1) - 1.0) <= 1e-9
-    assert abs(np.vdot(dec.psi1, dec.psi0)) <= 1e-12
-
-    n, n0 = q.n, q.n0
+    support = gather(q)
+    dec = decompose_signal(q, support)
     xv = q.x.to_int()
-    keep = (np.arange(1 << n) & xv) == np.arange(1 << n)
+    keep = (np.arange(1 << q.n) & xv) == np.arange(1 << q.n)
     value = float((np.abs(q.psi_minus) ** 2 * keep).sum())
-    want1 = np.zeros(1 << (n + n0 + 1), dtype=complex)
-    want1[np.arange(1 << n) | (xv << n) | (1 << (n + n0))] = q.psi_minus * keep / math.sqrt(value)
-    assert np.max(np.abs(dec.psi1 - want1)) <= 1e-9
-    want0 = np.zeros(1 << (n + n0 + 1), dtype=complex)
-    want0[np.arange(1 << n) | (xv << n)] = q.psi_minus
-    assert np.max(np.abs(dec.psi0 - want0)) <= 1e-9
+    base = 2.0 ** (-(q.n0 + 1) / 2.0)
+    assert abs(dec.z0 - base) <= 1e-12
+    assert abs(dec.z1 - base * math.sqrt(value)) <= 1e-12
+    assert abs(dec.ratio - value) <= 1e-12
+    assert abs(abs(dec.z1) ** 2 + abs(dec.z0) ** 2 + dec.chi_norm**2 - 1.0) <= 1e-12
+    # a sign flip in one entry of a sector keeps every mass but strays from its predicted vector
+    for gamma in (0, 1):
+        amps = support.amplitudes.copy()
+        amps[np.flatnonzero(support.target(q.x) & (support.gamma == gamma))[0]] *= -1
+        with pytest.raises(DecompositionError, match=f"gamma={gamma} sector residual"):
+            decompose_signal(q, dataclasses.replace(support, amplitudes=amps))
 
 
 def test_decomposition_zero_value_point():
     # all weight on y=11, so nothing lies below x=00 except the empty cell
     q = TransformQuery(Mode.MOBIUS, 2, np.array([0, 0, 0, 1.0]), BitString.from_str("00"))
     dec = decompose_signal(q, gather(q))
-    assert dec.psi1 is None
     assert abs(dec.z1) <= 1e-15
     assert dec.ratio == 0.0
 

@@ -21,7 +21,7 @@ from mobiusq.circuits import (
     gather,
 )
 from mobiusq.cli import MINFIND_SCHEMA, TRANSFORM_SCHEMA, main
-from mobiusq.grover import estimate_exact, estimate_sampled, read_out
+from mobiusq.grover import estimate_exact, estimate_sampled
 from mobiusq.sim import (
     Circuit,
     Controlled,
@@ -31,7 +31,7 @@ from mobiusq.sim import (
 )
 from mobiusq.subset import BitString, SubsetTable, zeta_fast
 from mobiusq.verify import run_verify
-from oracle import state_from_json_obj
+from oracle import read_out, state_from_json_obj
 
 DATA = Path(__file__).parent / "data"
 
@@ -392,6 +392,21 @@ def test_negative_sampling_seeds_fail_before_any_circuit_work(uniform3, tmp_path
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("mode,n,n0", [("mobius", 8, None), ("marginal", 9, 8)])
+def test_an_over_cap_sweep_fails_before_its_points_are_built(tmp_path, monkeypatch, capsys, mode, n, n0):
+    """The qubit cap is checked once the input is parsed, not by the first point's query."""
+    def no_points(*args):
+        raise AssertionError("a sweep point was built for a layout over the cap")
+
+    monkeypatch.setattr(cli_mod.BitString, "from_int", no_points)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"n": n, "values": [1.0 / (1 << n)] * (1 << n)}))
+    argv = [mode, "--input", str(path), "--sweep"] + (["--n0", str(n0)] if n0 else [])
+    assert main(argv) == 1
+    total = n + 2 * (n0 or n) + 3
+    assert capsys.readouterr().err == f"error: layout needs {total} qubits, cap is 26\n"
+
+
 def test_verify_refuses_a_negative_seed(capsys):
     assert main(["verify", "--seed", "-1"]) == 1
     assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
@@ -640,6 +655,25 @@ def test_minfind_refuses_a_bad_threshold_before_any_table_is_built(tmp_path, mon
         argv += ["--threshold", threshold]
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: threshold must lie strictly between 0 and 1\n"
+
+
+@pytest.mark.parametrize("beta", ["-1", "0", "nan", "inf", "check"])
+def test_minfind_refuses_a_bad_beta_before_any_table_is_built(tmp_path, monkeypatch, capsys, beta):
+    def no_table(*args):
+        raise AssertionError("a table was built for a run its beta refuses")
+
+    for name in ("quadratic_objective", "softmin_table"):
+        monkeypatch.setattr(cli_mod, name, no_table)
+    argv = ["minfind", "--center", str(GOLDEN_MINFIND18_CENTER), "--n", "18"]
+    if beta == "check":  # the value a --check file replays
+        check = _edited_fixture(tmp_path, "minfind18_classical.json", lambda o: o.update({"beta": -1}))
+        argv += ["--check", check]
+        shown = "-1"
+    else:
+        argv += [f"--beta={beta}"]
+        shown = str(float(beta))
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: beta must be positive and finite, got {shown}\n"
 
 
 def test_minfind_rejects_oversized_objective(capsys):

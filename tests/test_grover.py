@@ -22,13 +22,12 @@ from mobiusq.grover import (
     estimate_exact,
     estimate_sampled,
     plan_grover,
-    read_out,
     read_out_at,
 )
 from mobiusq.sim import Mode, RegisterLayout, StateVector, project
 from mobiusq.subset import BitString, SubsetTable
 from mobiusq.verify import decompose_signal
-from oracle import table_amplitudes, unmarked_oracle
+from oracle import cell_masses, read_out, table_amplitudes, unmarked_oracle
 
 
 def _uniform_query(n: int, x: str) -> TransformQuery:
@@ -138,14 +137,6 @@ def _textbook_step(state: StateVector, start: StateVector) -> np.ndarray:
     return out
 
 
-def _cell_masses(state: StateVector) -> tuple[float, ...]:
-    """The (omega, gamma) cell masses (0, 0), (0, 1), (1, 0), (1, 1), each one math.fsum."""
-    idx = np.arange(state.amplitudes.size)
-    omega, gamma = (idx >> state.layout.omega_qubit) & 1, (idx >> state.layout.gamma_qubit) & 1
-    cells = [state.amplitudes[(omega == w) & (gamma == g)] for w in (0, 1) for g in (0, 1)]
-    return tuple(math.fsum(np.square(cell.view(np.float64)).tolist()) for cell in cells)
-
-
 def test_step_and_amplify_match_the_textbook_step_bit_for_bit():
     """amplify's states and cells_by_step's cells after k = 0..4 steps, against textbook steps."""
     rng = np.random.default_rng(34)
@@ -157,14 +148,19 @@ def test_step_and_amplify_match_the_textbook_step_bit_for_bit():
             if k:
                 want = StateVector(start.layout, _textbook_step(want, start))
             assert _after(start, k).amplitudes.tobytes() == want.amplitudes.tobytes()
-            assert cells == _cell_masses(want)
+            assert cells == cell_masses(want)
+
+
+def _query18() -> TransformQuery:
+    """A mobius query at n = 5: 18 qubits, a dense state of 4 MiB, and some steps to run."""
+    rng = np.random.default_rng(35)
+    probs = rng.random(32)
+    return TransformQuery(Mode.MOBIUS, 5, np.sqrt(probs / probs.sum()), BitString.from_int(31, 5))
 
 
 def test_readout_memory_stays_within_two_and_a_half_states():
-    """At 18 qubits: the build peaks at 2x the state, a readout at 1.5x on top of its input."""
-    rng = np.random.default_rng(35)
-    probs = rng.random(32)
-    q = TransformQuery(Mode.MOBIUS, 5, np.sqrt(probs / probs.sum()), BitString.from_int(31, 5))
+    """At 18 qubits: the build peaks at 2x the state, plan_grover and amplify at 1.5x on top of their input."""
+    q = _query18()
     state_bytes = 16 << q.layout.total_qubits
     tracemalloc.start()
     try:
@@ -172,20 +168,19 @@ def test_readout_memory_stays_within_two_and_a_half_states():
         _, build_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         base, _ = tracemalloc.get_traced_memory()
-        readout = read_out(start)
+        plan = plan_grover(start)
+        final = amplify(start, plan)
         _, readout_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert readout.plan.iterations > 0
+    assert plan.iterations > 0 and final is not start
     assert build_peak <= 2.05 * state_bytes
     assert readout_peak - base <= 1.55 * state_bytes
 
 
 def test_support_readout_uses_no_dense_working_copy():
     """At 18 qubits the support readout allocates under 5% of the dense state."""
-    rng = np.random.default_rng(35)
-    probs = rng.random(32)
-    q = TransformQuery(Mode.MOBIUS, 5, np.sqrt(probs / probs.sum()), BitString.from_int(31, 5))
+    q = _query18()
     support = gather(q)
     tracemalloc.start()
     try:
@@ -196,6 +191,20 @@ def test_support_readout_uses_no_dense_working_copy():
         tracemalloc.stop()
     assert readout.plan.iterations > 0
     assert peak - base <= 0.05 * (16 << q.layout.total_qubits)
+
+
+def test_estimators_peak_under_a_tenth_of_the_dense_state():
+    """At 18 qubits both estimators gather and read out the support: no dense state is built."""
+    q = _query18()
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        estimate_exact(q)
+        estimate_sampled(q, 1000, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 0.10 * (16 << q.layout.total_qubits)
 
 
 SUPPORT_CASES = [(Mode.MOBIUS, n, None) for n in range(1, 5)] + [
@@ -314,7 +323,7 @@ def test_conditional_odds_survive_every_iteration_count():
         start = build_start_state(q)
         want = decompose_signal(q, gather(q)).ratio
         for k in range(11):
-            p00, p01 = _cell_masses(_after(start, k))[:2]
+            p00, p01 = cell_masses(_after(start, k))[:2]
             assert abs(p01 / p00 - want) <= 1e-9
 
 
@@ -341,6 +350,19 @@ def test_estimate_exact_agrees_with_sector_readout():
         measured = estimate_exact(q)
         assert abs(measured - decompose_signal(q, gather(q)).ratio) <= 1e-9
         assert abs(measured - classical_value(q)) <= 1e-9
+
+
+@pytest.mark.parametrize("mode,n,n0", [(Mode.MOBIUS, 3, None), (Mode.MOBIUS, 4, None), (Mode.MARGINAL, 5, 2)])
+def test_estimators_are_the_support_readout_bit_for_bit(mode, n, n0):
+    """estimate_exact and estimate_sampled return read_out_at(gather(q), q.x)'s value and sample."""
+    rng = np.random.default_rng(36 + n)
+    amps = table_amplitudes("complex", n, rng)
+    for xv in range(1 << (n0 or n)):
+        q = TransformQuery(mode, n, amps, BitString.from_int(xv, n0 or n), n0)
+        readout = read_out_at(gather(q), q.x)
+        assert estimate_exact(q).hex() == readout.exact.hex()
+        got, want = estimate_sampled(q, 500, xv), readout.sample(500, xv)
+        assert (got.estimate, got.halfwidth, got.message) == (want.estimate, want.halfwidth, want.message)
 
 
 def test_sampling_is_deterministic_per_seed():
@@ -384,8 +406,9 @@ def test_single_shot_reports_insufficient_instead_of_crashing():
 def test_sampling_rejects_bad_shot_counts():
     with pytest.raises(ValueError):
         estimate_sampled(_uniform_query(2, "11"), shots=0, seed=0)
+    q = _uniform_query(2, "11")
     with pytest.raises(ValueError):
-        read_out(build_start_state(_uniform_query(2, "11"))).sample(0, 0)
+        read_out_at(gather(q), q.x).sample(0, 0)
 
 
 def test_vanished_reference_mass_raises_for_exact_and_sample():
