@@ -6,6 +6,13 @@ Each entry is one CLI invocation.  Its expected exit code sits in
 ``<name>.stdout``, ``<name>.out.json`` and ``<name>.state.json``.
 ``tests/test_golden.py`` reruns every entry and compares bytes.
 
+The scale entries, at 21 to 26 qubits, have inputs too large to keep: each
+names a seeded ``generated_input`` spec, which the runner writes into its
+work directory, and the manifest pins the sha256 of the bytes generated, so a
+change in numpy's generator stream fails loudly instead of changing the
+input.  A file listed in an entry's ``sha256`` map (the 18-qubit dump) is
+pinned by its sha256 instead of its bytes.
+
 Regenerate the corpus, from the root of a checkout, with
 
     python tests/golden.py
@@ -17,6 +24,7 @@ byte the change moved.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -69,6 +77,61 @@ def _complex_marginal_query(n: int, n0: int) -> str:
     return kept.relative_to(ROOT).as_posix()
 
 
+def generated_input(spec: dict) -> bytes:
+    """The JSON bytes of a seeded input: a probability table, or a query with complex psi_minus."""
+    import numpy as np
+
+    rng = np.random.default_rng(spec["seed"])
+    n = spec["n"]
+    if spec["kind"] == "table":
+        values = rng.random(1 << n)
+        obj = {"n": n, "values": (values / values.sum()).tolist()}
+    else:
+        amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        amps /= np.linalg.norm(amps)
+        n0 = spec.get("n0", n)
+        obj = {
+            "mode": spec["mode"],
+            "n": n,
+            "n0": n0,
+            "psi_minus": [[float(a.real), float(a.imag)] for a in amps],
+            "x": "0" * n0,
+        }
+    return (json.dumps(obj) + "\n").encode()
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _scale_entries() -> list[dict]:
+    """Points at 21-26 qubits, each on a generated input (the "{input}" argv placeholder)."""
+    sweep = ["--sweep", "--shots", "2000", "--seed", "5", "--out", "{out}"]
+    runs = []
+    for n in (6, 7):
+        runs.append((f"mobius{n}-real", {"kind": "table", "n": n, "seed": 100 * n + 6}, ["mobius", *sweep]))
+        runs.append((f"mobius{n}-complex", {"kind": "query", "mode": "mobius", "n": n, "seed": 100 * n + 16},
+                     ["mobius", *sweep]))
+    runs += [
+        ("marginal16-n0-2-complex", {"kind": "query", "mode": "marginal", "n": 16, "n0": 2, "seed": 1602},
+         ["marginal", "--sweep", "--shots", "1000", "--seed", "3", "--out", "{out}"]),
+        # n=19, n0=2 is 26 qubits, the cap
+        ("marginal19-n0-2-real", {"kind": "table", "n": 19, "seed": 1902},
+         ["marginal", "--n0", "2", "--x", "01", "--out", "{out}"]),
+        # 18 qubits: the state file is about 9 MB, so it is pinned by its sha256
+        ("mobius5-dump", {"kind": "query", "mode": "mobius", "n": 5, "seed": 505},
+         ["mobius", "--x", "10110", "--shots", "300", "--seed", "4", "--out", "{out}", "--dump-state", "{state}"]),
+    ]
+    out = []
+    for name, spec, argv in runs:
+        command, *rest = argv
+        entry = {"name": name, "argv": [command, "--input", "{input}", *rest], "input": spec}
+        if "{state}" in argv:
+            entry["sha256"] = {"state": None}
+        out.append(entry)
+    return out
+
+
 def entries() -> list[dict]:
     """The corpus entries: a name and the CLI argv, output paths as placeholders."""
     runs = []
@@ -92,7 +155,7 @@ def entries() -> list[dict]:
     runs.append(("marginal5-dump", ["marginal", "--input", _complex_marginal_query(5, 2), "--x", "01",
                                     "--shots", "300", "--seed", "4",
                                     "--out", "{out}", "--dump-state", "{state}"]))
-    return [{"name": name, "argv": argv} for name, argv in runs]
+    return [{"name": name, "argv": argv} for name, argv in runs] + _scale_entries()
 
 
 def env(threads: str = "1") -> dict[str, str]:
@@ -104,9 +167,19 @@ def env(threads: str = "1") -> dict[str, str]:
 
 
 def run(entry: dict, workdir: Path, threads: str = "1") -> dict:
-    """Run one entry from the checkout root; returns its exit code, stdout and file bytes."""
+    """Run one entry from the checkout root; returns its exit code, stdout and file bytes.
+
+    An entry with a generated input also returns that input's sha256.
+    """
     files = {key: workdir / f"{entry['name']}.{key}.json" for key in OUTPUT_FLAGS.values()}
     argv = [str(files[OUTPUT_FLAGS[a]]) if a in OUTPUT_FLAGS else a for a in entry["argv"]]
+    generated = {}
+    if "input" in entry:
+        data = generated_input(entry["input"])
+        path = workdir / f"{entry['name']}.input.json"
+        path.write_bytes(data)
+        argv = [str(path) if a == "{input}" else a for a in argv]
+        generated["input_sha256"] = _sha256(data)
     proc = subprocess.run(
         [sys.executable, "-m", "mobiusq.cli", *argv],
         cwd=ROOT,
@@ -115,7 +188,28 @@ def run(entry: dict, workdir: Path, threads: str = "1") -> dict:
         timeout=300,
     )
     written = {key: path.read_bytes() for key, path in files.items() if path.exists()}
-    return {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr, "files": written}
+    return {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr, "files": written, **generated}
+
+
+def mismatches(entry: dict, got: dict) -> list[str]:
+    """What a run of ``entry`` did not reproduce: exit code, stdout, each file, the input's sha256."""
+    name = entry["name"]
+    out = []
+    if got["exit"] != entry["exit"]:
+        out.append(f"{name}: exit {got['exit']} vs {entry['exit']}: {got['stderr'][-300:]!r}")
+    if got["stdout"] != (GOLDEN / f"{name}.stdout").read_bytes():
+        out.append(f"{name}: stdout differs")
+    if "input" in entry and got["input_sha256"] != entry["input"]["sha256"]:
+        out.append(f"{name}: generated input has sha256 {got['input_sha256']}, pinned {entry['input']['sha256']}")
+    pinned = entry.get("sha256", {})
+    for key, path in expected_files(name).items():
+        data = got["files"].get(key)
+        if key in pinned:
+            if data is None or _sha256(data) != pinned[key]:
+                out.append(f"{name}: {key} file does not have its pinned sha256")
+        elif data != (path.read_bytes() if path.exists() else None):
+            out.append(f"{name}: {key} file differs")
+    return out
 
 
 def run_all(manifest: list[dict], workdir: Path, threads: str = "1") -> list[dict]:
@@ -135,9 +229,15 @@ def main() -> int:
         results = run_all(manifest, Path(tmp))
     for entry, result in zip(manifest, results):
         entry["exit"] = result["exit"]
+        if "input" in entry:
+            entry["input"]["sha256"] = result["input_sha256"]
         (GOLDEN / f"{entry['name']}.stdout").write_bytes(result["stdout"])
+        pinned = entry.get("sha256", {})
         for key, path in expected_files(entry["name"]).items():
-            if key in result["files"]:
+            if key in pinned:
+                pinned[key] = _sha256(result["files"][key])
+                path.unlink(missing_ok=True)
+            elif key in result["files"]:
                 path.write_bytes(result["files"][key])
             else:
                 path.unlink(missing_ok=True)
