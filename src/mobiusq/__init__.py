@@ -1,11 +1,12 @@
 """Subset-lattice transforms and marginals via amplitude-amplified circuits.
 
 Classical side: dense tables over the boolean lattice with naive and
-butterfly zeta transforms plus Mobius inversion.  Quantum side: a dense
-statevector simulator with {qubit: value}-controlled gates, a start-state
-construction whose conditional gamma odds on omega=0 equal the transform
-value, Grover-style amplification that preserves those odds, and exact or
-sampled estimators.  On top of both sits a bit-fixing binary search that
+butterfly zeta transforms plus Mobius inversion.  Quantum side: a
+start-state construction whose conditional gamma odds on omega=0 equal the
+transform value, simulated on one amplitude per table row, Grover-style
+amplification that preserves those odds, and exact or sampled estimators;
+the gate model that specifies the construction, a dense statevector
+simulator with {qubit: value}-controlled gates, checks it.  On top of both sits a bit-fixing binary search that
 finds the argmin of a positive objective in n probes.
 
 The names below are re-exported lazily (PEP 562): ``import mobiusq`` loads
@@ -24,18 +25,17 @@ _EXPORTS = {
         "zeta_matrix", "zeta_naive",
     ),
     "sim": (
-        "MAX_QUBITS", "Circuit", "Controlled", "Hadamard", "Mode", "PauliX", "PhasePair",
-        "Multiplexed", "RegisterLayout", "Ry", "StateVector", "apply_circuit", "basis_index",
-        "compile_state_prep", "new_state", "prepare_low_qubits", "project", "sector",
-        "state_to_json_obj",
+        "MAX_QUBITS", "Mode", "PhasePair", "Multiplexed", "RegisterLayout", "Ry", "compile_state_prep",
+        "prepare_low_qubits",
     ),
-    "circuits": (
-        "DecompositionError", "Support", "TransformQuery", "build_comparator",
-        "build_start_circuit", "build_start_state", "classical_value", "gather",
+    "gates": (
+        "Circuit", "Controlled", "Hadamard", "PauliX", "StateVector", "amplify", "apply_circuit",
+        "basis_index", "build_comparator", "build_start_circuit", "build_start_state", "new_state",
+        "plan_grover", "project", "sector", "state_to_json_obj",
     ),
+    "circuits": ("DecompositionError", "Support", "TransformQuery", "classical_value", "gather"),
     "grover": (
-        "EstimateReport", "GroverPlan", "Readout", "amplify", "estimate_exact",
-        "estimate_sampled", "plan_grover", "read_out_at",
+        "EstimateReport", "GroverPlan", "Readout", "estimate_exact", "estimate_sampled", "read_out_at",
     ),
     "minfind": (
         "ObjectiveTable", "ProbeRecord", "SearchTrace", "choose_beta", "classical_evaluator",

@@ -41,12 +41,14 @@ from . import _defer
 from .subset import BitString, SubsetTable
 
 # Each command loads only the modules it runs: classical minfind never loads
-# the simulator.  The names below are bound on first use; each is an attribute
+# the simulator, and only --dump-state loads the gate model.  The names below
+# are bound on first use; each is an attribute
 # of this module from the start, the patch point of the tests and of
 # perfbench/tracer.py, and a replacement bound before a command runs wins.
 # estimate_exact and estimate_sampled are not called here; perfbench/tracer.py wraps them.
 _DEFERRED = {
-    "sim": ("Mode", "RegisterLayout", "state_to_json_obj"),
+    "sim": ("Mode", "RegisterLayout"),
+    "gates": ("state_to_json_obj",),
     "circuits": ("TransformQuery", "classical_value", "gather"),
     "grover": ("estimate_exact", "estimate_sampled", "read_out_at"),
     "minfind": (
@@ -226,6 +228,8 @@ def _read_json(path: str) -> dict:
         obj = json.loads(text)
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object at top level")
     return obj
@@ -405,7 +409,10 @@ def _cmd_transform(args) -> int:
 
     queries = [TransformQuery(mode, n, psi, x, n0) for x in points]
     support = gather(queries[0])
-    dump = state_to_json_obj(support.start_state(queries[0].x)) if args.dump_state else None
+    dump = None
+    if args.dump_state:
+        _load("gates")
+        dump = state_to_json_obj(support.start_state(queries[0].x))
     rows = [_transform_row(support, query, shots, seed) for query in queries]
 
     drift = max(abs(r["classical"] - r["exact"]) for r in rows)

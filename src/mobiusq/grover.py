@@ -7,20 +7,20 @@ leave omega=0 mass sin((2k+1) theta)**2, and they rescale the whole omega=0
 component uniformly, so the conditional gamma odds that encode the
 transform value survive amplification unchanged.
 
-The steps only mix the start state with its omega reflection, so they move
-amplitude within the start state's support alone, the 2-D invariant subspace
-of Brassard, Hoyer, Mosca and Tapp (quant-ph/0005055).  read_out_at is the
-one readout: it plans, amplifies and measures the four (omega, gamma) cell
-masses of the start state at x on that support, gathered once per table
-(see :class:`mobiusq.circuits.Support`).  The exact value and the seeded
-sample are both read from that one readout, so a start state is amplified
-once; estimate_exact and estimate_sampled gather and read out one point,
-and cells_by_step runs the same steps one at a time for ``mobiusq verify``.
-plan_grover and amplify run the plan and the steps over every basis index
-of a dense state.  Every reduction (the overlap, each <start|r> and the
-four cell masses) is a correctly rounded math.fsum over real and imaginary
-parts, so the results do not depend on the order of the terms, on zero
-entries or on the BLAS thread count.
+The steps move amplitude within the 2-D invariant subspace of Brassard,
+Hoyer, Mosca and Tapp (quant-ph/0005055), and they are elementwise: every
+copy of an alpha_minus value a starts at g[a] (see
+:class:`mobiusq.circuits.Support`), so the copies with the same a and
+target flag stay equal.  The state at x is two 2**n vectors, t on target
+and o off it, with 1 + keep[a] and 2M - 1 - keep[a] copies (M = 2**n0).
+read_out_at, the one readout, plans, amplifies and measures the four
+(omega, gamma) cell masses on them; the exact value and the seeded sample
+both come from it.  Each reduction is one correctly rounded math.fsum over
+real and imaginary parts, a term with m copies entering as exact
+power-of-two scalings such as (2M - 1) v = 2M v - v.  So it is the sum of
+the same multiset as over every basis index of the dense state
+(``gates.plan_grover`` and ``gates.amplify``), bit for bit, at any term
+order or BLAS thread count.
 """
 from __future__ import annotations
 
@@ -31,10 +31,14 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-# Nothing here calls build_start_state: perfbench/tracer.py reads and replaces it in this module.
-from .circuits import Support, TransformQuery, build_start_state, gather
-from .sim import StateVector
+from . import _defer
+from .circuits import Support, TransformQuery, gather
 from .subset import BitString
+
+# The dense readout's names, bound from mobiusq.gates on first use.  Nothing
+# here calls build_start_state: perfbench/tracer.py reads and replaces it in this module.
+_DEFERRED = {"gates": ("amplify", "build_start_state", "plan_grover")}
+__getattr__ = _defer(globals(), _DEFERRED)[1]
 
 
 @dataclass(frozen=True)
@@ -46,52 +50,29 @@ class GroverPlan:
     predicted_success: float
 
 
-# Entries per reduction or update chunk: bounds the temporaries of a
-# readout, dense or on a support, to a few chunks instead of whole copies.
-_CHUNK = 1 << 14
-
-
-def _chunks(size: int) -> Iterator[slice]:
-    """Consecutive slices of at most _CHUNK entries covering range(size)."""
-    return (slice(i, i + _CHUNK) for i in range(0, size, _CHUNK))
-
-
 def _fsum(parts: Iterable[np.ndarray]) -> float:
     """Correctly rounded sum of every float64 in ``parts`` (math.fsum, Shewchuk's algorithm).
 
     The result depends on the multiset of nonzero terms alone: not on their
     order, on the array layout or on any thread count.  Zero terms change no
-    exact sum, so they are dropped before the sum, which keeps a dense
-    state's sums as cheap as its support's.
+    exact sum, so they are dropped before the sum.
     """
     return math.fsum(itertools.chain.from_iterable(part[part != 0.0].tolist() for part in parts))
 
 
-def _mass(amps: np.ndarray, where: np.ndarray) -> float:
-    """Probability mass of the flagged entries: one fsum of their re**2 and im**2."""
-    return _fsum(np.square(amps[c][where[c]].view(np.float64)) for c in _chunks(amps.size))
+def _dot_terms(s: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of Re and Im <s|r>, one row per entry: the rounded elementwise products.
 
-
-def _inner(start: np.ndarray, state: np.ndarray) -> complex:
-    """<start|state>, each part one fsum of the rounded elementwise products.
-
-    With s = s_re + i s_im and r = r_re + i r_im per entry, the real part sums
-    s_re r_re and s_im r_im, the imaginary part s_re r_im and -(s_im r_re).
+    With s = s_re + i s_im and r = r_re + i r_im per entry, the real part
+    sums s_re r_re and s_im r_im, the imaginary part s_re r_im and -(s_im r_re).
     """
-    s, r = start.view(np.float64), state.view(np.float64)  # re, im interleaved
-    wide = [slice(2 * c.start, 2 * c.stop) for c in _chunks(start.size)]
-    real = _fsum(s[w] * r[w] for w in wide)
-    imag = _fsum(
-        part
-        for w in wide
-        for part in (s[w][0::2] * r[w][1::2], np.negative(s[w][1::2] * r[w][0::2]))
-    )
-    return complex(real, imag)
+    s2, r2 = s.view(np.float64).reshape(-1, 2), r.view(np.float64).reshape(-1, 2)
+    return s2 * r2, s2 * r2[:, ::-1] * (1.0, -1.0)
 
 
-def _plan(amps: np.ndarray, target: np.ndarray) -> GroverPlan:
-    """The plan for a start state whose omega=0 entries ``target`` flags."""
-    a = math.sqrt(_mass(amps, target))
+def _plan(mass: float) -> GroverPlan:
+    """The plan for a start state whose omega=0 mass is ``mass``."""
+    a = math.sqrt(mass)
     if a <= 1e-15:
         raise ValueError("target unreachable: state has no omega=0 weight")
     a = min(a, 1.0)
@@ -105,73 +86,54 @@ def _plan(amps: np.ndarray, target: np.ndarray) -> GroverPlan:
     return GroverPlan(overlap=a, iterations=best_k, predicted_success=best_s)
 
 
-def _step_in_place(state: np.ndarray, start: np.ndarray, off_target: np.ndarray) -> None:
-    """One amplification step on flat amplitudes, overwriting ``state``.
+def _on_target(terms: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Terms of the target copies: 1 + keep[a] of each row."""
+    return terms, terms[keep]
 
-    With r the state after the omega reflection (negate the ``off_target``,
-    omega=1, entries) and c = 2 <start|r>, the result c * start - r is formed
-    as (-r) + c * start: negation is exact and IEEE addition commutes, so the
-    bits are those of the textbook order, while the c * start product is
-    formed one chunk at a time rather than as a full copy.
+
+def _off_target(terms: np.ndarray, keep: np.ndarray, alphas: int) -> tuple[np.ndarray, ...]:
+    """Terms of the off-target copies, 2 * alphas - 1 - keep[a] of each row, as exact scalings."""
+    return 2 * alphas * terms, -terms, -terms[keep]
+
+
+def _squares(amps: np.ndarray) -> np.ndarray:
+    """re**2 and im**2 of each entry, one row per entry."""
+    return np.square(amps.view(np.float64).reshape(-1, 2))
+
+
+def _steps(support: Support, x: BitString) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(t, o, keep) of the start state at x after k = 0, 1, 2, ... steps, t and o updated in place.
+
+    With r = (t, -o), the omega reflection, and c = 2 <start|r>, a step sets
+    t <- (-t) + c g and o <- o + c g: the dense step (-r) + c * start of
+    ``gates.amplify``, bit for bit.
     """
-    np.negative(state, out=state, where=off_target)
-    c = 2.0 * _inner(start, state)
-    np.negative(state, out=state)
-    for chunk in _chunks(state.size):
-        state[chunk] += c * start[chunk]
+    g, keep, alphas = support.amplitudes, support.keep(x), 1 << support.layout.n0
+    t, o = g.copy(), g.copy()
+    while True:
+        yield t, o, keep
+        (real_t, imag_t), (real_o, imag_o) = _dot_terms(g, t), _dot_terms(g, o)
+        real = _fsum([*_on_target(real_t, keep), *_off_target(-real_o, keep, alphas)])
+        imag = _fsum([*_on_target(imag_t, keep), *_off_target(-imag_o, keep, alphas)])
+        cg = 2.0 * complex(real, imag) * g
+        np.negative(t, out=t)
+        t += cg
+        o += cg
 
 
-def _amplify(start: np.ndarray, target: np.ndarray, iterations: int) -> np.ndarray:
-    """``start`` after ``iterations`` steps, on one working copy; ``start`` itself for none."""
-    if iterations == 0:
-        return start
-    state = start.copy()
-    off_target = ~target
-    for _ in range(iterations):
-        _step_in_place(state, start, off_target)
-    return state
+def _cells(t: np.ndarray, o: np.ndarray, keep: np.ndarray, alphas: int) -> tuple[float, float, float, float]:
+    """Masses of the (omega, gamma) cells (0, 0), (0, 1), (1, 0) and (1, 1); gamma is mu0.
 
-
-def _cells(amps: np.ndarray, target: np.ndarray, gamma: np.ndarray) -> tuple[float, float, float, float]:
-    """Masses of the (omega, gamma) cells (0, 0), (0, 1), (1, 0) and (1, 1) of flat amplitudes."""
-    return tuple(_mass(amps, omega & g) for omega in (target, ~target) for g in (~gamma, gamma))
-
-
-def _qubit_set(state: StateVector, qubit: int) -> np.ndarray:
-    """Flags of the basis indices, all of them in ascending order, whose ``qubit`` is 1.
-
-    Built from a (high, 2, low) block rather than an index array, so the
-    flags of plan_grover and amplify cost 1/16 of the state instead of a
-    2**N int64 copy.
+    Target copies: one at mu0=0, one at mu0=1 where keep.  Off-target
+    copies: alphas - 1 at mu0=0, alphas - keep at mu0=1.
     """
-    flags = np.zeros((state.amplitudes.size >> (qubit + 1), 2, 1 << qubit), dtype=bool)
-    flags[:, 1] = True
-    return flags.reshape(-1)
-
-
-def plan_grover(state: StateVector) -> GroverPlan:
-    """Pick the iteration count maximizing the omega=0 success probability.
-
-    Scans k = 0 .. ceil(pi / (4a)) for the largest sin((2k+1) asin a)**2,
-    keeping the smallest k on ties.  a is the norm of the omega=0 entries,
-    the square root of one correctly rounded sum of their squared parts.
-    No CLI command calls it: acceptance criterion 6 and
-    ``perfbench/tracer.py``'s one-shot check do.
-    """
-    return _plan(state.amplitudes, ~_qubit_set(state, state.layout.omega_qubit))
-
-
-def amplify(start: StateVector, plan: GroverPlan) -> StateVector:
-    """Run the planned number of amplification steps from the start state.
-
-    The steps update one working copy in place; with no steps the start
-    state itself is returned.  No CLI command calls it: acceptance criterion
-    6 and ``perfbench/tracer.py``'s one-shot check do.
-    """
-    if plan.iterations == 0:
-        return start
-    target = ~_qubit_set(start, start.layout.omega_qubit)
-    return StateVector(start.layout, _amplify(start.amplitudes, target, plan.iterations))
+    on, off = _squares(t), _squares(o)
+    return (
+        _fsum([on]),
+        _fsum([on[keep]]),
+        _fsum([alphas * off, -off]),
+        _fsum([alphas * off, -off[keep]]),
+    )
 
 
 @dataclass(eq=False)
@@ -242,31 +204,29 @@ class Readout:
 def read_out_at(support: Support, x: BitString) -> Readout:
     """Plan, amplify and measure the four cells of the start state at x, on ``support`` alone.
 
-    The support's ``target(x)`` flags the omega=0 entries and ``gamma`` the
-    gamma=1 ones.  It holds every nonzero amplitude of the start state: a
-    step mixes the state only with the start state and its omega reflection,
-    so an amplitude that is zero in the start state stays zero, and the
-    readout of the support equals, plan and cells bit for bit, the readout
-    of the dense start state at x; see :class:`mobiusq.circuits.Support`.
+    The plan and the cells equal, bit for bit, those of the dense start
+    state at x read out over every basis index (``gates.plan_grover`` and
+    ``gates.amplify``), because every reduction sums the same multiset of
+    terms; see the module docstring.
     """
-    start, target = support.amplitudes, support.target(x)
-    plan = _plan(start, target)
-    return Readout(plan, _cells(_amplify(start, target, plan.iterations), target, support.gamma))
+    alphas = 1 << support.layout.n0
+    steps = _steps(support, x)
+    t, o, keep = next(steps)
+    plan = _plan(_fsum(_on_target(_squares(t), keep)))
+    for _ in range(plan.iterations):
+        t, o, keep = next(steps)
+    return Readout(plan, _cells(t, o, keep, alphas))
 
 
 def cells_by_step(support: Support, x: BitString, steps: int) -> Iterator[tuple[float, float, float, float]]:
     """``Readout.cells`` of the start state at x after each of k = 0..steps steps.
 
-    Runs read_out_at's step on the support, on one working copy; ``mobiusq
-    verify`` checks the gamma odds and the rotation law at every k with it.
+    Runs read_out_at's step on the support; ``mobiusq verify`` checks the
+    gamma odds and the rotation law at every k with it.
     """
-    start, target, gamma = support.amplitudes, support.target(x), support.gamma
-    state = start.copy()
-    off_target = ~target
-    for k in range(steps + 1):
-        if k:
-            _step_in_place(state, start, off_target)
-        yield _cells(state, target, gamma)
+    alphas = 1 << support.layout.n0
+    for _, (t, o, keep) in zip(range(steps + 1), _steps(support, x)):
+        yield _cells(t, o, keep, alphas)
 
 
 def estimate_exact(query: TransformQuery) -> float:

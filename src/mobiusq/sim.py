@@ -1,38 +1,40 @@
-"""Dense statevector simulation over a fixed named-register layout.
+"""The register layout, and the state prep of the alpha_minus register.
 
 The layout packs six registers onto consecutive qubits, low indices first:
 alpha_minus (n qubits), alpha (n0), beta (n0), gamma, mu0, omega (one each).
 Qubit q is the 2**q bit of the amplitude index, matching the bit convention
 in :mod:`mobiusq.subset`.
 
-Gates act in place on the ``(2,)*N`` view of the amplitude array, in which
-qubit q is axis N-1-q.  A one-qubit gate on q replaces the two halves a0, a1
-of that axis by m00*a0 + m01*a1 and m10*a0 + m11*a1, elementwise, so a
-result never depends on the shape of the array it sits in.
+The prep gates act in place on the ``(2,)*k`` view of the amplitude array,
+in which qubit q is axis k-1-q.  A one-qubit gate on q replaces the two
+halves a0, a1 of that axis by m00*a0 + m01*a1 and m10*a0 + m11*a1,
+elementwise, so a result never depends on the shape of the array it sits
+in.  A multiplexed gate is one level of a rotation tree: it applies its own
+one-qubit gate per value of the qubits just above its target, as the same
+elementwise operations with one coefficient per value.
 
-A controlled gate pairs one partial basis assignment {qubit: value} with a
-list of one-qubit gates, and is one level deep: the inner gates act only
-where each listed qubit holds its value.  The simulator fixes those qubits
-with width-1 slices and applies the inner ops to that sub-view only, which
-realizes
-
-    U**pi = (1 - pi) + U * pi
-
-directly, pi being the projector onto the assignment, instead of
-decomposing the control into a gate network.  A multiplexed gate is one
-level of a rotation tree: it applies its own one-qubit gate per value of the
-qubits just above its target, as the same elementwise operations with one
-coefficient per value.
+This is all a transform run simulates.  The rest of the gate model lives in
+:mod:`mobiusq.gates`; its names are bound here on first use.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from types import MappingProxyType
-from typing import Mapping, Union
+from typing import Union
 
 import numpy as np
+
+from . import _defer
+
+_DEFERRED = {
+    "gates": (
+        "Circuit", "Controlled", "Hadamard", "PauliX", "QubitIs", "StateVector", "apply_circuit",
+        "basis_index", "gate_qubits", "gate_target_qubits", "new_state", "project", "sector",
+        "state_to_json_obj",
+    ),
+}
+__getattr__ = _defer(globals(), _DEFERRED)[1]
 
 MAX_QUBITS = 26
 
@@ -118,17 +120,7 @@ class RegisterLayout:
 
 
 # ---------------------------------------------------------------------------
-# gates
-
-
-@dataclass(frozen=True)
-class Hadamard:
-    qubit: int
-
-
-@dataclass(frozen=True)
-class PauliX:
-    qubit: int
+# prep gates
 
 
 @dataclass(frozen=True)
@@ -149,45 +141,14 @@ class PhasePair:
 
 
 @dataclass(frozen=True)
-class Controlled:
-    """Apply the inner one-qubit gates only where the controls hold.
-
-    ``controls`` is one partial basis assignment {qubit: 0 or 1}; an empty
-    one matches every state.  Controls are one level deep (an inner op is
-    never a Controlled) and disjoint from the inner ops' targets, so the gate
-    realizes (1 - pi) + U pi exactly.  They are kept as a read-only copy, so
-    the gate is hashable and compares by value.
-    """
-
-    controls: Mapping[int, int]
-    ops: tuple["OneQubitGate", ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "controls", MappingProxyType(dict(self.controls)))
-        bad = {q: v for q, v in self.controls.items() if v not in (0, 1)}
-        if bad:
-            raise ValueError(f"control values must be 0 or 1, got {bad}")
-        if not self.ops:
-            raise ValueError("controlled gate needs at least one inner op")
-        if any(isinstance(op, (Controlled, Multiplexed)) for op in self.ops):
-            raise ValueError("controlled gates do not nest; merge the controls into one assignment")
-        overlap = set(self.controls) & gate_target_qubits(self)
-        if overlap:
-            raise ValueError(f"control and target qubits overlap: {sorted(overlap)}")
-
-    def __hash__(self) -> int:
-        return hash((frozenset(self.controls.items()), self.ops))
-
-
-@dataclass(frozen=True)
 class Multiplexed:
     """A uniformly controlled Ry or PhasePair: one gate per value of the qubits above ``qubit``.
 
     The m qubits qubit+1 .. qubit+m, 2**m being ``len(rows)``, hold a value
     p (qubit+1 its low bit), and where they do, the gate applies
     ``gate(qubit, *rows[p])``; a row of None leaves those amplitudes alone.
-    That is the same as one ``Controlled`` gate per row that is not None,
-    bit for bit, and it is one level of the rotation tree of Mottonen et al.
+    That is the same as one controlled gate per row that is not None, bit
+    for bit, and it is one level of the rotation tree of Mottonen et al.
     (quant-ph/0407010), also called a multiplexed rotation.
     """
 
@@ -206,92 +167,9 @@ class Multiplexed:
         return len(self.rows).bit_length() - 1
 
 
-OneQubitGate = Union[Hadamard, PauliX, Ry, PhasePair]
-GateOp = Union[OneQubitGate, Controlled, Multiplexed]
+PrepGate = Union[Ry, PhasePair, Multiplexed]
 
-
-def gate_target_qubits(op: GateOp) -> frozenset[int]:
-    """Qubits an op can modify (control reads excluded)."""
-    ops = op.ops if isinstance(op, Controlled) else (op,)
-    return frozenset(o.qubit for o in ops)
-
-
-def gate_qubits(op: GateOp) -> frozenset[int]:
-    """All qubits an op touches, reads included."""
-    if isinstance(op, Multiplexed):
-        return frozenset(range(op.qubit, op.qubit + 1 + op.width))
-    reads = frozenset(op.controls) if isinstance(op, Controlled) else frozenset()
-    return reads | gate_target_qubits(op)
-
-
-@dataclass(eq=False)
-class Circuit:
-    """Ordered gate list tied to a layout."""
-
-    layout: RegisterLayout
-    ops: tuple[GateOp, ...]
-
-    def __post_init__(self) -> None:
-        self.ops = tuple(self.ops)
-        total = self.layout.total_qubits
-        for op in self.ops:
-            bad = [q for q in gate_qubits(op) if not 0 <= q < total]
-            if bad:
-                raise ValueError(f"op {op} uses qubits {bad} outside the {total}-qubit layout")
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-
-# ---------------------------------------------------------------------------
-# states and gate application
-
-
-@dataclass(eq=False)
-class StateVector:
-    layout: RegisterLayout
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.amplitudes, dtype=np.complex128)
-        if arr.shape != (1 << self.layout.total_qubits,):
-            raise ValueError(
-                f"expected {1 << self.layout.total_qubits} amplitudes, got {arr.shape}"
-            )
-        self.amplitudes = arr
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> StateVector:
-        return StateVector(self.layout, self.amplitudes.copy())
-
-
-def new_state(layout: RegisterLayout) -> StateVector:
-    """All-zeros basis state; the tests' full-circuit runs and perfbench's replay start here."""
-    amps = np.zeros(1 << layout.total_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(layout, amps)
-
-
-def basis_index(layout: RegisterLayout, values: Mapping[str, int]) -> int:
-    """Amplitude index of the basis state with the given register values."""
-    index = 0
-    for name, value in values.items():
-        reg = layout.register(name)
-        if not 0 <= value < (1 << len(reg)):
-            raise ValueError(f"value {value} out of range for register {name!r}")
-        index |= value << reg.start
-    return index
-
-
-def register_values(layout: RegisterLayout, name: str, index: np.ndarray) -> np.ndarray:
-    """Value of register ``name`` at each basis index in ``index``."""
-    reg = layout.register(name)
-    return (index >> reg.start) & ((1 << len(reg)) - 1)
-
-
+# the Hadamard matrix: gather's H factor and the gate model's Hadamard read the same bytes
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 
 
@@ -312,12 +190,11 @@ def _qubit_view(amps: np.ndarray) -> np.ndarray:
     return amps.reshape((2,) * (amps.size.bit_length() - 1))
 
 
-def _fix(view: np.ndarray, controls: Mapping[int, int]) -> np.ndarray:
-    """Sub-view with each control qubit cut to a width-1 slice (axes kept)."""
-    index = [slice(None)] * view.ndim
-    for q, v in controls.items():
-        index[view.ndim - 1 - q] = slice(v, v + 1)
-    return view[tuple(index)]
+def _halves(view: np.ndarray, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The views of ``view`` where ``qubit`` is 0 and where it is 1."""
+    axis = view.ndim - 1 - qubit
+    # the trailing Ellipsis keeps a one-axis view a 0-d view, not a scalar copy
+    return view[(slice(None),) * axis + (0, Ellipsis)], view[(slice(None),) * axis + (1, Ellipsis)]
 
 
 def _rotate(a0: np.ndarray, a1: np.ndarray, m00, m01, m10, m11) -> None:
@@ -330,13 +207,8 @@ def _rotate(a0: np.ndarray, a1: np.ndarray, m00, m01, m10, m11) -> None:
     a1 += t10
 
 
-def _apply_op(view: np.ndarray, op: GateOp) -> None:
-    """Apply op in place to a qubit view."""
-    if isinstance(op, Controlled):
-        sub = _fix(view, op.controls)
-        for inner in op.ops:
-            _apply_op(sub, inner)
-        return
+def _apply_prep_gate(view: np.ndarray, op: PrepGate) -> None:
+    """Apply an Ry, PhasePair or Multiplexed gate in place to a qubit view."""
     if isinstance(op, Multiplexed):
         # axes: the qubits above the selecting ones, the row p, the target, the qubits below
         block = view.reshape(-1, len(op.rows), 2, 1 << op.qubit)
@@ -347,85 +219,27 @@ def _apply_op(view: np.ndarray, op: GateOp) -> None:
         if sub is not block:
             block[:, live] = sub
         return
-    axis = view.ndim - 1 - op.qubit
-    # the trailing Ellipsis keeps a one-axis view a 0-d view, not a scalar copy
-    a0 = view[(slice(None),) * axis + (0, Ellipsis)]
-    a1 = view[(slice(None),) * axis + (1, Ellipsis)]
-    if isinstance(op, PauliX):
-        saved = a0.copy()
-        a0[...] = a1
-        a1[...] = saved
-        return
-    m = _H if isinstance(op, Hadamard) else _gate_matrices(type(op), [tuple(vars(op).values())[1:]])[0]
-    _rotate(a0, a1, *m.ravel())
-
-
-def run_ops(amps: np.ndarray, ops) -> None:
-    """Apply ops in place to a flat array of 2**k amplitudes, qubit q being the 2**q bit."""
-    view = _qubit_view(amps)
-    for op in ops:
-        _apply_op(view, op)
-
-
-def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    if circuit.layout != state.layout:
-        raise ValueError("circuit and state layouts differ")
-    out = state.copy()
-    before = out.norm
-    run_ops(out.amplitudes, circuit.ops)
-    after = out.norm
-    if before > 0 and abs(after - before) > 1e-9 * max(1.0, before):
-        raise RuntimeError(f"norm drifted from {before} to {after} over {len(circuit)} ops")
-    return out
+    m = _gate_matrices(type(op), [tuple(vars(op).values())[1:]])[0]
+    _rotate(*_halves(view, op.qubit), *m.ravel())
 
 
 def prepare_low_qubits(ops, k: int) -> np.ndarray:
-    """Amplitudes of qubits 0..k-1 after ops act on their |0...0> state.
+    """Amplitudes of qubits 0..k-1 after the prep gates ``ops`` act on their |0...0> state.
 
     The ops must touch only those qubits.  Since qubit q is the 2**q bit, the
     result is also the first 2**k amplitudes of a full state whose other
     qubits start and stay at 0, computed without the rest of the state.
     """
-    bad = sorted({q for op in ops for q in gate_qubits(op) if not 0 <= q < k})
+    spans = [range(op.qubit, op.qubit + 1 + (op.width if isinstance(op, Multiplexed) else 0)) for op in ops]
+    bad = sorted({q for span in spans for q in span if not 0 <= q < k})
     if bad:
         raise ValueError(f"ops touch qubits {bad} outside the low {k}")
     amps = np.zeros(1 << k, dtype=np.complex128)
     amps[0] = 1.0
-    run_ops(amps, ops)
+    view = _qubit_view(amps)
+    for op in ops:
+        _apply_prep_gate(view, op)
     return amps
-
-
-def sector(state: StateVector, fixed: Mapping[int, int]) -> np.ndarray:
-    """View of the amplitudes with the given qubits fixed to the given values.
-
-    The fixed axes are dropped; the remaining axes are the other qubits,
-    highest first, so the C-order ``ravel()`` of the view lists its
-    amplitudes in ascending basis-index order.  Writing to the view writes to
-    the state.
-    """
-    view = _qubit_view(state.amplitudes)
-    index = [slice(None)] * view.ndim
-    for q, v in fixed.items():
-        index[view.ndim - 1 - q] = v
-    return view[(*index, Ellipsis)]
-
-
-def project(state: StateVector, fixed: Mapping[int, int]) -> tuple[StateVector, float]:
-    """Unnormalized component with the given qubits fixed, plus its norm.
-
-    The component is the ``sector`` view copied into an otherwise zero
-    state.  The pipeline reads sector masses through ``sector`` itself; this
-    stays because acceptance criterion 6 and the benchmark's tracer read the
-    omega=0 success mass through it.
-    """
-    comp = StateVector(state.layout, np.zeros_like(state.amplitudes))
-    sector(comp, fixed)[...] = sector(state, fixed)
-    return comp, float(np.linalg.norm(comp.amplitudes))
-
-
-def QubitIs(qubit: int, value: int) -> dict[int, int]:
-    """{qubit: value}; kept only for perfbench/tracer.py until ROADMAP item 3 retargets it."""
-    return {qubit: value}
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +254,7 @@ def _rows(params: np.ndarray) -> tuple:
     return tuple(rows)
 
 
-def compile_state_prep(target) -> tuple[GateOp, ...]:
+def compile_state_prep(target) -> tuple[PrepGate, ...]:
     """Compile gates mapping |0...0> of qubits 0..k-1 to the target amplitudes.
 
     Those qubits are the alpha_minus register of every layout, and k is
@@ -468,7 +282,7 @@ def compile_state_prep(target) -> tuple[GateOp, ...]:
     if not abs(norm - 1.0) <= 1e-9:  # a NaN norm fails too
         raise ValueError(f"target norm is {norm}, expected 1 within 1e-9")
 
-    ops: list[GateOp] = []
+    ops: list[PrepGate] = []
     weights = np.abs(target) ** 2
 
     for m in range(k):
@@ -487,15 +301,3 @@ def compile_state_prep(target) -> tuple[GateOp, ...]:
         else:  # always so for k == 1
             ops.append(PhasePair(0, *phases[0].tolist()))
     return tuple(ops)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def state_to_json_obj(state: StateVector) -> dict:
-    return {
-        "layout": state.layout.to_json_obj(),
-        "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
-    }
-

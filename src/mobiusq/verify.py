@@ -15,9 +15,10 @@ The first three read each start state where the CLI reads it, on
 ``gather``'s support, and step it with the step ``read_out_at`` runs.
 
 The comparator check reads the coefficients off the compiled circuit
-(``circuit_coefficient``), looking ``build_comparator`` up in this module at
-each call, so a corrupted comparator (the tests inject one by replacing this
-module's name) is caught by ``run_verify`` and the acceptance gate alike.
+(``circuit_coefficient``) of the gate model in :mod:`mobiusq.gates`, looking
+``build_comparator`` up in this module at each call, so a corrupted
+comparator (the tests inject one by replacing this module's name) is caught
+by ``run_verify`` and the acceptance gate alike.
 """
 from __future__ import annotations
 
@@ -27,25 +28,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circuits import (
-    DecompositionError,
-    Support,
-    TransformQuery,
-    _keep,
-    build_comparator,
-    classical_value,
-    gather,
-)
-from .grover import _mass, cells_by_step, read_out_at
-from .sim import (
-    Mode,
-    StateVector,
-    apply_circuit,
-    basis_index,
-    compile_state_prep,
-    prepare_low_qubits,
-    register_values,
-)
+from .circuits import DecompositionError, Support, TransformQuery, _keep, classical_value, gather
+from .gates import StateVector, apply_circuit, basis_index, build_comparator
+from .grover import _fsum, _off_target, _squares, cells_by_step, read_out_at
+from .sim import Mode, compile_state_prep, prepare_low_qubits
 from .subset import BitString, SubsetTable, zeta_fast
 
 _CHECK_TOL = 1e-9
@@ -86,11 +72,12 @@ def decompose_signal(query: TransformQuery, support: Support) -> SignalDecomposi
     The start state is read on ``support``, the unmarked state's support
     (see :class:`mobiusq.circuits.Support`): its target at query.x is the
     omega=0 part, split by gamma, and the rest is chi.  Each gamma's target
-    entries are scattered into a vector over the (alpha_minus, alpha, mu0)
+    copies are scattered into a vector over the (alpha_minus, alpha, mu0)
     grouping, which holds the same values, in the same order, as the
     omega=0, beta=0 sector of the dense start state at that gamma.  The
-    target only holds entries at beta == 0, so the start state has no
-    omega=0 weight outside beta == 0 to check.
+    target only holds copies at beta == 0, so the start state has no
+    omega=0 weight outside beta == 0 to check.  chi's mass sums every
+    off-target copy, with its multiplicity, in one correctly rounded sum.
 
     Raises DecompositionError when any component strays from the predicted
     structure by more than 1e-9: z0 must equal base = 2**-((n0+1)/2), z1
@@ -101,17 +88,17 @@ def decompose_signal(query: TransformQuery, support: Support) -> SignalDecomposi
     if (layout.mode, layout.n, layout.n0) != (query.mode, query.n, query.n0):
         raise ValueError("support layout does not match the query")
     n, n0 = layout.n, layout.n0
-    target = support.target(query.x)
-    index = support.index[target]
-    spot = (index & ((1 << (n + n0)) - 1)) | register_values(layout, "mu0", index) << (n + n0)
+    xv = query.x.to_int()
+    kept, g = support.keep(query.x), support.amplitudes
+    spot = support.alpha_minus | xv << n  # mu0=0; gamma is mu0
     sectors = np.zeros((2, 1 << (n + n0 + 1)), dtype=np.complex128)
-    sectors[support.gamma[target].astype(int), spot] = support.amplitudes[target]
+    sectors[0, spot] = g
+    sectors[1, spot[kept] | 1 << (n + n0)] = g[kept]
     v0, v1 = sectors
-    chi_norm = math.sqrt(_mass(support.amplitudes, ~target))
+    chi_norm = math.sqrt(_fsum(_off_target(_squares(g), kept, 1 << n0)))
 
     # predicted sector contents: psi_minus on alpha_minus, with alpha = x
-    xv = query.x.to_int()
-    keep = _keep(query)
+    keep = _keep(layout, query.x, np.arange(1 << n))
     value = float((np.abs(query.psi_minus) ** 2 * keep).sum())
     base = 2.0 ** (-(n0 + 1) / 2.0)
 

@@ -118,6 +118,12 @@ def mark_oracle(unmarked: StateVector, query: TransformQuery) -> StateVector:
     return apply_circuit(unmarked, Circuit(query.layout, mark))
 
 
+def register_values(layout: RegisterLayout, name: str, index: np.ndarray) -> np.ndarray:
+    """Value of register ``name`` at each basis index in ``index``."""
+    reg = layout.register(name)
+    return (index >> reg.start) & ((1 << len(reg)) - 1)
+
+
 def layout_from_json_obj(obj: dict) -> RegisterLayout:
     """Inverse of RegisterLayout.to_json_obj, by the rules of every other JSON input."""
     return RegisterLayout(Mode(obj["mode"]), json_int(obj, "n"), json_int(obj, "n0"))

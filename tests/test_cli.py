@@ -811,6 +811,21 @@ def test_deeply_nested_json_exits_1_without_writing(uniform3, tmp_path, capsys):
         assert not out.exists()
 
 
+def test_malformed_json_names_its_file_and_exits_1(uniform3, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    for text, message in (("", "Expecting value: line 1 column 1 (char 0)"), ('{"n": 3,', "Expecting property name")):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        for argv in (
+            ["mobius", "--input", str(bad), "--x", "1"],
+            ["mobius", "--input", uniform3, "--check", str(bad)],
+            ["minfind", "--input", str(bad)],
+        ):
+            assert main(argv + ["--out", str(out)]) == 1
+            assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+            assert not out.exists()
+
+
 def test_failed_check_writes_no_files(uniform3, tmp_path, capsys):
     """A --check that fails exits 1 before writing --out or --dump-state."""
     out, dump = tmp_path / "out.json", tmp_path / "state.json"

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import mobiusq.gates as gates_mod
 import mobiusq.grover as grover_mod
 from mobiusq.circuits import (
     TransformQuery,
@@ -248,10 +249,8 @@ def test_support_consumers_do_not_depend_on_entry_order(mode, n, n0, kind):
     amps = table_amplitudes(kind, n, rng)
     width = n0 or n
     support = gather(TransformQuery(mode, n, amps, BitString.from_int(0, width), n0))
-    perm = rng.permutation(support.index.size)
-    shuffled = dataclasses.replace(
-        support, index=support.index[perm], amplitudes=support.amplitudes[perm], gamma=support.gamma[perm]
-    )
+    perm = rng.permutation(support.alpha_minus.size)
+    shuffled = dataclasses.replace(support, alpha_minus=support.alpha_minus[perm], amplitudes=support.amplitudes[perm])
     for xv in range(1 << width):
         x = BitString.from_int(xv, width)
         assert read_out_at(shuffled, x) == read_out_at(support, x)
@@ -263,19 +262,45 @@ def test_support_consumers_do_not_depend_on_entry_order(mode, n, n0, kind):
 
 
 def test_reductions_are_exact_sums_over_chunks():
-    """Past one chunk, the mass and the inner product are still one correctly rounded sum."""
+    """Past one chunk, the dense readout's mass and inner product are still one correctly rounded sum."""
     rng = np.random.default_rng(41)
-    size = 3 * grover_mod._CHUNK + 5
+    size = 3 * gates_mod._CHUNK + 5
     s = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     r = rng.standard_normal(size) * 1e-8 + 1j * rng.standard_normal(size)
     where = rng.random(size) < 0.6
     squares = np.square(s[where].view(np.float64)).tolist()
-    assert grover_mod._mass(s, where) == math.fsum(squares)
-    assert grover_mod._inner(s, r) == _fsum_vdot(s, r)
+    assert gates_mod._mass(s[where]) == math.fsum(squares)
+    assert gates_mod._inner(s, r) == _fsum_vdot(s, r)
     # the order and the zero entries of the terms do not matter
     order = rng.permutation(size)
     padded = np.concatenate([s[order], np.zeros(7, dtype=complex)])
-    assert grover_mod._inner(padded, np.concatenate([r[order], r[:7]])) == _fsum_vdot(s, r)
+    assert gates_mod._inner(padded, np.concatenate([r[order], r[:7]])) == _fsum_vdot(s, r)
+
+
+@pytest.mark.parametrize("alphas", [2, 4, 8, 1 << 19])
+def test_copies_sum_as_the_multiset_they_stand_for(alphas):
+    """1 + keep target copies and 2M - 1 - keep off-target copies of each term, each one correctly rounded sum.
+
+    The terms span many binades and cancel, so a sum that rounded per copy
+    group, or per scaling, would drift from math.fsum over the expanded copies.
+    """
+    rng = np.random.default_rng(alphas)
+    terms = (rng.standard_normal((40, 2)) * 2.0 ** rng.integers(-60, 60, (40, 2))).astype(np.float64)
+    terms[3] = -terms[2]  # an exact cancellation
+    terms[5, 0] = 0.0
+    keep = rng.random(40) < 0.5
+    copies_on = 1 + keep
+    copies_off = 2 * alphas - 1 - keep
+    expanded_on = [v for row, m in zip(terms.tolist(), copies_on.tolist()) for v in row * m]
+    assert grover_mod._fsum(grover_mod._on_target(terms, keep)) == math.fsum(expanded_on)
+    if alphas <= 8:
+        expanded_off = [v for row, m in zip(terms.tolist(), copies_off.tolist()) for v in row * m]
+    else:  # too many copies to list: the exact product m * v, as a fraction, rounded once
+        from fractions import Fraction
+
+        exact = sum(Fraction(v) * m for row, m in zip(terms.tolist(), copies_off.tolist()) for v in row)
+        expanded_off = [float(exact)]
+    assert grover_mod._fsum(grover_mod._off_target(terms, keep, alphas)) == math.fsum(expanded_off)
 
 
 def test_step_preserves_norm_and_matches_theory_over_iterations():

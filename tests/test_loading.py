@@ -2,10 +2,13 @@
 
 ``mobiusq.cli`` and ``mobiusq.minfind`` bind the names of the modules a
 command needs on first use (``mobiusq._defer``), so classical ``minfind``
-never loads the simulator.  Each deferred name is nonetheless an attribute of
-its module from the start: the tests and ``perfbench/tracer.py`` replace them
-there.  The module sets are read in fresh processes, since the pytest
-process has long since loaded every module.
+never loads the simulator, and no transform run loads the gate model in
+``mobiusq.gates``: only ``verify`` and ``--dump-state`` do.  ``sim``,
+``circuits`` and ``grover`` bind the gate model's names the same way.  Each
+deferred name is nonetheless an attribute of its module from the start: the
+tests and ``perfbench/tracer.py`` read and replace them there.  The module
+sets are read in fresh processes, since the pytest process has long since
+loaded every module.
 """
 from __future__ import annotations
 
@@ -23,6 +26,14 @@ import mobiusq.minfind as minfind_mod
 TABLE = "tests/data/mobius3_table.json"
 BASE = {"mobiusq", "mobiusq.cli", "mobiusq.subset"}
 SIMULATOR = {"mobiusq.sim", "mobiusq.circuits", "mobiusq.grover"}
+GATES = {"mobiusq.gates"}
+
+# the names perfbench/tracer.py reads off each module, none of them bound by a command it runs first
+TRACER_NAMES = {
+    "sim": ("Circuit", "new_state", "apply_circuit", "project", "QubitIs", "gate_qubits", "gate_target_qubits"),
+    "circuits": ("build_start_circuit", "DecompositionError"),
+    "grover": ("plan_grover", "amplify", "build_start_state", "GroverPlan"),
+}
 
 
 def _python(code: str, *args: str) -> str:
@@ -57,7 +68,7 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "mobiusq"))
         (["mobius", "--input", TABLE, "--x", "101"], SIMULATOR),
         (["marginal", "--input", TABLE, "--n0", "2", "--x", "10"], SIMULATOR),
         (["minfind", "--center", "13", "--n", "5", "--backend", "quantum"], SIMULATOR | {"mobiusq.minfind"}),
-        (["verify", "--seed", "0"], SIMULATOR | {"mobiusq.verify"}),
+        (["verify", "--seed", "0"], SIMULATOR | GATES | {"mobiusq.verify"}),
     ],
     ids=["import-only", "minfind-classical", "mobius", "marginal", "minfind-quantum", "verify"],
 )
@@ -65,11 +76,31 @@ def test_each_command_loads_only_the_modules_it_runs(argv, added):
     assert set(json.loads(_python(MODULES_AFTER, *argv))) == BASE | added
 
 
+def test_dump_state_loads_the_gate_model(tmp_path):
+    argv = ["mobius", "--input", TABLE, "--x", "101", "--dump-state", str(tmp_path / "state.json")]
+    assert set(json.loads(_python(MODULES_AFTER, *argv))) == BASE | SIMULATOR | GATES
+
+
+def test_every_name_the_tracer_reads_is_an_attribute_before_any_command_runs():
+    code = """
+import importlib, json, sys
+read = {}
+for home, names in json.loads(sys.argv[1]).items():
+    module = importlib.import_module("mobiusq." + home)
+    read.update({(home, name): getattr(module, name) for name in names})
+import mobiusq.gates as gates  # a moved name is the gate model's own object
+assert all(getattr(gates, name, got) is got for (_, name), got in read.items())
+print("ok")
+"""
+    assert _python(code, json.dumps(TRACER_NAMES)) == "ok"
+
+
 def test_every_deferred_name_is_an_attribute_before_any_command_runs():
     code = """
 import importlib
-import mobiusq.cli as cli, mobiusq.minfind as minfind
-for module in (cli, minfind):
+import mobiusq.circuits as circuits, mobiusq.cli as cli, mobiusq.grover as grover
+import mobiusq.minfind as minfind, mobiusq.sim as sim
+for module in (cli, minfind, sim, circuits, grover):
     deferred = {name for names in module._DEFERRED.values() for name in names}
     assert not deferred & set(vars(module)), (module.__name__, deferred & set(vars(module)))
     for home, names in module._DEFERRED.items():
