@@ -10,10 +10,11 @@ directly, one prefix at a time.
 
 ``grover.read_out_at`` is the one readout in the package, run on a support.
 ``read_out`` here is the same readout over every basis index of a dense
-start state: the package's dense ``plan_grover`` and ``amplify``, then cell
-masses that are each one ``math.fsum`` over an ``np.arange`` index mask, not
-the package's cell reduction.  The module also holds the reader of
-``--dump-state`` files, which only the tests load back.
+start state: the gate model's dense ``plan_grover`` and ``amplify``
+(``mobiusq.gates``), then cell masses that are each one ``math.fsum`` over
+an ``np.arange`` index mask, not the package's cell reduction.  The module
+also holds the reader of ``--dump-state`` files, which only the tests load
+back, and ``register_values``, which reads a register off basis indices.
 """
 from __future__ import annotations
 
@@ -21,20 +22,19 @@ import math
 
 import numpy as np
 
-from mobiusq.circuits import TransformQuery, build_start_circuit
-from mobiusq.grover import Readout, amplify, plan_grover
-from mobiusq.sim import (
+from mobiusq.circuits import TransformQuery
+from mobiusq.gates import (
     Circuit,
     Controlled,
-    Mode,
-    Multiplexed,
-    PhasePair,
-    RegisterLayout,
-    Ry,
     StateVector,
+    amplify,
     apply_circuit,
+    build_start_circuit,
     new_state,
+    plan_grover,
 )
+from mobiusq.grover import Readout
+from mobiusq.sim import Mode, Multiplexed, PhasePair, RegisterLayout, Ry
 from mobiusq.subset import json_complex, json_int
 
 
@@ -130,7 +130,7 @@ def layout_from_json_obj(obj: dict) -> RegisterLayout:
 
 
 def state_from_json_obj(obj: dict) -> StateVector:
-    """Read a state written by sim.state_to_json_obj, such as a ``--dump-state`` file."""
+    """Read a state written by gates.state_to_json_obj, such as a ``--dump-state`` file."""
     return StateVector(layout_from_json_obj(obj["layout"]), json_complex(obj, "amplitudes"))
 
 
