@@ -101,17 +101,16 @@ def _squares(amps: np.ndarray) -> np.ndarray:
     return np.square(amps.view(np.float64).reshape(-1, 2))
 
 
-def _steps(support: Support, x: BitString) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(t, o, keep) of the start state at x after k = 0, 1, 2, ... steps, t and o updated in place.
+def _steps(g: np.ndarray, keep: np.ndarray, alphas: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(t, o) of the start state g after k = 0, 1, 2, ... steps, updated in place.
 
-    With r = (t, -o), the omega reflection, and c = 2 <start|r>, a step sets
+    With r = (t, -o), the omega reflection, and c = 2 <g|r>, a step sets
     t <- (-t) + c g and o <- o + c g: the dense step (-r) + c * start of
     ``gates.amplify``, bit for bit.
     """
-    g, keep, alphas = support.amplitudes, support.keep(x), 1 << support.layout.n0
     t, o = g.copy(), g.copy()
     while True:
-        yield t, o, keep
+        yield t, o
         (real_t, imag_t), (real_o, imag_o) = _dot_terms(g, t), _dot_terms(g, o)
         real = _fsum([*_on_target(real_t, keep), *_off_target(-real_o, keep, alphas)])
         imag = _fsum([*_on_target(imag_t, keep), *_off_target(-imag_o, keep, alphas)])
@@ -209,12 +208,11 @@ def read_out_at(support: Support, x: BitString) -> Readout:
     ``gates.amplify``), because every reduction sums the same multiset of
     terms; see the module docstring.
     """
-    alphas = 1 << support.layout.n0
-    steps = _steps(support, x)
-    t, o, keep = next(steps)
-    plan = _plan(_fsum(_on_target(_squares(t), keep)))
-    for _ in range(plan.iterations):
-        t, o, keep = next(steps)
+    g, keep, alphas = support.amplitudes, support.keep(x), 1 << support.layout.n0
+    plan = _plan(_fsum(_on_target(_squares(g), keep)))
+    steps = _steps(g, keep, alphas)
+    for _ in range(plan.iterations + 1):
+        t, o = next(steps)
     return Readout(plan, _cells(t, o, keep, alphas))
 
 
@@ -224,8 +222,8 @@ def cells_by_step(support: Support, x: BitString, steps: int) -> Iterator[tuple[
     Runs read_out_at's step on the support; ``mobiusq verify`` checks the
     gamma odds and the rotation law at every k with it.
     """
-    alphas = 1 << support.layout.n0
-    for _, (t, o, keep) in zip(range(steps + 1), _steps(support, x)):
+    g, keep, alphas = support.amplitudes, support.keep(x), 1 << support.layout.n0
+    for _, (t, o) in zip(range(steps + 1), _steps(g, keep, alphas)):
         yield _cells(t, o, keep, alphas)
 
 
