@@ -76,6 +76,54 @@ def _defer(namespace: dict, exports: dict[str, tuple[str, ...]]):
     return load, __getattr__
 
 
+class _Record:
+    """An immutable value whose fields are its class's ``__slots__``, in order.
+
+    Built from its fields by position or keyword, equal to a record of the
+    same type with equal fields and hashed by them.  Defining a subclass
+    generates and compiles no code, so importing one costs next to nothing.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields, init = self.__slots__, f"{type(self).__name__}.__init__()"
+        if len(args) > len(fields):
+            raise TypeError(f"{init} takes {len(fields) + 1} positional arguments but {len(args) + 1} were given")
+        values = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields or name in values:
+                why = "multiple values for argument" if name in values else "an unexpected keyword argument"
+                raise TypeError(f"{init} got {why} {name!r}")
+            values[name] = value
+        missing = [name for name in fields if name not in values]
+        if missing:
+            raise TypeError(f"{init} missing required arguments: {', '.join(map(repr, missing))}")
+        for name in fields:
+            object.__setattr__(self, name, values[name])
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self.__slots__)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__; the frozen __setattr__ bars the default
+        return type(self), self._values()
+
+
 __getattr__ = _defer(globals(), _EXPORTS)[1]
 
 

@@ -28,11 +28,10 @@ it into the dense start state at x when one is wanted (``--dump-state``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import _defer
+from . import _Record, _defer
 from .sim import _H, Mode, RegisterLayout, compile_state_prep, prepare_low_qubits
 from .subset import BitString, SubsetTable, json_complex, json_int
 
@@ -44,7 +43,6 @@ class DecompositionError(RuntimeError):
     """Start-state structure violated its predicted shape: a circuit bug."""
 
 
-@dataclass(eq=False)
 class TransformQuery:
     """One transform evaluation: mode, encoded table, and the point x.
 
@@ -52,29 +50,21 @@ class TransformQuery:
     the table being transformed; x has n0 bits (n0 == n in mobius mode).
     """
 
-    mode: Mode
-    n: int
-    psi_minus: np.ndarray
-    x: BitString
-    n0: int | None = None
-
-    def __post_init__(self) -> None:
-        self.mode = Mode(self.mode)
-        layout = RegisterLayout(self.mode, self.n, self.n0)  # validates n/n0
-        self.n0 = layout.n0
-        arr = np.array(self.psi_minus, dtype=np.complex128)
-        if arr.shape != (1 << self.n,):
-            raise ValueError(f"psi_minus needs {1 << self.n} amplitudes, got {arr.shape}")
+    def __init__(self, mode: Mode, n: int, psi_minus: np.ndarray, x: BitString, n0: int | None = None) -> None:
+        layout = RegisterLayout(mode, n, n0)  # validates n/n0
+        arr = np.array(psi_minus, dtype=np.complex128)
+        if arr.shape != (1 << n,):
+            raise ValueError(f"psi_minus needs {1 << n} amplitudes, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("psi_minus has non-finite amplitudes")
         norm = np.linalg.norm(arr)
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"psi_minus norm is {norm}, expected 1 within 1e-9")
-        self.psi_minus = arr
-        if not isinstance(self.x, BitString):
+        if not isinstance(x, BitString):
             raise TypeError("x must be a BitString")
-        if len(self.x) != self.n0:
-            raise ValueError(f"x has {len(self.x)} bits, expected n0 = {self.n0}")
+        if len(x) != layout.n0:
+            raise ValueError(f"x has {len(x)} bits, expected n0 = {layout.n0}")
+        self.mode, self.n, self.psi_minus, self.x, self.n0 = layout.mode, n, arr, x, layout.n0
 
     @property
     def layout(self) -> RegisterLayout:
@@ -126,20 +116,19 @@ def classical_value(query: TransformQuery) -> float:
     return float(probs[_keep(query.layout, query.x, np.arange(1 << query.n))].sum())
 
 
-@dataclass(frozen=True, eq=False)
-class Support:
+class Support(_Record):
     """The unmarked state of a table: g[a] for each a in ``alpha_minus`` (ascending) where g[a] != 0.
 
     Each a has one copy per (alpha, mu0) value, all at omega=1, with gamma =
     mu0 and beta 0 at mu0=0; at mu0=1 beta holds the comparator's mismatch
     bits, a & ~alpha (mobius) or (a mod 2**n0) ^ alpha (marginal).  So at x
     the mark moves the copy at (alpha = x, mu0 = 0) of every a, and the copy
-    at (alpha = x, mu0 = 1) where ``keep(x)`` holds.
+    at (alpha = x, mu0 = 1) where ``keep(x)`` holds.  Its fields are
+    arrays, so a support is equal only to itself and hashes by identity.
     """
 
-    layout: RegisterLayout
-    alpha_minus: np.ndarray
-    amplitudes: np.ndarray
+    __slots__ = ("layout", "alpha_minus", "amplitudes")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def keep(self, x: BitString) -> np.ndarray:
         """Flags of the entries whose mu0=1 copy at alpha = x is on target: the rows the value at x sums."""

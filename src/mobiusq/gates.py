@@ -15,12 +15,12 @@ comparator check, ``--dump-state``, the tests' oracles and
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Mapping, Union
 
 import numpy as np
 
+from . import _Record
 from .circuits import TransformQuery, gather
 from .grover import GroverPlan, _dot_terms, _fsum, _plan
 from .sim import (
@@ -41,18 +41,15 @@ from .sim import (
 # gates
 
 
-@dataclass(frozen=True)
-class Hadamard:
-    qubit: int
+class Hadamard(_Record):
+    __slots__ = ("qubit",)
 
 
-@dataclass(frozen=True)
-class PauliX:
-    qubit: int
+class PauliX(_Record):
+    __slots__ = ("qubit",)
 
 
-@dataclass(frozen=True)
-class Controlled:
+class Controlled(_Record):
     """Apply the inner one-qubit gates only where the controls hold.
 
     ``controls`` is one partial basis assignment {qubit: 0 or 1}; an empty
@@ -62,24 +59,27 @@ class Controlled:
     the gate is hashable and compares by value.
     """
 
-    controls: Mapping[int, int]
-    ops: tuple["OneQubitGate", ...]
+    __slots__ = ("controls", "ops")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "controls", MappingProxyType(dict(self.controls)))
-        bad = {q: v for q, v in self.controls.items() if v not in (0, 1)}
+    def __init__(self, controls: Mapping[int, int], ops: tuple[OneQubitGate, ...]) -> None:
+        controls = MappingProxyType(dict(controls))
+        bad = {q: v for q, v in controls.items() if v not in (0, 1)}
         if bad:
             raise ValueError(f"control values must be 0 or 1, got {bad}")
-        if not self.ops:
+        if not ops:
             raise ValueError("controlled gate needs at least one inner op")
-        if any(isinstance(op, (Controlled, Multiplexed)) for op in self.ops):
+        if any(isinstance(op, (Controlled, Multiplexed)) for op in ops):
             raise ValueError("controlled gates do not nest; merge the controls into one assignment")
+        super().__init__(controls, ops)
         overlap = set(self.controls) & gate_target_qubits(self)
         if overlap:
             raise ValueError(f"control and target qubits overlap: {sorted(overlap)}")
 
     def __hash__(self) -> int:
         return hash((frozenset(self.controls.items()), self.ops))
+
+    def __reduce__(self):  # a mappingproxy does not pickle
+        return Controlled, (dict(self.controls), self.ops)
 
 
 OneQubitGate = Union[Hadamard, PauliX, Ry, PhasePair]
@@ -100,16 +100,12 @@ def gate_qubits(op: GateOp) -> frozenset[int]:
     return reads | gate_target_qubits(op)
 
 
-@dataclass(eq=False)
 class Circuit:
     """Ordered gate list tied to a layout."""
 
-    layout: RegisterLayout
-    ops: tuple[GateOp, ...]
-
-    def __post_init__(self) -> None:
-        self.ops = tuple(self.ops)
-        total = self.layout.total_qubits
+    def __init__(self, layout: RegisterLayout, ops: tuple[GateOp, ...]) -> None:
+        self.layout, self.ops = layout, tuple(ops)
+        total = layout.total_qubits
         for op in self.ops:
             bad = [q for q in gate_qubits(op) if not 0 <= q < total]
             if bad:
@@ -123,18 +119,12 @@ class Circuit:
 # states and gate application
 
 
-@dataclass(eq=False)
 class StateVector:
-    layout: RegisterLayout
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.amplitudes, dtype=np.complex128)
-        if arr.shape != (1 << self.layout.total_qubits,):
-            raise ValueError(
-                f"expected {1 << self.layout.total_qubits} amplitudes, got {arr.shape}"
-            )
-        self.amplitudes = arr
+    def __init__(self, layout: RegisterLayout, amplitudes: np.ndarray) -> None:
+        arr = np.asarray(amplitudes, dtype=np.complex128)
+        if arr.shape != (1 << layout.total_qubits,):
+            raise ValueError(f"expected {1 << layout.total_qubits} amplitudes, got {arr.shape}")
+        self.layout, self.amplitudes = layout, arr
 
     @property
     def norm(self) -> float:

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import _defer
+from . import _Record, _defer
 from .circuits import Support, TransformQuery, gather
 from .subset import BitString
 
@@ -41,13 +40,10 @@ _DEFERRED = {"gates": ("amplify", "build_start_state", "plan_grover")}
 __getattr__ = _defer(globals(), _DEFERRED)[1]
 
 
-@dataclass(frozen=True)
-class GroverPlan:
+class GroverPlan(_Record):
     """overlap a, chosen iteration count, and its predicted success mass."""
 
-    overlap: float
-    iterations: int
-    predicted_success: float
+    __slots__ = ("overlap", "iterations", "predicted_success")
 
 
 def _fsum(parts: Iterable[np.ndarray]) -> float:
@@ -135,7 +131,6 @@ def _cells(t: np.ndarray, o: np.ndarray, keep: np.ndarray, alphas: int) -> tuple
     )
 
 
-@dataclass(eq=False)
 class EstimateReport:
     """Sampled estimate of one transform value.
 
@@ -146,21 +141,18 @@ class EstimateReport:
     positive whenever an estimate exists.
     """
 
-    estimate: float | None
-    halfwidth: float | None
-    message: str = ""
+    def __init__(self, estimate: float | None, halfwidth: float | None, message: str = "") -> None:
+        self.estimate, self.halfwidth, self.message = estimate, halfwidth, message
 
 
-@dataclass(frozen=True)
-class Readout:
+class Readout(_Record):
     """What one amplified start state yields.
 
     cells holds the probability masses of the (omega, gamma) cells (0, 0),
     (0, 1), (1, 0) and (1, 1) of the amplified state.
     """
 
-    plan: GroverPlan
-    cells: tuple[float, float, float, float]
+    __slots__ = ("plan", "cells")
 
     @property
     def exact(self) -> float:

@@ -11,12 +11,11 @@ backend (classical butterfly table, or the exact quantum estimator).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import _defer
+from . import _Record, _defer
 from .subset import BitString, SubsetTable, zeta_fast
 
 # The quantum backend's names, bound when quantum_evaluator first runs, so the
@@ -40,26 +39,22 @@ def _require_bits(n: int) -> None:
         raise ValueError(f"objective needs 1 <= n <= {MAX_OBJECTIVE_BITS}, got n={n}")
 
 
-@dataclass(eq=False)
 class ObjectiveTable:
     """Strictly positive finite objective values over all 2**n points."""
 
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        _require_bits(self.n)
-        arr = np.asarray(self.values)
+    def __init__(self, n: int, values: np.ndarray) -> None:
+        _require_bits(n)
+        arr = np.asarray(values)
         if np.iscomplexobj(arr):
             raise ValueError("objective values must be real")
         arr = np.array(arr, dtype=np.float64)
-        if arr.shape != (1 << self.n,):
-            raise ValueError(f"expected {1 << self.n} values, got shape {arr.shape}")
+        if arr.shape != (1 << n,):
+            raise ValueError(f"expected {1 << n} values, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("objective values must be finite")
         if arr.min() <= 0.0:
             raise ValueError(f"objective values must be positive, min is {arr.min()}")
-        self.values = arr
+        self.n, self.values = n, arr
 
 
 def quadratic_objective(n: int, center: int) -> ObjectiveTable:
@@ -133,17 +128,16 @@ def probe_point(n: int, decided: Sequence[int], j: int) -> BitString:
     return BitString.from_int(value, n)
 
 
-@dataclass(frozen=True)
-class ProbeRecord:
-    point: BitString
-    value: float
-    bit: int
+class ProbeRecord(_Record):
+    """One probe: the point, the D value read there, and the bit it decided."""
+
+    __slots__ = ("point", "value", "bit")
 
 
-@dataclass(frozen=True)
-class SearchTrace:
-    probes: list[ProbeRecord]
-    result: BitString
+class SearchTrace(_Record):
+    """The probes of one search, in order, and the argmin they decided."""
+
+    __slots__ = ("probes", "result")
 
 
 def classical_evaluator(d_minus: SubsetTable) -> Callable[[BitString], float]:

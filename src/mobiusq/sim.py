@@ -19,13 +19,12 @@ This is all a transform run simulates.  The rest of the gate model lives in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
 import numpy as np
 
-from . import _defer
+from . import _Record, _defer
 
 _DEFERRED = {
     "gates": (
@@ -44,33 +43,28 @@ class Mode(Enum):
     MARGINAL = "marginal"
 
 
-@dataclass(frozen=True)
-class RegisterLayout:
+class RegisterLayout(_Record):
     """Register-to-qubit map for one simulation instance.
 
     ``n`` sizes alpha_minus, ``n0`` sizes alpha and beta.  Mobius mode forces
-    n0 == n; marginal mode needs 0 < n0 < n.
+    n0 == n (None means n); marginal mode needs 0 < n0 < n.
     """
 
-    mode: Mode
-    n: int
-    n0: int | None = None
+    __slots__ = ("mode", "n", "n0")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mode", Mode(self.mode))
-        if self.n < 1:
+    def __init__(self, mode: Mode, n: int, n0: int | None = None) -> None:
+        mode = Mode(mode)
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if self.mode is Mode.MOBIUS:
-            n0 = self.n if self.n0 is None else self.n0
-            if n0 != self.n:
-                raise ValueError(f"mobius mode needs n0 == n, got n0={n0}, n={self.n}")
-        else:
-            if self.n0 is None:
-                raise ValueError("marginal mode needs an explicit n0")
-            n0 = self.n0
-            if not 0 < n0 < self.n:
-                raise ValueError(f"marginal mode needs 0 < n0 < n, got n0={n0}, n={self.n}")
-        object.__setattr__(self, "n0", n0)
+        if mode is Mode.MOBIUS:
+            n0 = n if n0 is None else n0
+            if n0 != n:
+                raise ValueError(f"mobius mode needs n0 == n, got n0={n0}, n={n}")
+        elif n0 is None:
+            raise ValueError("marginal mode needs an explicit n0")
+        elif not 0 < n0 < n:
+            raise ValueError(f"marginal mode needs 0 < n0 < n, got n0={n0}, n={n}")
+        super().__init__(mode, n, n0)
         if self.total_qubits > MAX_QUBITS:
             raise ValueError(
                 f"layout needs {self.total_qubits} qubits, cap is {MAX_QUBITS}"
@@ -123,25 +117,19 @@ class RegisterLayout:
 # prep gates
 
 
-@dataclass(frozen=True)
-class Ry:
+class Ry(_Record):
     """Real rotation cos(theta/2) I - i sin(theta/2) Y."""
 
-    qubit: int
-    theta: float
+    __slots__ = ("qubit", "theta")
 
 
-@dataclass(frozen=True)
-class PhasePair:
+class PhasePair(_Record):
     """Diagonal phases diag(e^{i phi0}, e^{i phi1}) on one qubit."""
 
-    qubit: int
-    phi0: float
-    phi1: float
+    __slots__ = ("qubit", "phi0", "phi1")
 
 
-@dataclass(frozen=True)
-class Multiplexed:
+class Multiplexed(_Record):
     """A uniformly controlled Ry or PhasePair: one gate per value of the qubits above ``qubit``.
 
     The m qubits qubit+1 .. qubit+m, 2**m being ``len(rows)``, hold a value
@@ -152,14 +140,13 @@ class Multiplexed:
     (quant-ph/0407010), also called a multiplexed rotation.
     """
 
-    qubit: int
-    gate: type
-    rows: tuple
+    __slots__ = ("qubit", "gate", "rows")
 
-    def __post_init__(self) -> None:
-        size = len(self.rows)
-        if self.gate not in (Ry, PhasePair) or size < 2 or size & (size - 1):
+    def __init__(self, qubit: int, gate: type, rows: tuple) -> None:
+        size = len(rows)
+        if gate not in (Ry, PhasePair) or size < 2 or size & (size - 1):
             raise ValueError(f"a Multiplexed gate is an Ry or PhasePair with 2**m >= 2 rows, got {size}")
+        super().__init__(qubit, gate, rows)
 
     @property
     def width(self) -> int:
@@ -219,7 +206,7 @@ def _apply_prep_gate(view: np.ndarray, op: PrepGate) -> None:
         if sub is not block:
             block[:, live] = sub
         return
-    m = _gate_matrices(type(op), [tuple(vars(op).values())[1:]])[0]
+    m = _gate_matrices(type(op), [op._values()[1:]])[0]  # the fields after qubit
     _rotate(*_halves(view, op.qubit), *m.ravel())
 
 

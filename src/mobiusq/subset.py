@@ -11,23 +11,24 @@ tables are both supported.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
+from . import _Record
 
-@dataclass(frozen=True)
-class BitString:
-    """Ordered bit assignment; ``bits[j]`` is bit j (the 2**j place)."""
 
-    bits: tuple[int, ...]
+class BitString(_Record):
+    """Ordered bit assignment; ``bits[j]`` is bit j (the 2**j place), stored as a tuple of ints."""
 
-    def __post_init__(self) -> None:
-        if len(self.bits) < 1:
+    __slots__ = ("bits",)
+
+    def __init__(self, bits) -> None:
+        if len(bits) < 1:
             raise ValueError("BitString needs at least one bit")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"bits must be 0 or 1, got {self.bits!r}")
+        if any(b not in (0, 1) for b in bits):
+            raise ValueError(f"bits must be 0 or 1, got {bits!r}")
+        super().__init__(tuple(int(b) for b in bits))
 
     @classmethod
     def from_int(cls, value: int, n: int) -> BitString:
@@ -54,29 +55,23 @@ class BitString:
         return "".join(str(b) for b in reversed(self.bits))
 
 
-@dataclass(eq=False)
 class SubsetTable:
     """Dense table over all 2**n bit strings, indexed by dec(x).
 
     Values are float64, or complex128 when any input entry is complex.
     """
 
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= 62:  # no array holds 2**63 entries; also bounds the shift below
-            raise ValueError(f"n must be in 1..62, got {self.n}")
-        arr = np.asarray(self.values)
+    def __init__(self, n: int, values: np.ndarray) -> None:
+        if not 1 <= n <= 62:  # no array holds 2**63 entries; also bounds the shift below
+            raise ValueError(f"n must be in 1..62, got {n}")
+        arr = np.asarray(values)
         dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
         arr = np.array(arr, dtype=dtype)
-        if arr.shape != (1 << self.n,):
-            raise ValueError(
-                f"expected {1 << self.n} values for n={self.n}, got shape {arr.shape}"
-            )
+        if arr.shape != (1 << n,):
+            raise ValueError(f"expected {1 << n} values for n={n}, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("table has non-finite values")
-        self.values = arr
+        self.n, self.values = n, arr
 
     def require_probability(self) -> None:
         """Raise unless the table is a probability distribution: no entry below 0, sum 1 within 1e-9."""

@@ -23,11 +23,11 @@ by ``run_verify`` and the acceptance gate alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _Record
 from .circuits import DecompositionError, Support, TransformQuery, _keep, classical_value, gather
 from .gates import StateVector, apply_circuit, basis_index, build_comparator
 from .grover import _fsum, _off_target, _squares, cells_by_step, read_out_at
@@ -37,16 +37,12 @@ from .subset import BitString, SubsetTable, zeta_fast
 _CHECK_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Record):
     """Outcome of one check: pass or fail, the worst error measured, and why."""
 
-    ok: bool
-    worst: float
-    detail: str
+    __slots__ = ("ok", "worst", "detail")
 
 
-@dataclass(eq=False)
 class SignalDecomposition:
     """Weights of the start state's (gamma, omega) sectors.
 
@@ -56,9 +52,8 @@ class SignalDecomposition:
     rounded mass, so no entry order or thread count moves it.
     """
 
-    z1: complex
-    z0: complex
-    chi_norm: float
+    def __init__(self, z1: complex, z0: complex, chi_norm: float) -> None:
+        self.z1, self.z0, self.chi_norm = z1, z0, chi_norm
 
     @property
     def ratio(self) -> float:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -10,6 +9,7 @@ import pytest
 
 import mobiusq.circuits as circuits_mod
 from mobiusq.circuits import (
+    Support,
     DecompositionError,
     TransformQuery,
     build_comparator,
@@ -469,7 +469,7 @@ def test_sector_vectors_are_orthonormal_and_theta_weighted():
         amps = support.amplitudes.copy()
         amps[row] *= -1
         with pytest.raises(DecompositionError, match=f"gamma={gamma} sector residual"):
-            decompose_signal(q, dataclasses.replace(support, amplitudes=amps))
+            decompose_signal(q, Support(support.layout, support.alpha_minus, amps))
 
 
 def test_decomposition_zero_value_point():
@@ -486,7 +486,7 @@ def test_decomposition_rejects_tampered_state():
     amps = support.amplitudes.copy()
     amps[support.alpha_minus == 1] += 1e-3
     with pytest.raises(DecompositionError):
-        decompose_signal(q, dataclasses.replace(support, amplitudes=amps))
+        decompose_signal(q, Support(support.layout, support.alpha_minus, amps))
 
 
 def test_decomposition_rejects_layout_mismatch():

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import subprocess
 import sys
@@ -15,6 +14,7 @@ import mobiusq.circuits as circuits_mod
 import mobiusq.cli as cli_mod
 import mobiusq.grover as grover_mod
 from mobiusq.circuits import (
+    Support,
     TransformQuery,
     build_comparator,
     build_start_state,
@@ -918,7 +918,7 @@ def test_a_corrupted_gather_fails_the_sector_decomposition(monkeypatch):
         support = gather(query)
         amplitudes = support.amplitudes.copy()
         amplitudes[0] *= 1.5
-        return dataclasses.replace(support, amplitudes=amplitudes)
+        return Support(support.layout, support.alpha_minus, amplitudes)
 
     monkeypatch.setattr(verify_mod, "gather", corrupted)
     ok, lines = run_verify(seed=0)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -10,6 +9,7 @@ import pytest
 import mobiusq.gates as gates_mod
 import mobiusq.grover as grover_mod
 from mobiusq.circuits import (
+    Support,
     TransformQuery,
     build_start_state,
     classical_value,
@@ -250,7 +250,7 @@ def test_support_consumers_do_not_depend_on_entry_order(mode, n, n0, kind):
     width = n0 or n
     support = gather(TransformQuery(mode, n, amps, BitString.from_int(0, width), n0))
     perm = rng.permutation(support.alpha_minus.size)
-    shuffled = dataclasses.replace(support, alpha_minus=support.alpha_minus[perm], amplitudes=support.amplitudes[perm])
+    shuffled = Support(support.layout, support.alpha_minus[perm], support.amplitudes[perm])
     for xv in range(1 << width):
         x = BitString.from_int(xv, width)
         assert read_out_at(shuffled, x) == read_out_at(support, x)

@@ -8,7 +8,9 @@ never loads the simulator, and no transform run loads the gate model in
 deferred name is nonetheless an attribute of its module from the start: the
 tests and ``perfbench/tracer.py`` read and replace them there.  The module
 sets are read in fresh processes, since the pytest process has long since
-loaded every module.
+loaded every module.  No command loads ``dataclasses``: the record classes
+are plain ``__slots__`` classes (``mobiusq._Record``), so defining them
+generates and compiles no code.
 """
 from __future__ import annotations
 
@@ -49,14 +51,14 @@ def _python(code: str, *args: str) -> str:
     return proc.stdout.strip()
 
 
-# runs cli.main on argv[1:] (when given) and prints the mobiusq modules loaded
+# runs cli.main on argv[1:] (when given) and prints the mobiusq modules loaded, and dataclasses if loaded
 MODULES_AFTER = """
 import contextlib, io, json, sys
 import mobiusq.cli as cli
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(sys.argv[1:]) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "mobiusq")))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("mobiusq", "dataclasses"))))
 """
 
 
@@ -77,8 +79,9 @@ def test_each_command_loads_only_the_modules_it_runs(argv, added):
 
 
 def test_dump_state_loads_the_gate_model(tmp_path):
-    argv = ["mobius", "--input", TABLE, "--x", "101", "--dump-state", str(tmp_path / "state.json")]
-    assert set(json.loads(_python(MODULES_AFTER, *argv))) == BASE | SIMULATOR | GATES
+    for point in (["mobius", "--input", TABLE, "--x", "101"], ["marginal", "--input", TABLE, "--n0", "2", "--x", "10"]):
+        argv = [*point, "--dump-state", str(tmp_path / "state.json")]
+        assert set(json.loads(_python(MODULES_AFTER, *argv))) == BASE | SIMULATOR | GATES, point[0]
 
 
 def test_every_name_the_tracer_reads_is_an_attribute_before_any_command_runs():

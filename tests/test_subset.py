@@ -48,6 +48,16 @@ def test_bitstring_roundtrip():
             assert len(b) == n
 
 
+def test_bitstring_stores_its_bits_as_a_tuple_of_ints():
+    b = BitString((True, False, True))
+    assert str(b) == "101" and b.bits == (1, 0, 1)
+    assert all(type(bit) is int for bit in b.bits)
+    for bits in ([1, 0], (np.int64(1), np.uint8(0)), [True, False]):
+        assert BitString(bits) == BitString((1, 0))
+        assert hash(BitString(bits)) == hash(BitString((1, 0)))
+        assert BitString(bits).bits == (1, 0)
+
+
 def test_bitstring_validation():
     with pytest.raises(ValueError):
         BitString(())
