@@ -155,6 +155,16 @@ def entries() -> list[dict]:
     runs.append(("marginal5-dump", ["marginal", "--input", _complex_marginal_query(5, 2), "--x", "01",
                                     "--shots", "300", "--seed", "4",
                                     "--out", "{out}", "--dump-state", "{state}"]))
+    # the sampling stream at its edges: the largest shot count, a single shot, and cells
+    # that are exactly zero (the n0=2 marginal of x=11 in marginal3-zeros is 0)
+    runs += [
+        ("mobius3-shots-max", ["mobius", "--input", mobius3, "--sweep", "--shots", str((1 << 63) - 1),
+                               "--out", "{out}"]),
+        ("marginal5-shots-1", ["marginal", "--input", "tests/data/marginal5_table.json", "--n0", "3",
+                               "--sweep", "--shots", "1", "--out", "{out}"]),
+        ("marginal3-zeros", ["marginal", "--input", "tests/data/golden/inputs/marginal3-zeros.json", "--n0", "2",
+                             "--sweep", "--shots", "20000", "--seed", "9", "--out", "{out}"]),
+    ]
     return [{"name": name, "argv": argv} for name, argv in runs] + _scale_entries()
 
 
