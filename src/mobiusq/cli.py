@@ -398,7 +398,7 @@ def _cmd_transform(args) -> int:
             raise ValueError("a table input needs --x or --sweep")
     seed = 0 if seed is None else seed
     if shots is not None:
-        if not 1 <= shots < 1 << 63:  # numpy's multinomial limit
+        if not 1 <= shots < 1 << 63:  # the int64 range the sampling stream is defined on
             raise ValueError(f"shots must be >= 1 and < 2**63, got {shots}")
         low = min(points, key=BitString.to_int)  # each point samples with seed + dec(x) >= 0
         if seed + low.to_int() < 0:

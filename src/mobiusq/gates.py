@@ -16,7 +16,7 @@ comparator check, ``--dump-state``, the tests' oracles and
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -55,14 +55,14 @@ class Controlled(_Record):
     ``controls`` is one partial basis assignment {qubit: 0 or 1}; an empty
     one matches every state.  Controls are one level deep (an inner op is
     never a Controlled) and disjoint from the inner ops' targets, so the gate
-    realizes (1 - pi) + U pi exactly.  They are kept as a read-only copy, so
-    the gate is hashable and compares by value.
+    realizes (1 - pi) + U pi exactly.  They are kept as a read-only copy and
+    the ops as a tuple, so the gate is hashable and compares by value.
     """
 
     __slots__ = ("controls", "ops")
 
-    def __init__(self, controls: Mapping[int, int], ops: tuple[OneQubitGate, ...]) -> None:
-        controls = MappingProxyType(dict(controls))
+    def __init__(self, controls: Mapping[int, int], ops: Iterable[OneQubitGate]) -> None:
+        controls, ops = MappingProxyType(dict(controls)), tuple(ops)
         bad = {q: v for q, v in controls.items() if v not in (0, 1)}
         if bad:
             raise ValueError(f"control values must be 0 or 1, got {bad}")

@@ -36,8 +36,9 @@ from .subset import BitString
 
 # The dense readout's names, bound from mobiusq.gates on first use.  Nothing
 # here calls build_start_state: perfbench/tracer.py reads and replaces it in this module.
-_DEFERRED = {"gates": ("amplify", "build_start_state", "plan_grover")}
-__getattr__ = _defer(globals(), _DEFERRED)[1]
+# The sampler is bound on the first Readout.sample, so a run without --shots compiles none of it.
+_DEFERRED = {"gates": ("amplify", "build_start_state", "plan_grover"), "_pcg64": ("multinomial",)}
+_load, __getattr__ = _defer(globals(), _DEFERRED)
 
 
 class GroverPlan(_Record):
@@ -165,18 +166,20 @@ class Readout(_Record):
     def sample(self, shots: int, seed: int) -> EstimateReport:
         """Estimate the value from seeded (omega, gamma) measurements.
 
-        Randomness comes from numpy's default PCG64 generator seeded with
-        ``seed``; results are deterministic per (readout, shots, seed).
-        Raises RuntimeError, like ``exact``, when the reference mass vanished.
+        The counts are ``np.random.default_rng(seed).multinomial(shots,
+        cells)``, drawn by mobiusq's own copy of numpy's stream
+        (:mod:`mobiusq._pcg64`, checked against numpy 2.4.6), so they do not
+        depend on the numpy installed.  Results are deterministic per
+        (readout, shots, seed).  Raises RuntimeError, like ``exact``, when
+        the reference mass vanished.
         """
         if shots < 1:
             raise ValueError("shots must be >= 1")
         self.exact  # raises when the gamma=0 reference mass vanished
         cells = np.array(self.cells)
         cells /= cells.sum()
-        rng = np.random.default_rng(seed)
-        counts = rng.multinomial(shots, cells)
-        n_ref, n_hit = int(counts[0]), int(counts[1])
+        _load("_pcg64")
+        n_ref, n_hit = multinomial(seed, shots, cells.tolist())[:2]
 
         if n_ref == 0:
             return EstimateReport(

@@ -11,7 +11,7 @@ backend (classical butterfly table, or the exact quantum estimator).
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -135,9 +135,12 @@ class ProbeRecord(_Record):
 
 
 class SearchTrace(_Record):
-    """The probes of one search, in order, and the argmin they decided."""
+    """The probes of one search, in order (kept as a tuple), and the argmin they decided."""
 
     __slots__ = ("probes", "result")
+
+    def __init__(self, probes: Iterable[ProbeRecord], result: BitString) -> None:
+        super().__init__(tuple(probes), result)
 
 
 def classical_evaluator(d_minus: SubsetTable) -> Callable[[BitString], float]:

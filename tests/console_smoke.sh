@@ -39,6 +39,17 @@ mobiusq marginal --input tests/data/golden/inputs/marginal5-n0-2-complex.json --
 cmp "$tmp/mdump.state.json" tests/data/golden/marginal5-dump.state.json
 echo "marginal --dump-state byte-identical to the golden marginal5-dump state"
 
+# a seeded sweep loads neither numpy.random nor the secrets -> hmac -> _hashlib chain it imports
+# (tests/test_loading.py pins the same for python -m mobiusq.cli); the numpy line shows the log was written
+PYTHONPROFILEIMPORTTIME=1 mobiusq mobius --input tests/data/mobius3_table.json --sweep --shots 20000 \
+    2> "$tmp/imports.log" > /dev/null
+grep -qE '\| +numpy$' "$tmp/imports.log"
+if grep -E '\| +(numpy\.random(\..*)?|secrets|_hashlib)$' "$tmp/imports.log"; then
+    echo "mobius --sweep --shots imported numpy.random, secrets or _hashlib" >&2
+    exit 1
+fi
+echo "mobius --sweep --shots: no numpy.random, secrets or _hashlib in the import log"
+
 # the script prints and writes what python -m mobiusq.cli does (tests/test_loading.py
 # compares python -m mobiusq with python -m mobiusq.cli)
 parity() {

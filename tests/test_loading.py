@@ -10,7 +10,10 @@ tests and ``perfbench/tracer.py`` read and replace them there.  The module
 sets are read in fresh processes, since the pytest process has long since
 loaded every module.  No command loads ``dataclasses``: the record classes
 are plain ``__slots__`` classes (``mobiusq._Record``), so defining them
-generates and compiles no code.
+generates and compiles no code.  A seeded estimate loads the sampler
+``mobiusq._pcg64`` and never ``numpy.random``, whose import pulls in
+``secrets``, ``hmac`` and OpenSSL; ``verify``, which draws its inputs from
+numpy's generator, is the one command that loads it.
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ TABLE = "tests/data/mobius3_table.json"
 BASE = {"mobiusq", "mobiusq.cli", "mobiusq.subset"}
 SIMULATOR = {"mobiusq.sim", "mobiusq.circuits", "mobiusq.grover"}
 GATES = {"mobiusq.gates"}
+SAMPLER = {"mobiusq._pcg64"}
 
 # the names perfbench/tracer.py reads off each module, none of them bound by a command it runs first
 TRACER_NAMES = {
@@ -51,14 +55,15 @@ def _python(code: str, *args: str) -> str:
     return proc.stdout.strip()
 
 
-# runs cli.main on argv[1:] (when given) and prints the mobiusq modules loaded, and dataclasses if loaded
+# runs cli.main on argv[1:] (when given) and prints the mobiusq modules loaded, and
+# dataclasses and numpy.random if loaded
 MODULES_AFTER = """
 import contextlib, io, json, sys
 import mobiusq.cli as cli
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(sys.argv[1:]) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("mobiusq", "dataclasses"))))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("mobiusq", "dataclasses") or m == "numpy.random")))
 """
 
 
@@ -68,11 +73,16 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("mobiusq",
         ([], set()),
         (["minfind", "--center", "13", "--n", "5"], {"mobiusq.minfind"}),
         (["mobius", "--input", TABLE, "--x", "101"], SIMULATOR),
+        (["mobius", "--input", TABLE, "--sweep", "--shots", "100"], SIMULATOR | SAMPLER),
         (["marginal", "--input", TABLE, "--n0", "2", "--x", "10"], SIMULATOR),
+        (["marginal", "--input", TABLE, "--n0", "2", "--x", "10", "--shots", "100"], SIMULATOR | SAMPLER),
         (["minfind", "--center", "13", "--n", "5", "--backend", "quantum"], SIMULATOR | {"mobiusq.minfind"}),
-        (["verify", "--seed", "0"], SIMULATOR | GATES | {"mobiusq.verify"}),
+        (["verify", "--seed", "0"], SIMULATOR | GATES | {"mobiusq.verify", "numpy.random"}),
     ],
-    ids=["import-only", "minfind-classical", "mobius", "marginal", "minfind-quantum", "verify"],
+    ids=[
+        "import-only", "minfind-classical", "mobius", "mobius-sweep-shots", "marginal", "marginal-shots",
+        "minfind-quantum", "verify",
+    ],
 )
 def test_each_command_loads_only_the_modules_it_runs(argv, added):
     assert set(json.loads(_python(MODULES_AFTER, *argv))) == BASE | added

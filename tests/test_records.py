@@ -100,6 +100,22 @@ def test_a_record_survives_copy_deepcopy_and_pickle(cls, values):
         assert type(twin) is cls and twin == record and hash(twin) == hash(record)
 
 
+# a record whose field is a sequence stores it as a tuple, so one built from a list hashes
+@pytest.mark.parametrize(
+    "cls, values, field",
+    [
+        (Controlled, ({0: 1}, [Hadamard(1), PauliX(2)]), "ops"),
+        (SearchTrace, ([ProbeRecord(BitString((1, 0)), 0.75, 1)], BitString((0, 1))), "probes"),
+    ],
+    ids=["Controlled", "SearchTrace"],
+)
+def test_a_record_built_from_a_list_hashes_and_equals_the_one_built_from_a_tuple(cls, values, field):
+    from_list = cls(*values)
+    from_tuple = cls(*(tuple(v) if isinstance(v, list) else v for v in values))
+    assert type(getattr(from_list, field)) is tuple
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple) and len({from_list, from_tuple}) == 1
+
+
 def _same_fields(a, b, names) -> bool:
     return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in names)
 
