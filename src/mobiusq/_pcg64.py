@@ -211,10 +211,8 @@ def _binomial(rng: _PCG64, n: int, p: float) -> int:
 def multinomial(seed: int, n: int, pvals: list[float]) -> list[int]:
     """``np.random.default_rng(seed).multinomial(n, pvals)`` as a list, with numpy's argument checks.
 
-    n must be an int64, and seed a non-negative int; pvals are floats.
+    n must be an int64, and seed a non-negative int; pvals is a non-empty list of floats.
     """
-    if not pvals:
-        raise ValueError("pvals must have at least 1 dimension and the last dimension of pvals must be greater than 0.")
     if not all(0.0 <= p <= 1.0 for p in pvals):
         raise ValueError("pvals < 0, pvals > 1 or pvals contains NaNs")
     total, carry = pvals[0], 0.0  # numpy's Kahan sum of pvals[:-1]
