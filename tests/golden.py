@@ -77,6 +77,17 @@ def _complex_marginal_query(n: int, n0: int) -> str:
     return kept.relative_to(ROOT).as_posix()
 
 
+def _decades_objective(n: int) -> str:
+    """A minfind objective table whose values span six decades; returns its path."""
+    kept = INPUTS / f"minfind{n}-decades.json"
+    if not kept.exists():
+        import numpy as np
+
+        values = 10.0 ** np.random.default_rng(1200 + n).uniform(0.0, 6.0, 1 << n)
+        kept.write_text(json.dumps({"n": n, "values": values.tolist()}) + "\n")
+    return kept.relative_to(ROOT).as_posix()
+
+
 def generated_input(spec: dict) -> bytes:
     """The JSON bytes of a seeded input: a probability table, or a query with complex psi_minus."""
     import numpy as np
@@ -165,6 +176,17 @@ def entries() -> list[dict]:
         ("marginal3-zeros", ["marginal", "--input", "tests/data/golden/inputs/marginal3-zeros.json", "--n0", "2",
                              "--sweep", "--shots", "20000", "--seed", "9", "--out", "{out}"]),
     ]
+    # classical minfind probes at their extremes: center 0 probes x = 2**j - 1, so each
+    # probe sums one aligned low block; center 2**18 - 1 probes every point with one bit
+    # clear, so the probe at bit j sums 2**(17 - j) such blocks; n = 1 is the smallest
+    # table.  At --beta 1 about 98% of the decades objective's softmin entries clamp to
+    # float64 tiny, and its probe values span hundreds of decades.
+    runs += [
+        (f"minfind{n}-center-{center}", ["minfind", "--center", str(center), "--n", str(n), "--out", "{out}"])
+        for n, center in ((18, 0), (18, (1 << 18) - 1), (1, 1), (22, 1398101))
+    ]
+    runs.append(("minfind12-decades", ["minfind", "--input", _decades_objective(12), "--beta", "1",
+                                       "--out", "{out}"]))
     return [{"name": name, "argv": argv} for name, argv in runs] + _scale_entries()
 
 
