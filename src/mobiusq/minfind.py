@@ -6,7 +6,7 @@ point dominates the peak.  Deciding bits most-significant first, each probe
 fixes the decided high bits, sets the current bit to 0 and all lower bits
 to 1, so D(probe) is close to 1 exactly when the peak's current bit is 0.
 Exactly n probes recover the argmin, with D supplied by any evaluator
-backend (classical butterfly table, or the exact quantum estimator).
+backend (classical block sums, or the exact quantum estimator).
 """
 from __future__ import annotations
 
@@ -16,7 +16,10 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import _Record, _defer
-from .subset import BitString, SubsetTable, zeta_fast
+from .subset import BitString, SubsetTable
+# no longer called here: bound only because perfbench/tracer.py wraps minfind.zeta_fast,
+# until ROADMAP item 3 retargets the tracer
+from .subset import zeta_fast  # noqa: F401
 
 # The quantum backend's names, bound when quantum_evaluator first runs, so the
 # classical backend never loads the simulator; each is a module attribute from
@@ -28,8 +31,8 @@ _DEFERRED = {
 }
 _load, __getattr__ = _defer(globals(), _DEFERRED)
 
-# The classical path peaks at about 4.1 float64 tables of 2**n entries
-# (tracemalloc, n = 18, 20 and 22): about 2.1 GiB at n = 26, a bound of its
+# The classical path peaks at about 3.1 float64 tables of 2**n entries
+# (tracemalloc, n = 18, 20 and 22): about 1.6 GiB at n = 26, a bound of its
 # own, since a quantum query builds no dense state (README "Limits").
 MAX_OBJECTIVE_BITS = 26
 
@@ -144,11 +147,41 @@ class SearchTrace(_Record):
 
 
 def classical_evaluator(d_minus: SubsetTable) -> Callable[[BitString], float]:
-    """D-query backend from one butterfly pass over the softmin table."""
-    table = zeta_fast(d_minus)
+    """D-query backend reading each probe off aligned block sums of the softmin table.
+
+    ``levels[k][i]`` sums the i-th aligned block of 2**k entries, built
+    pairwise: ``levels[k + 1] = levels[k][1::2] + levels[k][0::2]``, which is
+    2**n - 1 additions in all, where the whole zeta table takes n * 2**(n-1).
+    A point x with t trailing one bits gathers ``levels[t]`` at every subset
+    of x >> t, in ascending compressed order, and reduces them pairwise by
+    the same step until one value is left.
+
+    Each value is bit-identical to ``zeta_fast(d_minus).values[x]``.  The
+    butterfly's value at x is a tree of additions over the set bits of x,
+    lowest bit first; a bit clear in x adds nothing on the way to x.  Its
+    first t levels, over the trailing ones, sum exactly the aligned 2**t
+    blocks that ``levels[t]`` holds, upper half plus lower half as here.  Its
+    remaining levels pair the block sums at the subsets of x >> t, lowest
+    set bit first, which is the pairwise reduction over ascending compressed
+    order.  So each value is the same IEEE additions on the same operands
+    in the same order.
+    """
+    levels = [d_minus.values]
+    while len(levels[-1]) > 1:
+        levels.append(levels[-1][1::2] + levels[-1][0::2])
 
     def evaluate(point: BitString) -> float:
-        return float(table.values[point.to_int()].real)
+        x = point.to_int()
+        t = (x ^ (x + 1)).bit_length() - 1  # trailing one bits
+        rest = x >> t
+        subsets = np.zeros(1, dtype=np.intp)
+        for j in range(rest.bit_length()):
+            if rest >> j & 1:
+                subsets = np.concatenate((subsets, subsets | (1 << j)))
+        sums = levels[t][subsets]
+        while len(sums) > 1:
+            sums = sums[1::2] + sums[0::2]
+        return float(sums[0].real)
 
     return evaluate
 

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mobiusq.minfind as minfind_mod
 from mobiusq.circuits import TransformQuery
@@ -211,7 +213,33 @@ def test_classical_evaluator_is_one_butterfly_pass():
     evaluate = classical_evaluator(table)
     truth = zeta_fast(table)
     for x in range(8):
-        assert abs(evaluate(BitString.from_int(x, 3)) - truth.values[x]) <= 1e-15
+        assert evaluate(BitString.from_int(x, 3)) == truth.values[x]
+
+
+def _table_of_kind(kind: str, n: int, rng: np.random.Generator) -> SubsetTable:
+    size = 1 << n
+    if kind == "uniform":
+        values = rng.random(size)
+    elif kind == "decades":  # magnitudes spread over 1e-30 .. 1e30
+        values = rng.random(size) * 10.0 ** rng.uniform(-30.0, 30.0, size)
+    elif kind == "tiny":  # half the entries where softmin clamps them
+        values = np.where(rng.random(size) < 0.5, np.finfo(np.float64).tiny, rng.random(size))
+    else:
+        values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return SubsetTable(n, values)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "decades", "tiny", "complex"])
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_classical_evaluator_is_bit_equal_to_the_butterfly_at_every_point(kind, seed):
+    rng = np.random.default_rng(seed)
+    for n in range(1, 11):
+        table = _table_of_kind(kind, n, rng)
+        evaluate = classical_evaluator(table)
+        truth = zeta_fast(table).values.real
+        got = [evaluate(BitString.from_int(x, n)).hex() for x in range(1 << n)]
+        assert got == [float(v).hex() for v in truth], f"n={n}"
 
 
 def test_quantum_evaluator_builds_one_unmarked_state_for_all_probes(monkeypatch):
