@@ -17,8 +17,6 @@ names of its commands the same way, through :func:`_defer`.
 """
 from __future__ import annotations
 
-import importlib
-
 _EXPORTS = {
     "subset": (
         "BitString", "SubsetTable", "mobius_inverse", "zeta_fast", "zeta_fast_inplace",
@@ -52,7 +50,9 @@ def _defer(namespace: dict, exports: dict[str, tuple[str, ...]]):
     """Bind the names ``exports`` lists per submodule into a module's ``namespace`` on first use.
 
     Returns ``(load, __getattr__)``.  ``load(*submodules)`` imports those
-    submodules of this package and binds the names listed for them; a module
+    submodules of this package and binds the names listed for them; it
+    imports through the builtin ``__import__``, whose C import path writes
+    the ``-X importtime`` log, where ``importlib.import_module`` does not.  A module
     calls it before code that reads those names as globals.  ``__getattr__``
     is the module's PEP 562 hook: the first attribute access to a listed name
     loads its submodule.  So every listed name is an attribute of the module
@@ -63,7 +63,7 @@ def _defer(namespace: dict, exports: dict[str, tuple[str, ...]]):
 
     def load(*modules: str) -> None:
         for module in modules:
-            source = importlib.import_module(f".{module}", __name__)
+            source = __import__(f"{__name__}.{module}", fromlist=exports[module])
             for name in exports[module]:
                 namespace.setdefault(name, getattr(source, name))
 

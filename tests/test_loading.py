@@ -13,7 +13,8 @@ are plain ``__slots__`` classes (``mobiusq._Record``), so defining them
 generates and compiles no code.  A seeded estimate loads the sampler
 ``mobiusq._pcg64`` and never ``numpy.random``, whose import pulls in
 ``secrets``, ``hmac`` and OpenSSL; ``verify``, which draws its inputs from
-numpy's generator, is the one command that loads it.
+numpy's generator, is the one command that loads it.  A deferred load goes
+through the C import path, so ``-X importtime`` logs it like any other.
 """
 from __future__ import annotations
 
@@ -88,6 +89,30 @@ def test_each_command_loads_only_the_modules_it_runs(argv, added):
     assert set(json.loads(_python(MODULES_AFTER, *argv))) == BASE | added
 
 
+@pytest.mark.parametrize(
+    "argv, added",
+    [
+        (["mobius", "--input", TABLE, "--sweep", "--shots", "100"], SIMULATOR | SAMPLER),
+        (["minfind", "--center", "13", "--n", "5", "--backend", "quantum"], SIMULATOR | {"mobiusq.minfind"}),
+    ],
+    ids=["mobius-sweep-shots", "minfind-quantum"],
+)
+def test_the_import_time_log_lists_every_module_loaded_on_first_use(argv, added):
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", MODULES_AFTER, *argv],
+        cwd=golden.ROOT,
+        env=golden.env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    logged = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    loaded = set(json.loads(proc.stdout))
+    assert loaded == BASE | added
+    assert loaded <= logged, loaded - logged
+
+
 def test_dump_state_loads_the_gate_model(tmp_path):
     for point in (["mobius", "--input", TABLE, "--x", "101"], ["marginal", "--input", TABLE, "--n0", "2", "--x", "10"]):
         argv = [*point, "--dump-state", str(tmp_path / "state.json")]
@@ -158,7 +183,7 @@ import mobiusq
 assert "numpy" not in sys.modules
 print(json.dumps([name for name in dir(mobiusq) if not name.startswith("_")]))
 """
-    assert set(json.loads(_python(code))) == {*mobiusq.__all__, "annotations", "importlib"}
+    assert set(json.loads(_python(code))) == {*mobiusq.__all__, "annotations"}
 
 
 # python -m mobiusq binds the command's names into mobiusq.cli; python -m
