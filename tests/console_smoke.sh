@@ -40,15 +40,26 @@ cmp "$tmp/mdump.state.json" tests/data/golden/marginal5-dump.state.json
 echo "marginal --dump-state byte-identical to the golden marginal5-dump state"
 
 # a seeded sweep loads neither numpy.random nor the secrets -> hmac -> _hashlib chain it imports
-# (tests/test_loading.py pins the same for python -m mobiusq.cli); the numpy line shows the log was written
+# (tests/test_loading.py pins the same for python -m mobiusq.cli); the numpy line shows the log was
+# written, and the _pcg64 line that it lists the modules the CLI loads on first use
 PYTHONPROFILEIMPORTTIME=1 mobiusq mobius --input tests/data/mobius3_table.json --sweep --shots 20000 \
     2> "$tmp/imports.log" > /dev/null
 grep -qE '\| +numpy$' "$tmp/imports.log"
+grep -qE '\| +mobiusq\._pcg64$' "$tmp/imports.log"
 if grep -E '\| +(numpy\.random(\..*)?|secrets|_hashlib)$' "$tmp/imports.log"; then
     echo "mobius --sweep --shots imported numpy.random, secrets or _hashlib" >&2
     exit 1
 fi
 echo "mobius --sweep --shots: no numpy.random, secrets or _hashlib in the import log"
+
+# classical minfind loads none of the simulator; the minfind line shows the log lists first-use loads
+PYTHONPROFILEIMPORTTIME=1 mobiusq minfind --center 174099 --n 18 2> "$tmp/minfind-imports.log" > /dev/null
+grep -qE '\| +mobiusq\.minfind$' "$tmp/minfind-imports.log"
+if grep -E '\| +mobiusq\.(sim|circuits|grover|gates)$' "$tmp/minfind-imports.log"; then
+    echo "classical minfind imported the simulator" >&2
+    exit 1
+fi
+echo "minfind --center 174099 --n 18: no sim, circuits, grover or gates in the import log"
 
 # the script prints and writes what python -m mobiusq.cli does (tests/test_loading.py
 # compares python -m mobiusq with python -m mobiusq.cli)
