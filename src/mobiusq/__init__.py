@@ -50,12 +50,12 @@ def _defer(namespace: dict, exports: dict[str, tuple[str, ...]]):
     """Bind the names ``exports`` lists per submodule into a module's ``namespace`` on first use.
 
     Returns ``(load, __getattr__)``.  ``load(*submodules)`` imports those
-    submodules of this package and binds the names listed for them; it
-    imports through the builtin ``__import__``, whose C import path writes
-    the ``-X importtime`` log, where ``importlib.import_module`` does not.  A module
-    calls it before code that reads those names as globals.  ``__getattr__``
-    is the module's PEP 562 hook: the first attribute access to a listed name
-    loads its submodule.  So every listed name is an attribute of the module
+    submodules of this package and binds the names listed for them; a module
+    calls it before code that reads those names as globals.  It imports
+    through the builtin ``__import__``, whose C import path writes the
+    ``-X importtime`` log, where ``importlib.import_module`` does not.
+    ``__getattr__`` is the module's PEP 562 hook: the first attribute access
+    to a listed name loads its submodule.  So every listed name is an attribute of the module
     before any load.  Names are bound with ``setdefault``: a value already
     bound, such as a test's or a tracer's replacement, wins.
     """

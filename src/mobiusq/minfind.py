@@ -17,8 +17,8 @@ import numpy as np
 
 from . import _Record, _defer
 from .subset import BitString, SubsetTable
-# no longer called here: bound only because perfbench/tracer.py wraps minfind.zeta_fast,
-# until ROADMAP item 3 retargets the tracer
+# unused here: bound only because perfbench/tracer.py wraps minfind.zeta_fast, and
+# deleted when ROADMAP item 3 retargets the tracer
 from .subset import zeta_fast  # noqa: F401
 
 # The quantum backend's names, bound when quantum_evaluator first runs, so the
