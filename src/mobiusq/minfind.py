@@ -31,9 +31,10 @@ _DEFERRED = {
 }
 _load, __getattr__ = _defer(globals(), _DEFERRED)
 
-# The classical path peaks at about 3.1 float64 tables of 2**n entries
-# (tracemalloc, n = 18, 20 and 22): about 1.6 GiB at n = 26, a bound of its
-# own, since a quantum query builds no dense state (README "Limits").
+# The classical path peaks at 3.38 float64 tables of 2**n entries at an all-ones
+# argmin and 3.13 at centers 0 and 2**n // 3 (tracemalloc, n = 18 and 22): about
+# 1.7 GiB at n = 26, a bound of its own, since a quantum query builds no dense
+# state (README "Limits").
 MAX_OBJECTIVE_BITS = 26
 
 
@@ -152,9 +153,10 @@ def classical_evaluator(d_minus: SubsetTable) -> Callable[[BitString], float]:
     ``levels[k][i]`` sums the i-th aligned block of 2**k entries, built
     pairwise: ``levels[k + 1] = levels[k][1::2] + levels[k][0::2]``, which is
     2**n - 1 additions in all, where the whole zeta table takes n * 2**(n-1).
-    A point x with t trailing one bits gathers ``levels[t]`` at every subset
-    of x >> t, in ascending compressed order, and reduces them pairwise by
-    the same step until one value is left.
+    A point x with t trailing one bits views ``levels[t]`` as ``(2,)*m``, one
+    axis per bit of x >> t, lowest last, takes index 0 on every axis whose
+    bit is clear, and reduces the view by the same step over its last axis,
+    ``v[..., 1] + v[..., 0]``, until one value is left.
 
     Each value is bit-identical to ``zeta_fast(d_minus).values[x]``.  The
     butterfly's value at x is a tree of additions over the set bits of x,
@@ -162,26 +164,25 @@ def classical_evaluator(d_minus: SubsetTable) -> Callable[[BitString], float]:
     first t levels, over the trailing ones, sum exactly the aligned 2**t
     blocks that ``levels[t]`` holds, upper half plus lower half as here.  Its
     remaining levels pair the block sums at the subsets of x >> t, lowest
-    set bit first, which is the pairwise reduction over ascending compressed
-    order.  So each value is the same IEEE additions on the same operands
-    in the same order.
+    set bit first, which is the reduction over the view's last axis first.
+    So each value is the same IEEE additions on the same operands in the
+    same order.
     """
     levels = [d_minus.values]
     while len(levels[-1]) > 1:
         levels.append(levels[-1][1::2] + levels[-1][0::2])
 
     def evaluate(point: BitString) -> float:
+        if len(point) != d_minus.n:
+            raise ValueError(f"x has {len(point)} bits, expected n = {d_minus.n}")
         x = point.to_int()
         t = (x ^ (x + 1)).bit_length() - 1  # trailing one bits
-        rest = x >> t
-        subsets = np.zeros(1, dtype=np.intp)
-        for j in range(rest.bit_length()):
-            if rest >> j & 1:
-                subsets = np.concatenate((subsets, subsets | (1 << j)))
-        sums = levels[t][subsets]
-        while len(sums) > 1:
-            sums = sums[1::2] + sums[0::2]
-        return float(sums[0].real)
+        rest, m = x >> t, d_minus.n - t
+        sums = levels[t].reshape((2,) * m)  # axis i is bit m - 1 - i of the block index
+        sums = sums[tuple(slice(None) if rest >> j & 1 else 0 for j in reversed(range(m)))]
+        while sums.ndim:
+            sums = sums[..., 1] + sums[..., 0]
+        return float(sums.real)
 
     return evaluate
 

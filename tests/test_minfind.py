@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,6 +241,30 @@ def test_classical_evaluator_is_bit_equal_to_the_butterfly_at_every_point(kind, 
         truth = zeta_fast(table).values.real
         got = [evaluate(BitString.from_int(x, n)).hex() for x in range(1 << n)]
         assert got == [float(v).hex() for v in truth], f"n={n}"
+
+
+@pytest.mark.parametrize("bits", ["11", "0101", "1000"])
+def test_both_evaluators_refuse_a_point_of_the_wrong_width(bits):
+    table = SubsetTable(3, [0.125] * 8)
+    for backend in (classical_evaluator, quantum_evaluator):
+        with pytest.raises(ValueError, match=f"x has {len(bits)} bits"):
+            backend(table)(BitString.from_str(bits))
+
+
+def test_classical_probes_peak_under_half_a_table_at_an_all_ones_argmin():
+    """Each probe reads a view of its level: at n = 16 the n probes peak under half a table."""
+    n = 16
+    obj = quadratic_objective(n, (1 << n) - 1)
+    beta = choose_beta(obj)
+    evaluate = classical_evaluator(softmin_table(obj, beta))
+    tracemalloc.start()
+    try:
+        trace = find_min(obj, beta, evaluator=evaluate)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.result.to_int() == (1 << n) - 1
+    assert peak < 0.5 * (8 << n)
 
 
 def test_quantum_evaluator_builds_one_unmarked_state_for_all_probes(monkeypatch):
