@@ -35,7 +35,8 @@ from . import _Record, _defer
 from .sim import _H, Mode, RegisterLayout, compile_state_prep, prepare_low_qubits
 from .subset import BitString, SubsetTable, json_complex, json_int
 
-_DEFERRED = {"gates": ("build_comparator", "build_start_circuit", "build_start_state")}
+# bound from mobiusq.gates on first use: perfbench/tracer.py reads and replaces it here
+_DEFERRED = {"gates": ("build_start_circuit",)}
 __getattr__ = _defer(globals(), _DEFERRED)[1]
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from mobiusq import verify
 from mobiusq.circuits import TransformQuery
+from mobiusq.gates import StateVector, project
 from mobiusq.grover import amplify, estimate_sampled, plan_grover
 from mobiusq.minfind import (
     ObjectiveTable,
@@ -26,7 +27,7 @@ from mobiusq.minfind import (
     quantum_evaluator,
     softmin_table,
 )
-from mobiusq.sim import Mode, RegisterLayout, StateVector, project
+from mobiusq.sim import Mode, RegisterLayout
 from mobiusq.subset import BitString, SubsetTable, zeta_fast, zeta_fast_inplace, zeta_naive
 
 _RESULTS: list[tuple[str, bool, str]] = []

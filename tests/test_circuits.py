@@ -12,25 +12,24 @@ from mobiusq.circuits import (
     Support,
     DecompositionError,
     TransformQuery,
-    build_comparator,
     build_start_circuit,
-    build_start_state,
     classical_value,
     gather,
 )
-from mobiusq.sim import (
+from mobiusq.gates import (
     Circuit,
     Controlled,
     Hadamard,
-    Mode,
     PauliX,
     StateVector,
     apply_circuit,
     basis_index,
-    compile_state_prep,
+    build_comparator,
+    build_start_state,
     new_state,
     sector,
 )
+from mobiusq.sim import Mode, compile_state_prep
 from mobiusq.subset import BitString, SubsetTable, zeta_fast
 from mobiusq.verify import circuit_coefficient, decompose_signal
 from oracle import mark_oracle, register_values, table_amplitudes, unmarked_oracle

@@ -13,22 +13,11 @@ import pytest
 import mobiusq.circuits as circuits_mod
 import mobiusq.cli as cli_mod
 import mobiusq.grover as grover_mod
-from mobiusq.circuits import (
-    Support,
-    TransformQuery,
-    build_comparator,
-    build_start_state,
-    gather,
-)
+from mobiusq.circuits import Support, TransformQuery, gather
 from mobiusq.cli import MINFIND_SCHEMA, TRANSFORM_SCHEMA, main
+from mobiusq.gates import Circuit, Controlled, Hadamard, PauliX, build_comparator, build_start_state
 from mobiusq.grover import estimate_exact, estimate_sampled
-from mobiusq.sim import (
-    Circuit,
-    Controlled,
-    Hadamard,
-    Mode,
-    PauliX,
-)
+from mobiusq.sim import Mode
 from mobiusq.subset import BitString, SubsetTable, zeta_fast
 from mobiusq.verify import run_verify
 from oracle import read_out, state_from_json_obj

@@ -8,13 +8,8 @@ import pytest
 
 import mobiusq.gates as gates_mod
 import mobiusq.grover as grover_mod
-from mobiusq.circuits import (
-    Support,
-    TransformQuery,
-    build_start_state,
-    classical_value,
-    gather,
-)
+from mobiusq.circuits import Support, TransformQuery, classical_value, gather
+from mobiusq.gates import StateVector, build_start_state, project
 from mobiusq.grover import (
     GroverPlan,
     Readout,
@@ -25,7 +20,7 @@ from mobiusq.grover import (
     plan_grover,
     read_out_at,
 )
-from mobiusq.sim import Mode, RegisterLayout, StateVector, project
+from mobiusq.sim import Mode, RegisterLayout
 from mobiusq.subset import BitString, SubsetTable
 from mobiusq.verify import decompose_signal
 from oracle import cell_masses, read_out, table_amplitudes, unmarked_oracle

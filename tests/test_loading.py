@@ -4,7 +4,8 @@
 command needs on first use (``mobiusq._defer``), so classical ``minfind``
 never loads the simulator, and no transform run loads the gate model in
 ``mobiusq.gates``: only ``verify`` and ``--dump-state`` do.  ``sim``,
-``circuits`` and ``grover`` bind the gate model's names the same way.  Each
+``circuits`` and ``grover`` bind the gate model's names the same way, and
+only those ``perfbench/tracer.py`` reads through them.  Each
 deferred name is nonetheless an attribute of its module from the start: the
 tests and ``perfbench/tracer.py`` read and replace them there.  The module
 sets are read in fresh processes, since the pytest process has long since
@@ -26,8 +27,11 @@ import pytest
 
 import golden
 import mobiusq
+import mobiusq.circuits as circuits_mod
 import mobiusq.cli as cli_mod
+import mobiusq.grover as grover_mod
 import mobiusq.minfind as minfind_mod
+import mobiusq.sim as sim_mod
 
 TABLE = "tests/data/mobius3_table.json"
 BASE = {"mobiusq", "mobiusq.cli", "mobiusq.subset"}
@@ -131,6 +135,12 @@ assert all(getattr(gates, name, got) is got for (_, name), got in read.items())
 print("ok")
 """
     assert _python(code, json.dumps(TRACER_NAMES)) == "ok"
+
+
+@pytest.mark.parametrize("module", [sim_mod, circuits_mod, grover_mod], ids=lambda m: m.__name__)
+def test_the_gate_model_names_deferred_are_those_the_tracer_reads(module):
+    home = module.__name__.rsplit(".", 1)[1]
+    assert set(module._DEFERRED["gates"]) <= set(TRACER_NAMES[home])
 
 
 def test_every_deferred_name_is_an_attribute_before_any_command_runs():

@@ -5,31 +5,33 @@ import math
 import numpy as np
 import pytest
 
-from mobiusq.sim import (
-    MAX_QUBITS,
+from mobiusq.gates import (
     Circuit,
     Controlled,
     Hadamard,
-    Mode,
-    Multiplexed,
     PauliX,
-    PhasePair,
     QubitIs,
-    RegisterLayout,
-    Ry,
     StateVector,
     apply_circuit,
     basis_index,
-    compile_state_prep,
     gate_qubits,
     gate_target_qubits,
     new_state,
-    prepare_low_qubits,
     project,
+    run_ops,
     sector,
     state_to_json_obj,
 )
-from mobiusq.gates import run_ops
+from mobiusq.sim import (
+    MAX_QUBITS,
+    Mode,
+    Multiplexed,
+    PhasePair,
+    RegisterLayout,
+    Ry,
+    compile_state_prep,
+    prepare_low_qubits,
+)
 from oracle import (
     expand,
     layout_from_json_obj,
