@@ -89,13 +89,22 @@ def _decades_objective(n: int) -> str:
 
 
 def generated_input(spec: dict) -> bytes:
-    """The JSON bytes of a seeded input: a probability table, or a query with complex psi_minus."""
+    """The JSON bytes of a seeded input: a probability table, or a query with complex psi_minus.
+
+    A "sparse-table" is a table with about 40% of its entries 0 and 30% scaled
+    by 1e-28, so the prep has rows that are skipped or whose angle is within
+    1e-12 of 0 on its last levels.
+    """
     import numpy as np
 
     rng = np.random.default_rng(spec["seed"])
     n = spec["n"]
-    if spec["kind"] == "table":
+    if spec["kind"] in ("table", "sparse-table"):
         values = rng.random(1 << n)
+        if spec["kind"] == "sparse-table":
+            draw = rng.random(1 << n)
+            values[draw < 0.4] = 0.0
+            values[draw >= 0.7] *= 1e-28
         obj = {"n": n, "values": (values / values.sum()).tolist()}
     else:
         amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
@@ -126,6 +135,8 @@ def _scale_entries() -> list[dict]:
     runs += [
         ("marginal16-n0-2-complex", {"kind": "query", "mode": "marginal", "n": 16, "n0": 2, "seed": 1602},
          ["marginal", "--sweep", "--shots", "1000", "--seed", "3", "--out", "{out}"]),
+        ("marginal16-n0-2-sparse", {"kind": "sparse-table", "n": 16, "seed": 1612},
+         ["marginal", "--n0", "2", "--sweep", "--shots", "1000", "--seed", "3", "--out", "{out}"]),
         # n=19, n0=2 is 26 qubits, the cap
         ("marginal19-n0-2-real", {"kind": "table", "n": 19, "seed": 1902},
          ["marginal", "--n0", "2", "--x", "01", "--out", "{out}"]),
