@@ -129,26 +129,31 @@ class PhasePair(_Record):
 class Multiplexed(_Record):
     """A uniformly controlled Ry or PhasePair: one gate per value of the qubits above ``qubit``.
 
-    The m qubits qubit+1 .. qubit+m, 2**m being ``len(rows)``, hold a value
-    p (qubit+1 its low bit), and where they do, the gate applies
-    ``gate(qubit, *rows[p])``; a row of None leaves those amplitudes alone.
-    That is the same as one controlled gate per row that is not None, bit
-    for bit, and it is one level of the rotation tree of Mottonen et al.
-    (quant-ph/0407010), also called a multiplexed rotation.
+    ``params`` is a read-only float64 array of shape (2**m, 1) for Ry or
+    (2**m, 2) for PhasePair.  Where the m qubits qubit+1 .. qubit+m hold p
+    (qubit+1 its low bit), the gate applies ``gate(qubit, *params[p])``; a
+    row of zeros is the identity.  That is the same as one controlled gate
+    per nonzero row, bit for bit, and it is one level of the rotation tree
+    of Mottonen et al. (quant-ph/0407010), also called a multiplexed rotation.
     """
 
-    __slots__ = ("qubit", "gate", "rows")
+    __slots__ = ("qubit", "gate", "params")
 
-    def __init__(self, qubit: int, gate: type, rows: tuple) -> None:
-        size = len(rows)
-        if gate not in (Ry, PhasePair) or size < 2 or size & (size - 1):
-            raise ValueError(f"a Multiplexed gate is an Ry or PhasePair with 2**m >= 2 rows, got {size}")
-        super().__init__(qubit, gate, rows)
+    def __init__(self, qubit: int, gate: type, params) -> None:
+        params = np.array(params, dtype=np.float64)
+        size, angles = len(params) if params.ndim == 2 else 0, {Ry: 1, PhasePair: 2}.get(gate)
+        if angles is None or size < 2 or size & (size - 1) or params.shape[1] != angles:
+            raise ValueError(f"a Multiplexed Ry or PhasePair needs 2**m >= 2 rows of angles, got {params.shape}")
+        params.flags.writeable = False
+        super().__init__(qubit, gate, params)
+
+    def _values(self) -> tuple:  # the rows as tuples, for ==, hash and pickle
+        return self.qubit, self.gate, tuple(map(tuple, self.params.tolist()))
 
     @property
     def width(self) -> int:
         """m, the number of qubits that select the row."""
-        return len(self.rows).bit_length() - 1
+        return len(self.params).bit_length() - 1
 
 
 PrepGate = Union[Ry, PhasePair, Multiplexed]
@@ -157,15 +162,16 @@ PrepGate = Union[Ry, PhasePair, Multiplexed]
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 
 
-def _gate_matrices(gate: type, rows) -> np.ndarray:
-    """The matrices of gate(q, *row), an Ry or a PhasePair, for each row, stacked."""
-    out = np.zeros((len(rows), 2, 2), dtype=np.complex128)
+def _gate_matrices(gate: type, params: np.ndarray) -> np.ndarray:
+    """The matrices of gate(q, *row), an Ry or a PhasePair, for each row of params, stacked."""
+    out = np.zeros((len(params), 2, 2), dtype=np.complex128)
     if gate is Ry:
-        c, s = np.array([(math.cos(t / 2.0), math.sin(t / 2.0)) for t, in rows]).reshape(-1, 2).T
+        half = (params[:, 0] / 2.0).tolist()
+        c, s = (np.fromiter(map(f, half), np.float64, len(half)) for f in (math.cos, math.sin))
         out[:, 0, 0] = out[:, 1, 1] = c
         out[:, 0, 1], out[:, 1, 0] = -s, s
     else:
-        out[:, 0, 0], out[:, 1, 1] = np.exp(1j * np.array(rows).reshape(-1, 2).T)
+        out[:, 0, 0], out[:, 1, 1] = np.exp(1j * params.T)
     return out
 
 
@@ -195,15 +201,15 @@ def _apply_prep_gate(view: np.ndarray, op: PrepGate) -> None:
     """Apply an Ry, PhasePair or Multiplexed gate in place to a qubit view."""
     if isinstance(op, Multiplexed):
         # axes: the qubits above the selecting ones, the row p, the target, the qubits below
-        block = view.reshape(-1, len(op.rows), 2, 1 << op.qubit)
-        live = [p for p, row in enumerate(op.rows) if row is not None]
-        sub = block if len(live) == len(op.rows) else block[:, live]  # a copy if rows are skipped
-        m = _gate_matrices(op.gate, [op.rows[p] for p in live])[..., None]
+        block = view.reshape(-1, len(op.params), 2, 1 << op.qubit)
+        live = np.flatnonzero(op.params.any(axis=1))
+        sub = block if live.size == len(op.params) else block[:, live]  # a copy if rows are skipped
+        m = _gate_matrices(op.gate, op.params[live])[..., None]
         _rotate(sub[:, :, 0], sub[:, :, 1], m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1])
         if sub is not block:
             block[:, live] = sub
         return
-    m = _gate_matrices(type(op), [op._values()[1:]])[0]  # the fields after qubit
+    m = _gate_matrices(type(op), np.array([op._values()[1:]]))[0]  # the fields after qubit
     _rotate(*_halves(view, op.qubit), *m.ravel())
 
 
@@ -230,14 +236,6 @@ def prepare_low_qubits(ops, k: int) -> np.ndarray:
 # state preparation
 
 
-def _rows(params: np.ndarray) -> tuple:
-    """The rows of a Multiplexed gate: each row of params as floats, None where all are within 1e-12 of 0."""
-    rows = list(zip(*params.T.tolist()))
-    for p in np.flatnonzero(np.all(np.abs(params) <= 1e-12, axis=1)).tolist():
-        rows[p] = None
-    return tuple(rows)
-
-
 def compile_state_prep(target) -> tuple[PrepGate, ...]:
     """Compile gates mapping |0...0> of qubits 0..k-1 to the target amplitudes.
 
@@ -248,9 +246,9 @@ def compile_state_prep(target) -> tuple[PrepGate, ...]:
     final Multiplexed PhasePair on qubit 0 fixes the complex phases.  So
     there are at most k+1 gates.  The compiled gates reproduce the target
     with no residual global phase.  A row whose angles are all within 1e-12
-    of 0 is left alone, and a level whose angles agree across all prefixes
-    collapses to a single plain gate, so product states compile to
-    single-qubit rotations.
+    of 0 is set to zeros, which leaves its amplitudes alone, and a level
+    whose angles agree across all prefixes collapses to a single plain gate,
+    so product states compile to single-qubit rotations.
 
     Args:
         target: complex array of 2**k amplitudes, k >= 1, normalized within 1e-9.
@@ -271,17 +269,19 @@ def compile_state_prep(target) -> tuple[PrepGate, ...]:
 
     for m in range(k):
         # the weights of each prefix's two halves, each summed as its own slice; sqrt is exact-rounded
-        halves = np.sqrt(weights.reshape(1 << m, 2, -1).sum(axis=2))
-        angles = np.array([2.0 * math.atan2(r1, r0) for r0, r1 in zip(*halves.T.tolist())])
+        r0, r1 = np.sqrt(weights.reshape(1 << m, 2, -1).sum(axis=2)).T.tolist()
+        angles = 2.0 * np.fromiter(map(math.atan2, r1, r0), np.float64, 1 << m)
         if np.any(np.abs(angles - angles[0]) > 1e-12):
-            ops.append(Multiplexed(k - 1 - m, Ry, _rows(angles[:, None])))
+            angles[np.abs(angles) <= 1e-12] = 0.0
+            ops.append(Multiplexed(k - 1 - m, Ry, angles[:, None]))
         elif abs(angles[0]) > 1e-12:
             ops.append(Ry(k - 1 - m, float(angles[0])))
 
     phases = np.where(np.abs(target) > 0, np.angle(target), 0.0).reshape(-1, 2)
     if np.max(np.abs(phases)) > 1e-12:
         if np.any(phases != phases[0]):
-            ops.append(Multiplexed(0, PhasePair, _rows(phases)))
+            phases[np.all(np.abs(phases) <= 1e-12, axis=1)] = 0.0
+            ops.append(Multiplexed(0, PhasePair, phases))
         else:  # always so for k == 1
             ops.append(PhasePair(0, *phases[0].tolist()))
     return tuple(ops)

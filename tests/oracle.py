@@ -39,14 +39,14 @@ from mobiusq.subset import json_complex, json_int
 
 
 def expand(ops) -> list:
-    """The ops with each Multiplexed level replaced by one Controlled gate per row it applies."""
+    """The ops with each Multiplexed level replaced by one Controlled gate per nonzero row."""
     out = []
     for op in ops:
         if not isinstance(op, Multiplexed):
             out.append(op)
             continue
-        for p, row in enumerate(op.rows):
-            if row is not None:
+        for p, row in enumerate(op.params.tolist()):
+            if any(row):
                 controls = {op.qubit + 1 + t: (p >> t) & 1 for t in range(op.width)}
                 out.append(Controlled(controls, (op.gate(op.qubit, *row),)))
     return out
@@ -89,9 +89,17 @@ def per_prefix_state_prep(target) -> list:
 
 
 def table_amplitudes(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
-    """A unit 2**n-entry table of one kind: complex, real, zeros (60% zero), uniform or basis."""
+    """A unit 2**n-entry table of one kind: complex, real, zeros (60% zero), tiny, uniform or basis.
+
+    A tiny table has about half its magnitudes scaled by 1e-14 and each
+    phase drawn from {0, 1e-13, -1e-13, pi}, so the prep has angle and phase
+    rows within 1e-12 of 0, which it leaves alone.
+    """
     size = 1 << n
-    if kind == "uniform":
+    if kind == "tiny":
+        amps = rng.random(size) * np.where(rng.random(size) < 0.5, 1e-14, 1.0)
+        amps = amps * np.exp(1j * rng.choice([0.0, 1e-13, -1e-13, np.pi], size))
+    elif kind == "uniform":
         amps = np.ones(size)
     elif kind == "basis":
         amps = np.zeros(size)

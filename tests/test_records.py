@@ -28,7 +28,7 @@ RECORDS = [
     (RegisterLayout, (Mode.MARGINAL, 4, 2)),
     (Ry, (0, 0.5)),
     (PhasePair, (1, 0.25, -0.5)),
-    (Multiplexed, (0, Ry, ((0.5,), None))),
+    (Multiplexed, (0, Ry, ((0.5,), (0.0,)))),
     (GroverPlan, (0.5, 1, 1.0)),
     (Readout, (GroverPlan(0.5, 1, 1.0), (0.25, 0.5, 0.125, 0.125))),
     (ProbeRecord, (BitString((1, 0)), 0.75, 1)),

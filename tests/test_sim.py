@@ -513,7 +513,7 @@ def test_state_prep_rejects_unnormalized():
             compile_state_prep(wrong_length)
 
 
-@pytest.mark.parametrize("kind", ["complex", "real", "zeros", "uniform", "basis"])
+@pytest.mark.parametrize("kind", ["complex", "real", "zeros", "tiny", "uniform", "basis"])
 def test_level_gates_equal_the_per_prefix_gates_they_replace(kind):
     """Each Multiplexed level is its per-prefix Controlled gates: the same gates, the same amplitude bits."""
     rng = np.random.default_rng(40 + len(kind))
@@ -543,15 +543,17 @@ def test_multiplexed_gate_on_a_full_state_matches_its_expansion():
     layout = RegisterLayout(Mode.MARGINAL, 3, 1)
     state = _random_state(layout)
     for op, touched in (
-        (Multiplexed(2, Ry, ((0.3,), None, (-1.2,), (2.9,))), {2, 3, 4}),
+        (Multiplexed(2, Ry, ((0.3,), (0.0,), (-1.2,), (2.9,))), {2, 3, 4}),
         (Multiplexed(1, PhasePair, ((0.4, -1.3), (0.0, 2.2))), {1, 2}),
-        (Multiplexed(0, Ry, (None, None)), {0, 1}),
+        (Multiplexed(0, Ry, ((0.0,), (-0.0,))), {0, 1}),
     ):
         assert gate_target_qubits(op) == frozenset({op.qubit})
         assert gate_qubits(op) == frozenset(touched)
+        assert op.params.dtype == np.float64 and not op.params.flags.writeable
         got = _apply(state, op).amplitudes
         want = apply_circuit(state, Circuit(layout, expand([op]))).amplitudes
         assert got.tobytes() == want.tobytes()
-    for gate, rows in ((Ry, ((0.1,),) * 3), (Ry, ((0.1,),)), (Hadamard, ((), ()))):
+    for gate, rows in ((Ry, ((0.1,),) * 3), (Ry, ((0.1,),)), (Hadamard, ((), ())),
+                       (PhasePair, ((0.4,), (0.5,))), (Ry, ((0.1, 0.2), (0.3, 0.4)))):
         with pytest.raises(ValueError, match="2\\*\\*m >= 2 rows"):
             Multiplexed(0, gate, rows)
