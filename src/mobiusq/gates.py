@@ -1,12 +1,14 @@
 """The gate model: the start-state circuit, dense states and the dense readout.
 
 The circuit is the specification of the start state.  Gates act in place on
-the ``(2,)*N`` view of a dense amplitude array, as the prep gates of
-:mod:`mobiusq.sim` do.  A controlled gate pairs one partial basis assignment
+the ``(2,)*N`` view of a dense amplitude array, qubit q being axis N-1-q: a
+one-qubit gate replaces the halves a0, a1 of its axis by m00*a0 + m01*a1 and
+m10*a0 + m11*a1.  A controlled gate pairs one partial basis assignment
 {qubit: value} with one-qubit gates that act only where each listed qubit
 holds its value: the simulator applies them to the sub-view that fixes
 those qubits with width-1 slices, which realizes (1 - pi) + U pi directly,
-pi being the projector onto the assignment.
+pi being the projector onto the assignment.  A ``Multiplexed`` level is the
+controlled gate of each nonzero row.
 
 No transform run loads this module.  It serves ``mobiusq verify``'s
 comparator check, ``--dump-state``, the tests' oracles and
@@ -15,6 +17,7 @@ comparator check, ``--dump-state``, the tests' oracles and
 """
 from __future__ import annotations
 
+import math
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -30,10 +33,6 @@ from .sim import (
     RegisterLayout,
     Ry,
     _H,
-    _apply_prep_gate,
-    _halves,
-    _qubit_view,
-    _rotate,
     compile_state_prep,
 )
 
@@ -149,6 +148,28 @@ def basis_index(layout: RegisterLayout, values: Mapping[str, int]) -> int:
     return index
 
 
+def _qubit_view(amps: np.ndarray) -> np.ndarray:
+    """The ``(2,)*N`` view of a flat amplitude array; qubit q is axis N-1-q."""
+    return amps.reshape((2,) * (amps.size.bit_length() - 1))
+
+
+def _halves(view: np.ndarray, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The views of ``view`` where ``qubit`` is 0 and where it is 1."""
+    axis = view.ndim - 1 - qubit
+    # the trailing Ellipsis keeps a one-axis view a 0-d view, not a scalar copy
+    return view[(slice(None),) * axis + (0, Ellipsis)], view[(slice(None),) * axis + (1, Ellipsis)]
+
+
+def _rotate(a0: np.ndarray, a1: np.ndarray, m00, m01, m10, m11) -> None:
+    """(a0, a1) <- (m00 a0 + m01 a1, m10 a0 + m11 a1), in place."""
+    t01 = m01 * a1
+    t10 = m10 * a0
+    a0 *= m00
+    a0 += t01
+    a1 *= m11
+    a1 += t10
+
+
 def _fix(view: np.ndarray, controls: Mapping[int, int]) -> np.ndarray:
     """Sub-view with each control qubit cut to a width-1 slice (axes kept)."""
     index = [slice(None)] * view.ndim
@@ -163,6 +184,11 @@ def _apply_op(view: np.ndarray, op: GateOp) -> None:
         sub = _fix(view, op.controls)
         for inner in op.ops:
             _apply_op(sub, inner)
+    elif isinstance(op, Multiplexed):  # the Controlled gate of each nonzero row
+        for p, row in enumerate(op.params.tolist()):
+            if any(row):
+                controls = {op.qubit + 1 + t: p >> t & 1 for t in range(op.width)}
+                _apply_op(_fix(view, controls), op.gate(op.qubit, *row))
     elif isinstance(op, PauliX):
         a0, a1 = _halves(view, op.qubit)
         saved = a0.copy()
@@ -170,8 +196,12 @@ def _apply_op(view: np.ndarray, op: GateOp) -> None:
         a1[...] = saved
     elif isinstance(op, Hadamard):
         _rotate(*_halves(view, op.qubit), *_H.ravel())
-    else:
-        _apply_prep_gate(view, op)
+    elif isinstance(op, Ry):
+        c, s = math.cos(op.theta / 2.0), math.sin(op.theta / 2.0)
+        _rotate(*_halves(view, op.qubit), c, -s, s, c)
+    else:  # a PhasePair
+        e0, e1 = np.exp(1j * np.array([op.phi0, op.phi1], dtype=np.float64))
+        _rotate(*_halves(view, op.qubit), e0, 0.0, 0.0, e1)
 
 
 def run_ops(amps: np.ndarray, ops) -> None:

@@ -5,15 +5,13 @@ alpha_minus (n qubits), alpha (n0), beta (n0), gamma, mu0, omega (one each).
 Qubit q is the 2**q bit of the amplitude index, matching the bit convention
 in :mod:`mobiusq.subset`.
 
-The prep gates act in place on the ``(2,)*k`` view of the amplitude array,
-in which qubit q is axis k-1-q.  A one-qubit gate on q replaces the two
-halves a0, a1 of that axis by m00*a0 + m01*a1 and m10*a0 + m11*a1,
-elementwise, so a result never depends on the shape of the array it sits
-in.  A multiplexed gate is one level of a rotation tree: it applies its own
-one-qubit gate per value of the qubits just above its target, as the same
-elementwise operations with one coefficient per value.
+The prep of alpha_minus is a rotation tree (Mottonen et al.,
+quant-ph/0407010) run from |0...0>: each Ry level meets a qubit still at 0,
+so ``prepare_low_qubits`` computes it as products, one float64 entry per
+prefix split into its cos and sin shares, and then multiplies in the phase
+level.  Its bytes are those of the gate model's run of the same gates.
 
-This is all a transform run simulates.  The rest of the gate model lives in
+This is all a transform run computes.  The gate model lives in
 :mod:`mobiusq.gates`; the names of it that perfbench/tracer.py reads through
 this module are bound here on first use.
 """
@@ -162,74 +160,46 @@ PrepGate = Union[Ry, PhasePair, Multiplexed]
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 
 
-def _gate_matrices(gate: type, params: np.ndarray) -> np.ndarray:
-    """The matrices of gate(q, *row), an Ry or a PhasePair, for each row of params, stacked."""
-    out = np.zeros((len(params), 2, 2), dtype=np.complex128)
-    if gate is Ry:
-        half = (params[:, 0] / 2.0).tolist()
-        c, s = (np.fromiter(map(f, half), np.float64, len(half)) for f in (math.cos, math.sin))
-        out[:, 0, 0] = out[:, 1, 1] = c
-        out[:, 0, 1], out[:, 1, 0] = -s, s
-    else:
-        out[:, 0, 0], out[:, 1, 1] = np.exp(1j * params.T)
-    return out
-
-
-def _qubit_view(amps: np.ndarray) -> np.ndarray:
-    """The ``(2,)*N`` view of a flat amplitude array; qubit q is axis N-1-q."""
-    return amps.reshape((2,) * (amps.size.bit_length() - 1))
-
-
-def _halves(view: np.ndarray, qubit: int) -> tuple[np.ndarray, np.ndarray]:
-    """The views of ``view`` where ``qubit`` is 0 and where it is 1."""
-    axis = view.ndim - 1 - qubit
-    # the trailing Ellipsis keeps a one-axis view a 0-d view, not a scalar copy
-    return view[(slice(None),) * axis + (0, Ellipsis)], view[(slice(None),) * axis + (1, Ellipsis)]
-
-
-def _rotate(a0: np.ndarray, a1: np.ndarray, m00, m01, m10, m11) -> None:
-    """(a0, a1) <- (m00 a0 + m01 a1, m10 a0 + m11 a1), in place."""
-    t01 = m01 * a1
-    t10 = m10 * a0
-    a0 *= m00
-    a0 += t01
-    a1 *= m11
-    a1 += t10
-
-
-def _apply_prep_gate(view: np.ndarray, op: PrepGate) -> None:
-    """Apply an Ry, PhasePair or Multiplexed gate in place to a qubit view."""
-    if isinstance(op, Multiplexed):
-        # axes: the qubits above the selecting ones, the row p, the target, the qubits below
-        block = view.reshape(-1, len(op.params), 2, 1 << op.qubit)
-        live = np.flatnonzero(op.params.any(axis=1))
-        sub = block if live.size == len(op.params) else block[:, live]  # a copy if rows are skipped
-        m = _gate_matrices(op.gate, op.params[live])[..., None]
-        _rotate(sub[:, :, 0], sub[:, :, 1], m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1])
-        if sub is not block:
-            block[:, live] = sub
-        return
-    m = _gate_matrices(type(op), np.array([op._values()[1:]]))[0]  # the fields after qubit
-    _rotate(*_halves(view, op.qubit), *m.ravel())
+def _split(amps: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each prefix amplitude a, by its row theta, followed by cos(theta/2) a and sin(theta/2) a."""
+    live = np.flatnonzero(rows)  # a zero row gives a and 0 with no libm call: sin(-0.0) is -0.0
+    half = (rows[live] / 2.0).tolist()
+    c, s = np.ones(len(rows)), np.zeros(len(rows))
+    c[live], s[live] = (np.fromiter(map(f, half), np.float64, len(half)) for f in (math.cos, math.sin))
+    a = amps.reshape(-1, len(rows))
+    return np.stack([a * c, a * s], -1).ravel()
 
 
 def prepare_low_qubits(ops, k: int) -> np.ndarray:
-    """Amplitudes of qubits 0..k-1 after the prep gates ``ops`` act on their |0...0> state.
+    """Amplitudes of qubits 0..k-1 after the prep levels ``ops`` act on their |0...0> state.
 
-    The ops must touch only those qubits.  Since qubit q is the 2**q bit, the
-    result is also the first 2**k amplitudes of a full state whose other
-    qubits start and stay at 0, computed without the rest of the state.
+    The ops are Ry levels on descending qubits, then at most one PhasePair
+    level on qubit 0, as compile_state_prep emits them; a missing level is
+    rows of zeros.  The result has the gate model's bytes, and it is also the
+    first 2**k amplitudes of a full state whose other qubits stay at 0.
     """
-    spans = [range(op.qubit, op.qubit + 1 + (op.width if isinstance(op, Multiplexed) else 0)) for op in ops]
+    ops = tuple(ops)
+    spans = [range(op.qubit, op.qubit + 1 + getattr(op, "width", 0)) for op in ops if hasattr(op, "qubit")]
     bad = sorted({q for span in spans for q in span if not 0 <= q < k})
     if bad:
         raise ValueError(f"ops touch qubits {bad} outside the low {k}")
-    amps = np.zeros(1 << k, dtype=np.complex128)
-    amps[0] = 1.0
-    view = _qubit_view(amps)
+    turns, phases = {}, None
     for op in ops:
-        _apply_prep_gate(view, op)
-    return amps
+        gate = op.gate if isinstance(op, Multiplexed) else type(op)
+        in_order = gate is Ry and op.qubit < min(turns, default=k) or gate is PhasePair and op.qubit == 0
+        if phases is not None or not in_order:
+            raise ValueError(f"{op} is not the next level: Ry levels down from qubit {k - 1}, then PhasePair on 0")
+        rows = op.params if isinstance(op, Multiplexed) else np.array([op._values()[1:]], dtype=np.float64)
+        if gate is Ry:
+            turns[op.qubit] = rows[:, 0]
+        else:
+            phases = rows
+    amps = np.ones(1)
+    for q in range(k - 1, -1, -1):
+        amps = _split(amps, turns.get(q, np.zeros(1)))
+    phases = np.zeros((1, 2)) if phases is None else phases
+    # the + 0.0 is the gate model's zero off-diagonal product: it turns a -0.0 part into +0.0
+    return (amps.reshape(-1, *phases.shape) * np.exp(1j * phases)).ravel() + 0.0
 
 
 # ---------------------------------------------------------------------------

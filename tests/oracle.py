@@ -4,9 +4,9 @@
 helpers rebuild its states independently, by running ``build_start_circuit``
 one gate at a time from the all-zeros state with ``apply_circuit``.  Each
 ``Multiplexed`` level of the state prep is first expanded into the
-per-prefix ``Controlled`` gates it stands for, so the oracle never runs the
-level kernel; ``per_prefix_state_prep`` compiles those gates from the target
-directly, one prefix at a time.
+per-prefix ``Controlled`` gates it stands for, so the oracle never runs
+``sim.prepare_low_qubits``'s product tree; ``per_prefix_state_prep``
+compiles those gates from the target directly, one prefix at a time.
 
 ``grover.read_out_at`` is the one readout in the package, run on a support.
 ``read_out`` here is the same readout over every basis index of a dense

@@ -348,7 +348,8 @@ def test_gather_refuses_a_build_off_the_unit_norm(monkeypatch):
 def test_gather_peaks_far_below_the_dense_state():
     """A marginal n=14/n0=2 build: its dense state would take 2**21 * 16 B = 32 MiB.
 
-    The prep keeps no Python object per row, so the build peaks under six times its support.
+    The prep builds its amplitudes as products, with no qubit view and no zeroed
+    array, so the build peaks under four times its support.
     """
     q = TransformQuery(Mode.MARGINAL, 14, table_amplitudes("complex", 14, np.random.default_rng(14)),
                        BitString.from_str("01"), 2)
@@ -360,7 +361,7 @@ def test_gather_peaks_far_below_the_dense_state():
         tracemalloc.stop()
     assert support.alpha_minus.size == 1 << 14
     assert peak < 6 << 20
-    assert peak < 6 * (support.amplitudes.nbytes + support.alpha_minus.nbytes)
+    assert peak < 4 * (support.amplitudes.nbytes + support.alpha_minus.nbytes)
 
 
 @pytest.mark.parametrize("kind", ["complex", "real", "zeros", "uniform", "basis"])

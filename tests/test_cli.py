@@ -268,6 +268,11 @@ SCHEMA_INVALID_CHECKS = {
         lambda o: o["probes"][0].update({"bit": 2}),
         "$.probes[0].bit: 2 is not one of",
     ),
+    "other-command": (
+        "marginal5_n0_3_sweep_shots5000.json",
+        lambda o: None,
+        "--check file records a marginal run",
+    ),
 }
 
 
@@ -709,6 +714,7 @@ BAD_VALUE_INPUTS = {
     "not-a-list": '{"n": 1, "values": {"0": 0.5}}',
     "bool-psi-pairs": '{"mode": "mobius", "n": 1, "n0": 1, "x": "1", '
     '"psi_minus": [[true, false], [false, false]]}',
+    "neither-key": '{"n": 1}',
 }
 
 
@@ -837,6 +843,11 @@ def test_failed_check_writes_no_files(uniform3, tmp_path, capsys):
     trace.write_text(json.dumps(obj))
     assert main(minfind + ["--check", str(trace), "--out", str(out)]) == 1
     assert "check: FAIL" in capsys.readouterr().out
+    assert not out.exists()
+    truncated = _edited_fixture(tmp_path, "minfind18_classical.json", lambda o: o.update(probes=o["probes"][:2]))
+    minfind18 = ["minfind", "--center", str(GOLDEN_MINFIND18_CENTER), "--n", "18"]
+    assert main(minfind18 + ["--check", truncated, "--out", str(out)]) == 1
+    assert "row count 2 vs 18" in capsys.readouterr().out
     assert not out.exists()
 
     # a passing check still writes --out

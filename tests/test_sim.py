@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from mobiusq.sim import (
     compile_state_prep,
     prepare_low_qubits,
 )
+from golden import ROOT, env
 from oracle import (
     expand,
     layout_from_json_obj,
@@ -260,8 +263,33 @@ def test_prepare_low_qubits_matches_full_state_run():
     full = apply_circuit(new_state(layout), Circuit(layout, ops)).amplitudes
     low = prepare_low_qubits(ops, 3)
     assert np.array_equal(low, full[:8])
+    assert prepare_low_qubits((op for op in ops), 3).tobytes() == low.tobytes()
     with pytest.raises(ValueError, match="outside the low 2"):
         prepare_low_qubits(ops, 2)
+
+
+@pytest.mark.parametrize("ops", [
+    (Ry(0, 0.3), Ry(1, 0.2)),
+    (Ry(0, 0.3), Multiplexed(0, Ry, ((0.2,), (0.4,)))),
+    (PhasePair(0, 0.1, 0.2), Ry(0, 0.3)),
+    (PhasePair(1, 0.1, 0.2),),
+    (Hadamard(0),),
+    (Controlled({1: 1}, (Ry(0, 0.3),)),),
+], ids=["ascending", "one-qubit-twice", "phase-first", "phase-on-1", "hadamard", "controlled"])
+def test_prepare_low_qubits_takes_only_the_levels_in_order(ops):
+    """The product tree reads Ry levels down from the top qubit, then one phase level on qubit 0."""
+    with pytest.raises(ValueError) as info:
+        prepare_low_qubits(ops, 2)
+    assert str(ops[-1]) in str(info.value)  # the op that breaks the order, or is no level
+
+
+def test_prepare_low_qubits_keeps_a_negative_zero_row_the_identity():
+    """sin(-0.0) is -0.0: a -0.0 row must leave the fresh qubit at +0.0, as its expansion does."""
+    ops = (Ry(1, 0.7), Multiplexed(0, Ry, ((0.3,), (-0.0,))))
+    full = np.zeros(4, dtype=np.complex128)
+    full[0] = 1.0
+    run_ops(full, expand(ops))
+    assert prepare_low_qubits(ops, 2).tobytes() == full.tobytes()
 
 
 def test_controlled_matrix_is_unitary():
@@ -527,6 +555,45 @@ def test_level_gates_equal_the_per_prefix_gates_they_replace(kind):
         full[0] = 1.0
         run_ops(full, expanded)
         assert prepare_low_qubits(ops, k).tobytes() == full.tobytes()
+
+
+def _lower_dispatch_levels() -> list[str]:
+    """NPY_DISABLE_CPU_FEATURES values that step numpy down through each dispatch level this host runs.
+
+    Each disables a suffix of numpy's dispatch targets, those this host has;
+    numpy refuses to start if a baseline or unknown feature is disabled.
+    """
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        try:
+            from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        except ImportError:
+            return []
+    offered = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+    return [" ".join(offered[i:]) for i in range(len(offered))]
+
+
+# the byte-equality checks of the product tree and of gather against the gate model
+BYTE_CHECKS = (
+    "tests/test_sim.py::test_level_gates_equal_the_per_prefix_gates_they_replace",
+    "tests/test_sim.py::test_prepare_low_qubits_keeps_a_negative_zero_row_the_identity",
+    "tests/test_circuits.py::test_start_state_is_build_start_state_at_every_x",
+)
+
+
+@pytest.mark.parametrize("disabled", _lower_dispatch_levels(), ids=lambda d: "without-" + d.split()[0])
+def test_prep_bytes_equal_the_gate_model_at_each_lower_dispatch_level(disabled):
+    """Both sides of each check run in one process, so they must agree whichever kernels numpy picks."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *BYTE_CHECKS],
+        cwd=ROOT,
+        env={**env(), "NPY_DISABLE_CPU_FEATURES": disabled},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-1000:]
 
 
 @pytest.mark.parametrize("kind", ["complex", "real", "zeros"])

@@ -69,6 +69,8 @@ def test_bitstring_validation():
         BitString.from_str("")
     with pytest.raises(ValueError):
         BitString.from_int(4, 2)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        BitString.from_int(0, 0)
 
 
 def test_zeta_matrix_matches_entries():
