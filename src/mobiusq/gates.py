@@ -218,7 +218,7 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     before = out.norm
     run_ops(out.amplitudes, circuit.ops)
     after = out.norm
-    if before > 0 and abs(after - before) > 1e-9 * max(1.0, before):
+    if before > 0 and not abs(after - before) <= 1e-9 * max(1.0, before):  # a NaN norm fails too
         raise RuntimeError(f"norm drifted from {before} to {after} over {len(circuit)} ops")
     return out
 

@@ -15,12 +15,12 @@ target flag stay equal.  The state at x is two 2**n vectors, t on target
 and o off it, with 1 + keep[a] and 2M - 1 - keep[a] copies (M = 2**n0).
 read_out_at, the one readout, plans, amplifies and measures the four
 (omega, gamma) cell masses on them; the exact value and the seeded sample
-both come from it.  Each reduction is one correctly rounded math.fsum over
-real and imaginary parts, a term with m copies entering as exact
-power-of-two scalings such as (2M - 1) v = 2M v - v.  So it is the sum of
-the same multiset as over every basis index of the dense state
-(``gates.plan_grover`` and ``gates.amplify``), bit for bit, at any term
-order or BLAS thread count.
+both come from it.  Each reduction is one correctly rounded math.fsum of
+exactly weighted copies of a term array, each weight a power of two, a
+sign, keep or the column on = 1 + keep: the target copies of v enter as
+on v, the off-target ones as 2M v - on v.  So it sums the same real number
+as every basis index of the dense state does (``gates.plan_grover`` and
+``gates.amplify``), to the same float at any term order or BLAS thread count.
 """
 from __future__ import annotations
 
@@ -50,11 +50,11 @@ class GroverPlan(_Record):
 def _fsum(parts: Iterable[np.ndarray]) -> float:
     """Correctly rounded sum of every float64 in ``parts`` (math.fsum, Shewchuk's algorithm).
 
-    The result depends on the multiset of nonzero terms alone: not on their
-    order, on the array layout or on any thread count.  Zero terms change no
-    exact sum, so they are dropped before the sum.
+    The result depends on the exact sum of the nonzero terms alone, not on
+    their order, layout or thread count; zeros change no exact sum and are
+    dropped.  Each part is read in place through a memoryview, one at a time.
     """
-    return math.fsum(itertools.chain.from_iterable(part[part != 0.0].tolist() for part in parts))
+    return math.fsum(itertools.chain.from_iterable(memoryview(part[part != 0.0]) for part in parts))
 
 
 def _dot_terms(s: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -83,22 +83,17 @@ def _plan(mass: float) -> GroverPlan:
     return GroverPlan(overlap=a, iterations=best_k, predicted_success=best_s)
 
 
-def _on_target(terms: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Terms of the target copies: 1 + keep[a] of each row."""
-    return terms, terms[keep]
-
-
-def _off_target(terms: np.ndarray, keep: np.ndarray, alphas: int) -> tuple[np.ndarray, ...]:
-    """Terms of the off-target copies, 2 * alphas - 1 - keep[a] of each row, as exact scalings."""
-    return 2 * alphas * terms, -terms, -terms[keep]
-
-
 def _squares(amps: np.ndarray) -> np.ndarray:
     """re**2 and im**2 of each entry, one row per entry."""
     return np.square(amps.view(np.float64).reshape(-1, 2))
 
 
-def _steps(g: np.ndarray, keep: np.ndarray, alphas: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _on(support: Support, x: BitString) -> np.ndarray:
+    """The target copies of each entry at x, 1 + keep[a], as a float64 column."""
+    return (1.0 + support.keep(x))[:, None]
+
+
+def _steps(g: np.ndarray, on: np.ndarray, alphas: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(t, o) of the start state g after k = 0, 1, 2, ... steps, updated in place.
 
     With r = (t, -o), the omega reflection, and c = 2 <g|r>, a step sets
@@ -108,27 +103,31 @@ def _steps(g: np.ndarray, keep: np.ndarray, alphas: int) -> Iterator[tuple[np.nd
     t, o = g.copy(), g.copy()
     while True:
         yield t, o
-        (real_t, imag_t), (real_o, imag_o) = _dot_terms(g, t), _dot_terms(g, o)
-        real = _fsum([*_on_target(real_t, keep), *_off_target(-real_o, keep, alphas)])
-        imag = _fsum([*_on_target(imag_t, keep), *_off_target(-imag_o, keep, alphas)])
-        cg = 2.0 * complex(real, imag) * g
+        cg = 2.0 * _overlap(g, t, o, on, alphas) * g
         np.negative(t, out=t)
         t += cg
         o += cg
 
 
-def _cells(t: np.ndarray, o: np.ndarray, keep: np.ndarray, alphas: int) -> tuple[float, float, float, float]:
+def _overlap(g: np.ndarray, t: np.ndarray, o: np.ndarray, on: np.ndarray, alphas: int) -> complex:
+    """<g|r> over every copy: on copies of each t term and 2 * alphas - on of each -o term."""
+    (real_t, imag_t), (real_o, imag_o) = _dot_terms(g, t), _dot_terms(g, o)
+    real = _fsum(w * a for w, a in ((on, real_t), (-2.0 * alphas, real_o), (on, real_o)))
+    return complex(real, _fsum(w * a for w, a in ((on, imag_t), (-2.0 * alphas, imag_o), (on, imag_o))))
+
+
+def _cells(t: np.ndarray, o: np.ndarray, on: np.ndarray, alphas: int) -> tuple[float, float, float, float]:
     """Masses of the (omega, gamma) cells (0, 0), (0, 1), (1, 0) and (1, 1); gamma is mu0.
 
-    Target copies: one at mu0=0, one at mu0=1 where keep.  Off-target
+    Target copies: one at mu0=0, on - 1 (keep) at mu0=1.  Off-target
     copies: alphas - 1 at mu0=0, alphas - keep at mu0=1.
     """
-    on, off = _squares(t), _squares(o)
+    target, off, kept = _squares(t), _squares(o), on - 1.0
     return (
-        _fsum([on]),
-        _fsum([on[keep]]),
-        _fsum([alphas * off, -off]),
-        _fsum([alphas * off, -off[keep]]),
+        _fsum([target]),
+        _fsum([kept * target]),
+        _fsum(w * off for w in (alphas, -1.0)),
+        _fsum(w * off for w in (alphas, -kept)),
     )
 
 
@@ -200,15 +199,13 @@ def read_out_at(support: Support, x: BitString) -> Readout:
 
     The plan and the cells equal, bit for bit, those of the dense start
     state at x read out over every basis index (``gates.plan_grover`` and
-    ``gates.amplify``), because every reduction sums the same multiset of
-    terms; see the module docstring.
+    ``gates.amplify``), because every reduction rounds the same exact sum;
+    see the module docstring.
     """
-    g, keep, alphas = support.amplitudes, support.keep(x), 1 << support.layout.n0
-    plan = _plan(_fsum(_on_target(_squares(g), keep)))
-    steps = _steps(g, keep, alphas)
-    for _ in range(plan.iterations + 1):
-        t, o = next(steps)
-    return Readout(plan, _cells(t, o, keep, alphas))
+    g, on, alphas = support.amplitudes, _on(support, x), 1 << support.layout.n0
+    plan = _plan(_fsum([on * _squares(g)]))
+    t, o = next(itertools.islice(_steps(g, on, alphas), plan.iterations, None))
+    return Readout(plan, _cells(t, o, on, alphas))
 
 
 def cells_by_step(support: Support, x: BitString, steps: int) -> Iterator[tuple[float, float, float, float]]:
@@ -217,9 +214,9 @@ def cells_by_step(support: Support, x: BitString, steps: int) -> Iterator[tuple[
     Runs read_out_at's step on the support; ``mobiusq verify`` checks the
     gamma odds and the rotation law at every k with it.
     """
-    g, keep, alphas = support.amplitudes, support.keep(x), 1 << support.layout.n0
-    for _, (t, o) in zip(range(steps + 1), _steps(g, keep, alphas)):
-        yield _cells(t, o, keep, alphas)
+    g, on, alphas = support.amplitudes, _on(support, x), 1 << support.layout.n0
+    for _, (t, o) in zip(range(steps + 1), _steps(g, on, alphas)):
+        yield _cells(t, o, on, alphas)
 
 
 def estimate_exact(query: TransformQuery) -> float:

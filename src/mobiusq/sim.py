@@ -163,7 +163,7 @@ _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 def _split(amps: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Each prefix amplitude a, by its row theta, followed by cos(theta/2) a and sin(theta/2) a."""
     live = np.flatnonzero(rows)  # a zero row gives a and 0 with no libm call: sin(-0.0) is -0.0
-    half = (rows[live] / 2.0).tolist()
+    half = memoryview(rows[live] / 2.0)
     c, s = np.ones(len(rows)), np.zeros(len(rows))
     c[live], s[live] = (np.fromiter(map(f, half), np.float64, len(half)) for f in (math.cos, math.sin))
     a = amps.reshape(-1, len(rows))
@@ -239,7 +239,7 @@ def compile_state_prep(target) -> tuple[PrepGate, ...]:
 
     for m in range(k):
         # the weights of each prefix's two halves, each summed as its own slice; sqrt is exact-rounded
-        r0, r1 = np.sqrt(weights.reshape(1 << m, 2, -1).sum(axis=2)).T.tolist()
+        r0, r1 = map(memoryview, np.sqrt(weights.reshape(1 << m, 2, -1).sum(axis=2)).T)
         angles = 2.0 * np.fromiter(map(math.atan2, r1, r0), np.float64, 1 << m)
         if np.any(np.abs(angles - angles[0]) > 1e-12):
             angles[np.abs(angles) <= 1e-12] = 0.0

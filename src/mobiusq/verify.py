@@ -30,7 +30,7 @@ import numpy as np
 from . import _Record
 from .circuits import DecompositionError, Support, TransformQuery, _keep, classical_value, gather
 from .gates import StateVector, apply_circuit, basis_index, build_comparator
-from .grover import _fsum, _off_target, _squares, cells_by_step, read_out_at
+from .grover import _fsum, _on, _squares, cells_by_step, read_out_at
 from .sim import Mode, compile_state_prep, prepare_low_qubits
 from .subset import BitString, SubsetTable, zeta_fast
 
@@ -90,7 +90,8 @@ def decompose_signal(query: TransformQuery, support: Support) -> SignalDecomposi
     sectors[0, spot] = g
     sectors[1, spot[kept] | 1 << (n + n0)] = g[kept]
     v0, v1 = sectors
-    chi_norm = math.sqrt(_fsum(_off_target(_squares(g), kept, 1 << n0)))
+    squares = _squares(g)
+    chi_norm = math.sqrt(_fsum(w * squares for w in (2.0 * (1 << n0), -_on(support, query.x))))
 
     # predicted sector contents: psi_minus on alpha_minus, with alpha = x
     keep = _keep(layout, query.x, np.arange(1 << n))
@@ -247,12 +248,10 @@ def _oracle_equivalence(mobius_probs: np.ndarray, marginal_probs: np.ndarray) ->
     }
     errors = []
     for mode, table in ((Mode.MOBIUS, mobius), (Mode.MARGINAL, marginal)):
-        for xv in range(8):
-            query = TransformQuery.from_probability_table(
-                mode, table, BitString.from_int(xv, 3), n0=3
-            )
-            got = decompose_signal(query, gather(query)).ratio
-            errors.append(abs(got - want[mode][xv]))
+        queries = [TransformQuery.from_probability_table(mode, table, BitString.from_int(xv, 3), n0=3)
+                   for xv in range(8)]
+        support = gather(queries[0])  # gather does not read x: one support serves every point
+        errors += [abs(decompose_signal(q, support).ratio - want[mode][q.x.to_int()]) for q in queries]
     worst = _worst(errors)
     return Verdict(
         worst <= 1e-10,

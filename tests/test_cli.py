@@ -174,6 +174,32 @@ def test_marginal_sweep_frozen_values(joint4, tmp_path, capsys):
     assert abs(sum(r["exact"] for r in obj["rows"]) - 1.0) <= 1e-9
 
 
+def test_rows_whose_classical_and_exact_values_differ_fail_the_self_check(uniform3, tmp_path, monkeypatch, capsys):
+    classical = cli_mod.classical_value
+    monkeypatch.setattr(cli_mod, "classical_value", lambda query: classical(query) + 1e-6)
+    out = tmp_path / "out.json"
+    assert main(["mobius", "--input", uniform3, "--sweep", "--out", str(out)]) == 1
+    assert "self-check failed: classical and exact values differ by" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_marginal_sweep_that_does_not_sum_to_one_fails_the_self_check(joint4, tmp_path, monkeypatch, capsys):
+    """Every row doubled on both sides: each agrees with itself, the sweep sums to 2."""
+    classical, read_out_at = cli_mod.classical_value, cli_mod.read_out_at
+
+    def doubled(support, x):
+        readout = read_out_at(support, x)
+        p00, p01, p10, p11 = readout.cells
+        return grover_mod.Readout(readout.plan, (p00, 2.0 * p01, p10, p11))
+
+    monkeypatch.setattr(cli_mod, "classical_value", lambda query: 2.0 * classical(query))
+    monkeypatch.setattr(cli_mod, "read_out_at", doubled)
+    out = tmp_path / "out.json"
+    assert main(["marginal", "--input", joint4, "--sweep", "--n0", "3", "--out", str(out)]) == 1
+    assert "self-check failed: marginal sweep sums to 2.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_marginal_query_input_conflicting_n0(tmp_path, capsys):
     rng = np.random.default_rng(51)
     amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)

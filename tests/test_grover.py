@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -275,28 +276,41 @@ def test_reductions_are_exact_sums_over_chunks():
 
 @pytest.mark.parametrize("alphas", [2, 4, 8, 1 << 19])
 def test_copies_sum_as_the_multiset_they_stand_for(alphas):
-    """1 + keep target copies and 2M - 1 - keep off-target copies of each term, each one correctly rounded sum.
+    """One _fsum over exactly weighted copies is the correctly rounded sum of every copy they count.
 
-    The terms span many binades and cancel, so a sum that rounded per copy
-    group, or per scaling, would drift from math.fsum over the expanded copies.
+    on = 1 + keep target copies and 2M - 1 - keep off-target copies of each
+    term, as the readout, verify's chi mass and the step weigh them.  The
+    terms span many binades and cancel, so a sum that rounded per copy
+    group, or per weight, would drift from math.fsum over the expanded copies.
     """
     rng = np.random.default_rng(alphas)
     terms = (rng.standard_normal((40, 2)) * 2.0 ** rng.integers(-60, 60, (40, 2))).astype(np.float64)
     terms[3] = -terms[2]  # an exact cancellation
     terms[5, 0] = 0.0
+    terms[7, 1] = 5e-324  # subnormal: twice it is still exact
+    terms[9, 0] = -0.0
     keep = rng.random(40) < 0.5
+    on = (1.0 + keep)[:, None]
     copies_on = 1 + keep
     copies_off = 2 * alphas - 1 - keep
-    expanded_on = [v for row, m in zip(terms.tolist(), copies_on.tolist()) for v in row * m]
-    assert grover_mod._fsum(grover_mod._on_target(terms, keep)) == math.fsum(expanded_on)
-    if alphas <= 8:
-        expanded_off = [v for row, m in zip(terms.tolist(), copies_off.tolist()) for v in row * m]
-    else:  # too many copies to list: the exact product m * v, as a fraction, rounded once
-        from fractions import Fraction
 
-        exact = sum(Fraction(v) * m for row, m in zip(terms.tolist(), copies_off.tolist()) for v in row)
-        expanded_off = [float(exact)]
-    assert grover_mod._fsum(grover_mod._off_target(terms, keep, alphas)) == math.fsum(expanded_off)
+    def copies_sum(*weighted):
+        """math.fsum over every copy of the (copies per row, rows) pairs, listed out."""
+        pairs = [(row, m) for copies, rows in weighted for row, m in zip(rows.tolist(), copies.tolist())]
+        if alphas <= 8:
+            return math.fsum(v for row, m in pairs for v in row * m)
+        # too many copies to list: the exact products m * v, as fractions, summed and rounded once
+        return float(sum(Fraction(v) * m for row, m in pairs for v in row))
+
+    fsum = grover_mod._fsum
+    assert fsum([on * terms]) == copies_sum((copies_on, terms))
+    assert fsum(w * terms for w in (2.0 * alphas, -on)) == copies_sum((copies_off, terms))
+    # the step's form: target copies of t and off-target copies of -o
+    t, o = terms, terms[::-1].copy()
+    step = fsum(w * a for w, a in ((on, t), (-2.0 * alphas, o), (on, o)))
+    assert step == copies_sum((copies_on, t), (copies_off, -o))
+    # the cells' form: alphas - keep copies
+    assert fsum(w * terms for w in (alphas, 1.0 - on)) == copies_sum((alphas - keep, terms))
 
 
 def test_step_preserves_norm_and_matches_theory_over_iterations():

@@ -460,6 +460,10 @@ def test_apply_circuit_checks_layout():
     circ = Circuit(RegisterLayout(Mode.MOBIUS, 3), (Hadamard(0),))
     with pytest.raises(ValueError):
         apply_circuit(s, circ)
+    # a NaN angle turns the whole state NaN, and a NaN norm is a drift like any other
+    s = new_state(RegisterLayout(Mode.MOBIUS, 1))
+    with pytest.raises(RuntimeError, match="norm drifted from 1.0 to nan"):
+        apply_circuit(s, Circuit(s.layout, (Ry(0, float("nan")),)))
 
 
 def test_state_json_roundtrip():
