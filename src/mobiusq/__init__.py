@@ -18,23 +18,19 @@ names of its commands the same way, through :func:`_defer`.
 from __future__ import annotations
 
 _EXPORTS = {
+    "layout": ("BitString", "DecompositionError", "MAX_QUBITS", "Mode", "RegisterLayout"),
+    "readout": ("EstimateReport", "GroverPlan", "Readout"),
     "subset": (
-        "BitString", "SubsetTable", "mobius_inverse", "zeta_fast", "zeta_fast_inplace",
-        "zeta_matrix", "zeta_naive",
+        "SubsetTable", "mobius_inverse", "zeta_fast", "zeta_fast_inplace", "zeta_matrix", "zeta_naive",
     ),
-    "sim": (
-        "MAX_QUBITS", "Mode", "PhasePair", "Multiplexed", "RegisterLayout", "Ry", "compile_state_prep",
-        "prepare_low_qubits",
-    ),
+    "sim": ("PhasePair", "Multiplexed", "Ry", "compile_state_prep", "prepare_low_qubits"),
     "gates": (
         "Circuit", "Controlled", "Hadamard", "PauliX", "StateVector", "amplify", "apply_circuit",
         "basis_index", "build_comparator", "build_start_circuit", "build_start_state", "new_state",
         "plan_grover", "project", "sector", "state_to_json_obj",
     ),
-    "circuits": ("DecompositionError", "Support", "TransformQuery", "classical_value", "gather"),
-    "grover": (
-        "EstimateReport", "GroverPlan", "Readout", "estimate_exact", "estimate_sampled", "read_out_at",
-    ),
+    "circuits": ("Support", "TransformQuery", "classical_value", "gather"),
+    "grover": ("estimate_exact", "estimate_sampled", "read_out_at"),
     "minfind": (
         "ObjectiveTable", "ProbeRecord", "SearchTrace", "choose_beta", "classical_evaluator",
         "find_min", "min_gap", "probe_point", "quadratic_objective", "quantum_evaluator", "softmin_table",

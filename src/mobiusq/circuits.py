@@ -32,16 +32,13 @@ import math
 import numpy as np
 
 from . import _Record, _defer
-from .sim import _H, Mode, RegisterLayout, compile_state_prep, prepare_low_qubits
-from .subset import BitString, SubsetTable, json_complex, json_int
+from .layout import BitString, DecompositionError, Mode, RegisterLayout, _keep, json_int
+from .sim import _H, compile_state_prep, prepare_low_qubits
+from .subset import SubsetTable, json_complex
 
 # bound from mobiusq.gates on first use: perfbench/tracer.py reads and replaces it here
 _DEFERRED = {"gates": ("build_start_circuit",)}
 __getattr__ = _defer(globals(), _DEFERRED)[1]
-
-
-class DecompositionError(RuntimeError):
-    """Start-state structure violated its predicted shape: a circuit bug."""
 
 
 class TransformQuery:
@@ -76,8 +73,7 @@ class TransformQuery:
         cls, mode: Mode, table: SubsetTable, x: BitString, n0: int | None = None
     ) -> TransformQuery:
         """Encode a probability table as real nonnegative amplitudes."""
-        table.require_probability()
-        return cls(mode, table.n, np.sqrt(table.values), x, n0)
+        return cls(mode, table.n, table.amplitudes(), x, n0)
 
     def to_json_obj(self) -> dict:
         """The query input format from_json_obj reads; the tests write their inputs with it."""
@@ -98,17 +94,6 @@ class TransformQuery:
         amps = json_complex(obj, "psi_minus")
         n, n0 = json_int(obj, "n"), json_int(obj, "n0")
         return cls(Mode(obj["mode"]), n, amps, BitString.from_str(obj["x"]), n0)
-
-
-def _keep(layout: RegisterLayout, x: BitString, alpha_minus: np.ndarray) -> np.ndarray:
-    """Which rows alpha_minus of the table add up to the value at x, as flags.
-
-    Mobius: every y <= x bitwise.  Marginal: every y whose low n0 bits equal x.
-    """
-    xv = x.to_int()
-    if layout.mode is Mode.MOBIUS:
-        return (alpha_minus & xv) == alpha_minus
-    return (alpha_minus & ((1 << layout.n0) - 1)) == xv
 
 
 def classical_value(query: TransformQuery) -> float:

@@ -35,22 +35,22 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import _defer
-from .subset import BitString, SubsetTable
+from .layout import BitString, Mode, RegisterLayout
 
-# Each command loads only the modules it runs: classical minfind never loads
-# the simulator, and only --dump-state loads the gate model.  The names below
+# Each command loads only the modules it runs: a small real table runs on the
+# pure-Python kernel and loads no numpy, classical minfind never loads the
+# simulator, and only --dump-state loads the gate model.  The names below
 # are bound on first use; each is an attribute
 # of this module from the start, the patch point of the tests and of
 # perfbench/tracer.py, and a replacement bound before a command runs wins.
 # estimate_exact and estimate_sampled are not called here; perfbench/tracer.py wraps them.
 _DEFERRED = {
-    "sim": ("Mode", "RegisterLayout"),
+    "subset": ("SubsetTable",),
     "gates": ("state_to_json_obj",),
-    "circuits": ("TransformQuery", "classical_value", "gather"),
-    "grover": ("estimate_exact", "estimate_sampled", "read_out_at"),
+    "circuits": ("TransformQuery",),
+    "grover": ("estimate_exact", "estimate_sampled"),
+    "pure": ("Query", "table_amplitudes"),
     "minfind": (
         "ObjectiveTable", "choose_beta", "classical_evaluator", "find_min", "min_gap",
         "quadratic_objective", "quantum_evaluator", "require_beta", "require_threshold", "softmin_table",
@@ -58,6 +58,20 @@ _DEFERRED = {
     "verify": ("run_verify",),
 }
 _load, __getattr__ = _defer(globals(), _DEFERRED)
+
+# A real table runs on the pure-Python kernel (mobiusq.pure) while its 2**n
+# entries times the points of the run stay within PURE_MAX_WORK; above that,
+# and for every other input, a run loads numpy and takes the numpy kernel.
+# The pure kernel's time grows with that product, numpy's is mostly its
+# import.  Fresh-process medians of 5 runs each side (2 vCPUs, AVX-512,
+# Python 3.11, numpy 2.4.6, no bytecode cache), pure against numpy:
+#   2**n x points  runs (mode:n:n0, point or sweep)                   pure/numpy
+#     256-1024     mobius:4 sweep, marginal:8:2 and 10:2 points        0.45-0.49
+#       4096       mobius:6 sweep, marginal:12:2 point                 0.57-0.59
+#       8192       marginal:13:2 point, 11:2 .. 8:5 sweeps             0.64-0.78
+#      16384       mobius:7 sweep, marginal:14:2 point, 13:1 .. 8:6    0.78-1.03
+#    32768 and up  marginal:14:1, 9:7, 10:6, 11:6, 12:5, 13:5 sweeps   1.22-2.83
+PURE_MAX_WORK = 1 << 13
 
 __all__ = ["main"]
 
@@ -264,29 +278,81 @@ def _read_check(args, schema: dict, replayed: tuple[str, ...]) -> dict | None:
     return obj
 
 
+def _small_real_table(obj: dict) -> bool:
+    """Whether a transform input is a table of 2**n <= PURE_MAX_WORK plain JSON numbers.
+
+    mobiusq.pure parses such a table, and no numpy loads unless the run
+    then takes the numpy kernel; numpy parses every other input, a
+    malformed table included.  Both refuse a table with the same message.
+    """
+    n, values = obj.get("n"), obj.get("values")
+    return (
+        "psi_minus" not in obj
+        and type(n) is int
+        and 0 < n < PURE_MAX_WORK.bit_length()  # 2**n <= PURE_MAX_WORK, with no shift by a huge n
+        and type(values) is list
+        and len(values) == 1 << n
+        and set(map(type, values)) <= {int, float}
+    )
+
+
 def _parse_transform_input(obj: dict, mode: Mode, n0_flag: int | None):
-    """Returns (n, n0, psi_minus, x) from either input flavor; a table has no x."""
+    """Returns (n, n0, psi_minus, x) from either input flavor; a table has no x.
+
+    psi_minus is a list of floats for a table that mobiusq.pure parsed
+    (see _small_real_table), and a numpy array otherwise.
+    """
     if "psi_minus" in obj:
+        _load("circuits")
         query = TransformQuery.from_json_obj(obj)
         if query.mode is not mode:
             raise ValueError(f"input query is {query.mode.value}-mode, command is {mode.value}")
         if n0_flag is not None and n0_flag != query.n0:
             raise ValueError(f"--n0 {n0_flag} conflicts with input n0 {query.n0}")
         return query.n, query.n0, query.psi_minus, query.x
-    if "values" in obj:
+    if "values" not in obj:
+        raise ValueError("input JSON needs either 'psi_minus' (query) or 'values' (table)")
+    if _small_real_table(obj):
+        _load("pure")
+        n, psi = obj["n"], table_amplitudes(obj)
+    else:
+        _load("subset")
         table = SubsetTable.from_json_obj(obj)
-        table.require_probability()
-        if mode is Mode.MARGINAL:
-            if n0_flag is None:
-                raise ValueError("marginal mode with a table input needs --n0")
-            n0 = n0_flag
-        else:
-            n0 = table.n
-        return table.n, n0, np.sqrt(table.values), None
-    raise ValueError("input JSON needs either 'psi_minus' (query) or 'values' (table)")
+        n, psi = table.n, table.amplitudes()
+    if mode is Mode.MARGINAL:
+        if n0_flag is None:
+            raise ValueError("marginal mode with a table input needs --n0")
+        return n, n0_flag, psi, None
+    return n, n, psi, None
 
 
-def _transform_row(support: Support, query: TransformQuery, shots: int | None, seed: int) -> dict:
+# The three stages of a transform run, and its patch points for the tests and
+# perfbench/tracer.py.  Each runs the kernel its argument came from:
+# mobiusq.pure's for a pure.Query or pure.Support, else the numpy kernel's.
+
+
+def _stage(record, name: str, home: str):
+    """The function ``name`` of the kernel that made ``record``: mobiusq.pure's, or that of module ``home``."""
+    module = "pure" if type(record).__module__ == f"{__package__}.pure" else home
+    return getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
+
+
+def gather(query):
+    """The support of the query's unmarked start state (``circuits.gather``)."""
+    return _stage(query, "gather", "circuits")(query)
+
+
+def read_out_at(support, x: BitString):
+    """The readout of the start state at x (``grover.read_out_at``)."""
+    return _stage(support, "read_out_at", "grover")(support, x)
+
+
+def classical_value(query) -> float:
+    """The transform value by direct summation (``circuits.classical_value``)."""
+    return _stage(query, "classical_value", "circuits")(query)
+
+
+def _transform_row(support, query, shots: int | None, seed: int) -> dict:
     readout = read_out_at(support, query.x)
     row = {
         "x": str(query.x),
@@ -376,7 +442,6 @@ def _finish(args, result: dict, schema: dict, check: dict | None, rows_key: str,
 
 def _cmd_transform(args) -> int:
     _refuse_overwrites(args)
-    _load("grover", "circuits", "sim")
     mode = Mode(args.mode)
     obj = _read_json(args.input)
     n, n0, psi, input_x = _parse_transform_input(obj, mode, getattr(args, "n0", None))
@@ -407,7 +472,12 @@ def _cmd_transform(args) -> int:
     if args.dump_state and len(points) != 1:
         raise ValueError("--dump-state needs a single --x point")
 
-    queries = [TransformQuery(mode, n, psi, x, n0) for x in points]
+    if isinstance(psi, list) and not args.dump_state and len(points) << n <= PURE_MAX_WORK:
+        kind = Query  # bound when the table was parsed
+    else:
+        _load("circuits")
+        kind = TransformQuery
+    queries = [kind(mode, n, psi, x, n0) for x in points]
     support = gather(queries[0])
     dump = None
     if args.dump_state:
@@ -442,7 +512,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_minfind(args) -> int:
     _refuse_overwrites(args)
-    _load("minfind")
+    _load("minfind", "subset")
     check = _read_check(args, MINFIND_SCHEMA, ("beta", "threshold", "backend"))
     if check is not None:
         beta, threshold, backend = check["beta"], check["threshold"], check["backend"]

@@ -350,9 +350,11 @@ def _mass(amps: np.ndarray) -> float:
 
 def _inner(start: np.ndarray, state: np.ndarray) -> complex:
     """<start|state>, each part one fsum of the rounded elementwise products (``grover._dot_terms``)."""
-    real = _fsum(_dot_terms(start[c], state[c])[0] for c in _chunks(start.size))
-    imag = _fsum(_dot_terms(start[c], state[c])[1] for c in _chunks(start.size))
-    return complex(real, imag)
+
+    def part(k: int) -> float:  # builds only the terms of part k, chunk by chunk
+        return _fsum(_dot_terms(start[c], state[c], k) for c in _chunks(start.size))
+
+    return complex(part(0), part(1))
 
 
 def plan_grover(state: StateVector) -> GroverPlan:

@@ -13,7 +13,8 @@ copy of an alpha_minus value a starts at g[a] (see
 :class:`mobiusq.circuits.Support`), so the copies with the same a and
 target flag stay equal.  The state at x is two 2**n vectors, t on target
 and o off it, with 1 + keep[a] and 2M - 1 - keep[a] copies (M = 2**n0).
-read_out_at, the one readout, plans, amplifies and measures the four
+read_out_at, the numpy kernel's readout (:mod:`mobiusq.pure` runs the
+same one on real floats), plans, amplifies and measures the four
 (omega, gamma) cell masses on them; the exact value and the seeded sample
 both come from it.  Each reduction is one correctly rounded math.fsum of
 exactly weighted copies of a term array, each weight a power of two, a
@@ -30,21 +31,15 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import _Record, _defer
+from . import _defer
 from .circuits import Support, TransformQuery, gather
-from .subset import BitString
+from .layout import BitString
+from .readout import EstimateReport, GroverPlan, Readout, _plan  # noqa: F401  (re-exported)
 
 # The dense readout's names, bound from mobiusq.gates on first use.  Nothing
 # here calls build_start_state: perfbench/tracer.py reads and replaces it in this module.
-# The sampler is bound on the first Readout.sample, so a run without --shots compiles none of it.
-_DEFERRED = {"gates": ("amplify", "build_start_state", "plan_grover"), "_pcg64": ("multinomial",)}
-_load, __getattr__ = _defer(globals(), _DEFERRED)
-
-
-class GroverPlan(_Record):
-    """overlap a, chosen iteration count, and its predicted success mass."""
-
-    __slots__ = ("overlap", "iterations", "predicted_success")
+_DEFERRED = {"gates": ("amplify", "build_start_state", "plan_grover")}
+__getattr__ = _defer(globals(), _DEFERRED)[1]
 
 
 def _fsum(parts: Iterable[np.ndarray]) -> float:
@@ -57,30 +52,14 @@ def _fsum(parts: Iterable[np.ndarray]) -> float:
     return math.fsum(itertools.chain.from_iterable(memoryview(part[part != 0.0]) for part in parts))
 
 
-def _dot_terms(s: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The terms of Re and Im <s|r>, one row per entry: the rounded elementwise products.
+def _dot_terms(s: np.ndarray, r: np.ndarray, part: int) -> np.ndarray:
+    """The terms of Re <s|r> (part 0) or Im <s|r> (part 1), one row per entry: the rounded elementwise products.
 
     With s = s_re + i s_im and r = r_re + i r_im per entry, the real part
     sums s_re r_re and s_im r_im, the imaginary part s_re r_im and -(s_im r_re).
     """
     s2, r2 = s.view(np.float64).reshape(-1, 2), r.view(np.float64).reshape(-1, 2)
-    return s2 * r2, s2 * r2[:, ::-1] * (1.0, -1.0)
-
-
-def _plan(mass: float) -> GroverPlan:
-    """The plan for a start state whose omega=0 mass is ``mass``."""
-    a = math.sqrt(mass)
-    if a <= 1e-15:
-        raise ValueError("target unreachable: state has no omega=0 weight")
-    a = min(a, 1.0)
-    theta = math.asin(a)
-    k_max = math.ceil(math.pi / (4.0 * a))
-    best_k, best_s = 0, math.sin(theta) ** 2
-    for k in range(1, k_max + 1):
-        s = math.sin((2 * k + 1) * theta) ** 2
-        if s > best_s + 1e-12:
-            best_k, best_s = k, s
-    return GroverPlan(overlap=a, iterations=best_k, predicted_success=best_s)
+    return s2 * r2 if part == 0 else s2 * r2[:, ::-1] * (1.0, -1.0)
 
 
 def _squares(amps: np.ndarray) -> np.ndarray:
@@ -111,9 +90,12 @@ def _steps(g: np.ndarray, on: np.ndarray, alphas: int) -> Iterator[tuple[np.ndar
 
 def _overlap(g: np.ndarray, t: np.ndarray, o: np.ndarray, on: np.ndarray, alphas: int) -> complex:
     """<g|r> over every copy: on copies of each t term and 2 * alphas - on of each -o term."""
-    (real_t, imag_t), (real_o, imag_o) = _dot_terms(g, t), _dot_terms(g, o)
-    real = _fsum(w * a for w, a in ((on, real_t), (-2.0 * alphas, real_o), (on, real_o)))
-    return complex(real, _fsum(w * a for w, a in ((on, imag_t), (-2.0 * alphas, imag_o), (on, imag_o))))
+
+    def part(k: int) -> float:
+        terms_t, terms_o = _dot_terms(g, t, k), _dot_terms(g, o, k)
+        return _fsum(w * a for w, a in ((on, terms_t), (-2.0 * alphas, terms_o), (on, terms_o)))
+
+    return complex(part(0), part(1))
 
 
 def _cells(t: np.ndarray, o: np.ndarray, on: np.ndarray, alphas: int) -> tuple[float, float, float, float]:
@@ -129,69 +111,6 @@ def _cells(t: np.ndarray, o: np.ndarray, on: np.ndarray, alphas: int) -> tuple[f
         _fsum(w * off for w in (alphas, -1.0)),
         _fsum(w * off for w in (alphas, -kept)),
     )
-
-
-class EstimateReport:
-    """Sampled estimate of one transform value.
-
-    estimate and halfwidth are None when no (omega=0, gamma=0) reference
-    outcomes were drawn; message says why.  The half-width is a 95% normal
-    approximation for the odds ratio, delta-method propagated from the
-    conditional gamma=1 fraction with a Laplace-smoothed variance, so it is
-    positive whenever an estimate exists.
-    """
-
-    def __init__(self, estimate: float | None, halfwidth: float | None, message: str = "") -> None:
-        self.estimate, self.halfwidth, self.message = estimate, halfwidth, message
-
-
-class Readout(_Record):
-    """What one amplified start state yields.
-
-    cells holds the probability masses of the (omega, gamma) cells (0, 0),
-    (0, 1), (1, 0) and (1, 1) of the amplified state.
-    """
-
-    __slots__ = ("plan", "cells")
-
-    @property
-    def exact(self) -> float:
-        """Transform value as the exact conditional gamma odds on omega=0."""
-        p00, p01 = self.cells[:2]
-        if p00 <= 0.0:
-            raise RuntimeError("gamma=0 reference mass vanished; cannot form the ratio")
-        return p01 / p00
-
-    def sample(self, shots: int, seed: int) -> EstimateReport:
-        """Estimate the value from seeded (omega, gamma) measurements.
-
-        The counts are ``np.random.default_rng(seed).multinomial(shots,
-        cells)``, drawn by mobiusq's own copy of numpy's stream
-        (:mod:`mobiusq._pcg64`, checked against numpy 2.4.6), so they do not
-        depend on the numpy installed.  Results are deterministic per
-        (readout, shots, seed).  Raises RuntimeError, like ``exact``, when
-        the reference mass vanished.
-        """
-        if shots < 1:
-            raise ValueError("shots must be >= 1")
-        self.exact  # raises when the gamma=0 reference mass vanished
-        cells = np.array(self.cells)
-        cells /= cells.sum()
-        _load("_pcg64")
-        n_ref, n_hit = multinomial(seed, shots, cells.tolist())[:2]
-
-        if n_ref == 0:
-            return EstimateReport(
-                estimate=None,
-                halfwidth=None,
-                message="insufficient shots: no (omega=0, gamma=0) reference outcomes",
-            )
-
-        m = n_ref + n_hit
-        p_hat = n_hit / m
-        p_smooth = (n_hit + 1.0) / (m + 2.0)
-        se = math.sqrt(p_smooth * (1.0 - p_smooth) / m) / (1.0 - p_hat) ** 2
-        return EstimateReport(estimate=n_hit / n_ref, halfwidth=1.96 * se)
 
 
 def read_out_at(support: Support, x: BitString) -> Readout:

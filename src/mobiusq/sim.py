@@ -1,10 +1,6 @@
-"""The register layout, and the state prep of the alpha_minus register.
+"""The state prep of the alpha_minus register, on numpy.
 
-The layout packs six registers onto consecutive qubits, low indices first:
-alpha_minus (n qubits), alpha (n0), beta (n0), gamma, mu0, omega (one each).
-Qubit q is the 2**q bit of the amplitude index, matching the bit convention
-in :mod:`mobiusq.subset`.
-
+The register layout it acts on is :mod:`mobiusq.layout`'s, re-exported here.
 The prep of alpha_minus is a rotation tree (Mottonen et al.,
 quant-ph/0407010) run from |0...0>: each Ry level meets a qubit still at 0,
 so ``prepare_low_qubits`` computes it as products, one float64 entry per
@@ -18,94 +14,17 @@ this module are bound here on first use.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import Union
 
 import numpy as np
 
 from . import _Record, _defer
+from .layout import MAX_QUBITS, Mode, RegisterLayout  # noqa: F401  (re-exported)
 
 _DEFERRED = {
     "gates": ("Circuit", "QubitIs", "apply_circuit", "gate_qubits", "gate_target_qubits", "new_state", "project"),
 }
 __getattr__ = _defer(globals(), _DEFERRED)[1]
-
-MAX_QUBITS = 26
-
-
-class Mode(Enum):
-    MOBIUS = "mobius"
-    MARGINAL = "marginal"
-
-
-class RegisterLayout(_Record):
-    """Register-to-qubit map for one simulation instance.
-
-    ``n`` sizes alpha_minus, ``n0`` sizes alpha and beta.  Mobius mode forces
-    n0 == n (None means n); marginal mode needs 0 < n0 < n.
-    """
-
-    __slots__ = ("mode", "n", "n0")
-
-    def __init__(self, mode: Mode, n: int, n0: int | None = None) -> None:
-        mode = Mode(mode)
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        if mode is Mode.MOBIUS:
-            n0 = n if n0 is None else n0
-            if n0 != n:
-                raise ValueError(f"mobius mode needs n0 == n, got n0={n0}, n={n}")
-        elif n0 is None:
-            raise ValueError("marginal mode needs an explicit n0")
-        elif not 0 < n0 < n:
-            raise ValueError(f"marginal mode needs 0 < n0 < n, got n0={n0}, n={n}")
-        super().__init__(mode, n, n0)
-        if self.total_qubits > MAX_QUBITS:
-            raise ValueError(
-                f"layout needs {self.total_qubits} qubits, cap is {MAX_QUBITS}"
-            )
-
-    @property
-    def total_qubits(self) -> int:
-        return self.n + 2 * self.n0 + 3
-
-    @property
-    def registers(self) -> dict[str, range]:
-        n, n0 = self.n, self.n0
-        return {
-            "alpha_minus": range(0, n),
-            "alpha": range(n, n + n0),
-            "beta": range(n + n0, n + 2 * n0),
-            "gamma": range(n + 2 * n0, n + 2 * n0 + 1),
-            "mu0": range(n + 2 * n0 + 1, n + 2 * n0 + 2),
-            "omega": range(n + 2 * n0 + 2, n + 2 * n0 + 3),
-        }
-
-    def register(self, name: str) -> range:
-        try:
-            return self.registers[name]
-        except KeyError:
-            raise KeyError(f"unknown register {name!r}; have {tuple(self.registers)}") from None
-
-    @property
-    def gamma_qubit(self) -> int:
-        return self.register("gamma")[0]
-
-    @property
-    def mu0_qubit(self) -> int:
-        return self.register("mu0")[0]
-
-    @property
-    def omega_qubit(self) -> int:
-        return self.register("omega")[0]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "mode": self.mode.value,
-            "n": self.n,
-            "n0": self.n0,
-            "registers": {k: [r.start, len(r)] for k, r in self.registers.items()},
-        }
 
 
 # ---------------------------------------------------------------------------

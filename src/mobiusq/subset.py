@@ -1,9 +1,7 @@
 """Set functions on the subset lattice and their zeta / Mobius transforms.
 
-Bit convention used by every module in this package: a length-n bit string
-stands for a point of the boolean lattice, bit j occupies the 2**j place of
-the table index, so dec(x) = sum_j x_j * 2**j.  Display strings are written
-most-significant bit first, e.g. "01111" == 15.
+Tables are indexed by the bit convention of :mod:`mobiusq.layout`, whose
+``BitString`` is re-exported here.
 
 The zeta transform of a table fm is f(x) = sum of fm(y) over all y <= x in
 the bitwise partial order; mobius_inverse undoes it.  Real and complex
@@ -15,44 +13,7 @@ from itertools import chain
 
 import numpy as np
 
-from . import _Record
-
-
-class BitString(_Record):
-    """Ordered bit assignment; ``bits[j]`` is bit j (the 2**j place), stored as a tuple of ints."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits) -> None:
-        if len(bits) < 1:
-            raise ValueError("BitString needs at least one bit")
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError(f"bits must be 0 or 1, got {bits!r}")
-        super().__init__(tuple(int(b) for b in bits))
-
-    @classmethod
-    def from_int(cls, value: int, n: int) -> BitString:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        if not 0 <= value < (1 << n):
-            raise ValueError(f"value {value} out of range for {n} bits")
-        return cls(tuple((value >> j) & 1 for j in range(n)))
-
-    @classmethod
-    def from_str(cls, text: str) -> BitString:
-        """Parse a display string, most-significant bit first ("101" == 5)."""
-        if not text or set(text) - {"0", "1"}:
-            raise ValueError(f"not a bit string: {text!r}")
-        return cls(tuple(int(c) for c in reversed(text)))
-
-    def to_int(self) -> int:
-        return sum(b << j for j, b in enumerate(self.bits))
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in reversed(self.bits))
+from .layout import BitString, json_int  # noqa: F401  (re-exported)
 
 
 class SubsetTable:
@@ -72,6 +33,14 @@ class SubsetTable:
         if not np.isfinite(arr).all():
             raise ValueError("table has non-finite values")
         self.n, self.values = n, arr
+
+    def amplitudes(self) -> np.ndarray:
+        """The real amplitudes that encode a probability table: the square root of each entry.
+
+        Raises like require_probability when the table is not one.
+        """
+        self.require_probability()
+        return np.sqrt(self.values)
 
     def require_probability(self) -> None:
         """Raise unless the table is a probability distribution: no entry below 0, sum 1 within 1e-9."""
@@ -99,14 +68,6 @@ class SubsetTable:
         if not arr.imag.any():  # only an exactly real table loads as float64
             arr = arr.real
         return cls(json_int(obj, "n"), arr)
-
-
-def json_int(obj: dict, key: str) -> int:
-    """obj[key], which must be a JSON integer: no float, string or bool."""
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"'{key}' must be an integer, got {value!r}")
-    return value
 
 
 def json_complex(obj: dict, key: str) -> np.ndarray:

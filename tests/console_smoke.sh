@@ -20,12 +20,15 @@ mobiusq marginal --input tests/data/marginal5_table.json --n0 3 --check tests/da
 mobiusq minfind --center 13 --n 5 --backend quantum
 mobiusq minfind --center 200001 --n 18 --check tests/data/minfind18_classical.json
 
-# --out does not depend on the BLAS thread count
+# --out does not depend on the BLAS thread count, on the pure kernel (a small real table) or on numpy
 for threads in 1 4; do
     OPENBLAS_NUM_THREADS=$threads mobiusq marginal --input tests/data/marginal5_table.json --n0 3 \
         --check tests/data/marginal5_n0_3_sweep_shots5000.json --out "$tmp/threads$threads.json" > /dev/null
+    OPENBLAS_NUM_THREADS=$threads mobiusq marginal --input tests/data/golden/inputs/marginal5-n0-2-complex.json \
+        --sweep --shots 2000 --seed 5 --out "$tmp/complex-threads$threads.json" > /dev/null
 done
 cmp "$tmp/threads1.json" "$tmp/threads4.json"
+cmp "$tmp/complex-threads1.json" "$tmp/complex-threads4.json"
 echo "--out byte-identical at OPENBLAS_NUM_THREADS=1 and 4"
 
 # --dump-state scatters the gathered support back into the dense start state
@@ -34,23 +37,28 @@ mobiusq mobius --input tests/data/mobius3_table.json --x 101 --shots 300 --seed 
     --out "$tmp/dump.out.json" --dump-state "$tmp/dump.state.json" > /dev/null
 cmp "$tmp/dump.state.json" tests/data/golden/mobius3-dump.state.json
 echo "--dump-state byte-identical to the golden mobius3-dump state"
-mobiusq marginal --input tests/data/golden/inputs/marginal5-n0-2-complex.json --x 01 --shots 300 --seed 4 \
-    --out "$tmp/mdump.out.json" --dump-state "$tmp/mdump.state.json" > /dev/null
+# a complex table runs on numpy, which the import log lists
+PYTHONPROFILEIMPORTTIME=1 mobiusq marginal --input tests/data/golden/inputs/marginal5-n0-2-complex.json --x 01 \
+    --shots 300 --seed 4 --out "$tmp/mdump.out.json" --dump-state "$tmp/mdump.state.json" \
+    2> "$tmp/complex-imports.log" > /dev/null
 cmp "$tmp/mdump.state.json" tests/data/golden/marginal5-dump.state.json
 echo "marginal --dump-state byte-identical to the golden marginal5-dump state"
+grep -qE '\| +numpy$' "$tmp/complex-imports.log"
+echo "marginal --dump-state of a complex table: numpy in the import log"
 
-# a seeded sweep loads neither numpy.random nor the secrets -> hmac -> _hashlib chain it imports
-# (tests/test_loading.py pins the same for python -m mobiusq.cli); the numpy line shows the log was
-# written, and the _pcg64 line that it lists the modules the CLI loads on first use
+# a seeded sweep of a small real table runs on the pure-Python kernel: it loads no numpy, so
+# neither numpy.random nor the secrets -> hmac -> _hashlib chain that imports (tests/test_loading.py
+# pins the same for python -m mobiusq.cli); the mobiusq.cli line shows the log was written, and the
+# _pcg64 line that it lists the modules the CLI loads on first use
 PYTHONPROFILEIMPORTTIME=1 mobiusq mobius --input tests/data/mobius3_table.json --sweep --shots 20000 \
     2> "$tmp/imports.log" > /dev/null
-grep -qE '\| +numpy$' "$tmp/imports.log"
+grep -qE '\| +mobiusq\.cli$' "$tmp/imports.log"
 grep -qE '\| +mobiusq\._pcg64$' "$tmp/imports.log"
-if grep -E '\| +(numpy\.random(\..*)?|secrets|_hashlib)$' "$tmp/imports.log"; then
-    echo "mobius --sweep --shots imported numpy.random, secrets or _hashlib" >&2
+if grep -E '\| +(numpy(\..*)?|secrets|_hashlib)$' "$tmp/imports.log"; then
+    echo "mobius --sweep --shots on a small real table imported numpy, secrets or _hashlib" >&2
     exit 1
 fi
-echo "mobius --sweep --shots: no numpy.random, secrets or _hashlib in the import log"
+echo "mobius --sweep --shots: no numpy, numpy.random, secrets or _hashlib in the import log"
 
 # classical minfind loads none of the simulator; the minfind line shows the log lists first-use loads
 PYTHONPROFILEIMPORTTIME=1 mobiusq minfind --center 174099 --n 18 2> "$tmp/minfind-imports.log" > /dev/null

@@ -559,7 +559,9 @@ def test_sweep_gathers_one_support_for_every_point(uniform3, monkeypatch, capsys
         q = TransformQuery(Mode.MOBIUS, 3, amps, x)
         assert read_out_at(support, x) == read_out(build_start_state(q))
     fresh = gather(q)
-    assert gathered[0].amplitudes.tobytes() == fresh.amplitudes.tobytes()
+    # a small real table runs on the pure kernel: its real amplitudes are numpy's, whose imaginary parts are +0.0
+    assert np.array(gathered[0].amplitudes, dtype=np.complex128).tobytes() == fresh.amplitudes.tobytes()
+    assert list(gathered[0].alpha_minus) == fresh.alpha_minus.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -757,6 +759,49 @@ def test_malformed_input_values_exit_1_without_traceback(tmp_path, command, text
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
     assert "'values'" in proc.stderr or "'psi_minus'" in proc.stderr
+
+
+# the table refusals above, one input each: small tables, which mobiusq.pure parses when their
+# values are plain numbers; a sum of 1.5 is exact in any order, so it reads the same at any size
+REFUSED_INPUTS = {
+    **BAD_VALUE_INPUTS,
+    "negative": '{"n": 3, "values": [0.1250000001, -1e-10, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125]}',
+    "sum-1.5": '{"n": 2, "values": [0.5, 0.75, 0.125, 0.125]}',
+    "nan": '{"n": 2, "values": [NaN, 0.5, 0.25, 0.25]}',
+    "infinity": '{"n": 2, "values": [Infinity, 0.5, 0.25, 0.25]}',
+    "minus-infinity": '{"n": 2, "values": [-Infinity, 0.5, 0.25, 0.25]}',
+}
+
+
+def _over_the_threshold(text: str) -> str:
+    """The input padded with zero entries to 2 * cli.PURE_MAX_WORK, which numpy parses."""
+    obj = json.loads(text)
+    size = 2 * cli_mod.PURE_MAX_WORK
+    obj["n"] = size.bit_length() - 1
+    for key, zero in (("values", 0), ("psi_minus", [0, 0])):
+        if isinstance(obj.get(key), list):
+            obj[key] += [zero] * (size - len(obj[key]))
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("text", REFUSED_INPUTS.values(), ids=REFUSED_INPUTS.keys())
+@pytest.mark.parametrize("command", ["mobius", "marginal"])
+def test_a_table_is_refused_with_the_same_line_on_both_sides_of_the_threshold(tmp_path, capsys, command, text):
+    errors = []
+    for name, body in (("small", text), ("over", _over_the_threshold(text))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(body)
+        assert main([command, "--input", str(path), "--x", "1"] + (["--n0", "1"] if command == "marginal" else [])) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith("error: ") and errors[0] == errors[1]
+
+
+def test_a_table_size_far_beyond_the_cap_is_refused_at_once(tmp_path, capsys):
+    """Choosing the kernel reads n before any check of it, so it must not compute 2**n."""
+    path = tmp_path / "table.json"
+    path.write_text('{"n": 1000000000000000000, "values": [0.5, 0.5]}')
+    assert main(["mobius", "--input", str(path), "--x", "1"]) == 1
+    assert capsys.readouterr().err == "error: n must be in 1..62, got 1000000000000000000\n"
 
 
 GOLDEN_MINFIND18_CENTER = 200001  # tests/data/minfind18_classical.json was run with it

@@ -9,6 +9,7 @@ import pytest
 
 import mobiusq.gates as gates_mod
 import mobiusq.grover as grover_mod
+import mobiusq.readout as readout_mod
 from mobiusq.circuits import Support, TransformQuery, classical_value, gather
 from mobiusq.gates import StateVector, build_start_state, project
 from mobiusq.grover import (
@@ -193,7 +194,7 @@ def test_support_readout_uses_no_dense_working_copy():
 def test_estimators_peak_under_a_tenth_of_the_dense_state():
     """At 18 qubits both estimators gather and read out the support: no dense state is built."""
     q = _query18()
-    grover_mod._load("_pcg64")  # the first sample compiles the sampler; that transient is not the estimators'
+    readout_mod._load("_pcg64")  # the first sample compiles the sampler; that transient is not the estimators'
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()

@@ -3,7 +3,9 @@
 ``mobiusq.cli`` and ``mobiusq.minfind`` bind the names of the modules a
 command needs on first use (``mobiusq._defer``), so classical ``minfind``
 never loads the simulator, and no transform run loads the gate model in
-``mobiusq.gates``: only ``verify`` and ``--dump-state`` do.  ``sim``,
+``mobiusq.gates``: only ``verify`` and ``--dump-state`` do.  A small real
+table runs on the pure-Python kernel ``mobiusq.pure`` and loads no numpy; a
+complex or larger input, a dump, ``minfind`` and ``verify`` load it.  ``sim``,
 ``circuits`` and ``grover`` bind the gate model's names the same way, and
 only those ``perfbench/tracer.py`` reads through them.  Each
 deferred name is nonetheless an attribute of its module from the start: the
@@ -34,8 +36,10 @@ import mobiusq.minfind as minfind_mod
 import mobiusq.sim as sim_mod
 
 TABLE = "tests/data/mobius3_table.json"
-BASE = {"mobiusq", "mobiusq.cli", "mobiusq.subset"}
-SIMULATOR = {"mobiusq.sim", "mobiusq.circuits", "mobiusq.grover"}
+QUERY = "tests/data/golden/inputs/marginal5-n0-2-complex.json"
+BASE = {"mobiusq", "mobiusq.cli", "mobiusq.layout"}
+PURE = {"mobiusq.pure", "mobiusq.readout"}
+SIMULATOR = {"mobiusq.subset", "mobiusq.sim", "mobiusq.circuits", "mobiusq.grover", "mobiusq.readout", "numpy"}
 GATES = {"mobiusq.gates"}
 SAMPLER = {"mobiusq._pcg64"}
 
@@ -61,42 +65,66 @@ def _python(code: str, *args: str) -> str:
 
 
 # runs cli.main on argv[1:] (when given) and prints the mobiusq modules loaded, and
-# dataclasses and numpy.random if loaded
+# dataclasses, numpy and numpy.random if loaded
 MODULES_AFTER = """
 import contextlib, io, json, sys
 import mobiusq.cli as cli
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(sys.argv[1:]) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("mobiusq", "dataclasses") or m == "numpy.random")))
+print(json.dumps(sorted(
+    m for m in sys.modules if m.split(".")[0] in ("mobiusq", "dataclasses") or m in ("numpy", "numpy.random")
+)))
 """
+
+
+@pytest.fixture(scope="module")
+def over_work(tmp_path_factory) -> str:
+    """A real table of 2 * cli.PURE_MAX_WORK entries: one size above what the pure kernel runs."""
+    size = 2 * cli_mod.PURE_MAX_WORK
+    path = tmp_path_factory.mktemp("tables") / "over.json"
+    path.write_text(json.dumps({"n": size.bit_length() - 1, "values": [1.0 / size] * size}))
+    return str(path)
 
 
 @pytest.mark.parametrize(
     "argv, added",
     [
         ([], set()),
-        (["minfind", "--center", "13", "--n", "5"], {"mobiusq.minfind"}),
-        (["mobius", "--input", TABLE, "--x", "101"], SIMULATOR),
-        (["mobius", "--input", TABLE, "--sweep", "--shots", "100"], SIMULATOR | SAMPLER),
-        (["marginal", "--input", TABLE, "--n0", "2", "--x", "10"], SIMULATOR),
-        (["marginal", "--input", TABLE, "--n0", "2", "--x", "10", "--shots", "100"], SIMULATOR | SAMPLER),
+        (["minfind", "--center", "13", "--n", "5"], {"mobiusq.minfind", "mobiusq.subset", "numpy"}),
+        (["mobius", "--input", TABLE, "--x", "101"], PURE),
+        (["mobius", "--input", TABLE, "--sweep", "--shots", "100"], PURE | SAMPLER),
+        (["marginal", "--input", TABLE, "--n0", "2", "--x", "10"], PURE),
+        (["marginal", "--input", TABLE, "--n0", "2", "--x", "10", "--shots", "100"], PURE | SAMPLER),
+        (["marginal", "--input", QUERY, "--sweep"], SIMULATOR),
+        (["marginal", "--input", "OVER", "--n0", "1", "--x", "1"], SIMULATOR),
         (["minfind", "--center", "13", "--n", "5", "--backend", "quantum"], SIMULATOR | {"mobiusq.minfind"}),
         (["verify", "--seed", "0"], SIMULATOR | GATES | {"mobiusq.verify", "numpy.random"}),
     ],
     ids=[
         "import-only", "minfind-classical", "mobius", "mobius-sweep-shots", "marginal", "marginal-shots",
-        "minfind-quantum", "verify",
+        "complex-query", "table-over-the-threshold", "minfind-quantum", "verify",
     ],
 )
-def test_each_command_loads_only_the_modules_it_runs(argv, added):
+def test_each_command_loads_only_the_modules_it_runs(argv, added, over_work):
+    argv = [over_work if arg == "OVER" else arg for arg in argv]
     assert set(json.loads(_python(MODULES_AFTER, *argv))) == BASE | added
+
+
+def test_a_small_table_over_the_work_bound_parses_without_numpy_and_runs_on_it(tmp_path):
+    """2**n entries times the points of the run decide the kernel: a sweep can take a small table over."""
+    n = cli_mod.PURE_MAX_WORK.bit_length() - 1  # 2**n = PURE_MAX_WORK: one point fits, two do not
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"n": n, "values": [1.0 / (1 << n)] * (1 << n)}))
+    point = ["marginal", "--input", str(path), "--n0", "1"]
+    assert set(json.loads(_python(MODULES_AFTER, *point, "--x", "1"))) == BASE | PURE
+    assert set(json.loads(_python(MODULES_AFTER, *point, "--sweep"))) == BASE | PURE | SIMULATOR
 
 
 @pytest.mark.parametrize(
     "argv, added",
     [
-        (["mobius", "--input", TABLE, "--sweep", "--shots", "100"], SIMULATOR | SAMPLER),
+        (["mobius", "--input", TABLE, "--sweep", "--shots", "100"], PURE | SAMPLER),
         (["minfind", "--center", "13", "--n", "5", "--backend", "quantum"], SIMULATOR | {"mobiusq.minfind"}),
     ],
     ids=["mobius-sweep-shots", "minfind-quantum"],
@@ -118,9 +146,10 @@ def test_the_import_time_log_lists_every_module_loaded_on_first_use(argv, added)
 
 
 def test_dump_state_loads_the_gate_model(tmp_path):
+    """A dump runs on the numpy kernel, which the gate model builds on; the table is parsed as any small one."""
     for point in (["mobius", "--input", TABLE, "--x", "101"], ["marginal", "--input", TABLE, "--n0", "2", "--x", "10"]):
         argv = [*point, "--dump-state", str(tmp_path / "state.json")]
-        assert set(json.loads(_python(MODULES_AFTER, *argv))) == BASE | SIMULATOR | GATES, point[0]
+        assert set(json.loads(_python(MODULES_AFTER, *argv))) == BASE | PURE | SIMULATOR | GATES, point[0]
 
 
 def test_every_name_the_tracer_reads_is_an_attribute_before_any_command_runs():
@@ -147,8 +176,8 @@ def test_every_deferred_name_is_an_attribute_before_any_command_runs():
     code = """
 import importlib
 import mobiusq.circuits as circuits, mobiusq.cli as cli, mobiusq.grover as grover
-import mobiusq.minfind as minfind, mobiusq.sim as sim
-for module in (cli, minfind, sim, circuits, grover):
+import mobiusq.minfind as minfind, mobiusq.readout as readout, mobiusq.sim as sim
+for module in (cli, minfind, sim, circuits, grover, readout):
     deferred = {name for names in module._DEFERRED.values() for name in names}
     assert not deferred & set(vars(module)), (module.__name__, deferred & set(vars(module)))
     for home, names in module._DEFERRED.items():
