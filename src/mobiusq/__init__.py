@@ -31,9 +31,9 @@ _EXPORTS = {
     ),
     "circuits": ("Support", "TransformQuery", "classical_value", "gather"),
     "grover": ("estimate_exact", "estimate_sampled", "read_out_at"),
-    "minfind": (
-        "ObjectiveTable", "ProbeRecord", "SearchTrace", "choose_beta", "classical_evaluator",
-        "find_min", "min_gap", "probe_point", "quadratic_objective", "quantum_evaluator", "softmin_table",
+    "minfind": ("ProbeRecord", "SearchTrace", "find_min", "probe_point", "quantum_evaluator"),
+    "dense": (
+        "ObjectiveTable", "choose_beta", "classical_evaluator", "min_gap", "quadratic_objective", "softmin_table",
     ),
     "verify": ("SignalDecomposition", "decompose_signal", "run_verify"),
 }

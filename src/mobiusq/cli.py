@@ -39,22 +39,25 @@ from . import _defer
 from .layout import BitString, Mode, RegisterLayout
 
 # Each command loads only the modules it runs: a small real table runs on the
-# pure-Python kernel and loads no numpy, classical minfind never loads the
-# simulator, and only --dump-state loads the gate model.  The names below
-# are bound on first use; each is an attribute
-# of this module from the start, the patch point of the tests and of
-# perfbench/tracer.py, and a replacement bound before a command runs wins.
-# estimate_exact and estimate_sampled are not called here; perfbench/tracer.py wraps them.
+# pure-Python kernel and loads no numpy, and so does classical minfind at an
+# in-range center (mobiusq.sparse); other minfind runs build the dense tables
+# of mobiusq.dense, classical minfind never loads the simulator, and only
+# --dump-state loads the gate model.  The names below are bound on first use;
+# each is an attribute of this module from the start, the patch point of the
+# tests and of perfbench/tracer.py, and a replacement bound before a command
+# runs wins.  estimate_exact and estimate_sampled are not called here;
+# perfbench/tracer.py wraps them.
 _DEFERRED = {
     "subset": ("SubsetTable",),
     "gates": ("state_to_json_obj",),
     "circuits": ("TransformQuery",),
     "grover": ("estimate_exact", "estimate_sampled"),
     "pure": ("Query", "table_amplitudes"),
-    "minfind": (
-        "ObjectiveTable", "choose_beta", "classical_evaluator", "find_min", "min_gap",
-        "quadratic_objective", "quantum_evaluator", "require_beta", "require_threshold", "softmin_table",
+    "minfind": ("find_min", "quantum_evaluator", "require_beta", "require_threshold"),
+    "dense": (
+        "ObjectiveTable", "choose_beta", "classical_evaluator", "min_gap", "quadratic_objective", "softmin_table",
     ),
+    "sparse": ("centered_softmin",),
     "verify": ("run_verify",),
 }
 _load, __getattr__ = _defer(globals(), _DEFERRED)
@@ -512,7 +515,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_minfind(args) -> int:
     _refuse_overwrites(args)
-    _load("minfind", "subset")
+    _load("minfind")
     check = _read_check(args, MINFIND_SCHEMA, ("beta", "threshold", "backend"))
     if check is not None:
         beta, threshold, backend = check["beta"], check["threshold"], check["backend"]
@@ -524,9 +527,11 @@ def _cmd_minfind(args) -> int:
     if beta is not None:
         require_beta(beta)
 
+    sparse = None
     if args.input:
         if args.n is not None:
             raise ValueError("--n sizes the --center objective; an --input table has its own n")
+        _load("dense", "subset")
         table = SubsetTable.from_json_obj(_read_json(args.input))
         objective = ObjectiveTable(table.n, table.values)
     else:
@@ -534,19 +539,27 @@ def _cmd_minfind(args) -> int:
             raise ValueError("--center needs --n")
         if abs(args.center) > 2**511:  # keeps every (dec(x) - center)**2 + 1 a finite float64
             raise ValueError("--center must be at most 2**511 in magnitude for a float64 objective")
-        objective = quadratic_objective(args.n, args.center)
-        if min_gap(objective) == 0.0:  # (dec(x) - center)**2 + 1 has one minimum over the integers
-            raise ValueError(
-                f"--center {args.center} is beyond float64 precision at --n {args.n}: "
-                "(dec(x) - center)**2 + 1 rounds to the same value at two points"
-            )
+        if backend == "classical":
+            _load("sparse")
+            sparse = centered_softmin(args.n, args.center, beta)
+        if sparse is None:
+            _load("dense")
+            objective = quadratic_objective(args.n, args.center)
+            if min_gap(objective) == 0.0:  # (dec(x) - center)**2 + 1 has one minimum over the integers
+                raise ValueError(
+                    f"--center {args.center} is beyond float64 precision at --n {args.n}: "
+                    "(dec(x) - center)**2 + 1 rounds to the same value at two points"
+                )
 
-    if beta is None:
-        beta = choose_beta(objective)
-    d_minus = softmin_table(objective, beta)
-    evaluator = (
-        classical_evaluator(d_minus) if backend == "classical" else quantum_evaluator(d_minus)
-    )
+    if sparse is not None:
+        objective, beta, evaluator = sparse
+    else:
+        if beta is None:
+            beta = choose_beta(objective)
+        d_minus = softmin_table(objective, beta)
+        evaluator = (
+            classical_evaluator(d_minus) if backend == "classical" else quantum_evaluator(d_minus)
+        )
     trace = find_min(objective, beta, evaluator, threshold)
 
     probe_rows = [

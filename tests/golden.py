@@ -21,9 +21,16 @@ which writes every expected file from the code in ``src/``, at one BLAS
 thread, and the entries' input files where they are missing.  A change that
 regenerates says why in CHANGES.md; the diff of these files then shows every
 byte the change moved.
+
+    python tests/golden.py --numpy-free
+
+reruns only the ``NUMPY_FREE`` entries, those the pure-Python kernels run,
+and compares their bytes; it needs no numpy installed, and exits 1 on any
+mismatch.
 """
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -38,6 +45,15 @@ GOLDEN = ROOT / "tests" / "data" / "golden"
 INPUTS = GOLDEN / "inputs"
 MANIFEST = GOLDEN / "manifest.json"
 OUTPUT_FLAGS = {"{out}": "out", "{state}": "state"}  # argv placeholder -> file key
+
+# the entries the pure-Python kernels run, with no numpy loaded: transforms of small real
+# tables (mobiusq.pure) and classical minfind at an in-range center (mobiusq.sparse)
+NUMPY_FREE = (
+    "sweep-41", "sweep-7", "marginal-point-41", "marginal-point-7",
+    "mobius3-shots-max", "marginal5-shots-1", "marginal3-zeros",
+    "minfind-classical-41", "minfind-classical-7", "minfind18-center-0", "minfind18-center-262143",
+    "minfind1-center-1", "minfind22-center-1398101",
+)
 
 
 def _workload_args(name: str, seed: int) -> list[str]:
@@ -265,7 +281,22 @@ def expected_files(name: str) -> dict[str, Path]:
     return {key: GOLDEN / f"{name}.{key}.json" for key in OUTPUT_FLAGS.values()}
 
 
+def check_numpy_free() -> int:
+    """Rerun the NUMPY_FREE entries of the manifest and print what each did not reproduce."""
+    manifest = [entry for entry in json.loads(MANIFEST.read_text()) if entry["name"] in NUMPY_FREE]
+    assert len(manifest) == len(NUMPY_FREE), "a NUMPY_FREE entry is not in the manifest"
+    with tempfile.TemporaryDirectory() as tmp:
+        results = run_all(manifest, Path(tmp))
+    problems = [line for entry, got in zip(manifest, results) for line in mismatches(entry, got)]
+    print(*problems or [f"{len(manifest)} entries byte-identical"], sep="\n")
+    return 1 if problems else 0
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description="Regenerate the golden corpus from the code in src/.")
+    parser.add_argument("--numpy-free", action="store_true", help="compare the NUMPY_FREE entries instead")
+    if parser.parse_args().numpy_free:
+        return check_numpy_free()
     INPUTS.mkdir(parents=True, exist_ok=True)
     manifest = entries()
     with tempfile.TemporaryDirectory() as tmp:

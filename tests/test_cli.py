@@ -476,7 +476,7 @@ def test_an_output_naming_an_input_file_fails_before_any_work(command, tmp_path,
     """--out or --dump-state resolving to the --input or --check file would overwrite it: exit 1, file kept."""
     monkeypatch.chdir(tmp_path)
     ran = []
-    for name in ("gather", "find_min"):
+    for name in ("gather", "find_min", "centered_softmin"):
         monkeypatch.setattr(cli_mod, name, lambda *args, name=name: ran.append(name))
     table, check, point = _OVERWRITES[command]
     (tmp_path / check).write_bytes((DATA / check).read_bytes())
@@ -667,7 +667,7 @@ def test_minfind_refuses_a_bad_threshold_before_any_table_is_built(tmp_path, mon
     def no_table(*args):
         raise AssertionError("a table was built for a run its threshold refuses")
 
-    for name in ("quadratic_objective", "softmin_table"):
+    for name in ("quadratic_objective", "softmin_table", "centered_softmin"):
         monkeypatch.setattr(cli_mod, name, no_table)
     argv = ["minfind", "--center", str(GOLDEN_MINFIND18_CENTER), "--n", "18"]
     if threshold == "check":  # the value a --check file replays
@@ -684,7 +684,7 @@ def test_minfind_refuses_a_bad_beta_before_any_table_is_built(tmp_path, monkeypa
     def no_table(*args):
         raise AssertionError("a table was built for a run its beta refuses")
 
-    for name in ("quadratic_objective", "softmin_table"):
+    for name in ("quadratic_objective", "softmin_table", "centered_softmin"):
         monkeypatch.setattr(cli_mod, name, no_table)
     argv = ["minfind", "--center", str(GOLDEN_MINFIND18_CENTER), "--n", "18"]
     if beta == "check":  # the value a --check file replays
@@ -696,6 +696,50 @@ def test_minfind_refuses_a_bad_beta_before_any_table_is_built(tmp_path, monkeypa
         shown = str(float(beta))
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: beta must be positive and finite, got {shown}\n"
+
+
+_NO_NUMPY_REFUSALS = [
+    # (flags, message): several faults at once show which check comes first
+    (["--center", "0", "--n", "0"], "objective needs 1 <= n <= 26, got n=0"),
+    (["--center", "0", "--n", "27"], "objective needs 1 <= n <= 26, got n=27"),
+    (["--center", "1", "--n", "40"], "objective needs 1 <= n <= 26, got n=40"),
+    (["--center", "5", "--n", "5", "--threshold", "0"], "threshold must lie strictly between 0 and 1"),
+    (["--center", "5", "--n", "40", "--threshold", "2"], "threshold must lie strictly between 0 and 1"),
+    (["--center", "5", "--n", "5", "--beta", "-1"], "beta must be positive and finite, got -1.0"),
+    (["--center", "5", "--n", "40", "--beta", "nan"], "beta must be positive and finite, got nan"),
+    (["--center", "5", "--n", "40", "--beta", "nan", "--threshold", "2"], "threshold must lie strictly between 0 and 1"),
+    (["--center", str(2**511 + 1), "--n", "5"], "--center must be at most 2**511 in magnitude for a float64 objective"),
+    (["--center", str(2**512), "--n", "40"], "--center must be at most 2**511 in magnitude for a float64 objective"),
+    (["--input", "OBJECTIVE", "--n", "3"], "--n sizes the --center objective; an --input table has its own n"),
+    (["--input", "OBJECTIVE", "--n", "3", "--threshold", "1"], "threshold must lie strictly between 0 and 1"),
+    (["--input", "OBJECTIVE", "--n", "3", "--beta", "0"], "beta must be positive and finite, got 0.0"),
+    (["--center", "5"], "--center needs --n"),
+]
+
+
+def test_minfind_refusals_keep_their_words_and_order_with_numpy_unimportable():
+    """Each refusal comes before anything that would load numpy, so a run without numpy prints it."""
+    code = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # import numpy now raises ImportError
+import mobiusq.cli as cli
+got = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        got.append([cli.main(["minfind", *argv]), err.getvalue()])
+print(json.dumps(got))
+"""
+    objective = str(DATA / "golden" / "inputs" / "minfind12-decades.json")
+    argvs = [[objective if flag == "OBJECTIVE" else flag for flag in flags] for flags, _ in _NO_NUMPY_REFUSALS]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[1, f"error: {message}\n"] for _, message in _NO_NUMPY_REFUSALS]
 
 
 def test_minfind_rejects_oversized_objective(capsys):

@@ -4,8 +4,10 @@
 command needs on first use (``mobiusq._defer``), so classical ``minfind``
 never loads the simulator, and no transform run loads the gate model in
 ``mobiusq.gates``: only ``verify`` and ``--dump-state`` do.  A small real
-table runs on the pure-Python kernel ``mobiusq.pure`` and loads no numpy; a
-complex or larger input, a dump, ``minfind`` and ``verify`` load it.  ``sim``,
+table runs on the pure-Python kernel ``mobiusq.pure`` and loads no numpy,
+and so does classical ``minfind`` at an in-range center with the default
+beta (``mobiusq.sparse``); a complex or larger input, a dump, every other
+``minfind`` run and ``verify`` load it.  ``sim``,
 ``circuits`` and ``grover`` bind the gate model's names the same way, and
 only those ``perfbench/tracer.py`` reads through them.  Each
 deferred name is nonetheless an attribute of its module from the start: the
@@ -42,6 +44,9 @@ PURE = {"mobiusq.pure", "mobiusq.readout"}
 SIMULATOR = {"mobiusq.subset", "mobiusq.sim", "mobiusq.circuits", "mobiusq.grover", "mobiusq.readout", "numpy"}
 GATES = {"mobiusq.gates"}
 SAMPLER = {"mobiusq._pcg64"}
+SPARSE = {"mobiusq.minfind", "mobiusq.sparse"} | PURE
+DENSE = {"mobiusq.minfind", "mobiusq.dense", "mobiusq.subset", "numpy"}
+OBJECTIVE = "tests/data/golden/inputs/minfind12-decades.json"
 
 # the names perfbench/tracer.py reads off each module, none of them bound by a command it runs first
 TRACER_NAMES = {
@@ -91,24 +96,37 @@ def over_work(tmp_path_factory) -> str:
     "argv, added",
     [
         ([], set()),
-        (["minfind", "--center", "13", "--n", "5"], {"mobiusq.minfind", "mobiusq.subset", "numpy"}),
+        (["minfind", "--center", "13", "--n", "5"], SPARSE),
+        (["minfind", "--center", "32", "--n", "5"], SPARSE | DENSE),
+        (["minfind", "--center", "-1", "--n", "5"], SPARSE | DENSE),
+        (["minfind", "--center", "13", "--n", "5", "--beta", "1"], SPARSE | DENSE),
+        (["minfind", "--input", OBJECTIVE], DENSE),
         (["mobius", "--input", TABLE, "--x", "101"], PURE),
         (["mobius", "--input", TABLE, "--sweep", "--shots", "100"], PURE | SAMPLER),
         (["marginal", "--input", TABLE, "--n0", "2", "--x", "10"], PURE),
         (["marginal", "--input", TABLE, "--n0", "2", "--x", "10", "--shots", "100"], PURE | SAMPLER),
         (["marginal", "--input", QUERY, "--sweep"], SIMULATOR),
         (["marginal", "--input", "OVER", "--n0", "1", "--x", "1"], SIMULATOR),
-        (["minfind", "--center", "13", "--n", "5", "--backend", "quantum"], SIMULATOR | {"mobiusq.minfind"}),
+        (["minfind", "--center", "13", "--n", "5", "--backend", "quantum"], SIMULATOR | DENSE),
         (["verify", "--seed", "0"], SIMULATOR | GATES | {"mobiusq.verify", "numpy.random"}),
     ],
     ids=[
-        "import-only", "minfind-classical", "mobius", "mobius-sweep-shots", "marginal", "marginal-shots",
+        "import-only", "minfind-classical", "minfind-center-above-the-range", "minfind-negative-center",
+        "minfind-beta-1", "minfind-input", "mobius", "mobius-sweep-shots", "marginal", "marginal-shots",
         "complex-query", "table-over-the-threshold", "minfind-quantum", "verify",
     ],
 )
 def test_each_command_loads_only_the_modules_it_runs(argv, added, over_work):
     argv = [over_work if arg == "OVER" else arg for arg in argv]
     assert set(json.loads(_python(MODULES_AFTER, *argv))) == BASE | added
+
+
+@pytest.mark.parametrize("name", golden.NUMPY_FREE)
+def test_each_golden_entry_listed_numpy_free_loads_no_numpy(tmp_path, name):
+    """The entries a CI job without numpy installed compares (tests/golden.py --numpy-free)."""
+    (entry,) = [e for e in json.loads(golden.MANIFEST.read_text()) if e["name"] == name]
+    argv = [str(tmp_path / "out.json") if arg == "{out}" else arg for arg in entry["argv"]]
+    assert "numpy" not in json.loads(_python(MODULES_AFTER, *argv))
 
 
 def test_a_small_table_over_the_work_bound_parses_without_numpy_and_runs_on_it(tmp_path):
@@ -125,9 +143,10 @@ def test_a_small_table_over_the_work_bound_parses_without_numpy_and_runs_on_it(t
     "argv, added",
     [
         (["mobius", "--input", TABLE, "--sweep", "--shots", "100"], PURE | SAMPLER),
-        (["minfind", "--center", "13", "--n", "5", "--backend", "quantum"], SIMULATOR | {"mobiusq.minfind"}),
+        (["minfind", "--center", "13", "--n", "5"], SPARSE),
+        (["minfind", "--center", "13", "--n", "5", "--backend", "quantum"], SIMULATOR | DENSE),
     ],
-    ids=["mobius-sweep-shots", "minfind-quantum"],
+    ids=["mobius-sweep-shots", "minfind-classical", "minfind-quantum"],
 )
 def test_the_import_time_log_lists_every_module_loaded_on_first_use(argv, added):
     proc = subprocess.run(
