@@ -18,7 +18,8 @@ names of its commands the same way, through :func:`_defer`.
 from __future__ import annotations
 
 _EXPORTS = {
-    "layout": ("BitString", "DecompositionError", "MAX_QUBITS", "Mode", "RegisterLayout"),
+    "bits": ("BitString",),
+    "layout": ("DecompositionError", "MAX_QUBITS", "Mode", "RegisterLayout"),
     "readout": ("EstimateReport", "GroverPlan", "Readout"),
     "subset": (
         "SubsetTable", "mobius_inverse", "zeta_fast", "zeta_fast_inplace", "zeta_matrix", "zeta_naive",

@@ -36,18 +36,20 @@ import sys
 from pathlib import Path
 
 from . import _defer
-from .layout import BitString, Mode, RegisterLayout
+from .bits import BitString
 
 # Each command loads only the modules it runs: a small real table runs on the
-# pure-Python kernel and loads no numpy, and so does classical minfind at an
-# in-range center (mobiusq.sparse); other minfind runs build the dense tables
-# of mobiusq.dense, classical minfind never loads the simulator, and only
-# --dump-state loads the gate model.  The names below are bound on first use;
-# each is an attribute of this module from the start, the patch point of the
-# tests and of perfbench/tracer.py, and a replacement bound before a command
-# runs wins.  estimate_exact and estimate_sampled are not called here;
-# perfbench/tracer.py wraps them.
+# pure-Python kernel and loads no numpy, and classical minfind at an in-range
+# center (mobiusq.sparse) loads only the search, not even the register layout;
+# other minfind runs build the dense tables of mobiusq.dense, classical
+# minfind never loads the simulator, and only --dump-state loads the gate
+# model.  The names below are bound on first use; each is an attribute of
+# this module from the start, the patch point of the tests and of
+# perfbench/tracer.py, and a replacement bound before a command runs wins.
+# estimate_exact and estimate_sampled are not called here; perfbench/tracer.py
+# wraps them.
 _DEFERRED = {
+    "layout": ("Mode", "RegisterLayout"),
     "subset": ("SubsetTable",),
     "gates": ("state_to_json_obj",),
     "circuits": ("TransformQuery",),
@@ -240,12 +242,12 @@ def _build_parser() -> _Parser:
 
 
 def _read_json(path: str) -> dict:
-    text = Path(path).read_text()
+    """The JSON object in the file at ``path``; a file that is not one is refused with its path."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(Path(path).read_text())
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # undecodable text or malformed JSON; an OSError passes as an i/o error
         raise ValueError(f"{path}: {exc}") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object at top level")
@@ -444,6 +446,7 @@ def _finish(args, result: dict, schema: dict, check: dict | None, rows_key: str,
 
 
 def _cmd_transform(args) -> int:
+    _load("layout")
     _refuse_overwrites(args)
     mode = Mode(args.mode)
     obj = _read_json(args.input)

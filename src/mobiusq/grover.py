@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _defer
 from .circuits import Support, TransformQuery, gather
-from .layout import BitString
+from .bits import BitString
 from .readout import EstimateReport, GroverPlan, Readout, _plan  # noqa: F401  (re-exported)
 
 # The dense readout's names, bound from mobiusq.gates on first use.  Nothing

@@ -1,62 +1,24 @@
-"""Points of the lattice and the register layout: what both kernels address a table by.
+"""The register layout: what both kernels address a table by.
 
-Bit convention used by every module in this package: a length-n bit string
-stands for a point of the boolean lattice, bit j occupies the 2**j place of
-the table index, so dec(x) = sum_j x_j * 2**j.  Display strings are written
-most-significant bit first, e.g. "01111" == 15.
+Points of the lattice are :mod:`mobiusq.bits`' ``BitString``, re-exported
+here, with that module's bit convention.  The layout packs six registers
+onto consecutive qubits, low indices first: alpha_minus (n qubits), alpha
+(n0), beta (n0), gamma, mu0, omega (one each).  Qubit q is the 2**q bit of
+the amplitude index.
 
-The layout packs six registers onto consecutive qubits, low indices first:
-alpha_minus (n qubits), alpha (n0), beta (n0), gamma, mu0, omega (one each).
-Qubit q is the 2**q bit of the amplitude index.
-
-This module loads no numpy: the CLI, the numpy kernel (``sim``,
-``circuits``, ``grover``) and the pure-Python kernel (:mod:`mobiusq.pure`)
-share it, and ``subset``, ``sim`` and ``circuits`` re-export its names.
+This module loads no numpy: a transform run of the CLI, the numpy kernel
+(``sim``, ``circuits``, ``grover``) and the pure-Python kernel
+(:mod:`mobiusq.pure`) share it, and ``subset``, ``sim`` and ``circuits``
+re-export its names.  Classical minfind loads none of it.
 """
 from __future__ import annotations
 
 from enum import Enum
 
 from . import _Record
+from .bits import BitString  # noqa: F401  (re-exported)
 
 MAX_QUBITS = 26
-
-
-class BitString(_Record):
-    """Ordered bit assignment; ``bits[j]`` is bit j (the 2**j place), stored as a tuple of ints."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits) -> None:
-        if len(bits) < 1:
-            raise ValueError("BitString needs at least one bit")
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError(f"bits must be 0 or 1, got {bits!r}")
-        super().__init__(tuple(int(b) for b in bits))
-
-    @classmethod
-    def from_int(cls, value: int, n: int) -> BitString:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        if not 0 <= value < (1 << n):
-            raise ValueError(f"value {value} out of range for {n} bits")
-        return cls(tuple((value >> j) & 1 for j in range(n)))
-
-    @classmethod
-    def from_str(cls, text: str) -> BitString:
-        """Parse a display string, most-significant bit first ("101" == 5)."""
-        if not text or set(text) - {"0", "1"}:
-            raise ValueError(f"not a bit string: {text!r}")
-        return cls(tuple(int(c) for c in reversed(text)))
-
-    def to_int(self) -> int:
-        return sum(b << j for j, b in enumerate(self.bits))
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in reversed(self.bits))
 
 
 def json_int(obj: dict, key: str) -> int:

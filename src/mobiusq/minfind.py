@@ -19,7 +19,7 @@ import math
 from typing import Callable, Iterable, Sequence
 
 from . import _Record, _defer
-from .layout import BitString
+from .bits import BitString
 
 # The names this module takes from others, bound on first use; each is a module
 # attribute from the start and a replacement bound before that use wins.  The
@@ -102,8 +102,16 @@ def quantum_evaluator(d_minus: SubsetTable) -> Callable[[BitString], float]:
 
 
 def require_beta(beta: float) -> None:
-    """Refuse a softmin sharpness that is not positive and finite, NaN included."""
-    if not (math.isfinite(beta) and beta > 0.0):
+    """Refuse a softmin sharpness that is not positive and finite, NaN included.
+
+    A --check file may hold beta as a JSON integer, and one beyond the float
+    range, which ``math.isfinite`` cannot convert, is refused as well.
+    """
+    try:
+        finite = math.isfinite(beta)
+    except OverflowError:
+        raise ValueError("beta must be positive and finite, got an integer too large for a float") from None
+    if not (finite and beta > 0.0):
         raise ValueError(f"beta must be positive and finite, got {beta}")
 
 

@@ -11,8 +11,8 @@ the one real operation done here:
 * products, quotients and square roots are single IEEE operations, and the
   prep's atan2, cos and sin are the same libm calls through :mod:`math`;
 * each ``ndarray.sum`` of the numpy kernel (the table's total, the prep's
-  half sums, the classical value) is :func:`pairwise_sum`, numpy's own
-  pairwise summation replayed;
+  half sums, the classical value) is :func:`mobiusq.pairwise.pairwise_sum`,
+  numpy's own pairwise summation replayed, which this module re-exports;
 * each readout reduction is one ``math.fsum`` over the same nonzero terms.
 
 The norm checks are the numpy kernel's, computed as ``math.fsum`` of squares
@@ -21,44 +21,15 @@ where numpy takes a BLAS dot; see :class:`Query`.
 from __future__ import annotations
 
 import math
-from functools import reduce
-from operator import add
 
 from . import _Record
-from .layout import BitString, DecompositionError, RegisterLayout, _keep
+from .bits import BitString
+from .layout import DecompositionError, RegisterLayout, _keep
+from .pairwise import pairwise_sum  # noqa: F401  (re-exported)
 from .readout import Readout, _plan
 
 # sim._H[0, 0]: numpy divides the complex 1 by sqrt(2) with Smith's method, which rounds as this does
 _H = 1.0 / math.sqrt(2.0)
-
-
-def _pairwise(values, lo: int, n: int, uniform=None) -> float:
-    """numpy's pairwise_sum of values[lo:lo + n] (numpy/_core/src/umath/loops_utils.h.src).
-
-    Fewer than 8 terms add left to right; up to 128 go to 8 accumulators,
-    each left to right, combined as a tree, then the rest; above that each
-    half, split at a multiple of 8, is summed alone.  A zero's sign can
-    differ from numpy's inside, but only where the sum itself is zero, and
-    pairwise_sum's 0.0 + makes that +0.0 either way.  ``uniform(lo, n)``,
-    when given, is the sum of a segment of equal entries whose every partial
-    sum is exact, so any order gives it, and None for any other segment.
-    """
-    if uniform is not None and (run := uniform(lo, n)) is not None:
-        return run
-    if n < 8:
-        return reduce(add, values[lo : lo + n], 0.0)
-    if n <= 128:
-        end = lo + n - n % 8
-        r = [reduce(add, values[lo + j : end : 8], 0.0) for j in range(8)]
-        tree = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        return reduce(add, values[end : lo + n], tree)
-    half = n // 2 - n // 2 % 8
-    return _pairwise(values, lo, half, uniform) + _pairwise(values, lo + half, n - half, uniform)
-
-
-def pairwise_sum(values, lo: int = 0, n: int | None = None, uniform=None) -> float:
-    """``float(np.sum(values[lo:lo + n]))`` of a float64 array, bit for bit: numpy reduces from 0.0."""
-    return 0.0 + _pairwise(values, lo, len(values) - lo if n is None else n, uniform)
 
 
 def _fsum(terms) -> float:

@@ -16,9 +16,9 @@ gets the rest in closed form, exactly.
   3 of the center and at most -800 beyond, where exp is 0 and the clamp
   makes the weight ``tiny``.  So the weights are a few live entries in a
   run of ``tiny``.
-* The total is ``pure.pairwise_sum``, numpy's pairwise summation, which adds
-  a segment of m ``tiny`` entries as m * tiny: every partial sum of
-  multiples of ``tiny`` is exact, in any order.
+* The total is ``pairwise.pairwise_sum``, numpy's pairwise summation,
+  which adds a segment of m ``tiny`` entries as m * tiny: every partial sum
+  of multiples of ``tiny`` is exact, in any order.
 * An aligned block of 2**k entries with no live one sums to 2**k times its
   entry, tiny / total, by doubling, which is exact; so does a probe's
   subtree with no live block.
@@ -30,6 +30,11 @@ the two rests on
 ``tests/test_sparse.py::test_numpy_exp_is_libm_exp_on_the_logits_of_the_sparse_path``,
 which checks that they agree bit for bit on 0, -50, -200, -450 and -800 at
 every dispatch level numpy offers on the host.
+
+Besides :mod:`mobiusq.minfind`, this module loads only :mod:`mobiusq.bits`
+and :mod:`mobiusq.pairwise`, neither of which loads numpy, the register
+layout or the transform kernels; a run here loads nothing else of the
+package.
 """
 from __future__ import annotations
 
@@ -38,9 +43,9 @@ import sys
 from typing import Callable
 
 from . import _Record
-from .layout import BitString
+from .bits import BitString
 from .minfind import _require_bits
-from .pure import pairwise_sum
+from .pairwise import pairwise_sum
 
 TINY = sys.float_info.min  # np.finfo(np.float64).tiny: softmin_table's floor under every weight
 
@@ -64,7 +69,7 @@ class _Runs:
         return [self.live.get(i, TINY) for i in range(*part.indices(self.size))]
 
     def uniform(self, lo: int, m: int) -> float | None:
-        """m * tiny for a segment with no live entry, else None (``pure._pairwise``)."""
+        """m * tiny for a segment with no live entry, else None (``pairwise._pairwise``)."""
         return None if any(lo <= x < lo + m for x in self.live) else m * TINY
 
     def total(self) -> float:

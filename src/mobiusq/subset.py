@@ -1,6 +1,6 @@
 """Set functions on the subset lattice and their zeta / Mobius transforms.
 
-Tables are indexed by the bit convention of :mod:`mobiusq.layout`, whose
+Tables are indexed by the bit convention of :mod:`mobiusq.bits`, whose
 ``BitString`` is re-exported here.
 
 The zeta transform of a table fm is f(x) = sum of fm(y) over all y <= x in
@@ -13,7 +13,8 @@ from itertools import chain
 
 import numpy as np
 
-from .layout import BitString, json_int  # noqa: F401  (re-exported)
+from .bits import BitString  # noqa: F401  (re-exported)
+from .layout import json_int
 
 
 class SubsetTable:

@@ -61,7 +61,8 @@ fi
 echo "mobius --sweep --shots: no numpy, numpy.random, secrets or _hashlib in the import log"
 
 # classical minfind loads none of the simulator, and at an in-range center with the default beta
-# it runs on mobiusq.sparse and loads no numpy; the minfind line shows the log lists first-use loads
+# it runs on mobiusq.sparse and loads no numpy, no transform kernel and no register layout; the
+# minfind line shows the log lists first-use loads
 PYTHONPROFILEIMPORTTIME=1 mobiusq minfind --center 174099 --n 18 2> "$tmp/minfind-imports.log" > /dev/null
 grep -qE '\| +mobiusq\.minfind$' "$tmp/minfind-imports.log"
 if grep -E '\| +mobiusq\.(sim|circuits|grover|gates)$' "$tmp/minfind-imports.log"; then
@@ -72,7 +73,11 @@ if grep -E '\| +numpy(\..*)?$' "$tmp/minfind-imports.log"; then
     echo "minfind at an in-range center imported numpy" >&2
     exit 1
 fi
-echo "minfind --center 174099 --n 18: no numpy, sim, circuits, grover or gates in the import log"
+if grep -E '\| +mobiusq\.(pure|readout|layout)$' "$tmp/minfind-imports.log"; then
+    echo "minfind at an in-range center imported the pure kernel, the readout or the register layout" >&2
+    exit 1
+fi
+echo "minfind --center 174099 --n 18: no numpy, sim, circuits, grover, gates, pure, readout or layout in the import log"
 
 # the script prints and writes what python -m mobiusq.cli does (tests/test_loading.py
 # compares python -m mobiusq with python -m mobiusq.cli)

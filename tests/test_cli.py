@@ -698,6 +698,23 @@ def test_minfind_refuses_a_bad_beta_before_any_table_is_built(tmp_path, monkeypa
     assert capsys.readouterr().err == f"error: beta must be positive and finite, got {shown}\n"
 
 
+@pytest.mark.parametrize("beta", [10**400, -(10**400)], ids=["huge", "huge-negative"])
+def test_minfind_refuses_a_check_beta_beyond_the_float_range_before_any_table_is_built(
+    tmp_path, monkeypatch, capsys, beta
+):
+    """A JSON integer beta that no float holds is refused by name, not by a failed conversion."""
+
+    def no_table(*args):
+        raise AssertionError("a table was built for a run its beta refuses")
+
+    for name in ("quadratic_objective", "softmin_table", "centered_softmin"):
+        monkeypatch.setattr(cli_mod, name, no_table)
+    check = _edited_fixture(tmp_path, "minfind18_classical.json", lambda o: o.update({"beta": beta}))
+    argv = ["minfind", "--center", str(GOLDEN_MINFIND18_CENTER), "--n", "18", "--check", check]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: beta must be positive and finite, got an integer too large for a float\n"
+
+
 _NO_NUMPY_REFUSALS = [
     # (flags, message): several faults at once show which check comes first
     (["--center", "0", "--n", "0"], "objective needs 1 <= n <= 26, got n=0"),
@@ -934,6 +951,34 @@ def test_malformed_json_names_its_file_and_exits_1(uniform3, tmp_path, capsys):
             assert main(argv + ["--out", str(out)]) == 1
             assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
             assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),  # a UTF-16 byte-order mark
+        pytest.param(
+            b'{"n": 1' + b"0" * 5000 + b"}",
+            "Exceeds the limit (4300 digits) for integer string conversion",
+            marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit"),
+        ),
+    ],
+    ids=["not-utf-8", "integer-over-the-digit-limit"],
+)
+def test_a_file_json_cannot_read_is_named_and_exits_1(uniform3, tmp_path, capsys, data, message):
+    """Undecodable text and an integer too long to parse are refused with the path, as malformed JSON is."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    out = tmp_path / "out.json"
+    for argv in (
+        ["mobius", "--input", str(bad), "--x", "01"],
+        ["mobius", "--input", uniform3, "--check", str(bad)],
+        ["minfind", "--input", str(bad)],
+        ["minfind", "--center", "9", "--n", "4", "--check", str(bad)],
+    ):
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+        assert not out.exists()
 
 
 def test_failed_check_writes_no_files(uniform3, tmp_path, capsys):

@@ -6,10 +6,12 @@ never loads the simulator, and no transform run loads the gate model in
 ``mobiusq.gates``: only ``verify`` and ``--dump-state`` do.  A small real
 table runs on the pure-Python kernel ``mobiusq.pure`` and loads no numpy,
 and so does classical ``minfind`` at an in-range center with the default
-beta (``mobiusq.sparse``); a complex or larger input, a dump, every other
-``minfind`` run and ``verify`` load it.  ``sim``,
-``circuits`` and ``grover`` bind the gate model's names the same way, and
-only those ``perfbench/tracer.py`` reads through them.  Each
+beta (``mobiusq.sparse``), which loads only the search: no transform kernel
+and not even the register layout, since ``BitString`` and numpy's pairwise
+summation have numpy-free modules of their own.  A complex or larger
+input, a dump, every other ``minfind`` run and ``verify`` load numpy.
+``sim``, ``circuits`` and ``grover`` bind the gate model's names the same
+way, and only those ``perfbench/tracer.py`` reads through them.  Each
 deferred name is nonetheless an attribute of its module from the start: the
 tests and ``perfbench/tracer.py`` read and replace them there.  The module
 sets are read in fresh processes, since the pytest process has long since
@@ -39,13 +41,15 @@ import mobiusq.sim as sim_mod
 
 TABLE = "tests/data/mobius3_table.json"
 QUERY = "tests/data/golden/inputs/marginal5-n0-2-complex.json"
-BASE = {"mobiusq", "mobiusq.cli", "mobiusq.layout"}
-PURE = {"mobiusq.pure", "mobiusq.readout"}
-SIMULATOR = {"mobiusq.subset", "mobiusq.sim", "mobiusq.circuits", "mobiusq.grover", "mobiusq.readout", "numpy"}
+BASE = {"mobiusq", "mobiusq.cli", "mobiusq.bits"}
+LAYOUT = {"mobiusq.layout"}
+PAIRWISE = {"mobiusq.pairwise"}
+PURE = LAYOUT | PAIRWISE | {"mobiusq.pure", "mobiusq.readout"}
+SIMULATOR = LAYOUT | {"mobiusq.subset", "mobiusq.sim", "mobiusq.circuits", "mobiusq.grover", "mobiusq.readout", "numpy"}
 GATES = {"mobiusq.gates"}
 SAMPLER = {"mobiusq._pcg64"}
-SPARSE = {"mobiusq.minfind", "mobiusq.sparse"} | PURE
-DENSE = {"mobiusq.minfind", "mobiusq.dense", "mobiusq.subset", "numpy"}
+SPARSE = {"mobiusq.minfind", "mobiusq.sparse"} | PAIRWISE
+DENSE = LAYOUT | {"mobiusq.minfind", "mobiusq.dense", "mobiusq.subset", "numpy"}
 OBJECTIVE = "tests/data/golden/inputs/minfind12-decades.json"
 
 # the names perfbench/tracer.py reads off each module, none of them bound by a command it runs first
@@ -127,6 +131,26 @@ def test_each_golden_entry_listed_numpy_free_loads_no_numpy(tmp_path, name):
     (entry,) = [e for e in json.loads(golden.MANIFEST.read_text()) if e["name"] == name]
     argv = [str(tmp_path / "out.json") if arg == "{out}" else arg for arg in entry["argv"]]
     assert "numpy" not in json.loads(_python(MODULES_AFTER, *argv))
+
+
+def test_the_bit_string_and_pairwise_sum_modules_load_nothing_else():
+    """What classical minfind shares with the transform kernels: no numpy and no other mobiusq submodule."""
+    code = """
+import json, sys
+import mobiusq.bits, mobiusq.pairwise
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "mobiusq" or m == "numpy")))
+"""
+    assert json.loads(_python(code)) == ["mobiusq", "mobiusq.bits", "mobiusq.pairwise"]
+
+
+def test_the_moved_names_are_the_same_objects_at_their_old_homes():
+    """layout, subset and the package re-export BitString, and pure pairwise_sum, for their readers."""
+    from mobiusq import bits, layout, pairwise, pure, subset
+
+    assert layout.BitString is subset.BitString is mobiusq.BitString is bits.BitString
+    assert pure.pairwise_sum is pairwise.pairwise_sum
+    assert sim_mod.Mode is cli_mod.Mode is layout.Mode
+    assert sim_mod.RegisterLayout is cli_mod.RegisterLayout is layout.RegisterLayout
 
 
 def test_a_small_table_over_the_work_bound_parses_without_numpy_and_runs_on_it(tmp_path):
