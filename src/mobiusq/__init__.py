@@ -19,8 +19,9 @@ from __future__ import annotations
 
 _EXPORTS = {
     "bits": ("BitString",),
-    "layout": ("DecompositionError", "MAX_QUBITS", "Mode", "RegisterLayout"),
-    "readout": ("EstimateReport", "GroverPlan", "Readout"),
+    "layout": (
+        "DecompositionError", "EstimateReport", "GroverPlan", "MAX_QUBITS", "Mode", "Readout", "RegisterLayout",
+    ),
     "subset": (
         "SubsetTable", "mobius_inverse", "zeta_fast", "zeta_fast_inplace", "zeta_matrix", "zeta_naive",
     ),

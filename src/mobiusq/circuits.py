@@ -32,7 +32,9 @@ import math
 import numpy as np
 
 from . import _Record, _defer
-from .layout import BitString, DecompositionError, Mode, RegisterLayout, _keep, json_int
+from .bits import BitString
+# perfbench/tracer.py also reads circuits.DecompositionError and wraps circuits.compile_state_prep
+from .layout import DecompositionError, Mode, RegisterLayout, _keep, json_int
 from .sim import _H, compile_state_prep, prepare_low_qubits
 from .subset import SubsetTable, json_complex
 

@@ -30,7 +30,9 @@ if __name__ == "__main__":  # python -m mobiusq.cli: pin before numpy first load
     default_one_blas_thread()
 
 import argparse
+import errno
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -40,14 +42,14 @@ from .bits import BitString
 
 # Each command loads only the modules it runs: a small real table runs on the
 # pure-Python kernel and loads no numpy, and classical minfind at an in-range
-# center (mobiusq.sparse) loads only the search, not even the register layout;
-# other minfind runs build the dense tables of mobiusq.dense, classical
-# minfind never loads the simulator, and only --dump-state loads the gate
-# model.  The names below are bound on first use; each is an attribute of
-# this module from the start, the patch point of the tests and of
-# perfbench/tracer.py, and a replacement bound before a command runs wins.
-# estimate_exact and estimate_sampled are not called here; perfbench/tracer.py
-# wraps them.
+# center (minfind.centered_softmin) loads only the search, not even the
+# register layout; other minfind runs build the dense tables of
+# mobiusq.dense, classical minfind never loads the simulator, and only
+# --dump-state loads the gate model.  The names below are bound on first
+# use; each is an attribute of this module from the start, the patch point
+# of the tests and of perfbench/tracer.py, and a replacement bound before a
+# command runs wins.  estimate_exact and estimate_sampled are not called
+# here; perfbench/tracer.py wraps them.
 _DEFERRED = {
     "layout": ("Mode", "RegisterLayout"),
     "subset": ("SubsetTable",),
@@ -55,11 +57,10 @@ _DEFERRED = {
     "circuits": ("TransformQuery",),
     "grover": ("estimate_exact", "estimate_sampled"),
     "pure": ("Query", "table_amplitudes"),
-    "minfind": ("find_min", "quantum_evaluator", "require_beta", "require_threshold"),
+    "minfind": ("centered_softmin", "find_min", "quantum_evaluator", "require_beta", "require_threshold"),
     "dense": (
         "ObjectiveTable", "choose_beta", "classical_evaluator", "min_gap", "quadratic_objective", "softmin_table",
     ),
-    "sparse": ("centered_softmin",),
     "verify": ("run_verify",),
 }
 _load, __getattr__ = _defer(globals(), _DEFERRED)
@@ -409,16 +410,25 @@ def _mismatches(old: dict, new: dict, prefix: str = "") -> list[str]:
 
 
 def _write_outputs(files: dict) -> None:
-    """Write each {path: obj} whose path is set; on an I/O error remove the ones written and re-raise."""
-    written = []
+    """Write each {path: obj} whose path is set, all or none; an I/O error leaves every path as it was.
+
+    Each output goes to a temporary file next to the file its path names
+    (through any symlink), and the temporaries replace their targets only
+    once every one is written.  On an I/O error the temporaries are removed
+    and the error re-raised.
+    """
+    targets = {path: os.path.realpath(path) for path in files if path}
+    temps = {path: f"{target}.{os.getpid()}.tmp" for path, target in targets.items()}
     try:
-        for path, obj in files.items():
-            if path:
-                Path(path).write_text(json.dumps(obj, indent=2) + "\n")
-                written.append(path)
+        for path, target in targets.items():
+            if os.path.isdir(target):  # os.replace onto it would fail after an earlier target was replaced
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            Path(temps[path]).write_text(json.dumps(files[path], indent=2) + "\n")
+        for path, target in targets.items():
+            os.replace(temps[path], target)
     except OSError:
-        for path in written:
-            Path(path).unlink(missing_ok=True)
+        for temp in temps.values():
+            Path(temp).unlink(missing_ok=True)
         raise
 
 
@@ -426,7 +436,7 @@ def _finish(args, result: dict, schema: dict, check: dict | None, rows_key: str,
     """Validate the result, confirm every recorded field of --check, then write the outputs.
 
     --out and the --dump-state ``dump`` are written in one last step, so a
-    failed check or a failed write leaves neither.  Returns the exit code.
+    failed check or a failed write changes neither path.  Returns the exit code.
     """
     _validate(result, schema)
     if check is not None:
@@ -530,7 +540,7 @@ def _cmd_minfind(args) -> int:
     if beta is not None:
         require_beta(beta)
 
-    sparse = None
+    centered = None
     if args.input:
         if args.n is not None:
             raise ValueError("--n sizes the --center objective; an --input table has its own n")
@@ -543,9 +553,8 @@ def _cmd_minfind(args) -> int:
         if abs(args.center) > 2**511:  # keeps every (dec(x) - center)**2 + 1 a finite float64
             raise ValueError("--center must be at most 2**511 in magnitude for a float64 objective")
         if backend == "classical":
-            _load("sparse")
-            sparse = centered_softmin(args.n, args.center, beta)
-        if sparse is None:
+            centered = centered_softmin(args.n, args.center, beta)
+        if centered is None:
             _load("dense")
             objective = quadratic_objective(args.n, args.center)
             if min_gap(objective) == 0.0:  # (dec(x) - center)**2 + 1 has one minimum over the integers
@@ -554,8 +563,8 @@ def _cmd_minfind(args) -> int:
                     "(dec(x) - center)**2 + 1 rounds to the same value at two points"
                 )
 
-    if sparse is not None:
-        objective, beta, evaluator = sparse
+    if centered is not None:
+        objective, beta, evaluator = centered
     else:
         if beta is None:
             beta = choose_beta(objective)

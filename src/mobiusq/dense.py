@@ -1,25 +1,25 @@
 """The numpy kernel of the search: dense objective tables, their softmin, and block sums.
 
 ``mobiusq.minfind`` binds these names on first use, so a run that never
-builds a dense table (``mobiusq.sparse``) loads no numpy.  Every table here
-holds all 2**n points.
+builds a dense table (``minfind.centered_softmin``) loads no numpy.  Every
+table here holds all 2**n points.
 """
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
 
-from .minfind import _require_bits, require_beta
-from .subset import BitString, SubsetTable
+from .bits import BitString
+from .minfind import require_beta, require_bits, softmin_scale
+from .subset import SubsetTable
 
 
 class ObjectiveTable:
     """Strictly positive finite objective values over all 2**n points."""
 
     def __init__(self, n: int, values: np.ndarray) -> None:
-        _require_bits(n)
+        require_bits(n)
         arr = np.asarray(values)
         if np.iscomplexobj(arr):
             raise ValueError("objective values must be real")
@@ -35,7 +35,7 @@ class ObjectiveTable:
 
 def quadratic_objective(n: int, center: int) -> ObjectiveTable:
     """Builtin objective family E(x) = (dec(x) - center)**2 + 1."""
-    _require_bits(n)
+    require_bits(n)
     values = np.arange(1 << n, dtype=np.float64)
     values -= center
     np.square(values, out=values)
@@ -52,9 +52,7 @@ def softmin_table(objective: ObjectiveTable, beta: float) -> SubsetTable:
     raises ValueError before any logit is formed.
     """
     require_beta(beta)
-    scale = beta * float(1 << objective.n)
-    if not math.isfinite(scale * float(objective.values.max())):
-        raise ValueError(f"beta {beta} is too large: the softmin logits overflow float64")
+    scale = softmin_scale(beta, objective.n, float(objective.values.max()))
     # one working table, updated in place: the logits, then the softmin weights
     weights = -scale * objective.values
     weights -= weights.max()

@@ -25,16 +25,9 @@ import numpy as np
 
 from . import _Record
 from .circuits import TransformQuery, gather
-from .grover import GroverPlan, _dot_terms, _fsum, _plan
-from .sim import (
-    Mode,
-    Multiplexed,
-    PhasePair,
-    RegisterLayout,
-    Ry,
-    _H,
-    compile_state_prep,
-)
+from .grover import _dot_terms, _fsum
+from .layout import GroverPlan, Mode, RegisterLayout, _plan
+from .sim import Multiplexed, PhasePair, Ry, _H, compile_state_prep
 
 # ---------------------------------------------------------------------------
 # gates

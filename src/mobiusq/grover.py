@@ -32,9 +32,10 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import _defer
-from .circuits import Support, TransformQuery, gather
 from .bits import BitString
-from .readout import EstimateReport, GroverPlan, Readout, _plan  # noqa: F401  (re-exported)
+from .circuits import Support, TransformQuery, gather
+from .layout import GroverPlan  # noqa: F401  (re-exported: perfbench/tracer.py reads grover.GroverPlan)
+from .layout import Readout, _plan
 
 # The dense readout's names, bound from mobiusq.gates on first use.  Nothing
 # here calls build_start_state: perfbench/tracer.py reads and replaces it in this module.

@@ -11,8 +11,8 @@ the one real operation done here:
 * products, quotients and square roots are single IEEE operations, and the
   prep's atan2, cos and sin are the same libm calls through :mod:`math`;
 * each ``ndarray.sum`` of the numpy kernel (the table's total, the prep's
-  half sums, the classical value) is :func:`mobiusq.pairwise.pairwise_sum`,
-  numpy's own pairwise summation replayed, which this module re-exports;
+  half sums, the classical value) is :func:`mobiusq.bits.pairwise_sum`,
+  numpy's own pairwise summation replayed;
 * each readout reduction is one ``math.fsum`` over the same nonzero terms.
 
 The norm checks are the numpy kernel's, computed as ``math.fsum`` of squares
@@ -23,10 +23,8 @@ from __future__ import annotations
 import math
 
 from . import _Record
-from .bits import BitString
-from .layout import DecompositionError, RegisterLayout, _keep
-from .pairwise import pairwise_sum  # noqa: F401  (re-exported)
-from .readout import Readout, _plan
+from .bits import BitString, pairwise_sum
+from .layout import DecompositionError, Readout, RegisterLayout, _keep, _plan
 
 # sim._H[0, 0]: numpy divides the complex 1 by sqrt(2) with Smith's method, which rounds as this does
 _H = 1.0 / math.sqrt(2.0)

@@ -1,6 +1,6 @@
 """The state prep of the alpha_minus register, on numpy.
 
-The register layout it acts on is :mod:`mobiusq.layout`'s, re-exported here.
+The register layout it acts on is :mod:`mobiusq.layout`'s.
 The prep of alpha_minus is a rotation tree (Mottonen et al.,
 quant-ph/0407010) run from |0...0>: each Ry level meets a qubit still at 0,
 so ``prepare_low_qubits`` computes it as products, one float64 entry per
@@ -19,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from . import _Record, _defer
-from .layout import MAX_QUBITS, Mode, RegisterLayout  # noqa: F401  (re-exported)
+from .layout import Mode, RegisterLayout  # noqa: F401  (re-exported: perfbench/setup_probe.py reads them here)
 
 _DEFERRED = {
     "gates": ("Circuit", "QubitIs", "apply_circuit", "gate_qubits", "gate_target_qubits", "new_state", "project"),

@@ -1,7 +1,6 @@
 """Set functions on the subset lattice and their zeta / Mobius transforms.
 
-Tables are indexed by the bit convention of :mod:`mobiusq.bits`, whose
-``BitString`` is re-exported here.
+Tables are indexed by the bit convention of :mod:`mobiusq.bits`.
 
 The zeta transform of a table fm is f(x) = sum of fm(y) over all y <= x in
 the bitwise partial order; mobius_inverse undoes it.  Real and complex
@@ -13,7 +12,7 @@ from itertools import chain
 
 import numpy as np
 
-from .bits import BitString  # noqa: F401  (re-exported)
+from .bits import BitString  # noqa: F401  (re-exported: perfbench/setup_probe.py reads it here)
 from .layout import json_int
 
 

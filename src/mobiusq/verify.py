@@ -28,11 +28,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _Record
-from .circuits import DecompositionError, Support, TransformQuery, _keep, classical_value, gather
+from .bits import BitString
+from .circuits import Support, TransformQuery, classical_value, gather
 from .gates import StateVector, apply_circuit, basis_index, build_comparator
 from .grover import _fsum, _on, _squares, cells_by_step, read_out_at
-from .sim import Mode, compile_state_prep, prepare_low_qubits
-from .subset import BitString, SubsetTable, zeta_fast
+from .layout import DecompositionError, Mode, _keep
+from .sim import compile_state_prep, prepare_low_qubits
+from .subset import SubsetTable, zeta_fast
 
 _CHECK_TOL = 1e-9
 

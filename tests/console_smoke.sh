@@ -8,6 +8,18 @@ export PYTHONWARNINGS=error::RuntimeWarning
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
+# fails unless the import log $1 lists exactly the mobiusq modules named after it
+expect_modules() {
+    local log=$1 got want
+    shift
+    got=$(sed -nE 's/^import time: .*\| +(mobiusq(\.[A-Za-z0-9_.]+)?)$/\1/p' "$log" | LC_ALL=C sort -u | tr '\n' ' ')
+    want=$(printf '%s\n' "$@" | LC_ALL=C sort -u | tr '\n' ' ')
+    if [ "$got" != "$want" ]; then
+        echo "$log lists the mobiusq modules: $got; expected: $want" >&2
+        exit 1
+    fi
+}
+
 # verify prints what the golden corpus recorded (verify-0 and verify-3 in tests/data/golden/manifest.json)
 for seed in 0 3; do
     mobiusq verify --seed $seed > "$tmp/verify-$seed.stdout"
@@ -46,38 +58,29 @@ echo "marginal --dump-state byte-identical to the golden marginal5-dump state"
 grep -qE '\| +numpy$' "$tmp/complex-imports.log"
 echo "marginal --dump-state of a complex table: numpy in the import log"
 
-# a seeded sweep of a small real table runs on the pure-Python kernel: it loads no numpy, so
-# neither numpy.random nor the secrets -> hmac -> _hashlib chain that imports (tests/test_loading.py
-# pins the same for python -m mobiusq.cli); the mobiusq.cli line shows the log was written, and the
-# _pcg64 line that it lists the modules the CLI loads on first use
+# a seeded sweep of a small real table runs on the pure-Python kernel and the sampler: it loads
+# no numpy, so neither numpy.random nor the secrets -> hmac -> _hashlib chain that imports
+# (tests/test_loading.py pins the same for python -m mobiusq.cli); the log lists the modules the
+# CLI loads on first use, so the pure kernel and the sampler show in it
 PYTHONPROFILEIMPORTTIME=1 mobiusq mobius --input tests/data/mobius3_table.json --sweep --shots 20000 \
     2> "$tmp/imports.log" > /dev/null
-grep -qE '\| +mobiusq\.cli$' "$tmp/imports.log"
-grep -qE '\| +mobiusq\._pcg64$' "$tmp/imports.log"
+expect_modules "$tmp/imports.log" mobiusq mobiusq.__main__ mobiusq.cli mobiusq.bits mobiusq.layout mobiusq.pure \
+    mobiusq._pcg64
 if grep -E '\| +(numpy(\..*)?|secrets|_hashlib)$' "$tmp/imports.log"; then
     echo "mobius --sweep --shots on a small real table imported numpy, secrets or _hashlib" >&2
     exit 1
 fi
-echo "mobius --sweep --shots: no numpy, numpy.random, secrets or _hashlib in the import log"
+echo "mobius --sweep --shots: exactly cli, bits, layout, pure and _pcg64 of mobiusq, and no numpy, numpy.random, secrets or _hashlib in the import log"
 
-# classical minfind loads none of the simulator, and at an in-range center with the default beta
-# it runs on mobiusq.sparse and loads no numpy, no transform kernel and no register layout; the
-# minfind line shows the log lists first-use loads
+# classical minfind at an in-range center with the default beta runs on minfind.centered_softmin:
+# it loads the search and mobiusq.bits, and no numpy, simulator, transform kernel or register layout
 PYTHONPROFILEIMPORTTIME=1 mobiusq minfind --center 174099 --n 18 2> "$tmp/minfind-imports.log" > /dev/null
-grep -qE '\| +mobiusq\.minfind$' "$tmp/minfind-imports.log"
-if grep -E '\| +mobiusq\.(sim|circuits|grover|gates)$' "$tmp/minfind-imports.log"; then
-    echo "classical minfind imported the simulator" >&2
-    exit 1
-fi
+expect_modules "$tmp/minfind-imports.log" mobiusq mobiusq.__main__ mobiusq.cli mobiusq.bits mobiusq.minfind
 if grep -E '\| +numpy(\..*)?$' "$tmp/minfind-imports.log"; then
     echo "minfind at an in-range center imported numpy" >&2
     exit 1
 fi
-if grep -E '\| +mobiusq\.(pure|readout|layout)$' "$tmp/minfind-imports.log"; then
-    echo "minfind at an in-range center imported the pure kernel, the readout or the register layout" >&2
-    exit 1
-fi
-echo "minfind --center 174099 --n 18: no numpy, sim, circuits, grover, gates, pure, readout or layout in the import log"
+echo "minfind --center 174099 --n 18: exactly cli, bits and minfind of mobiusq, and no numpy in the import log"
 
 # the script prints and writes what python -m mobiusq.cli does (tests/test_loading.py
 # compares python -m mobiusq with python -m mobiusq.cli)

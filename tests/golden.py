@@ -47,7 +47,7 @@ MANIFEST = GOLDEN / "manifest.json"
 OUTPUT_FLAGS = {"{out}": "out", "{state}": "state"}  # argv placeholder -> file key
 
 # the entries the pure-Python kernels run, with no numpy loaded: transforms of small real
-# tables (mobiusq.pure) and classical minfind at an in-range center (mobiusq.sparse)
+# tables (mobiusq.pure) and classical minfind at an in-range center (minfind.centered_softmin)
 NUMPY_FREE = (
     "sweep-41", "sweep-7", "marginal-point-41", "marginal-point-7",
     "mobius3-shots-max", "marginal5-shots-1", "marginal3-zeros",

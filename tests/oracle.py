@@ -33,7 +33,7 @@ from mobiusq.gates import (
     new_state,
     plan_grover,
 )
-from mobiusq.grover import Readout
+from mobiusq.layout import Readout
 from mobiusq.sim import Mode, Multiplexed, PhasePair, RegisterLayout, Ry
 from mobiusq.subset import json_complex, json_int
 

@@ -12,7 +12,7 @@ import pytest
 
 import mobiusq.circuits as circuits_mod
 import mobiusq.cli as cli_mod
-import mobiusq.grover as grover_mod
+import mobiusq.layout as layout_mod
 from mobiusq.circuits import Support, TransformQuery, gather
 from mobiusq.cli import MINFIND_SCHEMA, TRANSFORM_SCHEMA, main
 from mobiusq.gates import Circuit, Controlled, Hadamard, PauliX, build_comparator, build_start_state
@@ -190,7 +190,7 @@ def test_a_marginal_sweep_that_does_not_sum_to_one_fails_the_self_check(joint4, 
     def doubled(support, x):
         readout = read_out_at(support, x)
         p00, p01, p10, p11 = readout.cells
-        return grover_mod.Readout(readout.plan, (p00, 2.0 * p01, p10, p11))
+        return layout_mod.Readout(readout.plan, (p00, 2.0 * p01, p10, p11))
 
     monkeypatch.setattr(cli_mod, "classical_value", lambda query: 2.0 * classical(query))
     monkeypatch.setattr(cli_mod, "read_out_at", doubled)
@@ -446,6 +446,41 @@ def test_failed_output_write_leaves_no_output_files(uniform3, tmp_path, capsys):
         assert not out.exists() and not dump.exists()
     assert main(point + ["--out", str(out), "--dump-state", str(dump)]) == 0
     assert out.exists() and dump.exists()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("failing", ["dump-in-a-missing-dir", "out-in-a-missing-dir", "dump-is-a-directory"])
+def test_a_failed_write_keeps_the_files_already_at_the_output_paths(uniform3, tmp_path, capsys, failing):
+    """The outputs replace their paths only once every write has succeeded; a run that succeeds replaces both."""
+    out, dump, directory = tmp_path / "keep.json", tmp_path / "state.json", tmp_path / "adir"
+    out.write_text('{"precious": 1}\n')
+    dump.write_text('{"precious": 2}\n')
+    directory.mkdir()
+    missing = str(tmp_path / "nodir" / "file.json")
+    paths = {
+        "dump-in-a-missing-dir": (str(out), missing),
+        "out-in-a-missing-dir": (missing, str(dump)),
+        "dump-is-a-directory": (str(out), str(directory)),
+    }[failing]
+    point = ["mobius", "--input", uniform3, "--x", "101"]
+    assert main(point + ["--out", paths[0], "--dump-state", paths[1]]) == 2
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert out.read_text() == '{"precious": 1}\n' and dump.read_text() == '{"precious": 2}\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "keep.json", "state.json", "uniform3.json"]
+    assert list(directory.iterdir()) == []
+    assert main(point + ["--out", str(out), "--dump-state", str(dump)]) == 0
+    assert json.loads(out.read_text())["rows"][0]["x"] == "101" and "amplitudes" in json.loads(dump.read_text())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "keep.json", "state.json", "uniform3.json"]
+    capsys.readouterr()
+
+
+def test_an_output_path_through_a_symlink_writes_the_file_the_link_names(uniform3, tmp_path, capsys):
+    link, out = tmp_path / "link.json", tmp_path / "out.json"
+    out.write_text("{}\n")
+    link.symlink_to(out)
+    assert main(["mobius", "--input", uniform3, "--x", "101", "--out", str(link)]) == 0
+    assert link.is_symlink() and json.loads(out.read_text())["rows"][0]["x"] == "101"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "out.json", "uniform3.json"]
     capsys.readouterr()
 
 
@@ -713,6 +748,14 @@ def test_minfind_refuses_a_check_beta_beyond_the_float_range_before_any_table_is
     argv = ["minfind", "--center", str(GOLDEN_MINFIND18_CENTER), "--n", "18", "--check", check]
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: beta must be positive and finite, got an integer too large for a float\n"
+
+
+def test_minfind_prints_a_huge_integer_check_beta_as_a_float_when_its_logits_overflow(tmp_path, capsys):
+    """A JSON integer beta of 301 digits is named as 1e+300, as a float beta is, not digit by digit."""
+    check = _edited_fixture(tmp_path, "minfind18_classical.json", lambda o: o.update({"beta": 10**300}))
+    argv = ["minfind", "--center", str(GOLDEN_MINFIND18_CENTER), "--n", "18", "--check", check]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: beta 1e+300 is too large: the softmin logits overflow float64\n"
 
 
 _NO_NUMPY_REFUSALS = [

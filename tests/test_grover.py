@@ -9,12 +9,10 @@ import pytest
 
 import mobiusq.gates as gates_mod
 import mobiusq.grover as grover_mod
-import mobiusq.readout as readout_mod
+import mobiusq.layout as layout_mod
 from mobiusq.circuits import Support, TransformQuery, classical_value, gather
 from mobiusq.gates import StateVector, build_start_state, project
 from mobiusq.grover import (
-    GroverPlan,
-    Readout,
     amplify,
     cells_by_step,
     estimate_exact,
@@ -22,6 +20,7 @@ from mobiusq.grover import (
     plan_grover,
     read_out_at,
 )
+from mobiusq.layout import GroverPlan, Readout
 from mobiusq.sim import Mode, RegisterLayout
 from mobiusq.subset import BitString, SubsetTable
 from mobiusq.verify import decompose_signal
@@ -194,7 +193,7 @@ def test_support_readout_uses_no_dense_working_copy():
 def test_estimators_peak_under_a_tenth_of_the_dense_state():
     """At 18 qubits both estimators gather and read out the support: no dense state is built."""
     q = _query18()
-    readout_mod._load("_pcg64")  # the first sample compiles the sampler; that transient is not the estimators'
+    layout_mod._load("_pcg64")  # the first sample compiles the sampler; that transient is not the estimators'
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()

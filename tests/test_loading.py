@@ -6,10 +6,10 @@ never loads the simulator, and no transform run loads the gate model in
 ``mobiusq.gates``: only ``verify`` and ``--dump-state`` do.  A small real
 table runs on the pure-Python kernel ``mobiusq.pure`` and loads no numpy,
 and so does classical ``minfind`` at an in-range center with the default
-beta (``mobiusq.sparse``), which loads only the search: no transform kernel
-and not even the register layout, since ``BitString`` and numpy's pairwise
-summation have numpy-free modules of their own.  A complex or larger
-input, a dump, every other ``minfind`` run and ``verify`` load numpy.
+beta (``minfind.centered_softmin``), which loads only the search and
+``mobiusq.bits``: no transform kernel and not even the register layout.  A
+complex or larger input, a dump, every other ``minfind`` run and ``verify``
+load numpy.
 ``sim``, ``circuits`` and ``grover`` bind the gate model's names the same
 way, and only those ``perfbench/tracer.py`` reads through them.  Each
 deferred name is nonetheless an attribute of its module from the start: the
@@ -25,7 +25,9 @@ through the C import path, so ``-X importtime`` logs it like any other.
 """
 from __future__ import annotations
 
+import importlib
 import json
+import re
 import subprocess
 import sys
 
@@ -43,13 +45,12 @@ TABLE = "tests/data/mobius3_table.json"
 QUERY = "tests/data/golden/inputs/marginal5-n0-2-complex.json"
 BASE = {"mobiusq", "mobiusq.cli", "mobiusq.bits"}
 LAYOUT = {"mobiusq.layout"}
-PAIRWISE = {"mobiusq.pairwise"}
-PURE = LAYOUT | PAIRWISE | {"mobiusq.pure", "mobiusq.readout"}
-SIMULATOR = LAYOUT | {"mobiusq.subset", "mobiusq.sim", "mobiusq.circuits", "mobiusq.grover", "mobiusq.readout", "numpy"}
+PURE = LAYOUT | {"mobiusq.pure"}
+SIMULATOR = LAYOUT | {"mobiusq.subset", "mobiusq.sim", "mobiusq.circuits", "mobiusq.grover", "numpy"}
 GATES = {"mobiusq.gates"}
 SAMPLER = {"mobiusq._pcg64"}
-SPARSE = {"mobiusq.minfind", "mobiusq.sparse"} | PAIRWISE
-DENSE = LAYOUT | {"mobiusq.minfind", "mobiusq.dense", "mobiusq.subset", "numpy"}
+SEARCH = {"mobiusq.minfind"}
+DENSE = LAYOUT | SEARCH | {"mobiusq.dense", "mobiusq.subset", "numpy"}
 OBJECTIVE = "tests/data/golden/inputs/minfind12-decades.json"
 
 # the names perfbench/tracer.py reads off each module, none of them bound by a command it runs first
@@ -57,6 +58,15 @@ TRACER_NAMES = {
     "sim": ("Circuit", "new_state", "apply_circuit", "project", "QubitIs", "gate_qubits", "gate_target_qubits"),
     "circuits": ("build_start_circuit", "DecompositionError"),
     "grover": ("plan_grover", "amplify", "build_start_state", "GroverPlan"),
+}
+
+# the names perfbench/ reads off a module that is not their home, by module read: the home of each
+PERFBENCH_ALIASES = {
+    "sim": {"Mode": "layout", "RegisterLayout": "layout"},
+    "subset": {"BitString": "bits"},
+    "circuits": {"DecompositionError": "layout", "compile_state_prep": "sim"},
+    "grover": {"GroverPlan": "layout"},
+    "minfind": {"quadratic_objective": "dense"},
 }
 
 
@@ -100,10 +110,10 @@ def over_work(tmp_path_factory) -> str:
     "argv, added",
     [
         ([], set()),
-        (["minfind", "--center", "13", "--n", "5"], SPARSE),
-        (["minfind", "--center", "32", "--n", "5"], SPARSE | DENSE),
-        (["minfind", "--center", "-1", "--n", "5"], SPARSE | DENSE),
-        (["minfind", "--center", "13", "--n", "5", "--beta", "1"], SPARSE | DENSE),
+        (["minfind", "--center", "13", "--n", "5"], SEARCH),
+        (["minfind", "--center", "32", "--n", "5"], SEARCH | DENSE),
+        (["minfind", "--center", "-1", "--n", "5"], SEARCH | DENSE),
+        (["minfind", "--center", "13", "--n", "5", "--beta", "1"], SEARCH | DENSE),
         (["minfind", "--input", OBJECTIVE], DENSE),
         (["mobius", "--input", TABLE, "--x", "101"], PURE),
         (["mobius", "--input", TABLE, "--sweep", "--shots", "100"], PURE | SAMPLER),
@@ -133,24 +143,33 @@ def test_each_golden_entry_listed_numpy_free_loads_no_numpy(tmp_path, name):
     assert "numpy" not in json.loads(_python(MODULES_AFTER, *argv))
 
 
-def test_the_bit_string_and_pairwise_sum_modules_load_nothing_else():
+def test_the_bit_string_module_loads_nothing_else():
     """What classical minfind shares with the transform kernels: no numpy and no other mobiusq submodule."""
     code = """
 import json, sys
-import mobiusq.bits, mobiusq.pairwise
+import mobiusq.bits
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "mobiusq" or m == "numpy")))
 """
-    assert json.loads(_python(code)) == ["mobiusq", "mobiusq.bits", "mobiusq.pairwise"]
+    assert json.loads(_python(code)) == ["mobiusq", "mobiusq.bits"]
 
 
-def test_the_moved_names_are_the_same_objects_at_their_old_homes():
-    """layout, subset and the package re-export BitString, and pure pairwise_sum, for their readers."""
-    from mobiusq import bits, layout, pairwise, pure, subset
-
-    assert layout.BitString is subset.BitString is mobiusq.BitString is bits.BitString
-    assert pure.pairwise_sum is pairwise.pairwise_sum
-    assert sim_mod.Mode is cli_mod.Mode is layout.Mode
-    assert sim_mod.RegisterLayout is cli_mod.RegisterLayout is layout.RegisterLayout
+def test_each_alias_perfbench_reads_is_its_homes_object():
+    """perfbench/ reads each alias, and no src module re-exports a name for another reader."""
+    perfbench = "".join(path.read_text() for path in sorted((golden.ROOT / "perfbench").glob("*.py")))
+    for module, names in PERFBENCH_ALIASES.items():
+        for name, home in names.items():
+            read = getattr(importlib.import_module(f"mobiusq.{module}"), name)
+            assert read is getattr(importlib.import_module(f"mobiusq.{home}"), name), (module, name)
+            # as an attribute, in a from-import, or by the tracer's wrap
+            reads = (rf"\b{module}\.{name}\b", rf"from mobiusq\.{module} import .*\b{name}\b", rf'wrap\({module}, "{name}"')
+            assert any(re.search(pattern, perfbench) for pattern in reads), (module, name)
+    marked = [
+        (path.name, line)
+        for path in sorted((golden.ROOT / "src" / "mobiusq").glob("*.py"))
+        for line in path.read_text().splitlines()
+        if "(re-exported" in line
+    ]
+    assert marked and all("perfbench/" in line for _, line in marked), marked
 
 
 def test_a_small_table_over_the_work_bound_parses_without_numpy_and_runs_on_it(tmp_path):
@@ -167,7 +186,7 @@ def test_a_small_table_over_the_work_bound_parses_without_numpy_and_runs_on_it(t
     "argv, added",
     [
         (["mobius", "--input", TABLE, "--sweep", "--shots", "100"], PURE | SAMPLER),
-        (["minfind", "--center", "13", "--n", "5"], SPARSE),
+        (["minfind", "--center", "13", "--n", "5"], SEARCH),
         (["minfind", "--center", "13", "--n", "5", "--backend", "quantum"], SIMULATOR | DENSE),
     ],
     ids=["mobius-sweep-shots", "minfind-classical", "minfind-quantum"],
@@ -219,8 +238,8 @@ def test_every_deferred_name_is_an_attribute_before_any_command_runs():
     code = """
 import importlib
 import mobiusq.circuits as circuits, mobiusq.cli as cli, mobiusq.grover as grover
-import mobiusq.minfind as minfind, mobiusq.readout as readout, mobiusq.sim as sim
-for module in (cli, minfind, sim, circuits, grover, readout):
+import mobiusq.layout as layout, mobiusq.minfind as minfind, mobiusq.sim as sim
+for module in (cli, minfind, sim, circuits, grover, layout):
     deferred = {name for names in module._DEFERRED.values() for name in names}
     assert not deferred & set(vars(module)), (module.__name__, deferred & set(vars(module)))
     for home, names in module._DEFERRED.items():

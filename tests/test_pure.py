@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mobiusq.cli as cli_mod
-from mobiusq import pairwise, pure
+from mobiusq import bits, pure
 from mobiusq.layout import MAX_QUBITS
 from mobiusq.sim import _H
 
@@ -133,7 +133,7 @@ def test_both_kernels_write_the_same_rows_and_replay_each_other(mode, n, n0, kin
     )
 )
 def test_pairwise_sum_is_numpys_sum(values):
-    assert pairwise.pairwise_sum(values).hex() == float(np.array(values, dtype=np.float64).sum()).hex()
+    assert bits.pairwise_sum(values).hex() == float(np.array(values, dtype=np.float64).sum()).hex()
 
 
 @pytest.mark.parametrize("m", range(6))
@@ -144,7 +144,7 @@ def test_pairwise_sum_of_each_half_is_the_preps_axis_sum(m):
         weights = rng.random((2 << m) * length) * 10.0 ** rng.uniform(-20, 0, (2 << m) * length)
         sums = weights.reshape(1 << m, 2, -1).sum(axis=2).ravel()
         values = weights.tolist()
-        assert [pairwise.pairwise_sum(values, i * length, length) for i in range(2 << m)] == sums.tolist()
+        assert [bits.pairwise_sum(values, i * length, length) for i in range(2 << m)] == sums.tolist()
 
 
 def test_the_hadamard_factor_is_the_numpy_kernels():

@@ -16,7 +16,7 @@ import pytest
 
 from mobiusq.circuits import Support, TransformQuery, gather
 from mobiusq.gates import Circuit, Controlled, Hadamard, PauliX, StateVector
-from mobiusq.grover import EstimateReport, GroverPlan, Readout
+from mobiusq.layout import EstimateReport, GroverPlan, Readout
 from mobiusq.minfind import ObjectiveTable, ProbeRecord, SearchTrace
 from mobiusq.sim import Mode, Multiplexed, PhasePair, RegisterLayout, Ry
 from mobiusq.subset import BitString, SubsetTable

@@ -24,8 +24,8 @@ from mobiusq.gates import (
     sector,
     state_to_json_obj,
 )
+from mobiusq.layout import MAX_QUBITS
 from mobiusq.sim import (
-    MAX_QUBITS,
     Mode,
     Multiplexed,
     PhasePair,

@@ -1,8 +1,8 @@
 """Classical ``minfind --center`` writes the same bytes on the sparse path as on the dense tables.
 
 ``mobiusq.cli`` runs a classical search at an in-range center, with beta
-unset or the one ``choose_beta`` picks, on ``mobiusq.sparse``, which loads
-no numpy; every other search builds the dense tables of ``mobiusq.dense``.
+unset or the one ``choose_beta`` picks, on ``minfind.centered_softmin``,
+which loads no numpy; every other search builds the dense tables of ``mobiusq.dense``.
 Binding ``cli.centered_softmin`` to a function that returns None sends the
 same run to the dense tables, so each case runs the CLI both ways, compares
 stdout and ``--out`` bytes, and replays each file with ``--check`` on the
@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mobiusq.cli as cli_mod
-from mobiusq import sparse
+from mobiusq import minfind
 from test_sim import _lower_dispatch_levels
 
 # numpy's exp of the logits of the sparse path, as the dense path calls it: in place, at
@@ -145,11 +145,11 @@ def test_the_run_length_total_is_numpys_sum_of_the_dense_table(n, live, seed):
     anchor = rnd.randrange(size)
     entries = {min(size - 1, int(where * size)) if rnd.random() < 0.5 else min(size - 1, anchor + i): value
                for i, (where, value) in enumerate(live)}
-    dense = np.full(size, sparse.TINY)
+    dense = np.full(size, minfind.TINY)
     for x, value in entries.items():
         dense[x] = value
-    assert sparse._Runs(size, entries).total().hex() == float(dense.sum()).hex()
+    assert minfind._Runs(size, entries).total().hex() == float(dense.sum()).hex()
 
 
 def test_tiny_is_the_dense_floor():
-    assert sparse.TINY.hex() == float(np.finfo(np.float64).tiny).hex()
+    assert minfind.TINY.hex() == float(np.finfo(np.float64).tiny).hex()
