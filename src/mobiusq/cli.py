@@ -30,10 +30,10 @@ if __name__ == "__main__":  # python -m mobiusq.cli: pin before numpy first load
     default_one_blas_thread()
 
 import argparse
-import errno
 import json
 import os
 import re
+import stat
 import sys
 from pathlib import Path
 
@@ -409,25 +409,51 @@ def _mismatches(old: dict, new: dict, prefix: str = "") -> list[str]:
     ]
 
 
-def _write_outputs(files: dict) -> None:
-    """Write each {path: obj} whose path is set, all or none; an I/O error leaves every path as it was.
-
-    Each output goes to a temporary file next to the file its path names
-    (through any symlink), and the temporaries replace their targets only
-    once every one is written.  On an I/O error the temporaries are removed
-    and the error re-raised.
-    """
-    targets = {path: os.path.realpath(path) for path in files if path}
-    temps = {path: f"{target}.{os.getpid()}.tmp" for path, target in targets.items()}
+def _replaceable(path: str) -> bool:
+    """Whether an output may replace what its path names: nothing yet, or a regular file not open as stdout or stderr."""
     try:
-        for path, target in targets.items():
-            if os.path.isdir(target):  # os.replace onto it would fail after an earlier target was replaced
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            Path(temps[path]).write_text(json.dumps(files[path], indent=2) + "\n")
-        for path, target in targets.items():
-            os.replace(temps[path], target)
+        named = os.stat(path)
     except OSError:
-        for temp in temps.values():
+        return True  # nothing there yet, or an error the temporary's write reports
+    streams = []
+    for fd in (1, 2):
+        try:
+            streams.append(os.fstat(fd))
+        except OSError:
+            pass
+    return stat.S_ISREG(named.st_mode) and not any(os.path.samestat(named, s) for s in streams)
+
+
+def _write_outputs(files: dict) -> None:
+    """Write each {path: obj} whose path is set; every write succeeds before the first file is replaced.
+
+    A path naming a regular file, or nothing yet, gets its output in a new
+    ``<target>.<pid>.tmp`` beside the file it names (through any symlink),
+    created exclusively so no file already there is touched.  A path naming
+    anything else (``/dev/null``, a pipe, or the file stdout or stderr
+    writes to, as ``/dev/stdout`` does) cannot be replaced and is written in
+    place, after the temporaries.  The temporaries then replace their
+    targets.  On an I/O error before that, the temporaries are removed,
+    every replaceable file stays as it was, and the error is re-raised.
+    """
+    texts = {path: json.dumps(obj, indent=2) + "\n" for path, obj in files.items() if path}
+    in_place = [path for path in texts if not _replaceable(path)]
+    temps = {}
+    try:
+        for path, text in texts.items():
+            if path not in in_place:
+                target = os.path.realpath(path)
+                temp = f"{target}.{os.getpid()}.tmp"
+                fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                temps[temp] = target
+                with open(fd, "w") as f:
+                    f.write(text)
+        for path in in_place:
+            Path(path).write_text(texts[path])
+        for temp, target in temps.items():
+            os.replace(temp, target)
+    except OSError:
+        for temp in temps:
             Path(temp).unlink(missing_ok=True)
         raise
 

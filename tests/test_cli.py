@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -482,6 +485,45 @@ def test_an_output_path_through_a_symlink_writes_the_file_the_link_names(uniform
     assert link.is_symlink() and json.loads(out.read_text())["rows"][0]["x"] == "101"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "out.json", "uniform3.json"]
     capsys.readouterr()
+
+
+def test_a_file_at_the_temporary_name_is_neither_overwritten_nor_removed(uniform3, tmp_path, capsys):
+    out = tmp_path / "keep.json"
+    temp = tmp_path / f"keep.json.{os.getpid()}.tmp"
+    out.write_text('{"precious": 1}\n')
+    temp.write_text('{"precious": 2}\n')
+    assert main(["mobius", "--input", uniform3, "--x", "101", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert out.read_text() == '{"precious": 1}\n' and temp.read_text() == '{"precious": 2}\n'
+
+
+def test_an_output_to_a_device_or_a_pipe_is_written_in_place(uniform3, tmp_path, capsys):
+    """Only a regular file is replaced: /dev/null and a named pipe stay what they are."""
+    fifo = tmp_path / "out.pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    point = ["mobius", "--input", uniform3, "--x", "101"]
+    assert main(point + ["--out", str(fifo), "--dump-state", os.devnull]) == 0
+    reader.join(timeout=60)
+    assert json.loads(received[0])["rows"][0]["x"] == "101"
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode) and stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.pipe", "uniform3.json"]
+    capsys.readouterr()
+
+
+def test_out_dev_stdout_writes_the_file_stdout_is_redirected_to_in_place(uniform3, tmp_path):
+    redirected = tmp_path / "stdout.json"
+    with redirected.open("w") as stdout:
+        inode = os.fstat(stdout.fileno()).st_ino
+        argv = ["mobius", "--input", uniform3, "--x", "101", "--out", "/dev/stdout"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "mobiusq.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120
+        )
+    assert proc.returncode == 0, proc.stderr
+    assert os.stat(redirected).st_ino == inode and '"x": "101"' in redirected.read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["stdout.json", "uniform3.json"]
 
 
 def test_out_and_dump_state_on_one_file_fail_before_any_circuit_work(
