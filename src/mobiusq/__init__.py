@@ -25,14 +25,15 @@ _EXPORTS = {
     "subset": (
         "SubsetTable", "mobius_inverse", "zeta_fast", "zeta_fast_inplace", "zeta_matrix", "zeta_naive",
     ),
-    "sim": ("PhasePair", "Multiplexed", "Ry", "compile_state_prep", "prepare_low_qubits"),
+    "circuits": (
+        "Multiplexed", "PhasePair", "Ry", "Support", "TransformQuery", "classical_value", "compile_state_prep",
+        "estimate_exact", "estimate_sampled", "gather", "prepare_low_qubits", "read_out_at",
+    ),
     "gates": (
         "Circuit", "Controlled", "Hadamard", "PauliX", "StateVector", "amplify", "apply_circuit",
         "basis_index", "build_comparator", "build_start_circuit", "build_start_state", "new_state",
         "plan_grover", "project", "sector", "state_to_json_obj",
     ),
-    "circuits": ("Support", "TransformQuery", "classical_value", "gather"),
-    "grover": ("estimate_exact", "estimate_sampled", "read_out_at"),
     "minfind": ("ProbeRecord", "SearchTrace", "find_min", "probe_point", "quantum_evaluator"),
     "dense": (
         "ObjectiveTable", "choose_beta", "classical_evaluator", "min_gap", "quadratic_objective", "softmin_table",

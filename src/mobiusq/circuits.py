@@ -1,12 +1,22 @@
-"""Transform queries, their classical value, and the support of their start states.
+"""The numpy transform kernel: the state prep, the support of the start state, and its readout.
 
-A query carries an amplitude-encoded table psi_minus on alpha_minus and an
-evaluation point x.  The start-state circuit (:mod:`mobiusq.gates`)
-entangles two branches on mu0: the mu0=1 branch runs a comparator that
-Hadamard-samples alpha and marks subset violations (mobius) or bit
-mismatches (marginal) on beta; the mu0=0 branch just Hadamard-spreads alpha.
-A final X on omega, controlled on (alpha == x and beta == 0), moves the two
-on-target components to omega=0:
+A query carries an amplitude-encoded table psi_minus on alpha_minus (the
+register layout is :mod:`mobiusq.layout`'s) and an evaluation point x.  A
+transform run evaluates it in three stages, and :mod:`mobiusq.pure` runs the
+same three on the floats of a real table, bit for bit.
+
+*State prep.*  The prep of alpha_minus is a rotation tree (Mottonen et al.,
+quant-ph/0407010) run from |0...0>: each Ry level meets a qubit still at 0,
+so ``prepare_low_qubits`` computes it as products, one float64 entry per
+prefix split into its cos and sin shares, and then multiplies in the phase
+level.  Its bytes are those of the gate model's run of the same gates.
+
+*The start state and its support.*  The start-state circuit
+(:mod:`mobiusq.gates`) entangles two branches on mu0: the mu0=1 branch runs a
+comparator that Hadamard-samples alpha and marks subset violations (mobius)
+or bit mismatches (marginal) on beta; the mu0=0 branch just Hadamard-spreads
+alpha.  A final X on omega, controlled on (alpha == x and beta == 0), moves
+the two on-target components to omega=0:
 
     z1 * |psi1>|beta=0,gamma=1>|omega=0>   with |z1| = sqrt(value) * base
   + z0 * |psi0>|beta=0,gamma=0>|omega=0>   with  z0  = base
@@ -14,33 +24,209 @@ on-target components to omega=0:
 
 where base = 2**-((n0+1)/2) and value is the subset sum f(x) (mobius) or
 the marginal probability P(x) (marginal).  The conditional gamma odds on
-omega=0 therefore equal the transform value, and they are preserved by the
-amplitude amplification in :mod:`mobiusq.grover`.
+omega=0 therefore equal the transform value.  x enters only that final mark,
+and every earlier op leaves one amplitude per (alpha_minus, alpha, mu0)
+value, all at omega=1: the X's on omega, gamma and beta only relabel
+amplitudes.  The amplitude of the alpha_minus value a is g[a] whatever alpha
+and mu0 hold, so ``gather`` returns one :class:`Support` entry per nonzero
+g[a], with no gate run past the prep and no dense state.  It serves every
+point of a table, and ``Support.start_state(x)`` scatters it into the dense
+start state at x when one is wanted (``--dump-state``).
 
-x enters only that final mark, and every earlier op leaves one amplitude per
-(alpha_minus, alpha, mu0) value, all at omega=1: the X's on omega, gamma and
-beta only relabel amplitudes.  The amplitude of the alpha_minus value a is
-g[a] whatever alpha and mu0 hold, so ``gather`` returns one :class:`Support`
-entry per nonzero g[a], with no gate run past the prep and no dense state.
-It serves every point of a table, and ``Support.start_state(x)`` scatters
-it into the dense start state at x when one is wanted (``--dump-state``).
+*Amplification and readout.*  One amplification step reflects about the
+omega=0 target subspace (negate every omega=1 amplitude) and then about the
+start state (2|s><s| - 1), in that order.  Starting from |s> with target
+overlap a = sin(theta), k steps leave omega=0 mass sin((2k+1) theta)**2, and
+they rescale the whole omega=0 component uniformly, so the gamma odds that
+encode the value survive amplification unchanged.  The steps move amplitude
+within the 2-D invariant subspace of Brassard, Hoyer, Mosca and Tapp
+(quant-ph/0005055), and they are elementwise: every copy of a starts at
+g[a], so the copies with the same a and target flag stay equal.  The state
+at x is two 2**n vectors, t on target and o off it, with 1 + keep[a] and
+2M - 1 - keep[a] copies (M = 2**n0).  ``read_out_at`` plans, amplifies and
+measures the four (omega, gamma) cell masses on them; the exact value and
+the seeded sample both come from it.  Each reduction is one correctly
+rounded math.fsum of exactly weighted copies of a term array, each weight a
+power of two, a sign, keep or the column on = 1 + keep: the target copies of
+v enter as on v, the off-target ones as 2M v - on v.  So it sums the same
+real number as every basis index of the dense state does
+(``gates.plan_grover`` and ``gates.amplify``), to the same float at any term
+order or BLAS thread count.
+
+This is all a transform run computes.  The gate model lives in
+:mod:`mobiusq.gates`; the one name of it that perfbench/tracer.py reads
+through this module is bound here on first use.
 """
 from __future__ import annotations
 
+import itertools
 import math
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
 from . import _Record, _defer
 from .bits import BitString
-# perfbench/tracer.py also reads circuits.DecompositionError and wraps circuits.compile_state_prep
-from .layout import DecompositionError, Mode, RegisterLayout, _keep, json_int
-from .sim import _H, compile_state_prep, prepare_low_qubits
+# perfbench/tracer.py also reads circuits.DecompositionError
+from .layout import DecompositionError, EstimateReport, Mode, Readout, RegisterLayout, _keep, _plan, json_int
 from .subset import SubsetTable, json_complex
 
 # bound from mobiusq.gates on first use: perfbench/tracer.py reads and replaces it here
 _DEFERRED = {"gates": ("build_start_circuit",)}
 __getattr__ = _defer(globals(), _DEFERRED)[1]
+
+
+# ---------------------------------------------------------------------------
+# prep gates
+
+
+class Ry(_Record):
+    """Real rotation cos(theta/2) I - i sin(theta/2) Y."""
+
+    __slots__ = ("qubit", "theta")
+
+
+class PhasePair(_Record):
+    """Diagonal phases diag(e^{i phi0}, e^{i phi1}) on one qubit."""
+
+    __slots__ = ("qubit", "phi0", "phi1")
+
+
+class Multiplexed(_Record):
+    """A uniformly controlled Ry or PhasePair: one gate per value of the qubits above ``qubit``.
+
+    ``params`` is a read-only float64 array of shape (2**m, 1) for Ry or
+    (2**m, 2) for PhasePair.  Where the m qubits qubit+1 .. qubit+m hold p
+    (qubit+1 its low bit), the gate applies ``gate(qubit, *params[p])``; a
+    row of zeros is the identity.  That is the same as one controlled gate
+    per nonzero row, bit for bit, and it is one level of the rotation tree
+    of Mottonen et al. (quant-ph/0407010), also called a multiplexed rotation.
+    """
+
+    __slots__ = ("qubit", "gate", "params")
+
+    def __init__(self, qubit: int, gate: type, params) -> None:
+        params = np.array(params, dtype=np.float64)
+        size, angles = len(params) if params.ndim == 2 else 0, {Ry: 1, PhasePair: 2}.get(gate)
+        if angles is None or size < 2 or size & (size - 1) or params.shape[1] != angles:
+            raise ValueError(f"a Multiplexed Ry or PhasePair needs 2**m >= 2 rows of angles, got {params.shape}")
+        params.flags.writeable = False
+        super().__init__(qubit, gate, params)
+
+    def _values(self) -> tuple:  # the rows as tuples, for ==, hash and pickle
+        return self.qubit, self.gate, tuple(map(tuple, self.params.tolist()))
+
+    @property
+    def width(self) -> int:
+        """m, the number of qubits that select the row."""
+        return len(self.params).bit_length() - 1
+
+
+PrepGate = Union[Ry, PhasePair, Multiplexed]
+
+# the Hadamard matrix: gather's H factor and the gate model's Hadamard read the same bytes
+_H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
+
+
+def _split(amps: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each prefix amplitude a, by its row theta, followed by cos(theta/2) a and sin(theta/2) a."""
+    live = np.flatnonzero(rows)  # a zero row gives a and 0 with no libm call: sin(-0.0) is -0.0
+    half = memoryview(rows[live] / 2.0)
+    c, s = np.ones(len(rows)), np.zeros(len(rows))
+    c[live], s[live] = (np.fromiter(map(f, half), np.float64, len(half)) for f in (math.cos, math.sin))
+    a = amps.reshape(-1, len(rows))
+    return np.stack([a * c, a * s], -1).ravel()
+
+
+def prepare_low_qubits(ops, k: int) -> np.ndarray:
+    """Amplitudes of qubits 0..k-1 after the prep levels ``ops`` act on their |0...0> state.
+
+    The ops are Ry levels on descending qubits, then at most one PhasePair
+    level on qubit 0, as compile_state_prep emits them; a missing level is
+    rows of zeros.  The result has the gate model's bytes, and it is also the
+    first 2**k amplitudes of a full state whose other qubits stay at 0.
+    """
+    ops = tuple(ops)
+    spans = [range(op.qubit, op.qubit + 1 + getattr(op, "width", 0)) for op in ops if hasattr(op, "qubit")]
+    bad = sorted({q for span in spans for q in span if not 0 <= q < k})
+    if bad:
+        raise ValueError(f"ops touch qubits {bad} outside the low {k}")
+    turns, phases = {}, None
+    for op in ops:
+        gate = op.gate if isinstance(op, Multiplexed) else type(op)
+        in_order = gate is Ry and op.qubit < min(turns, default=k) or gate is PhasePair and op.qubit == 0
+        if phases is not None or not in_order:
+            raise ValueError(f"{op} is not the next level: Ry levels down from qubit {k - 1}, then PhasePair on 0")
+        rows = op.params if isinstance(op, Multiplexed) else np.array([op._values()[1:]], dtype=np.float64)
+        if gate is Ry:
+            turns[op.qubit] = rows[:, 0]
+        else:
+            phases = rows
+    amps = np.ones(1)
+    for q in range(k - 1, -1, -1):
+        amps = _split(amps, turns.get(q, np.zeros(1)))
+    phases = np.zeros((1, 2)) if phases is None else phases
+    # the + 0.0 is the gate model's zero off-diagonal product: it turns a -0.0 part into +0.0
+    return (amps.reshape(-1, *phases.shape) * np.exp(1j * phases)).ravel() + 0.0
+
+
+# ---------------------------------------------------------------------------
+# state preparation
+
+
+def compile_state_prep(target) -> tuple[PrepGate, ...]:
+    """Compile gates mapping |0...0> of qubits 0..k-1 to the target amplitudes.
+
+    Those qubits are the alpha_minus register of every layout, and k is
+    log2 of the target's length.  Classic rotation-tree construction
+    (Mottonen et al., quant-ph/0407010): level m is one Multiplexed Ry on
+    qubit k-1-m, with one angle per basis value of the m qubits above it; a
+    final Multiplexed PhasePair on qubit 0 fixes the complex phases.  So
+    there are at most k+1 gates.  The compiled gates reproduce the target
+    with no residual global phase.  A row whose angles are all within 1e-12
+    of 0 is set to zeros, which leaves its amplitudes alone, and a level
+    whose angles agree across all prefixes collapses to a single plain gate,
+    so product states compile to single-qubit rotations.
+
+    Args:
+        target: complex array of 2**k amplitudes, k >= 1, normalized within 1e-9.
+
+    Returns:
+        Gates acting only on qubits 0..k-1.
+    """
+    target = np.asarray(target, dtype=np.complex128)
+    k = target.size.bit_length() - 1
+    if k < 1 or target.shape != (1 << k,):
+        raise ValueError(f"target needs 2**k amplitudes with k >= 1, got shape {target.shape}")
+    norm = np.linalg.norm(target)
+    if not abs(norm - 1.0) <= 1e-9:  # a NaN norm fails too
+        raise ValueError(f"target norm is {norm}, expected 1 within 1e-9")
+
+    ops: list[PrepGate] = []
+    weights = np.abs(target) ** 2
+
+    for m in range(k):
+        # the weights of each prefix's two halves, each summed as its own slice; sqrt is exact-rounded
+        r0, r1 = map(memoryview, np.sqrt(weights.reshape(1 << m, 2, -1).sum(axis=2)).T)
+        angles = 2.0 * np.fromiter(map(math.atan2, r1, r0), np.float64, 1 << m)
+        if np.any(np.abs(angles - angles[0]) > 1e-12):
+            angles[np.abs(angles) <= 1e-12] = 0.0
+            ops.append(Multiplexed(k - 1 - m, Ry, angles[:, None]))
+        elif abs(angles[0]) > 1e-12:
+            ops.append(Ry(k - 1 - m, float(angles[0])))
+
+    phases = np.where(np.abs(target) > 0, np.angle(target), 0.0).reshape(-1, 2)
+    if np.max(np.abs(phases)) > 1e-12:
+        if np.any(phases != phases[0]):
+            phases[np.all(np.abs(phases) <= 1e-12, axis=1)] = 0.0
+            ops.append(Multiplexed(0, PhasePair, phases))
+        else:  # always so for k == 1
+            ops.append(PhasePair(0, *phases[0].tolist()))
+    return tuple(ops)
+
+
+# ---------------------------------------------------------------------------
+# queries and the support of their start states
 
 
 class TransformQuery:
@@ -151,10 +337,11 @@ class Support(_Record):
 def gather(query: TransformQuery) -> Support:
     """The support of the table's unmarked state; query.x is not read.
 
-    g is the prep of psi_minus multiplied n0+1 times by ``sim._H[0, 0]``,
+    g is the prep of psi_minus multiplied n0+1 times by ``_H[0, 0]``,
     once for the mu0 Hadamard and once per alpha Hadamard of the start
     circuit, which gives the bytes of every copy.  Raises DecompositionError
-    when the unmarked state's norm is not 1.
+    when the unmarked state's norm is not 1.  It reads compile_state_prep as
+    a global of this module, where perfbench/tracer.py wraps it.
     """
     layout = query.layout
     amps = prepare_low_qubits(compile_state_prep(query.psi_minus), layout.n)
@@ -165,3 +352,120 @@ def gather(query: TransformQuery) -> Support:
         raise DecompositionError(f"start state norm is {norm}")
     alpha_minus = np.flatnonzero(amps)
     return Support(layout, alpha_minus, amps[alpha_minus])
+
+
+# ---------------------------------------------------------------------------
+# amplification and readout
+
+
+def _fsum(parts: Iterable[np.ndarray]) -> float:
+    """Correctly rounded sum of every float64 in ``parts`` (math.fsum, Shewchuk's algorithm).
+
+    The result depends on the exact sum of the nonzero terms alone, not on
+    their order, layout or thread count; zeros change no exact sum and are
+    dropped.  Each part is read in place through a memoryview, one at a time.
+    """
+    return math.fsum(itertools.chain.from_iterable(memoryview(part[part != 0.0]) for part in parts))
+
+
+def _dot_terms(s: np.ndarray, r: np.ndarray, part: int) -> np.ndarray:
+    """The terms of Re <s|r> (part 0) or Im <s|r> (part 1), one row per entry: the rounded elementwise products.
+
+    With s = s_re + i s_im and r = r_re + i r_im per entry, the real part
+    sums s_re r_re and s_im r_im, the imaginary part s_re r_im and -(s_im r_re).
+    """
+    s2, r2 = s.view(np.float64).reshape(-1, 2), r.view(np.float64).reshape(-1, 2)
+    return s2 * r2 if part == 0 else s2 * r2[:, ::-1] * (1.0, -1.0)
+
+
+def _squares(amps: np.ndarray) -> np.ndarray:
+    """re**2 and im**2 of each entry, one row per entry."""
+    return np.square(amps.view(np.float64).reshape(-1, 2))
+
+
+def _on(support: Support, x: BitString) -> np.ndarray:
+    """The target copies of each entry at x, 1 + keep[a], as a float64 column."""
+    return (1.0 + support.keep(x))[:, None]
+
+
+def _steps(g: np.ndarray, on: np.ndarray, alphas: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(t, o) of the start state g after k = 0, 1, 2, ... steps, updated in place.
+
+    With r = (t, -o), the omega reflection, and c = 2 <g|r>, a step sets
+    t <- (-t) + c g and o <- o + c g: the dense step (-r) + c * start of
+    ``gates.amplify``, bit for bit.
+    """
+    t, o = g.copy(), g.copy()
+    while True:
+        yield t, o
+        cg = 2.0 * _overlap(g, t, o, on, alphas) * g
+        np.negative(t, out=t)
+        t += cg
+        o += cg
+
+
+def _overlap(g: np.ndarray, t: np.ndarray, o: np.ndarray, on: np.ndarray, alphas: int) -> complex:
+    """<g|r> over every copy: on copies of each t term and 2 * alphas - on of each -o term."""
+
+    def part(k: int) -> float:
+        terms_t, terms_o = _dot_terms(g, t, k), _dot_terms(g, o, k)
+        return _fsum(w * a for w, a in ((on, terms_t), (-2.0 * alphas, terms_o), (on, terms_o)))
+
+    return complex(part(0), part(1))
+
+
+def _cells(t: np.ndarray, o: np.ndarray, on: np.ndarray, alphas: int) -> tuple[float, float, float, float]:
+    """Masses of the (omega, gamma) cells (0, 0), (0, 1), (1, 0) and (1, 1); gamma is mu0.
+
+    Target copies: one at mu0=0, on - 1 (keep) at mu0=1.  Off-target
+    copies: alphas - 1 at mu0=0, alphas - keep at mu0=1.
+    """
+    target, off, kept = _squares(t), _squares(o), on - 1.0
+    return (
+        _fsum([target]),
+        _fsum([kept * target]),
+        _fsum(w * off for w in (alphas, -1.0)),
+        _fsum(w * off for w in (alphas, -kept)),
+    )
+
+
+def read_out_at(support: Support, x: BitString) -> Readout:
+    """Plan, amplify and measure the four cells of the start state at x, on ``support`` alone.
+
+    The plan and the cells equal, bit for bit, those of the dense start
+    state at x read out over every basis index (``gates.plan_grover`` and
+    ``gates.amplify``), because every reduction rounds the same exact sum;
+    see the module docstring.
+    """
+    g, on, alphas = support.amplitudes, _on(support, x), 1 << support.layout.n0
+    plan = _plan(_fsum([on * _squares(g)]))
+    t, o = next(itertools.islice(_steps(g, on, alphas), plan.iterations, None))
+    return Readout(plan, _cells(t, o, on, alphas))
+
+
+def cells_by_step(support: Support, x: BitString, steps: int) -> Iterator[tuple[float, float, float, float]]:
+    """``Readout.cells`` of the start state at x after each of k = 0..steps steps.
+
+    Runs read_out_at's step on the support; ``mobiusq verify`` checks the
+    gamma odds and the rotation law at every k with it.
+    """
+    g, on, alphas = support.amplitudes, _on(support, x), 1 << support.layout.n0
+    for _, (t, o) in zip(range(steps + 1), _steps(g, on, alphas)):
+        yield _cells(t, o, on, alphas)
+
+
+def estimate_exact(query: TransformQuery) -> float:
+    """Transform value as the exact conditional gamma odds on omega=0 at query.x.
+
+    This is :func:`read_out_at` on ``gather(query)``, the readout a CLI row's
+    ``exact`` holds, bit for bit.
+    """
+    return read_out_at(gather(query), query.x).exact
+
+
+def estimate_sampled(query: TransformQuery, shots: int, seed: int) -> EstimateReport:
+    """Seeded estimate of the transform value at query.x; see :meth:`Readout.sample`.
+
+    This is :func:`read_out_at` on ``gather(query)``, sampled as a CLI row is.
+    """
+    return read_out_at(gather(query), query.x).sample(shots, seed)

@@ -44,7 +44,7 @@ from .bits import BitString
 # pure-Python kernel and loads no numpy, and classical minfind at an in-range
 # center (minfind.centered_softmin) loads only the search, not even the
 # register layout; other minfind runs build the dense tables of
-# mobiusq.dense, classical minfind never loads the simulator, and only
+# mobiusq.dense, classical minfind never loads the numpy kernel, and only
 # --dump-state loads the gate model.  The names below are bound on first
 # use; each is an attribute of this module from the start, the patch point
 # of the tests and of perfbench/tracer.py, and a replacement bound before a
@@ -54,8 +54,7 @@ _DEFERRED = {
     "layout": ("Mode", "RegisterLayout"),
     "subset": ("SubsetTable",),
     "gates": ("state_to_json_obj",),
-    "circuits": ("TransformQuery",),
-    "grover": ("estimate_exact", "estimate_sampled"),
+    "circuits": ("TransformQuery", "estimate_exact", "estimate_sampled"),
     "pure": ("Query", "table_amplitudes"),
     "minfind": ("centered_softmin", "find_min", "quantum_evaluator", "require_beta", "require_threshold"),
     "dense": (
@@ -334,28 +333,29 @@ def _parse_transform_input(obj: dict, mode: Mode, n0_flag: int | None):
 
 # The three stages of a transform run, and its patch points for the tests and
 # perfbench/tracer.py.  Each runs the kernel its argument came from:
-# mobiusq.pure's for a pure.Query or pure.Support, else the numpy kernel's.
+# mobiusq.pure's for a pure.Query or pure.Support, else the numpy kernel's
+# (mobiusq.circuits).
 
 
-def _stage(record, name: str, home: str):
-    """The function ``name`` of the kernel that made ``record``: mobiusq.pure's, or that of module ``home``."""
-    module = "pure" if type(record).__module__ == f"{__package__}.pure" else home
+def _stage(record, name: str):
+    """The function ``name`` of the kernel that made ``record``: mobiusq.pure's or mobiusq.circuits'."""
+    module = "pure" if type(record).__module__ == f"{__package__}.pure" else "circuits"
     return getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
 
 
 def gather(query):
     """The support of the query's unmarked start state (``circuits.gather``)."""
-    return _stage(query, "gather", "circuits")(query)
+    return _stage(query, "gather")(query)
 
 
 def read_out_at(support, x: BitString):
-    """The readout of the start state at x (``grover.read_out_at``)."""
-    return _stage(support, "read_out_at", "grover")(support, x)
+    """The readout of the start state at x (``circuits.read_out_at``)."""
+    return _stage(support, "read_out_at")(support, x)
 
 
 def classical_value(query) -> float:
     """The transform value by direct summation (``circuits.classical_value``)."""
-    return _stage(query, "classical_value", "circuits")(query)
+    return _stage(query, "classical_value")(query)
 
 
 def _transform_row(support, query, shots: int | None, seed: int) -> dict:
@@ -519,13 +519,15 @@ def _cmd_transform(args) -> int:
     else:
         _load("circuits")
         kind = TransformQuery
-    queries = [kind(mode, n, psi, x, n0) for x in points]
-    support = gather(queries[0])
+    first = kind(mode, n, psi, points[0], n0)
+    support = gather(first)
     dump = None
     if args.dump_state:
         _load("gates")
-        dump = state_to_json_obj(support.start_state(queries[0].x))
-    rows = [_transform_row(support, query, shots, seed) for query in queries]
+        dump = state_to_json_obj(support.start_state(first.x))
+    # each query holds a validated copy of the table: a later point's is built where its row is read
+    rows = [_transform_row(support, first, shots, seed)]
+    rows += (_transform_row(support, kind(mode, n, psi, x, n0), shots, seed) for x in points[1:])
 
     drift = max(abs(r["classical"] - r["exact"]) for r in rows)
     if drift > 1e-9:

@@ -12,8 +12,9 @@ controlled gate of each nonzero row.
 
 No transform run loads this module.  It serves ``mobiusq verify``'s
 comparator check, ``--dump-state``, the tests' oracles and
-``perfbench/tracer.py``, which read its names where they lived before
-(``sim``, ``circuits`` and ``grover`` bind them on first use).
+``perfbench/tracer.py``, which reads some of its names through ``sim``,
+``circuits`` and ``grover``, where they lived before; those modules bind
+them on first use.
 """
 from __future__ import annotations
 
@@ -24,10 +25,8 @@ from typing import Iterable, Iterator, Mapping, Union
 import numpy as np
 
 from . import _Record
-from .circuits import TransformQuery, gather
-from .grover import _dot_terms, _fsum
+from .circuits import Multiplexed, PhasePair, Ry, TransformQuery, _H, _dot_terms, _fsum, compile_state_prep, gather
 from .layout import GroverPlan, Mode, RegisterLayout, _plan
-from .sim import Multiplexed, PhasePair, Ry, _H, compile_state_prep
 
 # ---------------------------------------------------------------------------
 # gates
@@ -342,7 +341,7 @@ def _mass(amps: np.ndarray) -> float:
 
 
 def _inner(start: np.ndarray, state: np.ndarray) -> complex:
-    """<start|state>, each part one fsum of the rounded elementwise products (``grover._dot_terms``)."""
+    """<start|state>, each part one fsum of the rounded elementwise products (``circuits._dot_terms``)."""
 
     def part(k: int) -> float:  # builds only the terms of part k, chunk by chunk
         return _fsum(_dot_terms(start[c], state[c], k) for c in _chunks(start.size))
@@ -351,7 +350,7 @@ def _inner(start: np.ndarray, state: np.ndarray) -> complex:
 
 
 def plan_grover(state: StateVector) -> GroverPlan:
-    """read_out_at's plan, from the omega=0 entries of a dense start state (see grover._plan).
+    """read_out_at's plan, from the omega=0 entries of a dense start state (see layout._plan).
 
     No CLI command calls it: acceptance criterion 6, the tests' dense
     readout and ``perfbench/tracer.py``'s one-shot check do.

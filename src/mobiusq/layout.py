@@ -8,23 +8,19 @@ convention.
 
 What one amplified start state yields is a :class:`Readout`: the Grover
 plan, the four (omega, gamma) cell masses, and from them the exact value
-and a seeded estimate.  The numpy kernel (``grover.read_out_at``) and the
+and a seeded estimate.  The numpy kernel (``circuits.read_out_at``) and the
 pure-Python one (:mod:`mobiusq.pure`) both produce it.
 
 This module loads no numpy: a transform run of the CLI, the numpy kernel
-(``sim``, ``circuits``, ``grover``) and the pure-Python kernel share it.
-Classical minfind loads none of it.
+(:mod:`mobiusq.circuits`) and the pure-Python kernel share it.  Classical
+minfind loads none of it.
 """
 from __future__ import annotations
 
 import math
 from enum import Enum
 
-from . import _Record, _defer
-
-# The sampler is bound on the first Readout.sample, so a run without --shots compiles none of it.
-_DEFERRED = {"_pcg64": ("multinomial",)}
-_load, __getattr__ = _defer(globals(), _DEFERRED)
+from . import _Record
 
 MAX_QUBITS = 26
 
@@ -197,7 +193,8 @@ class Readout(_Record):
         total = 0.0
         for cell in self.cells:
             total += cell
-        _load("_pcg64")
+        from ._pcg64 import multinomial  # here, so a run without --shots compiles none of the sampler
+
         n_ref, n_hit = multinomial(seed, shots, [cell / total for cell in self.cells])[:2]
 
         if n_ref == 0:

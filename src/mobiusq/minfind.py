@@ -56,17 +56,16 @@ from .bits import BitString, pairwise_sum
 # dense tables (mobiusq.dense) load numpy, and only find_min's default evaluator
 # reads them here; perfbench/setup_probe.py reads minfind.quadratic_objective.
 # The quantum backend's names are bound when quantum_evaluator first runs, so
-# the classical backend never loads the simulator.  zeta_fast is not called
-# here: perfbench/tracer.py wraps minfind.zeta_fast, and ROADMAP item 3 drops
-# it when it retargets the tracer.
+# the classical backend never loads the numpy kernel (mobiusq.circuits).
+# zeta_fast is not called here: perfbench/tracer.py wraps minfind.zeta_fast,
+# and ROADMAP item 3 drops it when it retargets the tracer.
 _DEFERRED = {
     "dense": (
         "ObjectiveTable", "choose_beta", "classical_evaluator", "min_gap", "quadratic_objective", "softmin_table",
     ),
     "subset": ("zeta_fast",),
     "layout": ("Mode",),
-    "circuits": ("TransformQuery", "gather"),
-    "grover": ("read_out_at",),
+    "circuits": ("TransformQuery", "gather", "read_out_at"),
 }
 _load, __getattr__ = _defer(globals(), _DEFERRED)
 
@@ -124,7 +123,7 @@ def quantum_evaluator(d_minus: SubsetTable) -> Callable[[BitString], float]:
     The x-independent start state is built and gathered once, here; each
     probe amplifies the support at the probe point and reads the exact value.
     """
-    _load("grover", "circuits", "layout")
+    _load("circuits", "layout")
     any_point = BitString.from_int(0, d_minus.n)  # the unmarked state does not read x
     query = TransformQuery.from_probability_table(Mode.MOBIUS, d_minus, any_point)
     support = gather(query)

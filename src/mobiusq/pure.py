@@ -2,7 +2,7 @@
 
 A transform run on a real probability table whose 2**n entries times the
 points of the run stay within ``cli.PURE_MAX_WORK`` runs here; every other
-run takes the numpy kernel (``circuits.gather``, ``grover.read_out_at``,
+run takes the numpy kernel (``circuits.gather``, ``circuits.read_out_at``,
 ``circuits.classical_value``).  Both give the same bytes, step by step,
 because with a real nonnegative table every imaginary part the numpy kernel
 carries is +0.0, so each of its complex products, sums and moduli rounds as
@@ -26,12 +26,12 @@ from . import _Record
 from .bits import BitString, pairwise_sum
 from .layout import DecompositionError, Readout, RegisterLayout, _keep, _plan
 
-# sim._H[0, 0]: numpy divides the complex 1 by sqrt(2) with Smith's method, which rounds as this does
+# circuits._H[0, 0]: numpy divides the complex 1 by sqrt(2) with Smith's method, which rounds as this does
 _H = 1.0 / math.sqrt(2.0)
 
 
 def _fsum(terms) -> float:
-    """``grover._fsum``: math.fsum of the nonzero terms."""
+    """``circuits._fsum``: math.fsum of the nonzero terms."""
     return math.fsum(term for term in terms if term)
 
 
@@ -162,7 +162,7 @@ def gather(query: Query) -> Support:
 
 
 def read_out_at(support: Support, x: BitString) -> Readout:
-    """``grover.read_out_at``: the plan, the steps and the four cells, on real amplitudes.
+    """``circuits.read_out_at``: the plan, the steps and the four cells, on real amplitudes.
 
     With r = (t, -o) and on = 1 + keep copies on target out of 2M, a step
     sets c = 2 <g|r> and t <- (-t) + c g, o <- o + c g; the cells weigh

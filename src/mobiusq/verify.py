@@ -29,11 +29,12 @@ import numpy as np
 
 from . import _Record
 from .bits import BitString
-from .circuits import Support, TransformQuery, classical_value, gather
+from .circuits import (
+    Support, TransformQuery, _fsum, _on, _squares, cells_by_step, classical_value, compile_state_prep, gather,
+    prepare_low_qubits, read_out_at,
+)
 from .gates import StateVector, apply_circuit, basis_index, build_comparator
-from .grover import _fsum, _on, _squares, cells_by_step, read_out_at
 from .layout import DecompositionError, Mode, _keep
-from .sim import compile_state_prep, prepare_low_qubits
 from .subset import SubsetTable, zeta_fast
 
 _CHECK_TOL = 1e-9

@@ -49,14 +49,16 @@ mobiusq mobius --input tests/data/mobius3_table.json --x 101 --shots 300 --seed 
     --out "$tmp/dump.out.json" --dump-state "$tmp/dump.state.json" > /dev/null
 cmp "$tmp/dump.state.json" tests/data/golden/mobius3-dump.state.json
 echo "--dump-state byte-identical to the golden mobius3-dump state"
-# a complex table runs on numpy, which the import log lists
+# a complex table runs on numpy and the numpy kernel, mobiusq.circuits, and the dump on the gate model
 PYTHONPROFILEIMPORTTIME=1 mobiusq marginal --input tests/data/golden/inputs/marginal5-n0-2-complex.json --x 01 \
     --shots 300 --seed 4 --out "$tmp/mdump.out.json" --dump-state "$tmp/mdump.state.json" \
     2> "$tmp/complex-imports.log" > /dev/null
 cmp "$tmp/mdump.state.json" tests/data/golden/marginal5-dump.state.json
 echo "marginal --dump-state byte-identical to the golden marginal5-dump state"
+expect_modules "$tmp/complex-imports.log" mobiusq mobiusq.__main__ mobiusq.cli mobiusq.bits mobiusq.layout \
+    mobiusq.subset mobiusq.circuits mobiusq.gates mobiusq._pcg64
 grep -qE '\| +numpy$' "$tmp/complex-imports.log"
-echo "marginal --dump-state of a complex table: numpy in the import log"
+echo "marginal --dump-state of a complex table: exactly cli, bits, layout, subset, circuits, gates and _pcg64 of mobiusq, and numpy, in the import log"
 
 # a seeded sweep of a small real table runs on the pure-Python kernel and the sampler: it loads
 # no numpy, so neither numpy.random nor the secrets -> hmac -> _hashlib chain that imports

@@ -5,10 +5,10 @@ helpers rebuild its states independently, by running ``build_start_circuit``
 one gate at a time from the all-zeros state with ``apply_circuit``.  Each
 ``Multiplexed`` level of the state prep is first expanded into the
 per-prefix ``Controlled`` gates it stands for, so the oracle never runs
-``sim.prepare_low_qubits``'s product tree; ``per_prefix_state_prep``
+``circuits.prepare_low_qubits``'s product tree; ``per_prefix_state_prep``
 compiles those gates from the target directly, one prefix at a time.
 
-``grover.read_out_at`` is the one readout in the package, run on a support.
+``circuits.read_out_at`` is the one readout in the package, run on a support.
 ``read_out`` here is the same readout over every basis index of a dense
 start state: the gate model's dense ``plan_grover`` and ``amplify``
 (``mobiusq.gates``), then cell masses that are each one ``math.fsum`` over
@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from mobiusq.circuits import TransformQuery
+from mobiusq.circuits import Multiplexed, PhasePair, Ry, TransformQuery
 from mobiusq.gates import (
     Circuit,
     Controlled,
@@ -33,8 +33,7 @@ from mobiusq.gates import (
     new_state,
     plan_grover,
 )
-from mobiusq.layout import Readout
-from mobiusq.sim import Mode, Multiplexed, PhasePair, RegisterLayout, Ry
+from mobiusq.layout import Mode, Readout, RegisterLayout
 from mobiusq.subset import json_complex, json_int
 
 

@@ -15,9 +15,9 @@ import time
 import numpy as np
 
 from mobiusq import verify
-from mobiusq.circuits import TransformQuery
-from mobiusq.gates import StateVector, project
-from mobiusq.grover import amplify, estimate_sampled, plan_grover
+from mobiusq.circuits import TransformQuery, estimate_sampled
+from mobiusq.gates import StateVector, amplify, plan_grover, project
+from mobiusq.layout import Mode, RegisterLayout
 from mobiusq.minfind import (
     ObjectiveTable,
     choose_beta,
@@ -27,7 +27,6 @@ from mobiusq.minfind import (
     quantum_evaluator,
     softmin_table,
 )
-from mobiusq.sim import Mode, RegisterLayout
 from mobiusq.subset import BitString, SubsetTable, zeta_fast, zeta_fast_inplace, zeta_naive
 
 _RESULTS: list[tuple[str, bool, str]] = []

@@ -14,7 +14,9 @@ from mobiusq.circuits import (
     TransformQuery,
     build_start_circuit,
     classical_value,
+    compile_state_prep,
     gather,
+    read_out_at,
 )
 from mobiusq.gates import (
     Circuit,
@@ -29,8 +31,7 @@ from mobiusq.gates import (
     new_state,
     sector,
 )
-from mobiusq.grover import read_out_at
-from mobiusq.sim import Mode, compile_state_prep
+from mobiusq.layout import Mode
 from mobiusq.subset import BitString, SubsetTable, zeta_fast
 from mobiusq.verify import circuit_coefficient, decompose_signal
 from oracle import mark_oracle, register_values, table_amplitudes, unmarked_oracle

@@ -6,6 +6,7 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,11 +17,10 @@ import pytest
 import mobiusq.circuits as circuits_mod
 import mobiusq.cli as cli_mod
 import mobiusq.layout as layout_mod
-from mobiusq.circuits import Support, TransformQuery, gather
+from mobiusq.circuits import Support, TransformQuery, estimate_exact, estimate_sampled, gather
 from mobiusq.cli import MINFIND_SCHEMA, TRANSFORM_SCHEMA, main
 from mobiusq.gates import Circuit, Controlled, Hadamard, PauliX, build_comparator, build_start_state
-from mobiusq.grover import estimate_exact, estimate_sampled
-from mobiusq.sim import Mode
+from mobiusq.layout import Mode
 from mobiusq.subset import BitString, SubsetTable, zeta_fast
 from mobiusq.verify import run_verify
 from oracle import read_out, state_from_json_obj
@@ -639,6 +639,28 @@ def test_sweep_gathers_one_support_for_every_point(uniform3, monkeypatch, capsys
     # a small real table runs on the pure kernel: its real amplitudes are numpy's, whose imaginary parts are +0.0
     assert np.array(gathered[0].amplitudes, dtype=np.complex128).tobytes() == fresh.amplitudes.tobytes()
     assert list(gathered[0].alpha_minus) == fresh.alpha_minus.tolist()
+
+
+def test_a_sweep_holds_one_query_at_a_time(tmp_path, capsys):
+    """A sweep's peak does not grow with its points: each query, a copy of the table, is built at its row.
+
+    An n=13 real table runs on the numpy kernel at n0=1 (2 points) and n0=5 (32 points).
+    """
+    values = np.random.default_rng(13).random(1 << 13)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"n": 13, "values": (values / values.sum()).tolist()}))
+
+    def peak(n0: int) -> int:
+        tracemalloc.start()
+        try:
+            assert main(["marginal", "--input", str(path), "--n0", str(n0), "--sweep"]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    peak(5)  # warm-up: the first run loads the numpy kernel, whose transients are not the sweep's
+    assert peak(5) <= 1.1 * peak(1)
 
 
 # ---------------------------------------------------------------------------

@@ -7,21 +7,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import mobiusq.circuits as circuits_mod
 import mobiusq.gates as gates_mod
-import mobiusq.grover as grover_mod
-import mobiusq.layout as layout_mod
-from mobiusq.circuits import Support, TransformQuery, classical_value, gather
-from mobiusq.gates import StateVector, build_start_state, project
-from mobiusq.grover import (
-    amplify,
+from mobiusq.circuits import (
+    Support,
+    TransformQuery,
     cells_by_step,
+    classical_value,
     estimate_exact,
     estimate_sampled,
-    plan_grover,
+    gather,
     read_out_at,
 )
-from mobiusq.layout import GroverPlan, Readout
-from mobiusq.sim import Mode, RegisterLayout
+from mobiusq.gates import StateVector, amplify, build_start_state, plan_grover, project
+from mobiusq.layout import GroverPlan, Mode, Readout, RegisterLayout
 from mobiusq.subset import BitString, SubsetTable
 from mobiusq.verify import decompose_signal
 from oracle import cell_masses, read_out, table_amplitudes, unmarked_oracle
@@ -193,7 +192,7 @@ def test_support_readout_uses_no_dense_working_copy():
 def test_estimators_peak_under_a_tenth_of_the_dense_state():
     """At 18 qubits both estimators gather and read out the support: no dense state is built."""
     q = _query18()
-    layout_mod._load("_pcg64")  # the first sample compiles the sampler; that transient is not the estimators'
+    import mobiusq._pcg64  # noqa: F401  (the first sample compiles the sampler; that transient is not the estimators')
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
@@ -302,7 +301,7 @@ def test_copies_sum_as_the_multiset_they_stand_for(alphas):
         # too many copies to list: the exact products m * v, as fractions, summed and rounded once
         return float(sum(Fraction(v) * m for row, m in pairs for v in row))
 
-    fsum = grover_mod._fsum
+    fsum = circuits_mod._fsum
     assert fsum([on * terms]) == copies_sum((copies_on, terms))
     assert fsum(w * terms for w in (2.0 * alphas, -on)) == copies_sum((copies_off, terms))
     # the step's form: target copies of t and off-target copies of -o

@@ -10,10 +10,13 @@ beta (``minfind.centered_softmin``), which loads only the search and
 ``mobiusq.bits``: no transform kernel and not even the register layout.  A
 complex or larger input, a dump, every other ``minfind`` run and ``verify``
 load numpy.
-``sim``, ``circuits`` and ``grover`` bind the gate model's names the same
-way, and only those ``perfbench/tracer.py`` reads through them.  Each
-deferred name is nonetheless an attribute of its module from the start: the
-tests and ``perfbench/tracer.py`` read and replace them there.  The module
+The numpy kernel is one module, ``mobiusq.circuits``.  ``sim`` and
+``grover``, the old homes of its prep and readout, hold only the names
+perfbench/ reads through them, and no command loads either.  They and
+``circuits`` bind the gate model's names the same way, and only those
+``perfbench/tracer.py`` reads through them.  Each deferred name is
+nonetheless an attribute of its module from the start: the tests and
+``perfbench/tracer.py`` read and replace them there.  The module
 sets are read in fresh processes, since the pytest process has long since
 loaded every module.  No command loads ``dataclasses``: the record classes
 are plain ``__slots__`` classes (``mobiusq._Record``), so defining them
@@ -25,11 +28,13 @@ through the C import path, so ``-X importtime`` logs it like any other.
 """
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,7 +51,7 @@ QUERY = "tests/data/golden/inputs/marginal5-n0-2-complex.json"
 BASE = {"mobiusq", "mobiusq.cli", "mobiusq.bits"}
 LAYOUT = {"mobiusq.layout"}
 PURE = LAYOUT | {"mobiusq.pure"}
-SIMULATOR = LAYOUT | {"mobiusq.subset", "mobiusq.sim", "mobiusq.circuits", "mobiusq.grover", "numpy"}
+SIMULATOR = LAYOUT | {"mobiusq.subset", "mobiusq.circuits", "numpy"}
 GATES = {"mobiusq.gates"}
 SAMPLER = {"mobiusq._pcg64"}
 SEARCH = {"mobiusq.minfind"}
@@ -64,7 +69,7 @@ TRACER_NAMES = {
 PERFBENCH_ALIASES = {
     "sim": {"Mode": "layout", "RegisterLayout": "layout"},
     "subset": {"BitString": "bits"},
-    "circuits": {"DecompositionError": "layout", "compile_state_prep": "sim"},
+    "circuits": {"DecompositionError": "layout"},
     "grover": {"GroverPlan": "layout"},
     "minfind": {"quadratic_objective": "dense"},
 }
@@ -238,8 +243,8 @@ def test_every_deferred_name_is_an_attribute_before_any_command_runs():
     code = """
 import importlib
 import mobiusq.circuits as circuits, mobiusq.cli as cli, mobiusq.grover as grover
-import mobiusq.layout as layout, mobiusq.minfind as minfind, mobiusq.sim as sim
-for module in (cli, minfind, sim, circuits, grover, layout):
+import mobiusq.minfind as minfind, mobiusq.sim as sim
+for module in (cli, minfind, sim, circuits, grover):
     deferred = {name for names in module._DEFERRED.values() for name in names}
     assert not deferred & set(vars(module)), (module.__name__, deferred & set(vars(module)))
     for home, names in module._DEFERRED.items():
@@ -249,6 +254,27 @@ for module in (cli, minfind, sim, circuits, grover, layout):
 print("ok")
 """
     assert _python(code) == "ok"
+
+
+@pytest.mark.parametrize("module", [sim_mod, grover_mod], ids=lambda m: m.__name__)
+def test_the_old_kernel_homes_hold_only_the_names_perfbench_reads(module):
+    """sim and grover define no function or class, and no other module of the package imports them."""
+    home = module.__name__.rsplit(".", 1)[1]
+    bound = {name for name in vars(module) if not name.startswith("_")}
+    deferred = {name for names in module._DEFERRED.values() for name in names}
+    assert bound | deferred == {*TRACER_NAMES[home], *PERFBENCH_ALIASES[home]}
+    tree = ast.parse(Path(module.__file__).read_text())
+    defined = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+    assert not [type(node).__name__ for node in ast.walk(tree) if isinstance(node, defined)]
+    code = """
+import importlib, json, pkgutil, sys
+import mobiusq
+for info in pkgutil.iter_modules(mobiusq.__path__):
+    if info.name != sys.argv[1]:
+        importlib.import_module("mobiusq." + info.name)
+print(json.dumps(sorted(sys.modules)))
+"""
+    assert module.__name__ not in json.loads(_python(code, home))
 
 
 @pytest.mark.parametrize("module", [mobiusq, cli_mod, minfind_mod], ids=lambda m: m.__name__)

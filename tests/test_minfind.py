@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mobiusq.minfind as minfind_mod
-from mobiusq.circuits import TransformQuery
-from mobiusq.grover import estimate_exact
+from mobiusq.circuits import TransformQuery, estimate_exact
+from mobiusq.layout import Mode
 from mobiusq.minfind import (
     ObjectiveTable,
     choose_beta,
@@ -22,7 +22,6 @@ from mobiusq.minfind import (
     quantum_evaluator,
     softmin_table,
 )
-from mobiusq.sim import Mode
 from mobiusq.subset import BitString, SubsetTable, zeta_fast
 
 

@@ -25,8 +25,8 @@ from hypothesis import strategies as st
 
 import mobiusq.cli as cli_mod
 from mobiusq import bits, pure
+from mobiusq.circuits import _H
 from mobiusq.layout import MAX_QUBITS
-from mobiusq.sim import _H
 
 LAYOUTS = [
     (mode, n, n0)

@@ -14,11 +14,10 @@ import pickle
 import numpy as np
 import pytest
 
-from mobiusq.circuits import Support, TransformQuery, gather
+from mobiusq.circuits import Multiplexed, PhasePair, Ry, Support, TransformQuery, gather
 from mobiusq.gates import Circuit, Controlled, Hadamard, PauliX, StateVector
-from mobiusq.layout import EstimateReport, GroverPlan, Readout
+from mobiusq.layout import EstimateReport, GroverPlan, Mode, Readout, RegisterLayout
 from mobiusq.minfind import ObjectiveTable, ProbeRecord, SearchTrace
-from mobiusq.sim import Mode, Multiplexed, PhasePair, RegisterLayout, Ry
 from mobiusq.subset import BitString, SubsetTable
 from mobiusq.verify import SignalDecomposition, Verdict
 

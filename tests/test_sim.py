@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from mobiusq.circuits import Multiplexed, PhasePair, Ry, compile_state_prep, prepare_low_qubits
 from mobiusq.gates import (
     Circuit,
     Controlled,
@@ -24,16 +25,7 @@ from mobiusq.gates import (
     sector,
     state_to_json_obj,
 )
-from mobiusq.layout import MAX_QUBITS
-from mobiusq.sim import (
-    Mode,
-    Multiplexed,
-    PhasePair,
-    RegisterLayout,
-    Ry,
-    compile_state_prep,
-    prepare_low_qubits,
-)
+from mobiusq.layout import MAX_QUBITS, Mode, RegisterLayout
 from golden import ROOT, env
 from oracle import (
     expand,

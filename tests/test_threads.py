@@ -92,7 +92,7 @@ def test_importing_the_package_loads_no_numpy_and_sets_no_thread_count():
         "assert 'numpy' not in sys.modules\n"
         "from mobiusq import read_out_at\n"
         "import mobiusq.cli\n"
-        "assert read_out_at.__module__ == 'mobiusq.grover'\n"
+        "assert read_out_at.__module__ == 'mobiusq.circuits'\n"
         "print(os.environ.get('OPENBLAS_NUM_THREADS', 'unset'))\n"
     )
     assert _python(code, env) == "unset"
