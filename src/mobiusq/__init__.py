@@ -26,13 +26,12 @@ _EXPORTS = {
         "SubsetTable", "mobius_inverse", "zeta_fast", "zeta_fast_inplace", "zeta_matrix", "zeta_naive",
     ),
     "circuits": (
-        "Multiplexed", "PhasePair", "Ry", "Support", "TransformQuery", "classical_value", "compile_state_prep",
-        "estimate_exact", "estimate_sampled", "gather", "prepare_low_qubits", "read_out_at",
+        "Support", "TransformQuery", "classical_value", "estimate_exact", "estimate_sampled", "gather", "read_out_at",
     ),
     "gates": (
-        "Circuit", "Controlled", "Hadamard", "PauliX", "StateVector", "amplify", "apply_circuit",
-        "basis_index", "build_comparator", "build_start_circuit", "build_start_state", "new_state",
-        "plan_grover", "project", "sector", "state_to_json_obj",
+        "Circuit", "Controlled", "Hadamard", "PauliX", "PhasePair", "Ry", "StateVector", "amplify", "apply_circuit",
+        "basis_index", "build_comparator", "build_start_circuit", "build_start_state", "compile_state_prep",
+        "new_state", "plan_grover", "project", "sector", "state_to_json_obj",
     ),
     "minfind": ("ProbeRecord", "SearchTrace", "find_min", "probe_point", "quantum_evaluator"),
     "dense": (

@@ -493,6 +493,11 @@ def _cmd_transform(args) -> int:
     if check is not None:
         shots, seed = check["shots"], check["seed"]
         points = [BitString.from_str(r["x"]) for r in check["rows"]]
+        seen = set()
+        for x in points:  # each row confirms its own point, and a sweep's sum counts each point once
+            if x in seen:
+                raise ValueError(f"{args.check}: rows repeat x = {x}")
+            seen.add(x)
     else:
         shots, seed = args.shots, args.seed
         if args.sweep:

@@ -7,11 +7,14 @@ m10*a0 + m11*a1.  A controlled gate pairs one partial basis assignment
 {qubit: value} with one-qubit gates that act only where each listed qubit
 holds its value: the simulator applies them to the sub-view that fixes
 those qubits with width-1 slices, which realizes (1 - pi) + U pi directly,
-pi being the projector onto the assignment.  A ``Multiplexed`` level is the
-controlled gate of each nonzero row.
+pi being the projector onto the assignment.  The gate records (``Ry``,
+``PhasePair``, ``Hadamard``, ``PauliX`` and ``Controlled``) belong to this
+module alone: the state prep is ``circuits.rotation_tree``'s angles, and
+``compile_state_prep`` emits them as gates, one per level or one
+``Controlled`` per prefix.
 
 No transform run loads this module.  It serves ``mobiusq verify``'s
-comparator check, ``--dump-state``, the tests' oracles and
+comparator and state-prep checks, ``--dump-state``, the tests' oracles and
 ``perfbench/tracer.py``, which reads some of its names through ``sim``,
 ``circuits`` and ``grover``, where they lived before; those modules bind
 them on first use.
@@ -25,7 +28,7 @@ from typing import Iterable, Iterator, Mapping, Union
 import numpy as np
 
 from . import _Record
-from .circuits import Multiplexed, PhasePair, Ry, TransformQuery, _H, _dot_terms, _fsum, compile_state_prep, gather
+from .circuits import TransformQuery, _H, _dot_terms, _fsum, gather, rotation_tree
 from .layout import GroverPlan, Mode, RegisterLayout, _plan
 
 # ---------------------------------------------------------------------------
@@ -38,6 +41,18 @@ class Hadamard(_Record):
 
 class PauliX(_Record):
     __slots__ = ("qubit",)
+
+
+class Ry(_Record):
+    """Real rotation cos(theta/2) I - i sin(theta/2) Y."""
+
+    __slots__ = ("qubit", "theta")
+
+
+class PhasePair(_Record):
+    """Diagonal phases diag(e^{i phi0}, e^{i phi1}) on one qubit."""
+
+    __slots__ = ("qubit", "phi0", "phi1")
 
 
 class Controlled(_Record):
@@ -59,7 +74,7 @@ class Controlled(_Record):
             raise ValueError(f"control values must be 0 or 1, got {bad}")
         if not ops:
             raise ValueError("controlled gate needs at least one inner op")
-        if any(isinstance(op, (Controlled, Multiplexed)) for op in ops):
+        if any(isinstance(op, Controlled) for op in ops):
             raise ValueError("controlled gates do not nest; merge the controls into one assignment")
         super().__init__(controls, ops)
         overlap = set(self.controls) & gate_target_qubits(self)
@@ -74,7 +89,7 @@ class Controlled(_Record):
 
 
 OneQubitGate = Union[Hadamard, PauliX, Ry, PhasePair]
-GateOp = Union[OneQubitGate, Controlled, Multiplexed]
+GateOp = Union[OneQubitGate, Controlled]
 
 
 def gate_target_qubits(op: GateOp) -> frozenset[int]:
@@ -85,8 +100,6 @@ def gate_target_qubits(op: GateOp) -> frozenset[int]:
 
 def gate_qubits(op: GateOp) -> frozenset[int]:
     """All qubits an op touches, reads included."""
-    if isinstance(op, Multiplexed):
-        return frozenset(range(op.qubit, op.qubit + 1 + op.width))
     reads = frozenset(op.controls) if isinstance(op, Controlled) else frozenset()
     return reads | gate_target_qubits(op)
 
@@ -176,11 +189,6 @@ def _apply_op(view: np.ndarray, op: GateOp) -> None:
         sub = _fix(view, op.controls)
         for inner in op.ops:
             _apply_op(sub, inner)
-    elif isinstance(op, Multiplexed):  # the Controlled gate of each nonzero row
-        for p, row in enumerate(op.params.tolist()):
-            if any(row):
-                controls = {op.qubit + 1 + t: p >> t & 1 for t in range(op.width)}
-                _apply_op(_fix(view, controls), op.gate(op.qubit, *row))
     elif isinstance(op, PauliX):
         a0, a1 = _halves(view, op.qubit)
         saved = a0.copy()
@@ -256,6 +264,27 @@ def state_to_json_obj(state: StateVector) -> dict:
 
 # ---------------------------------------------------------------------------
 # the start circuit
+
+
+def compile_state_prep(target) -> tuple[GateOp, ...]:
+    """Gates mapping |0...0> of qubits 0..k-1 to the target: ``circuits.rotation_tree``'s levels.
+
+    A level of one row is one plain Ry or PhasePair, none for a row of
+    zeros.  A level of 2**m rows on ``qubit`` is one Controlled gate per
+    nonzero row p, where the m qubits above it hold p (qubit+1 its low bit).
+    Run from |0...0>, the gates give the bytes of ``circuits.prepare(target)``.
+    """
+    turns, phases = rotation_tree(target)
+    k = len(turns)
+    levels = [(k - 1 - m, Ry, rows[:, None]) for m, rows in enumerate(turns)] + [(0, PhasePair, phases)]
+    ops: list[GateOp] = []
+    for qubit, gate, rows in levels:
+        width = len(rows).bit_length() - 1
+        for p, row in enumerate(rows.tolist()):
+            if any(row):
+                op = gate(qubit, *row)
+                ops.append(Controlled({qubit + 1 + t: p >> t & 1 for t in range(width)}, (op,)) if width else op)
+    return tuple(ops)
 
 
 def build_comparator(query: TransformQuery) -> Circuit:

@@ -116,11 +116,11 @@ def classical_value(query: Query) -> float:
 
 
 def prepare(psi) -> list[float]:
-    """``prepare_low_qubits(compile_state_prep(psi), k)`` of real amplitudes, as floats.
+    """``circuits.prepare(psi)`` of real amplitudes, as floats.
 
     Level m of the rotation tree takes one angle per prefix p of m bits,
-    2 atan2(r1, r0) of the root sums of its two halves; the compiler's
-    rules follow: angles that all agree within 1e-12 collapse to the first
+    2 atan2(r1, r0) of the root sums of its two halves; the rules of
+    ``circuits.rotation_tree`` follow: angles that all agree within 1e-12 collapse to the first
     one, and one within 1e-12 of 0 is a zero row, which costs no libm call.
     Each prefix's amplitude a becomes cos(theta/2) a and sin(theta/2) a.
     The phase level is the identity: every amplitude is >= 0.

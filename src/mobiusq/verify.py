@@ -18,7 +18,10 @@ The comparator check reads the coefficients off the compiled circuit
 (``circuit_coefficient``) of the gate model in :mod:`mobiusq.gates`, looking
 ``build_comparator`` up in this module at each call, so a corrupted
 comparator (the tests inject one by replacing this module's name) is caught
-by ``run_verify`` and the acceptance gate alike.
+by ``run_verify`` and the acceptance gate alike.  The state-prep check runs
+``circuits.prepare`` as ``gather`` does, and holds it to the target and, bit
+for bit, to the gate model's run of ``compile_state_prep``'s gates, a name
+looked up here the same way.
 """
 from __future__ import annotations
 
@@ -30,10 +33,11 @@ import numpy as np
 from . import _Record
 from .bits import BitString
 from .circuits import (
-    Support, TransformQuery, _fsum, _on, _squares, cells_by_step, classical_value, compile_state_prep, gather,
-    prepare_low_qubits, read_out_at,
+    Support, TransformQuery, _fsum, _on, _squares, cells_by_step, classical_value, gather, prepare, read_out_at,
 )
-from .gates import StateVector, apply_circuit, basis_index, build_comparator
+from .gates import (
+    StateVector, apply_circuit, basis_index, build_comparator, compile_state_prep, gate_qubits, run_ops,
+)
 from .layout import DecompositionError, Mode, _keep
 from .subset import SubsetTable, zeta_fast
 
@@ -264,11 +268,22 @@ def _oracle_equivalence(mobius_probs: np.ndarray, marginal_probs: np.ndarray) ->
 
 
 def _state_prep_round_trip(target: np.ndarray) -> Verdict:
-    """The compiled prep on its own 5-qubit register, as circuits.gather runs it.
+    """The prep on its own 5-qubit register, as circuits.gather runs it, against the target and the gate model.
 
-    prepare_low_qubits raises on a gate outside the register, so leakage fails the check.
+    ``circuits.prepare`` must give the bytes of the gate model's run of
+    ``compile_state_prep``'s gates, looked up in this module at each call;
+    a gate outside the register raises, so leakage fails the check.
     """
-    amps = prepare_low_qubits(compile_state_prep(target), 5)
+    ops = compile_state_prep(target)
+    bad = sorted({q for op in ops for q in gate_qubits(op)} - set(range(5)))
+    if bad:
+        raise ValueError(f"ops touch qubits {bad} outside the low 5")
+    amps, gates_run = prepare(target), np.zeros(32, dtype=np.complex128)
+    gates_run[0] = 1.0
+    run_ops(gates_run, ops)
+    if amps.tobytes() != gates_run.tobytes():
+        worst = float(np.max(np.abs(amps - gates_run)))
+        return Verdict(False, worst, f"the prep differs from the gate model's run of its gates by {worst}")
     err = float(np.max(np.abs(amps - target)))
     if err > 1e-10:
         return Verdict(False, err, f"round-trip error {err}")

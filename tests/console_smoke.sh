@@ -36,12 +36,19 @@ mobiusq minfind --center 200001 --n 18 --check tests/data/minfind18_classical.js
 for threads in 1 4; do
     OPENBLAS_NUM_THREADS=$threads mobiusq marginal --input tests/data/marginal5_table.json --n0 3 \
         --check tests/data/marginal5_n0_3_sweep_shots5000.json --out "$tmp/threads$threads.json" > /dev/null
-    OPENBLAS_NUM_THREADS=$threads mobiusq marginal --input tests/data/golden/inputs/marginal5-n0-2-complex.json \
-        --sweep --shots 2000 --seed 5 --out "$tmp/complex-threads$threads.json" > /dev/null
+    OPENBLAS_NUM_THREADS=$threads PYTHONPROFILEIMPORTTIME=1 mobiusq marginal \
+        --input tests/data/golden/inputs/marginal5-n0-2-complex.json --sweep --shots 2000 --seed 5 \
+        --out "$tmp/complex-threads$threads.json" 2> "$tmp/complex-sweep-imports-$threads.log" > /dev/null
 done
 cmp "$tmp/threads1.json" "$tmp/threads4.json"
 cmp "$tmp/complex-threads1.json" "$tmp/complex-threads4.json"
 echo "--out byte-identical at OPENBLAS_NUM_THREADS=1 and 4"
+# a complex sweep runs on the numpy kernel alone: the state prep builds no gate, so the gate model stays unloaded
+for threads in 1 4; do
+    expect_modules "$tmp/complex-sweep-imports-$threads.log" mobiusq mobiusq.__main__ mobiusq.cli mobiusq.bits \
+        mobiusq.layout mobiusq.subset mobiusq.circuits mobiusq._pcg64
+done
+echo "marginal --sweep --shots of a complex table: exactly cli, bits, layout, subset, circuits and _pcg64 of mobiusq in the import log"
 
 # --dump-state scatters the gathered support back into the dense start state
 # (the mobius3-dump entry of tests/data/golden/manifest.json)

@@ -2,11 +2,12 @@
 
 ``circuits.gather`` is the one builder of start states in the package; these
 helpers rebuild its states independently, by running ``build_start_circuit``
-one gate at a time from the all-zeros state with ``apply_circuit``.  Each
-``Multiplexed`` level of the state prep is first expanded into the
-per-prefix ``Controlled`` gates it stands for, so the oracle never runs
-``circuits.prepare_low_qubits``'s product tree; ``per_prefix_state_prep``
-compiles those gates from the target directly, one prefix at a time.
+one gate at a time from the all-zeros state with ``apply_circuit``.  Its
+state prep is ``gates.compile_state_prep``'s per-prefix ``Controlled``
+gates, run through the gate model, so the oracle never runs
+``circuits.prepare``'s product tree; ``per_prefix_state_prep`` compiles
+those gates from the target directly, one prefix at a time, with no
+``circuits.rotation_tree``.
 
 ``circuits.read_out_at`` is the one readout in the package, run on a support.
 ``read_out`` here is the same readout over every basis index of a dense
@@ -22,10 +23,12 @@ import math
 
 import numpy as np
 
-from mobiusq.circuits import Multiplexed, PhasePair, Ry, TransformQuery
+from mobiusq.circuits import TransformQuery
 from mobiusq.gates import (
     Circuit,
     Controlled,
+    PhasePair,
+    Ry,
     StateVector,
     amplify,
     apply_circuit,
@@ -37,22 +40,8 @@ from mobiusq.layout import Mode, Readout, RegisterLayout
 from mobiusq.subset import json_complex, json_int
 
 
-def expand(ops) -> list:
-    """The ops with each Multiplexed level replaced by one Controlled gate per nonzero row."""
-    out = []
-    for op in ops:
-        if not isinstance(op, Multiplexed):
-            out.append(op)
-            continue
-        for p, row in enumerate(op.params.tolist()):
-            if any(row):
-                controls = {op.qubit + 1 + t: (p >> t) & 1 for t in range(op.width)}
-                out.append(Controlled(controls, (op.gate(op.qubit, *row),)))
-    return out
-
-
 def per_prefix_state_prep(target) -> list:
-    """compile_state_prep's gates, each prefix's angle from its own slice sums: the expanded form."""
+    """compile_state_prep's gates, each prefix's angle from its own slice sums."""
     target = np.asarray(target, dtype=np.complex128)
     k = target.size.bit_length() - 1
     ops: list = []
@@ -115,7 +104,7 @@ def table_amplitudes(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
 
 def unmarked_oracle(query: TransformQuery) -> StateVector:
     """The start circuit without its final mark, run gate by gate; query.x is not read."""
-    ops = expand(build_start_circuit(query).ops[:-1])
+    ops = build_start_circuit(query).ops[:-1]
     return apply_circuit(new_state(query.layout), Circuit(query.layout, ops))
 
 

@@ -14,7 +14,6 @@ from mobiusq.circuits import (
     TransformQuery,
     build_start_circuit,
     classical_value,
-    compile_state_prep,
     gather,
     read_out_at,
 )
@@ -28,6 +27,7 @@ from mobiusq.gates import (
     basis_index,
     build_comparator,
     build_start_state,
+    compile_state_prep,
     new_state,
     sector,
 )
@@ -341,8 +341,8 @@ def test_gather_keeps_one_entry_per_alpha_minus_alpha_mu0(mode, n, n0):
 
 def test_gather_refuses_a_build_off_the_unit_norm(monkeypatch):
     q = _random_query(Mode.MOBIUS, 2, "11", seed=23)
-    prepare = circuits_mod.prepare_low_qubits
-    monkeypatch.setattr(circuits_mod, "prepare_low_qubits", lambda ops, k: 2.0 * prepare(ops, k))
+    prepare = circuits_mod.prepare
+    monkeypatch.setattr(circuits_mod, "prepare", lambda target: 2.0 * prepare(target))
     with pytest.raises(DecompositionError, match="start state norm is 1.99"):
         gather(q)
 

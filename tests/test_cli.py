@@ -243,6 +243,20 @@ def test_transform_check_roundtrip(uniform3, tmp_path, capsys):
     assert "check: FAIL" in capsys.readouterr().out
 
 
+def test_a_check_file_that_repeats_a_point_exits_1_naming_it(tmp_path, capsys):
+    """Each row is correct, but the two rows at x=0 would sum the marginal sweep to 0.8: refused before any query."""
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"n": 2, "values": [0.1, 0.2, 0.3, 0.4]}))
+    argv, check = ["marginal", "--input", str(table), "--n0", "1"], tmp_path / "m.json"
+    assert main([*argv, "--sweep", "--out", str(check)]) == 0
+    obj = json.loads(check.read_text())
+    obj["rows"] = [obj["rows"][0]] * 2
+    check.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main([*argv, "--check", str(check)]) == 1
+    assert capsys.readouterr() == ("", f"error: {check}: rows repeat x = 0\n")
+
+
 def _edited_fixture(tmp_path, name: str, edit) -> str:
     """A copy of tests/data/<name> with edit(obj) applied."""
     obj = json.loads((DATA / name).read_text())
@@ -1148,6 +1162,18 @@ def test_prep_gate_on_qubit_5_fails_the_state_prep_round_trip(monkeypatch):
         "FAIL  state-prep-round-trip"
     ]
     assert "qubits [5] outside the low 5" in lines[4]
+
+
+def test_prep_gates_that_miss_a_level_fail_the_state_prep_round_trip(monkeypatch):
+    """circuits.prepare takes no gate, so the check holds it to the gate model's run of the gates, bit for bit."""
+    import mobiusq.verify as verify_mod
+
+    compile_prep = verify_mod.compile_state_prep
+    monkeypatch.setattr(verify_mod, "compile_state_prep", lambda t: compile_prep(t)[:-1])
+    ok, lines = run_verify(seed=0)
+    assert not ok
+    assert [line for line in lines if line.startswith("FAIL")] == [lines[4]]
+    assert lines[4].startswith("FAIL  state-prep-round-trip: the prep differs from the gate model's run of its gates")
 
 
 def _corrupted_comparator(query: TransformQuery) -> Circuit:

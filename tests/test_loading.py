@@ -61,7 +61,7 @@ OBJECTIVE = "tests/data/golden/inputs/minfind12-decades.json"
 # the names perfbench/tracer.py reads off each module, none of them bound by a command it runs first
 TRACER_NAMES = {
     "sim": ("Circuit", "new_state", "apply_circuit", "project", "QubitIs", "gate_qubits", "gate_target_qubits"),
-    "circuits": ("build_start_circuit", "DecompositionError"),
+    "circuits": ("build_start_circuit", "compile_state_prep", "DecompositionError"),
     "grover": ("plan_grover", "amplify", "build_start_state", "GroverPlan"),
 }
 

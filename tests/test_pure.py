@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import mobiusq.cli as cli_mod
 from mobiusq import bits, pure
-from mobiusq.circuits import _H
+from mobiusq.circuits import _H, prepare
 from mobiusq.layout import MAX_QUBITS
 
 LAYOUTS = [
@@ -138,7 +138,7 @@ def test_pairwise_sum_is_numpys_sum(values):
 
 @pytest.mark.parametrize("m", range(6))
 def test_pairwise_sum_of_each_half_is_the_preps_axis_sum(m):
-    """compile_state_prep sums each prefix's halves as weights.reshape(2**m, 2, -1).sum(axis=2)."""
+    """circuits.rotation_tree sums each prefix's halves as weights.reshape(2**m, 2, -1).sum(axis=2)."""
     rng = np.random.default_rng(m)
     for length in (1, 7, 8, 9, 127, 128, 129, 300):
         weights = rng.random((2 << m) * length) * 10.0 ** rng.uniform(-20, 0, (2 << m) * length)
@@ -149,3 +149,14 @@ def test_pairwise_sum_of_each_half_is_the_preps_axis_sum(m):
 
 def test_the_hadamard_factor_is_the_numpy_kernels():
     assert pure._H.hex() == float(_H[0, 0].real).hex() and _H[0, 0].imag == 0.0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_both_kernels_prepare_the_same_floats(kind):
+    """circuits.prepare of a real table: pure.prepare's floats as its real parts, +0.0 as every imaginary part."""
+    rnd = random.Random(kind)
+    for n in range(1, 14):
+        psi = pure.table_amplitudes({"n": n, "values": _table(kind, n, rnd)})
+        amps = prepare(psi)
+        assert amps.real.tobytes() == np.array(pure.prepare(psi)).tobytes(), n
+        assert amps.imag.tobytes() == bytes(8 << n), n

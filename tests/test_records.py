@@ -14,8 +14,8 @@ import pickle
 import numpy as np
 import pytest
 
-from mobiusq.circuits import Multiplexed, PhasePair, Ry, Support, TransformQuery, gather
-from mobiusq.gates import Circuit, Controlled, Hadamard, PauliX, StateVector
+from mobiusq.circuits import Support, TransformQuery, gather
+from mobiusq.gates import Circuit, Controlled, Hadamard, PauliX, PhasePair, Ry, StateVector
 from mobiusq.layout import EstimateReport, GroverPlan, Mode, Readout, RegisterLayout
 from mobiusq.minfind import ObjectiveTable, ProbeRecord, SearchTrace
 from mobiusq.subset import BitString, SubsetTable
@@ -27,7 +27,6 @@ RECORDS = [
     (RegisterLayout, (Mode.MARGINAL, 4, 2)),
     (Ry, (0, 0.5)),
     (PhasePair, (1, 0.25, -0.5)),
-    (Multiplexed, (0, Ry, ((0.5,), (0.0,)))),
     (GroverPlan, (0.5, 1, 1.0)),
     (Readout, (GroverPlan(0.5, 1, 1.0), (0.25, 0.5, 0.125, 0.125))),
     (ProbeRecord, (BitString((1, 0)), 0.75, 1)),

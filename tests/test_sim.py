@@ -7,16 +7,19 @@ import sys
 import numpy as np
 import pytest
 
-from mobiusq.circuits import Multiplexed, PhasePair, Ry, compile_state_prep, prepare_low_qubits
+from mobiusq.circuits import _split, prepare, rotation_tree
 from mobiusq.gates import (
     Circuit,
     Controlled,
     Hadamard,
     PauliX,
+    PhasePair,
     QubitIs,
+    Ry,
     StateVector,
     apply_circuit,
     basis_index,
+    compile_state_prep,
     gate_qubits,
     gate_target_qubits,
     new_state,
@@ -28,7 +31,6 @@ from mobiusq.gates import (
 from mobiusq.layout import MAX_QUBITS, Mode, RegisterLayout
 from golden import ROOT, env
 from oracle import (
-    expand,
     layout_from_json_obj,
     per_prefix_state_prep,
     state_from_json_obj,
@@ -248,40 +250,23 @@ def test_sector_ravel_matches_mask_gather_and_writes_through():
 
 
 def test_prepare_low_qubits_matches_full_state_run():
+    """circuits.prepare is the low 2**k amplitudes of the gate model's full-state run of the prep gates."""
     layout = RegisterLayout(Mode.MOBIUS, 3)
     rng = np.random.default_rng(15)
     target = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    ops = compile_state_prep(target / np.linalg.norm(target))
-    full = apply_circuit(new_state(layout), Circuit(layout, ops)).amplitudes
-    low = prepare_low_qubits(ops, 3)
-    assert np.array_equal(low, full[:8])
-    assert prepare_low_qubits((op for op in ops), 3).tobytes() == low.tobytes()
-    with pytest.raises(ValueError, match="outside the low 2"):
-        prepare_low_qubits(ops, 2)
-
-
-@pytest.mark.parametrize("ops", [
-    (Ry(0, 0.3), Ry(1, 0.2)),
-    (Ry(0, 0.3), Multiplexed(0, Ry, ((0.2,), (0.4,)))),
-    (PhasePair(0, 0.1, 0.2), Ry(0, 0.3)),
-    (PhasePair(1, 0.1, 0.2),),
-    (Hadamard(0),),
-    (Controlled({1: 1}, (Ry(0, 0.3),)),),
-], ids=["ascending", "one-qubit-twice", "phase-first", "phase-on-1", "hadamard", "controlled"])
-def test_prepare_low_qubits_takes_only_the_levels_in_order(ops):
-    """The product tree reads Ry levels down from the top qubit, then one phase level on qubit 0."""
-    with pytest.raises(ValueError) as info:
-        prepare_low_qubits(ops, 2)
-    assert str(ops[-1]) in str(info.value)  # the op that breaks the order, or is no level
+    target /= np.linalg.norm(target)
+    full = apply_circuit(new_state(layout), Circuit(layout, compile_state_prep(target))).amplitudes
+    assert np.array_equal(prepare(target), full[:8])
+    assert not np.any(full[8:])
 
 
 def test_prepare_low_qubits_keeps_a_negative_zero_row_the_identity():
-    """sin(-0.0) is -0.0: a -0.0 row must leave the fresh qubit at +0.0, as its expansion does."""
-    ops = (Ry(1, 0.7), Multiplexed(0, Ry, ((0.3,), (-0.0,))))
+    """sin(-0.0) is -0.0: a -0.0 row must leave the fresh qubit at +0.0, as the gate model, which skips it, does."""
+    amps = _split(_split(np.ones(1), np.array([0.7])), np.array([0.3, -0.0]))
     full = np.zeros(4, dtype=np.complex128)
     full[0] = 1.0
-    run_ops(full, expand(ops))
-    assert prepare_low_qubits(ops, 2).tobytes() == full.tobytes()
+    run_ops(full, (Ry(1, 0.7), Controlled({1: 0}, (Ry(0, 0.3),))))
+    assert amps.tobytes() == full.real.tobytes()
 
 
 def test_controlled_matrix_is_unitary():
@@ -487,7 +472,7 @@ def test_uniform_register_prep_uses_two_plain_rotations():
     ops = compile_state_prep(np.full(4, 0.5))
     assert len(ops) == 2
     assert all(isinstance(op, Ry) for op in ops)
-    assert np.allclose(np.abs(prepare_low_qubits(ops, 2)) ** 2, 0.25)
+    assert np.allclose(np.abs(prepare(np.full(4, 0.5))) ** 2, 0.25)
 
 
 def test_basis_state_prep_is_empty():
@@ -539,18 +524,17 @@ def test_state_prep_rejects_unnormalized():
 
 @pytest.mark.parametrize("kind", ["complex", "real", "zeros", "tiny", "uniform", "basis"])
 def test_level_gates_equal_the_per_prefix_gates_they_replace(kind):
-    """Each Multiplexed level is its per-prefix Controlled gates: the same gates, the same amplitude bits."""
+    """The rotation tree's gates are the per-prefix Controlled gates, and prepare has the bytes of their run."""
     rng = np.random.default_rng(40 + len(kind))
     for k in range(1, 13):
         target = table_amplitudes(kind, k, rng)
         ops = compile_state_prep(target)
-        expanded = expand(ops)
-        assert expanded == per_prefix_state_prep(target)
-        # the expansion runs through the gate model's Controlled path, not the level kernel
+        assert list(ops) == per_prefix_state_prep(target)
+        # the gates run through the gate model's Controlled path, not the product tree
         full = np.zeros(1 << k, dtype=np.complex128)
         full[0] = 1.0
-        run_ops(full, expanded)
-        assert prepare_low_qubits(ops, k).tobytes() == full.tobytes()
+        run_ops(full, ops)
+        assert prepare(target).tobytes() == full.tobytes()
 
 
 def _lower_dispatch_levels() -> list[str]:
@@ -570,11 +554,12 @@ def _lower_dispatch_levels() -> list[str]:
     return [" ".join(offered[i:]) for i in range(len(offered))]
 
 
-# the byte-equality checks of the product tree and of gather against the gate model
+# the byte-equality checks of the product tree and of gather against the gate model, and of the two kernels' preps
 BYTE_CHECKS = (
     "tests/test_sim.py::test_level_gates_equal_the_per_prefix_gates_they_replace",
     "tests/test_sim.py::test_prepare_low_qubits_keeps_a_negative_zero_row_the_identity",
     "tests/test_circuits.py::test_start_state_is_build_start_state_at_every_x",
+    "tests/test_pure.py::test_both_kernels_prepare_the_same_floats",
 )
 
 
@@ -594,29 +579,10 @@ def test_prep_bytes_equal_the_gate_model_at_each_lower_dispatch_level(disabled):
 
 @pytest.mark.parametrize("kind", ["complex", "real", "zeros"])
 def test_state_prep_is_one_gate_per_level_plus_the_phases(kind):
+    """One row of angles per prefix of each level, or one for the level, and the same for the phase pairs."""
     rng = np.random.default_rng(50 + len(kind))
     for k in range(1, 13):
-        ops = compile_state_prep(table_amplitudes(kind, k, rng))
-        assert len(ops) <= k + 1
-        assert all(isinstance(op, (Ry, PhasePair, Multiplexed)) for op in ops)
-
-
-def test_multiplexed_gate_on_a_full_state_matches_its_expansion():
-    """Qubits above and below the level, and a skipped row, on a random state."""
-    layout = RegisterLayout(Mode.MARGINAL, 3, 1)
-    state = _random_state(layout)
-    for op, touched in (
-        (Multiplexed(2, Ry, ((0.3,), (0.0,), (-1.2,), (2.9,))), {2, 3, 4}),
-        (Multiplexed(1, PhasePair, ((0.4, -1.3), (0.0, 2.2))), {1, 2}),
-        (Multiplexed(0, Ry, ((0.0,), (-0.0,))), {0, 1}),
-    ):
-        assert gate_target_qubits(op) == frozenset({op.qubit})
-        assert gate_qubits(op) == frozenset(touched)
-        assert op.params.dtype == np.float64 and not op.params.flags.writeable
-        got = _apply(state, op).amplitudes
-        want = apply_circuit(state, Circuit(layout, expand([op]))).amplitudes
-        assert got.tobytes() == want.tobytes()
-    for gate, rows in ((Ry, ((0.1,),) * 3), (Ry, ((0.1,),)), (Hadamard, ((), ())),
-                       (PhasePair, ((0.4,), (0.5,))), (Ry, ((0.1, 0.2), (0.3, 0.4)))):
-        with pytest.raises(ValueError, match="2\\*\\*m >= 2 rows"):
-            Multiplexed(0, gate, rows)
+        turns, phases = rotation_tree(table_amplitudes(kind, k, rng))
+        assert len(turns) == k
+        assert all(rows.dtype == np.float64 and rows.shape in ((1,), (1 << m,)) for m, rows in enumerate(turns))
+        assert phases.dtype == np.float64 and phases.shape in ((1, 2), (1 << (k - 1), 2))
