@@ -185,10 +185,7 @@ class TransformQuery:
         if len(x) != layout.n0:
             raise ValueError(f"x has {len(x)} bits, expected n0 = {layout.n0}")
         self.mode, self.n, self.psi_minus, self.x, self.n0 = layout.mode, n, arr, x, layout.n0
-
-    @property
-    def layout(self) -> RegisterLayout:
-        return RegisterLayout(self.mode, self.n, self.n0)
+        self.layout = layout
 
     @classmethod
     def from_probability_table(

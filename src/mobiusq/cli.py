@@ -56,7 +56,9 @@ _DEFERRED = {
     "gates": ("state_to_json_obj",),
     "circuits": ("TransformQuery", "estimate_exact", "estimate_sampled"),
     "pure": ("Query", "table_amplitudes"),
-    "minfind": ("centered_softmin", "find_min", "quantum_evaluator", "require_beta", "require_threshold"),
+    "minfind": (
+        "centered_softmin", "find_min", "quantum_evaluator", "require_beta", "require_bits", "require_threshold",
+    ),
     "dense": (
         "ObjectiveTable", "choose_beta", "classical_evaluator", "min_gap", "quadratic_objective", "softmin_table",
     ),
@@ -284,7 +286,7 @@ def _read_check(args, schema: dict, replayed: tuple[str, ...]) -> dict | None:
 
 
 def _small_real_table(obj: dict) -> bool:
-    """Whether a transform input is a table of 2**n <= PURE_MAX_WORK plain JSON numbers.
+    """Whether a table input (not a query) holds 2**n <= PURE_MAX_WORK plain JSON numbers.
 
     mobiusq.pure parses such a table, and no numpy loads unless the run
     then takes the numpy kernel; numpy parses every other input, a
@@ -292,8 +294,7 @@ def _small_real_table(obj: dict) -> bool:
     """
     n, values = obj.get("n"), obj.get("values")
     return (
-        "psi_minus" not in obj
-        and type(n) is int
+        type(n) is int
         and 0 < n < PURE_MAX_WORK.bit_length()  # 2**n <= PURE_MAX_WORK, with no shift by a huge n
         and type(values) is list
         and len(values) == 1 << n
@@ -304,7 +305,7 @@ def _small_real_table(obj: dict) -> bool:
 def _parse_transform_input(obj: dict, mode: Mode, n0_flag: int | None):
     """Returns (n, n0, psi_minus, x) from either input flavor; a table has no x.
 
-    psi_minus is a list of floats for a table that mobiusq.pure parsed
+    psi_minus is a tuple of floats for a table that mobiusq.pure parsed
     (see _small_real_table), and a numpy array otherwise.
     """
     if "psi_minus" in obj:
@@ -332,15 +333,12 @@ def _parse_transform_input(obj: dict, mode: Mode, n0_flag: int | None):
 
 
 # The three stages of a transform run, and its patch points for the tests and
-# perfbench/tracer.py.  Each runs the kernel its argument came from:
-# mobiusq.pure's for a pure.Query or pure.Support, else the numpy kernel's
-# (mobiusq.circuits).
+# perfbench/tracer.py.  Each runs the kernel its argument came from, the module
+# that defines its type: mobiusq.pure or mobiusq.circuits.
 
 
 def _stage(record, name: str):
-    """The function ``name`` of the kernel that made ``record``: mobiusq.pure's or mobiusq.circuits'."""
-    module = "pure" if type(record).__module__ == f"{__package__}.pure" else "circuits"
-    return getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
+    return getattr(sys.modules[type(record).__module__], name)
 
 
 def gather(query):
@@ -519,7 +517,7 @@ def _cmd_transform(args) -> int:
     if args.dump_state and len(points) != 1:
         raise ValueError("--dump-state needs a single --x point")
 
-    if isinstance(psi, list) and not args.dump_state and len(points) << n <= PURE_MAX_WORK:
+    if isinstance(psi, tuple) and not args.dump_state and len(points) << n <= PURE_MAX_WORK:
         kind = Query  # bound when the table was parsed
     else:
         _load("circuits")
@@ -530,7 +528,7 @@ def _cmd_transform(args) -> int:
     if args.dump_state:
         _load("gates")
         dump = state_to_json_obj(support.start_state(first.x))
-    # each query holds a validated copy of the table: a later point's is built where its row is read
+    # a numpy query holds a validated copy of the table: a later point's is built where its row is read
     rows = [_transform_row(support, first, shots, seed)]
     rows += (_transform_row(support, kind(mode, n, psi, x, n0), shots, seed) for x in points[1:])
 
@@ -559,6 +557,14 @@ def _cmd_transform(args) -> int:
     return _finish(args, result, TRANSFORM_SCHEMA, check, "rows", dump)
 
 
+def _check_quantum_layout(backend: str, n: int) -> None:
+    """Refuse a quantum run's n outside the objective cap, then its layout over the qubit cap, before any table."""
+    if backend == "quantum":
+        require_bits(n)
+        _load("layout")
+        RegisterLayout(Mode.MOBIUS, n)
+
+
 def _cmd_minfind(args) -> int:
     _refuse_overwrites(args)
     _load("minfind")
@@ -580,11 +586,13 @@ def _cmd_minfind(args) -> int:
         _load("dense", "subset")
         table = SubsetTable.from_json_obj(_read_json(args.input))
         objective = ObjectiveTable(table.n, table.values)
+        _check_quantum_layout(backend, objective.n)
     else:
         if args.n is None:
             raise ValueError("--center needs --n")
         if abs(args.center) > 2**511:  # keeps every (dec(x) - center)**2 + 1 a finite float64
             raise ValueError("--center must be at most 2**511 in magnitude for a float64 objective")
+        _check_quantum_layout(backend, args.n)
         if backend == "classical":
             centered = centered_softmin(args.n, args.center, beta)
         if centered is None:

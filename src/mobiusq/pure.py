@@ -15,8 +15,8 @@ the one real operation done here:
   numpy's own pairwise summation replayed;
 * each readout reduction is one ``math.fsum`` over the same nonzero terms.
 
-The norm checks are the numpy kernel's, computed as ``math.fsum`` of squares
-where numpy takes a BLAS dot; see :class:`Query`.
+A table is checked once, before its first point runs, and a point only for
+the width of its x; see :class:`Query`.
 """
 from __future__ import annotations
 
@@ -35,12 +35,7 @@ def _fsum(terms) -> float:
     return math.fsum(term for term in terms if term)
 
 
-def _norm(amplitudes) -> float:
-    """The 2-norm, as sqrt of one math.fsum of the squares (numpy's np.linalg.norm takes a BLAS dot)."""
-    return math.sqrt(math.fsum(a * a for a in amplitudes))
-
-
-def table_amplitudes(obj: dict) -> list[float]:
+def table_amplitudes(obj: dict) -> tuple[float, ...]:
     """The amplitudes sqrt(p) of a table input {"n", "values"} whose values are plain JSON numbers.
 
     The caller has checked n and the number of values; this refuses the rest
@@ -62,35 +57,20 @@ def table_amplitudes(obj: dict) -> list[float]:
     total = pairwise_sum(values)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"probability table sums to {total}, expected 1")
-    return list(map(math.sqrt, values))
+    return tuple(map(math.sqrt, values))
 
 
 class Query(_Record):
-    """``circuits.TransformQuery`` of a real table: psi_minus is a tuple of 2**n floats.
+    """``circuits.TransformQuery`` of a real table, as a plain record: psi_minus is a tuple of 2**n floats.
 
-    It refuses what TransformQuery refuses.  The norm of psi_minus is sqrt
-    of a math.fsum, where TransformQuery takes a BLAS dot, so the two differ
-    by an ulp or so; no refusal can move, since a table whose sum passes the
-    1e-9 check has a norm within about 5e-10 of 1, far inside this 1e-9 bound.
+    Its inputs are checked before it is built, with TransformQuery's messages:
+    the table's length by ``cli._small_real_table``, its entries and sum by
+    :func:`table_amplitudes` (a sum within 1e-9 of 1 puts the norm within
+    about 5e-10 of 1), and the layout by ``cli._cmd_transform``.  An x of the
+    wrong width is refused by :meth:`Support.keep`, before any row prints.
     """
 
     __slots__ = ("mode", "n", "psi_minus", "x", "n0")
-
-    def __init__(self, mode, n: int, psi_minus, x: BitString, n0: int | None = None) -> None:
-        layout = RegisterLayout(mode, n, n0)  # validates n/n0
-        psi = tuple(map(float, psi_minus))
-        if len(psi) != 1 << n:
-            raise ValueError(f"psi_minus needs {1 << n} amplitudes, got ({len(psi)},)")
-        if not all(map(math.isfinite, psi)):
-            raise ValueError("psi_minus has non-finite amplitudes")
-        norm = _norm(psi)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"psi_minus norm is {norm}, expected 1 within 1e-9")
-        if not isinstance(x, BitString):
-            raise TypeError("x must be a BitString")
-        if len(x) != layout.n0:
-            raise ValueError(f"x has {len(x)} bits, expected n0 = {layout.n0}")
-        super().__init__(layout.mode, n, psi, x, layout.n0)
 
     @property
     def layout(self) -> RegisterLayout:
@@ -126,9 +106,6 @@ def prepare(psi) -> list[float]:
     The phase level is the identity: every amplitude is >= 0.
     """
     k = len(psi).bit_length() - 1
-    norm = _norm(psi)
-    if not abs(norm - 1.0) <= 1e-9:
-        raise ValueError(f"target norm is {norm}, expected 1 within 1e-9")
     weights = [a * a for a in psi]
     amps = [1.0]
     for m in range(k):
@@ -154,7 +131,7 @@ def gather(query: Query) -> Support:
     amps = prepare(query.psi_minus)
     for _ in range(layout.n0 + 1):
         amps = [a * _H for a in amps]
-    norm = _norm(amps) * math.sqrt(2 << layout.n0)
+    norm = math.sqrt(math.fsum(a * a for a in amps)) * math.sqrt(2 << layout.n0)
     if abs(norm - 1.0) > 1e-12:
         raise DecompositionError(f"start state norm is {norm}")
     alpha_minus = tuple(a for a, g in enumerate(amps) if g)

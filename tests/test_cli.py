@@ -266,6 +266,41 @@ def _edited_fixture(tmp_path, name: str, edit) -> str:
     return str(path)
 
 
+# (argv, a --check file the run recorded, n0): a real table of 8 entries runs on mobiusq.pure,
+# a complex query on the numpy kernel
+_WRONG_WIDTH = {
+    "pure": (["mobius", "--input", str(DATA / "mobius3_table.json")], DATA / "mobius3_sweep_shots5000.json", 3),
+    "numpy": (
+        ["marginal", "--input", str(DATA / "golden" / "inputs" / "marginal5-n0-2-complex.json")],
+        DATA / "golden" / "marginal5-n0-2-complex.out.json",
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("source", ["--x", "--check"])
+@pytest.mark.parametrize("kernel", sorted(_WRONG_WIDTH))
+def test_an_x_of_the_wrong_width_is_refused_alike_on_both_kernels(tmp_path, monkeypatch, capsys, kernel, source):
+    """pure.Support.keep and the TransformQuery constructor refuse it with one line, before any row prints."""
+    argv, check, n0 = _WRONG_WIDTH[kernel]
+    wrong = "1" * (n0 + 1)
+    if source == "--x":
+        argv = [*argv, "--x", wrong]
+    else:  # the last row, so the points before it run first
+        obj = json.loads(check.read_text())
+        obj["rows"][-1]["x"] = wrong
+        edited = tmp_path / "check.json"
+        edited.write_text(json.dumps(obj))
+        argv = [*argv, "--check", str(edited)]
+    gathered = _count_gathers(monkeypatch)
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: x has {n0 + 1} bits, expected n0 = {n0}\n")
+    assert not out.exists()
+    kernels = {type(support).__module__ for support in gathered}
+    assert (kernels == {"mobiusq.pure"}) if kernel == "pure" else (kernels <= {"mobiusq.circuits"}), kernels
+
+
 @pytest.mark.parametrize("key,value", [("n", 99), ("n0", 2)])
 def test_transform_check_confirms_recorded_header(tmp_path, capsys, key, value):
     check = _edited_fixture(tmp_path, "mobius3_sweep_shots5000.json", lambda o: o.update({key: value}))
@@ -809,6 +844,32 @@ def test_minfind_refuses_a_bad_beta_before_any_table_is_built(tmp_path, monkeypa
         shown = str(float(beta))
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: beta must be positive and finite, got {shown}\n"
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("--n 24 --center 5", "layout needs 75 qubits, cap is 26"),
+        ("--input", "layout needs 27 qubits, cap is 26"),
+        ("--n 27 --center 5", "objective needs 1 <= n <= 26, got n=27"),
+        ("--n 0 --center 5", "objective needs 1 <= n <= 26, got n=0"),
+    ],
+)
+def test_minfind_quantum_refuses_its_layout_before_any_table_is_built(tmp_path, monkeypatch, capsys, source, message):
+    """A mobius layout of n bits needs 3n + 3 qubits, over the cap of 26 from n = 8: far inside the objective's cap."""
+
+    def no_table(*args):
+        raise AssertionError("a table was built for a run its layout refuses")
+
+    for name in ("quadratic_objective", "softmin_table"):
+        monkeypatch.setattr(cli_mod, name, no_table)
+    argv = source.split()
+    if source == "--input":
+        objective = tmp_path / "objective.json"
+        objective.write_text(json.dumps({"n": 8, "values": list(range(1, 257))}))
+        argv.append(str(objective))
+    assert main(["minfind", *argv, "--backend", "quantum"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("beta", [10**400, -(10**400)], ids=["huge", "huge-negative"])

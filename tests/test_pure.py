@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 import mobiusq.cli as cli_mod
 from mobiusq import bits, pure
 from mobiusq.circuits import _H, prepare
-from mobiusq.layout import MAX_QUBITS
+from mobiusq.layout import MAX_QUBITS, RegisterLayout
 
 LAYOUTS = [
     (mode, n, n0)
@@ -63,12 +63,13 @@ def _table(kind: str, n: int, rnd: random.Random) -> list[float]:
 
 @contextlib.contextmanager
 def _kernel(name: str):
-    """Run cli.main on the named kernel, and check that the run took it."""
-    bound, gather, taken = cli_mod.PURE_MAX_WORK, cli_mod.gather, []
+    """Run cli.main on the named kernel, and check that the run took it and the records its stages read."""
+    bound, gather, taken, queries = cli_mod.PURE_MAX_WORK, cli_mod.gather, [], []
 
     def recording(query):
         support = gather(query)
         taken.append(type(support).__module__)
+        queries.append(query)
         return support
 
     cli_mod.gather = recording
@@ -79,6 +80,11 @@ def _kernel(name: str):
     finally:
         cli_mod.gather, cli_mod.PURE_MAX_WORK = gather, bound
     assert taken == [f"mobiusq.{'pure' if name == 'pure' else 'circuits'}"], taken
+    (query,) = queries
+    if name == "numpy":  # the layout its constructor built and validated, kept, not rebuilt on each read
+        assert vars(query)["layout"] is query.layout == RegisterLayout(query.mode, query.n, query.n0)
+    else:  # a plain record: the CLI checked the table and the layout before building it
+        assert "__init__" not in vars(type(query))
 
 
 def _run(kernel: str, argv: list[str]) -> str:
