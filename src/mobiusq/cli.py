@@ -57,7 +57,8 @@ _DEFERRED = {
     "circuits": ("TransformQuery", "estimate_exact", "estimate_sampled"),
     "pure": ("Query", "table_amplitudes"),
     "minfind": (
-        "centered_softmin", "find_min", "quantum_evaluator", "require_beta", "require_bits", "require_threshold",
+        "MAX_OBJECTIVE_BITS", "centered_softmin", "find_min", "quantum_evaluator", "require_beta", "require_bits",
+        "require_threshold",
     ),
     "dense": (
         "ObjectiveTable", "choose_beta", "classical_evaluator", "min_gap", "quadratic_objective", "softmin_table",
@@ -524,6 +525,9 @@ def _cmd_transform(args) -> int:
         kind = TransformQuery
     first = kind(mode, n, psi, points[0], n0)
     support = gather(first)
+    for x in points:  # before any point is read out, as a --check row may hold any width
+        if len(x) != n0:
+            raise ValueError(f"x has {len(x)} bits, expected n0 = {n0}")
     dump = None
     if args.dump_state:
         _load("gates")
@@ -583,10 +587,13 @@ def _cmd_minfind(args) -> int:
     if args.input:
         if args.n is not None:
             raise ValueError("--n sizes the --center objective; an --input table has its own n")
+        obj = _read_json(args.input)
+        n = obj.get("n")
+        if type(n) is int and 1 <= n <= MAX_OBJECTIVE_BITS:  # the table refuses any other n, as it is read
+            _check_quantum_layout(backend, n)
         _load("dense", "subset")
-        table = SubsetTable.from_json_obj(_read_json(args.input))
+        table = SubsetTable.from_json_obj(obj)
         objective = ObjectiveTable(table.n, table.values)
-        _check_quantum_layout(backend, objective.n)
     else:
         if args.n is None:
             raise ValueError("--center needs --n")

@@ -14,30 +14,28 @@ no numpy.  ``mobiusq.cli`` runs a classical ``minfind --center`` on this
 sparse path, :func:`centered_softmin`, when 0 <= center < 2**n and beta is
 unset or exactly the one ``choose_beta`` picks, 50 / 2**n; every other run
 builds the dense tables of :mod:`mobiusq.dense`.  Both write the same
-bytes: the sparse path makes every IEEE operation of the dense one on every
-value that is not float64 ``tiny``, and gets the rest in closed form,
-exactly.
+bytes, because there the dense softmin table and every sum of its entries
+have a closed form:
 
-* E(x) is an integer below 2**53 at every x, so ``quadratic_objective``
-  holds it exactly: 1.0 at the center, 2.0 next to it, the largest value at
-  an end of the range.  Those give ``min_gap``, ``choose_beta`` with its
-  cap, the overflow check and the max-shift of ``softmin_table`` without a
-  table.
-* At the scale beta * 2**n = 50 the logits are 0, -50, -200 and -450 within
-  3 of the center and at most -800 beyond, where exp is 0 and the clamp
-  makes the weight ``tiny``.  So the weights are a few live entries in a
-  run of ``tiny``.
-* The total is :func:`mobiusq.bits.pairwise_sum`, numpy's pairwise
-  summation, which adds a segment of m ``tiny`` entries as m * tiny: every
-  partial sum of multiples of ``tiny`` is exact, in any order.
-* An aligned block of 2**k entries with no live one sums to 2**k times its
-  entry, tiny / total, by doubling, which is exact; so does a probe's
-  subtree with no live block.
+* E(x) is an integer below 2**52 at every x: 1.0 at the center and 2.0 next
+  to it.  So ``choose_beta`` picks beta * 2**n = 50 exactly, and its cap
+  never binds.  The logits less their maximum are -50 * d**2 at distance d
+  from the center, whose exp is 1.0, e**-50, e**-200 and e**-450 for
+  d = 0..3, and 0.0, clamped to ``tiny``, from d = 4 on.
+* Each weight is below 2**-72 of the one before it, and 2**26 * tiny is
+  below 2**-996.  A term below half an ulp of a sum vanishes when added to
+  it (Higham, SIAM J. Sci. Comput. 14(4), 1993).  So any float sum of table
+  entries, in any order, is k * w, with w the largest weight in it and k in
+  {1, 2} the times w occurs there (2 * w is exact).  Entries of ``tiny``
+  alone, m of them, sum to m * tiny exactly.
+* So the total is 1.0, the probabilities are the weights, and D(x), the sum
+  over the y below x, is k * w over the live y below x, or
+  2**popcount(x) * tiny when there is none.
 
-So such a run takes O(n**2) operations, where the dense path makes several
-passes over 2**n entries.  The one operation not replayed is exp: this path
-calls libm's through :func:`math.exp`, the dense one numpy's.  The parity of
-the two rests on
+So a probe takes a few operations, where the dense path makes several
+passes over 2**n entries.  The live weights come from libm's exp through
+:func:`math.exp`, the dense ones from numpy's.  The parity of the two rests
+on
 ``tests/test_sparse.py::test_numpy_exp_is_libm_exp_on_the_logits_of_the_sparse_path``,
 which checks that they agree bit for bit on 0, -50, -200, -450 and -800 at
 every dispatch level numpy offers on the host.
@@ -49,7 +47,7 @@ import sys
 from typing import Callable, Iterable, Sequence
 
 from . import _Record, _defer
-from .bits import BitString, pairwise_sum
+from .bits import BitString
 
 # The names this module takes from others, bound on first use; each is a module
 # attribute from the start and a replacement bound before that use wins.  The
@@ -151,9 +149,8 @@ def require_beta(beta: float) -> None:
 def softmin_scale(beta: float, n: int, top: float) -> float:
     """The softmin scale beta * 2**n, refused when the largest logit, scale * ``top``, overflows.
 
-    ``softmin_table`` and ``centered_softmin`` both check here.  Beta prints
-    as a float: a --check file may hold it as a JSON integer of hundreds of
-    digits.
+    ``softmin_table`` checks here.  Beta prints as a float: a --check file
+    may hold it as a JSON integer of hundreds of digits.
     """
     scale = beta * float(1 << n)
     if not math.isfinite(scale * top):
@@ -203,27 +200,6 @@ class CenteredObjective(_Record):
     __slots__ = ("n", "center")
 
 
-class _Runs:
-    """2**n weights: the ``live`` ones by index, ``tiny`` elsewhere; a slice comes out as a list."""
-
-    def __init__(self, size: int, live: dict[int, float]) -> None:
-        self.size, self.live = size, live
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, part: slice) -> list[float]:
-        return [self.live.get(i, TINY) for i in range(*part.indices(self.size))]
-
-    def uniform(self, lo: int, m: int) -> float | None:
-        """m * tiny for a segment with no live entry, else None (``bits._pairwise``)."""
-        return None if any(lo <= x < lo + m for x in self.live) else m * TINY
-
-    def total(self) -> float:
-        """numpy's sum of the 2**n weights, bit for bit."""
-        return pairwise_sum(self, uniform=self.uniform)
-
-
 def centered_softmin(n: int, center: int, beta: float | None):
     """``(objective, beta, evaluator)`` of a classical run on (dec(x) - center)**2 + 1, or None.
 
@@ -235,66 +211,30 @@ def centered_softmin(n: int, center: int, beta: float | None):
     require_bits(n)
     if not 0 <= center < 1 << n:
         return None
-    size = float(1 << n)
-    top = float(max(center, (1 << n) - 1 - center) ** 2 + 1)  # the largest value, at an end
-    # choose_beta: the gap is 2.0 - 1.0; the cap bounds the largest logit by the spread top - 1.0
-    chosen = min(50.0 / (size * (2.0 - 1.0)), 1e300 / (size * max(top - 1.0, 1.0)))
+    chosen = 50.0 / float(1 << n)  # choose_beta: the gap is 2.0 - 1.0, and the cap never binds
     if beta is None:
         beta = chosen
     elif beta != chosen:
         return None
-    # softmin_table: the scale, the overflow check, and the logits -scale * E less their max
-    scale = softmin_scale(beta, n, top)
-    shift = -scale * 1.0  # the largest logit, at the center
-    live = {}
-    for d in range(1 << n):  # the logit falls as |d| grows: stop at the first weight clamped to tiny
-        weight = math.exp(-scale * float(d * d + 1) - shift)
-        if weight <= TINY:
-            break
-        live.update((x, weight) for x in (center - d, center + d) if 0 <= x < 1 << n)
-    total = _Runs(1 << n, live).total()
-    probs = {x: weight / total for x, weight in live.items()}
-    return CenteredObjective(n, center), beta, _evaluator(n, probs, TINY / total)
+    live = {x: math.exp(-50.0 * d * d) for d in range(4) for x in (center - d, center + d) if 0 <= x < 1 << n}
+    return CenteredObjective(n, center), beta, _evaluator(n, live)
 
 
-def _evaluator(n: int, probs: dict[int, float], floor: float) -> Callable[[BitString], float]:
-    """``dense.classical_evaluator`` of the softmin table that is ``floor`` outside ``probs``.
+def _evaluator(n: int, live: dict[int, float]) -> Callable[[BitString], float]:
+    """``dense.classical_evaluator`` of the softmin table that is ``tiny`` outside ``live``.
 
-    ``block(k, i)`` is its ``levels[k][i]``; a probe reduces the view of
-    level t over the set bits of x >> t, lowest first, as there.
+    D(x) is k * w, w the largest live weight at a y below x and k how many
+    such y hold it; with none, 2**popcount(x) entries of ``tiny``.
     """
-    blank = [floor]  # blank[k]: an aligned block of 2**k entries with no live one
-    for _ in range(n):
-        blank.append(blank[-1] + blank[-1])
-    sums: dict[tuple[int, int], float] = {}
-
-    def block(k: int, i: int) -> float:
-        if k == 0:
-            return probs.get(i, floor)
-        if not any(x >> k == i for x in probs):
-            return blank[k]
-        if (k, i) not in sums:
-            sums[k, i] = block(k - 1, 2 * i + 1) + block(k - 1, 2 * i)
-        return sums[k, i]
 
     def evaluate(point: BitString) -> float:
         if len(point) != n:
             raise ValueError(f"x has {len(point)} bits, expected n = {n}")
         x = point.to_int()
-        t = (x ^ (x + 1)).bit_length() - 1  # trailing one bits
-        rest = x >> t
-        bits = [b for b in range(n - t) if rest >> b & 1]
-        hit = {p >> t for p in probs}  # the live blocks of level t
-
-        def reduce(i: int, base: int) -> float:
-            """The view reduced over bits[:i + 1], at the block index ``base`` of the bits above."""
-            if i < 0:
-                return block(t, base)
-            above = ~((2 << bits[i]) - 1)  # a block of this subtree matches base above bits[i]
-            if not any(q & above == base and q & ~rest == 0 for q in hit):
-                return math.ldexp(blank[t], i + 1)  # 2**(i + 1) equal leaves, added pairwise
-            return reduce(i - 1, base | 1 << bits[i]) + reduce(i - 1, base)
-
-        return reduce(len(bits) - 1, 0)
+        below = [w for y, w in live.items() if y & ~x == 0]
+        if not below:
+            return math.ldexp(TINY, bin(x).count("1"))
+        top = max(below)
+        return below.count(top) * top
 
     return evaluate

@@ -301,6 +301,28 @@ def test_an_x_of_the_wrong_width_is_refused_alike_on_both_kernels(tmp_path, monk
     assert (kernels == {"mobiusq.pure"}) if kernel == "pure" else (kernels <= {"mobiusq.circuits"}), kernels
 
 
+@pytest.mark.parametrize("kernel", sorted(_WRONG_WIDTH))
+def test_a_check_row_of_the_wrong_width_is_refused_before_any_point_is_read_out(tmp_path, monkeypatch, capsys, kernel):
+    """The last row is the wrong one, so a width checked row by row would read out every row before it.
+
+    The refusal comes after the run's one gather, which reads no point (a pure run refuses --x
+    there too, test_an_x_of_the_wrong_width_is_refused_alike_on_both_kernels), and before any readout.
+    """
+    argv, check, n0 = _WRONG_WIDTH[kernel]
+    obj = json.loads(check.read_text())
+    obj["rows"][-1]["x"] = "1" * (n0 + 1)
+    edited = tmp_path / "check.json"
+    edited.write_text(json.dumps(obj))
+    calls = []
+    for name in ("gather", "read_out_at"):
+        staged = getattr(cli_mod, name)
+        monkeypatch.setattr(cli_mod, name, lambda *a, name=name, staged=staged: calls.append(name) or staged(*a))
+    out = tmp_path / "out.json"
+    assert main([*argv, "--check", str(edited), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: x has {n0 + 1} bits, expected n0 = {n0}\n")
+    assert calls == ["gather"] and not out.exists()
+
+
 @pytest.mark.parametrize("key,value", [("n", 99), ("n0", 2)])
 def test_transform_check_confirms_recorded_header(tmp_path, capsys, key, value):
     check = _edited_fixture(tmp_path, "mobius3_sweep_shots5000.json", lambda o: o.update({key: value}))
@@ -870,6 +892,21 @@ def test_minfind_quantum_refuses_its_layout_before_any_table_is_built(tmp_path, 
         argv.append(str(objective))
     assert main(["minfind", *argv, "--backend", "quantum"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_minfind_quantum_refuses_an_input_layout_before_the_table_is_read(tmp_path, monkeypatch, capsys):
+    """The file's n alone decides the layout, so its table is neither parsed nor checked."""
+
+    class Unread:
+        @staticmethod
+        def from_json_obj(obj):
+            raise AssertionError("the table of a run its layout refuses was read")
+
+    monkeypatch.setattr(cli_mod, "SubsetTable", Unread)
+    objective = tmp_path / "objective.json"
+    objective.write_text(json.dumps({"n": 8, "values": list(range(1, 257))}))
+    assert main(["minfind", "--input", str(objective), "--backend", "quantum"]) == 1
+    assert capsys.readouterr() == ("", "error: layout needs 27 qubits, cap is 26\n")
 
 
 @pytest.mark.parametrize("beta", [10**400, -(10**400)], ids=["huge", "huge-negative"])

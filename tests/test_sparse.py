@@ -6,14 +6,18 @@ which loads no numpy; every other search builds the dense tables of ``mobiusq.de
 Binding ``cli.centered_softmin`` to a function that returns None sends the
 same run to the dense tables, so each case runs the CLI both ways, compares
 stdout and ``--out`` bytes, and replays each file with ``--check`` on the
-other path.  The one operation the sparse path does not replay is exp; the
-first test checks numpy's exp against libm's on the logits it computes.
+other path.  The sparse path computes the dense softmin table and its sums
+in closed form: two tests hold the dense table to that form and the
+sparse evaluator to the dense one at every point.  Its live weights come
+from libm's exp, and the first test checks numpy's exp against libm's on
+their logits.
 """
 from __future__ import annotations
 
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -26,7 +30,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mobiusq.cli as cli_mod
-from mobiusq import minfind
+from mobiusq import dense, minfind
+from mobiusq.bits import BitString
 from test_sim import _lower_dispatch_levels
 
 # numpy's exp of the logits of the sparse path, as the dense path calls it: in place, at
@@ -132,23 +137,52 @@ def test_a_check_file_that_records_beta_as_an_int_replays_the_same_on_both_paths
     assert json.loads(out["sparse"].read_text())["beta"] == 25
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    n=st.integers(0, 20),
-    live=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(1e-300, 1e3)), max_size=12),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_the_run_length_total_is_numpys_sum_of_the_dense_table(n, live, seed):
-    """Live entries anywhere, clustered or not, in a run of tiny: the sum is numpy's, bit for bit."""
+def _centers(n: int, rnd: random.Random) -> list[int]:
+    """Every center up to n = 8; above, both ends, their neighbours, and a few between."""
     size = 1 << n
-    rnd = random.Random(seed)
-    anchor = rnd.randrange(size)
-    entries = {min(size - 1, int(where * size)) if rnd.random() < 0.5 else min(size - 1, anchor + i): value
-               for i, (where, value) in enumerate(live)}
-    dense = np.full(size, minfind.TINY)
-    for x, value in entries.items():
-        dense[x] = value
-    assert minfind._Runs(size, entries).total().hex() == float(dense.sum()).hex()
+    if n <= 8:
+        return list(range(size))
+    return sorted({0, 1, 3, size // 2, size - 4, size - 2, size - 1, *(rnd.randrange(size) for _ in range(3))})
+
+
+def test_the_dense_softmin_table_at_an_in_range_center_is_its_closed_form():
+    """Beta * 2**n = 50: exp(-50 d**2) within 3 of the center, tiny elsewhere, and an unnormalised total of 1.0."""
+    rnd = random.Random(37)
+    for n in range(1, 21):
+        size = 1 << n
+        for center in range(size) if n <= 12 else _centers(n, rnd):
+            objective = dense.quadratic_objective(n, center)
+            beta = dense.choose_beta(objective)
+            assert beta == 50.0 / size
+            weights = np.full(size, minfind.TINY)
+            for d in range(4):
+                weights[[x for x in (center - d, center + d) if 0 <= x < size]] = math.exp(-50.0 * d * d)
+            assert float(weights.sum()) == 1.0, (n, center)
+            assert dense.softmin_table(objective, beta).values.tobytes() == weights.tobytes(), (n, center)
+
+
+def test_the_sparse_evaluator_is_the_dense_one_at_every_point():
+    """Every point at every center up to n = 8 and at several up to n = 10; above, random points and
+    points above one or both live entries of a distance, where D(x) is k * w with k = 2."""
+    rnd = random.Random(38)
+    checked = 0
+    for n in range(1, 21):
+        size = 1 << n
+        for center in _centers(n, rnd):
+            _, beta, evaluate = minfind.centered_softmin(n, center, None)
+            reference = dense.classical_evaluator(dense.softmin_table(dense.quadratic_objective(n, center), beta))
+            if n <= 10:
+                points = range(size)
+            else:
+                live = [x for d in range(4) for x in (center - d, center + d) if 0 <= x < size]
+                pairs = [(center - d) | (center + d) for d in range(1, 4) if 0 <= center - d and center + d < size]
+                masks = [rnd.randrange(size) for _ in range(120)]
+                points = {*masks, *(m | y for m in masks[:40] for y in live + pairs), size - 1}
+            for x in points:
+                point = BitString.from_int(x, n)
+                assert evaluate(point).hex() == reference(point).hex(), (n, center, x)
+            checked += len(points)
+    assert checked > 100_000
 
 
 def test_tiny_is_the_dense_floor():
